@@ -80,20 +80,16 @@ class StatePredicate:
         return found if self.exists else not found
 
     def _match_world(self, world: World, at: int, binding: dict | None) -> bool:
-        for l in world.links:
-            if l.kind != self.kind or not l.active_at(at):
-                continue
-            if self._side_matches(world, self.from_ref, l.from_p, binding) and self._side_matches(
-                world, self.to_ref, l.to_p, binding
+        from_ref, to_ref = self.from_ref, self.to_ref
+        from_p = None if isinstance(from_ref, Wildcard) else _resolve(from_ref, binding)
+        to_p = None if isinstance(to_ref, Wildcard) else _resolve(to_ref, binding)
+        is_descendant = world.registry.is_descendant
+        for f, _, t in world.triples_at(at, self.kind, from_p, to_p):
+            if (from_p is not None or is_descendant(f, from_ref.utype)) and (
+                to_p is not None or is_descendant(t, to_ref.utype)
             ):
                 return True
         return False
-
-    @staticmethod
-    def _side_matches(world: World, ref: PredRef, name: str, binding: dict | None) -> bool:
-        if isinstance(ref, Wildcard):
-            return world.registry.is_descendant(name, ref.utype)
-        return _resolve(ref, binding) == name
 
 
 def _resolve(ref: Ref, binding: dict | None) -> str:
@@ -239,7 +235,6 @@ class FrameActivation:
     binding: dict[str, str]
     at: int
     created: list  # LinkInstance objects, template order
-    active: bool = True
 
     def key(self) -> tuple:
         return (self.frame, tuple(sorted(self.binding.items())))
@@ -325,7 +320,6 @@ def deactivate_frame(world: World, activation: FrameActivation | tuple, at: int)
     world.record("FrameDeactivate", at, {"frame": act.frame, "binding": _binding_payload(act.binding)})
     for l in act.created:
         world.unlink(*l.triple(), at)
-    act.active = False
     del world.frame_activations[key]
     return world.trace[before:]
 

@@ -139,6 +139,12 @@ class TickOutOfRangeError(XfoError):
     code = "E_TICK_RANGE"
 
 
+class TickOrderError(XfoError):
+    """A world edit or event is dated before the world's last recorded tick."""
+
+    code = "E_TICK_ORDER"
+
+
 class SimulationError(XfoError):
     """A scenario-level failure outside any modeled run outcome."""
 

@@ -64,11 +64,14 @@ class Registry:
     """Name-keyed entity store.
 
     Single-writer while a model loads; treated as immutable afterwards, so
-    reads are safe from any thread.
+    reads are safe from any thread (the lazily filled lineage caches only
+    ever gain entries whose values are fixed by the definitions).
     """
 
     def __init__(self) -> None:
         self._defs: dict[str, EntityDef] = {}
+        self._ancestors: dict[EntityId, frozenset[EntityId]] = {}
+        self._b_ancestor: dict[EntityId, EntityId] = {}
 
     def __len__(self) -> int:
         return len(self._defs)
@@ -120,23 +123,45 @@ class Registry:
             )
         return self._add(EntityDef(name, Layer.P, universal, doc))
 
+    def ancestors(self, e: EntityId) -> frozenset[EntityId]:
+        """e plus every entity reachable from it by parent hops.
+
+        Cached on first use; exact because a definition is never changed
+        or removed once added.
+        """
+        anc = self._ancestors.get(e)
+        if anc is None:
+            self._fill_lineage(e)
+            anc = self._ancestors[e]
+        return anc
+
+    def _fill_lineage(self, e: EntityId) -> None:
+        """Cache ancestors and B ancestor for e and its uncached parents."""
+        pending = []
+        cur: EntityId | None = self.lookup(e).name
+        while cur is not None and cur not in self._ancestors:
+            pending.append(cur)
+            cur = self._defs[cur].parent
+        for name in reversed(pending):
+            d = self._defs[name]
+            if d.parent is None:
+                self._ancestors[name] = frozenset((name,))
+            else:
+                self._ancestors[name] = self._ancestors[d.parent] | {name}
+            self._b_ancestor[name] = name if d.layer is Layer.B else self._b_ancestor[d.parent]
+
     def is_descendant(self, a: EntityId, b: EntityId) -> bool:
         """True iff b is reachable from a by zero or more parent hops."""
         self.lookup(b)
-        cur: EntityId | None = self.lookup(a).name
-        while cur is not None:
-            if cur == b:
-                return True
-            cur = self._defs[cur].parent
-        return False
+        return b in self.ancestors(a)
 
     def b_ancestor(self, e: EntityId) -> EntityId:
         """Nearest ancestor (or self) whose layer is B."""
-        cur = self.lookup(e)
-        while cur.layer is not Layer.B:
-            # parent always exists below the B layer
-            cur = self._defs[cur.parent]  # type: ignore[index]
-        return cur.name
+        b = self._b_ancestor.get(e)
+        if b is None:
+            self._fill_lineage(e)
+            b = self._b_ancestor[e]
+        return b
 
     def parent_chain(self, e: EntityId) -> list[EntityId]:
         """Names from e up to and including B_Entity."""

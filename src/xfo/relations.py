@@ -10,7 +10,10 @@ sanctioned, which is exactly what tier 2 exists to reject.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (
     BadBoundError,
@@ -22,6 +25,7 @@ from .errors import (
     NotIndependentContinuantError,
     SignatureMismatchError,
     Tier2UncoveredError,
+    TickOrderError,
     UnknownKindError,
     XfoError,
 )
@@ -52,6 +56,9 @@ class RelationDeclaration:
     to_u: EntityId
 
 
+Triple = tuple[EntityId, str, EntityId]
+
+
 @dataclass
 class LinkInstance:
     """One time-spanned edge. Spans are half-open: [start, end)."""
@@ -62,7 +69,7 @@ class LinkInstance:
     start: int
     end: int | None = None
 
-    def triple(self) -> tuple[str, str, str]:
+    def triple(self) -> Triple:
         return (self.from_p, self.kind, self.to_p)
 
     def active_at(self, at: int) -> bool:
@@ -80,6 +87,8 @@ class ValidationResult:
 
 
 VALID = ValidationResult(True)
+
+_START = attrgetter("start")
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,27 @@ class World:
     Mutated only by a single loader/scheduler thread; quiescent worlds are
     safe for concurrent readers. ``tier2_strict=False`` downgrades tier-2
     link failures to entries in ``warnings``.
+
+    The link store is indexed; ``link`` and ``unlink`` are its only writers
+    and keep these invariants:
+
+    * ``links`` is the append-only log of every LinkInstance, in creation
+      order.
+    * ``spans`` maps each (from, kind, to) triple ever linked to its
+      instances, start-sorted and non-overlapping: the shape
+      ``trace.replay_spans`` rebuilds from the trace, and equal to it
+      span for span. Only the last span of a list may be open, so the
+      active link is that span when its end is None, and a read at a past
+      tick bisects one list.
+    * ``_by_entity`` maps an entity to the triples it appears in on either
+      side, and ``_by_kind`` a kind to its triples. Both use insertion-
+      ordered dicts as sets, so iteration never depends on string hashing.
+    * Ticks never go backwards: an edit or event dated before the last
+      recorded tick raises TickOrderError and changes nothing.
+
+    Declarations are kept as a list and indexed as kind -> from_u ->
+    {to_u}; tier-2 cover intersects that index with the participants'
+    cached ancestor sets.
     """
 
     def __init__(self, registry: Registry | None = None, *, tier2_strict: bool = True) -> None:
@@ -128,7 +158,11 @@ class World:
         self.tier2_strict = tier2_strict
         self.kinds: dict[str, RelationKind] = {k.name: k for k in BUILTIN_KINDS}
         self.declarations: list[RelationDeclaration] = []
+        self._covers: dict[str, dict[EntityId, set[EntityId]]] = {}
         self.links: list[LinkInstance] = []
+        self.spans: dict[Triple, list[LinkInstance]] = {}
+        self._by_entity: dict[EntityId, dict[Triple, None]] = {}
+        self._by_kind: dict[str, dict[Triple, None]] = {}
         self.trace: list[TraceEvent] = []
         self.warnings: list[str] = []
         self.model_name = "model"
@@ -145,7 +179,14 @@ class World:
     # ------------------------------------------------------------------
     # trace plumbing
 
+    def _require_tick(self, at: int) -> None:
+        if self.trace and at < self.trace[-1].at:
+            raise TickOrderError(
+                f"tick {at} is before the last recorded tick {self.trace[-1].at}"
+            )
+
     def record(self, kind: str, at: int, payload: dict) -> TraceEvent:
+        self._require_tick(at)
         ev = TraceEvent(self._seq, at, kind, payload)
         self._seq += 1
         self.trace.append(ev)
@@ -210,7 +251,9 @@ class World:
         if not res:
             raise SignatureMismatchError(f"'{from_u}' {kind} '{to_u}': {res.reason}")
         decl = RelationDeclaration(from_u, kind, to_u)
-        if decl not in self.declarations:
+        tos = self._covers.setdefault(kind, {}).setdefault(from_u, set())
+        if to_u not in tos:
+            tos.add(to_u)
             self.declarations.append(decl)
         return decl
 
@@ -230,8 +273,11 @@ class World:
         res = self._tier1(k, from_p, to_p)
         if not res:
             return res
-        for d in self.declarations:
-            if d.kind == kind and reg.is_descendant(from_p, d.from_u) and reg.is_descendant(to_p, d.to_u):
+        by_from = self._covers.get(kind, {})
+        to_ancestors = reg.ancestors(to_p)
+        for u in reg.ancestors(from_p):
+            tos = by_from.get(u)
+            if tos and not tos.isdisjoint(to_ancestors):
                 return VALID
         return ValidationResult(
             False, 2,
@@ -240,13 +286,50 @@ class World:
         )
 
     def active_link(self, from_p: EntityId, kind: str, to_p: EntityId) -> LinkInstance | None:
-        for l in reversed(self.links):
-            if l.end is None and l.triple() == (from_p, kind, to_p):
-                return l
+        row = self.spans.get((from_p, kind, to_p))
+        if row and row[-1].end is None:
+            return row[-1]
         return None
 
+    def span_at(self, triple: Triple, at: int) -> LinkInstance | None:
+        """The triple's link instance active at tick ``at``, if any."""
+        row = self.spans.get(triple)
+        if not row:
+            return None
+        i = bisect_right(row, at, key=_START)
+        if i and row[i - 1].active_at(at):
+            return row[i - 1]
+        return None
+
+    def triples_at(
+        self, at: int, kind: str, from_p: EntityId | None = None, to_p: EntityId | None = None
+    ) -> Iterator[Triple]:
+        """Triples of ``kind`` active at tick ``at``; a side given as None
+        matches any entity."""
+        if from_p is not None and to_p is not None:
+            candidates = ((from_p, kind, to_p),)
+        elif from_p is not None:
+            candidates = self._by_entity.get(from_p, ())
+        elif to_p is not None:
+            candidates = self._by_entity.get(to_p, ())
+        else:
+            candidates = self._by_kind.get(kind, ())
+        for t in candidates:
+            if (
+                t[1] == kind
+                and (from_p is None or t[0] == from_p)
+                and (to_p is None or t[2] == to_p)
+                and self.span_at(t, at) is not None
+            ):
+                yield t
+
     def check_linkable(self, from_p: EntityId, kind: str, to_p: EntityId) -> None:
-        """Raise unless a new (from, kind, to) link may start now."""
+        """Raise unless a new (from, kind, to) link may start now. A
+        duplicate is rejected before validation, so it adds no warning."""
+        if self.active_link(from_p, kind, to_p) is not None:
+            raise DuplicateActiveLinkError(
+                f"link '{from_p}' {kind} '{to_p}' is already active"
+            )
         res = self.validate_link(from_p, kind, to_p)
         if not res:
             if res.tier == 2 and not self.tier2_strict:
@@ -255,15 +338,21 @@ class World:
                 raise Tier2UncoveredError(f"invalid link: {res.reason}", result=res)
             else:
                 raise InvalidLinkError(f"invalid link: {res.reason}", result=res)
-        if self.active_link(from_p, kind, to_p) is not None:
-            raise DuplicateActiveLinkError(
-                f"link '{from_p}' {kind} '{to_p}' is already active"
-            )
 
     def link(self, from_p: EntityId, kind: str, to_p: EntityId, at: int) -> LinkInstance:
+        self._require_tick(at)
         self.check_linkable(from_p, kind, to_p)
         inst = LinkInstance(from_p, kind, to_p, at)
         self.links.append(inst)
+        triple = inst.triple()
+        row = self.spans.get(triple)
+        if row is None:
+            self.spans[triple] = [inst]
+            self._by_entity.setdefault(from_p, {})[triple] = None
+            self._by_entity.setdefault(to_p, {})[triple] = None
+            self._by_kind.setdefault(kind, {})[triple] = None
+        else:
+            row.append(inst)
         self.record("Link", at, {"from": from_p, "relation": kind, "to": to_p})
         return inst
 
@@ -273,6 +362,7 @@ class World:
             raise NoActiveLinkError(
                 f"no active link '{from_p}' {kind} '{to_p}' at tick {at}"
             )
+        self._require_tick(at)
         inst.end = at
         self.record("Unlink", at, {"from": from_p, "relation": kind, "to": to_p})
         return inst
@@ -283,13 +373,14 @@ class World:
     def state_of(self, e: EntityId, at: int) -> State:
         self.registry.lookup(e)
         found = []
-        for l in self.links:
-            if not l.active_at(at):
+        for triple in self._by_entity.get(e, ()):
+            if self.span_at(triple, at) is None:
                 continue
-            if l.from_p == e:
-                found.append(StateLink("out", l.kind, l.to_p))
-            if l.to_p == e:
-                found.append(StateLink("in", l.kind, l.from_p))
+            from_p, kind, to_p = triple
+            if from_p == e:
+                found.append(StateLink("out", kind, to_p))
+            if to_p == e:
+                found.append(StateLink("in", kind, from_p))
         found.sort(key=lambda s: (s.kind, s.counterpart, s.direction))
         return State(e, at, tuple(found))
 
@@ -308,7 +399,7 @@ class World:
             st = self.state_of(e, at)
             entries = tuple(TicEntry(s.direction, s.kind, s.counterpart) for s in st.links)
             return TIC(e, at, entries)
-        lineage = set(self.registry.parent_chain(e))
+        lineage = self.registry.ancestors(e)
         entries = []
         for d in self.declarations:
             if d.from_u in lineage:

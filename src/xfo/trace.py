@@ -119,10 +119,3 @@ def replay_spans(events) -> dict[tuple[str, str, str], list[tuple[int, int | Non
                 raise MalformedTraceError(f"event seq {e.seq}: Unlink without active Link for {triple}")
             row[-1] = (row[-1][0], e.at)
     return spans
-
-
-def active_in_spans(spans, triple, at: int) -> bool:
-    for start, end in spans.get(triple, ()):
-        if start <= at and (end is None or end > at):
-            return True
-    return False

@@ -133,6 +133,9 @@ def _check_registry_invariants(reg: Registry):
         ranks = [order[l] for l in layers]
         assert ranks == sorted(ranks), f"layer sequence broken along {chain}"
         assert sum(1 for l in layers if l is Layer.P) <= 1  # P never nests
+        # the cached lineage agrees with a fresh parent-chain walk
+        assert reg.ancestors(e.name) == frozenset(chain)
+        assert reg.b_ancestor(e.name) == next(n for n, l in zip(chain, layers) if l is Layer.B)
 
 
 @given(st.data())
@@ -151,6 +154,9 @@ def test_random_definitions_keep_invariants(data):
             reg.define_universal(f"u{i}", parent)
             universals.append(f"u{i}")
             instantiable.append(f"u{i}")
+        if data.draw(st.booleans()):
+            # fill the lineage caches part-way through the definitions
+            reg.is_descendant(data.draw(st.sampled_from(universals)), "B_Entity")
     _check_registry_invariants(reg)
     for e in reg.entities():
         assert reg.lookup(e.name) is e
