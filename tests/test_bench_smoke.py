@@ -1,7 +1,7 @@
-"""Smoke run of the benchmark driver, so the harness cannot rot unnoticed.
+"""Smoke run of `bench/run.py`, so the benchmark harness cannot rot unnoticed.
 
 One short traffic_fleet run on a seed kept apart from the tuning seeds;
-the driver checks every pass against its xfo-free oracle.
+`bench/run.py` checks every pass against its xfo-free oracle.
 """
 from __future__ import annotations
 

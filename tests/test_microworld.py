@@ -511,3 +511,14 @@ run pulse() at 0
     assert sim.runs[0].status is RunStatus.COMPLETED
     spans = [(l.to_p, l.start, l.end) for l in world.links if l.kind == "Has_Quality"]
     assert spans == [("q", 1, 2), ("q", 3, 4), ("r", 4, None)]
+
+
+def test_second_scenario_on_a_run_world_is_refused_untouched():
+    """Initial links are dated tick 0, which a world that has already run
+    is past; loading them used to add a second active link and a trace
+    that goes back to tick 0."""
+    world, _, scen = run_scenario("celadon.xfo", "celadon_run.xws")
+    before = (len(world.links), len(world.trace))
+    with pytest.raises(InvalidInitialLinkError, match="before the last recorded tick"):
+        load_scenario(world, scen)
+    assert (len(world.links), len(world.trace)) == before
