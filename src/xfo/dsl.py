@@ -4,12 +4,13 @@ Line-oriented statements; `{ ... }` blocks; `#` comments to end of line.
 The grammar is versioned and documented in GRAMMAR.md. Parsing is total:
 any input yields a (possibly partial) document plus diagnostics, and the
 parser never throws. Statement dataclasses exclude spans from equality so
-parse -> print -> parse round-trips compare structurally equal.
+parse -> print -> parse round-trips compare structurally equal. Scenario
+schedule lines parse straight to the kernel's RunSpec and directive types.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dynamics import (
     Cond,
@@ -21,6 +22,14 @@ from .dynamics import (
     Step,
     Wildcard,
     WorkflowStep,
+)
+from .microworld import (
+    ActivateDirective,
+    ApplyDirective,
+    DeactivateDirective,
+    InterruptDirective,
+    RunSpec,
+    _span_field,
 )
 
 GRAMMAR_VERSION = "1.0"
@@ -67,10 +76,6 @@ class Token:
 
 # ----------------------------------------------------------------------
 # statements
-
-
-def _span_field():
-    return field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -161,46 +166,8 @@ class InitStmt:
 
 
 @dataclass(frozen=True)
-class RunStmt:
-    workflow: str
-    args: tuple
-    at: int
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
 class RuleRefStmt:
     name: str
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class ActivateStmt:
-    frame: str
-    binding: tuple  # (slot, value) pairs in source order
-    at: int
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class DeactivateStmt:
-    frame: str
-    binding: tuple
-    at: int
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class ApplyStmt:
-    transitional: str
-    at: int
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class InterruptStmt:
-    run: int
-    at: int
     span: SourceSpan | None = _span_field()
 
 
@@ -389,6 +356,23 @@ class _Parser:
         line.punct("{")
         line.done()
 
+    def _block(self, what: str, span, clause) -> _Toks:
+        """Parse the lines of a block up to its closing '}', each with
+        ``clause(line)``; a failing line is reported and skipped. Returns
+        the closing line, positioned after the '}'."""
+        while True:
+            line = self._next_line()
+            if line is None:
+                raise _ParseError(f"unterminated {what}", span)
+            if line.peek() and line.peek().text == "}":
+                line.take()
+                return line
+            try:
+                clause(line)
+                line.done()
+            except _ParseError as exc:
+                self._recover_line(exc, line)
+
     # shared pieces -----------------------------------------------------
 
     def _template(self, line: _Toks) -> LinkTemplate:
@@ -396,6 +380,15 @@ class _Parser:
         kind = line.name("a relation kind")
         to = line.name("an entity")
         return LinkTemplate(frm, kind, to)
+
+    def _edit(self, line: _Toks, unlinks: list, links: list) -> None:
+        which = line.name("'link' or 'unlink'")
+        if which == "unlink":
+            unlinks.append(self._template(line))
+        elif which == "link":
+            links.append(self._template(line))
+        else:
+            raise _ParseError(f"expected 'link' or 'unlink', got '{which}'", line.span_at())
 
     def _predicate(self, line: _Toks) -> StatePredicate:
         tok = line.take()
@@ -511,25 +504,7 @@ def _p_transitional(p: _Parser, line: _Toks, span) -> TransitionalStmt:
     name = line.name("a transitional name")
     p._open_brace(line)
     unlinks, links = [], []
-    while True:
-        body = p._next_line()
-        if body is None:
-            raise _ParseError(f"unterminated transitional '{name}'", span)
-        if body.peek() and body.peek().text == "}":
-            body.take()
-            body.done()
-            break
-        try:
-            word = body.name("'link' or 'unlink'")
-            if word == "unlink":
-                unlinks.append(p._template(body))
-            elif word == "link":
-                links.append(p._template(body))
-            else:
-                raise _ParseError(f"expected 'link' or 'unlink', got '{word}'", body.span_at())
-            body.done()
-        except _ParseError as exc:
-            p._recover_line(exc, body)
+    p._block(f"transitional '{name}'", span, lambda body: p._edit(body, unlinks, links)).done()
     return TransitionalStmt(name, tuple(unlinks), tuple(links), span=span)
 
 
@@ -537,25 +512,17 @@ def _p_frame(p: _Parser, line: _Toks, span) -> FrameStmt:
     name = line.name("a frame name")
     p._open_brace(line)
     slots, templates = [], []
-    while True:
-        body = p._next_line()
-        if body is None:
-            raise _ParseError(f"unterminated frame '{name}'", span)
-        if body.peek() and body.peek().text == "}":
-            body.take()
-            body.done()
-            break
-        try:
-            word = body.name("'slot' or 'link'")
-            if word == "slot":
-                slots.append(body.name("a slot name"))
-            elif word == "link":
-                templates.append(p._template(body))
-            else:
-                raise _ParseError(f"expected 'slot' or 'link', got '{word}'", body.span_at())
-            body.done()
-        except _ParseError as exc:
-            p._recover_line(exc, body)
+
+    def clause(body: _Toks) -> None:
+        word = body.name("'slot' or 'link'")
+        if word == "slot":
+            slots.append(body.name("a slot name"))
+        elif word == "link":
+            templates.append(p._template(body))
+        else:
+            raise _ParseError(f"expected 'slot' or 'link', got '{word}'", body.span_at())
+
+    p._block(f"frame '{name}'", span, clause).done()
     return FrameStmt(name, tuple(slots), tuple(templates), span=span)
 
 
@@ -581,25 +548,20 @@ def _parse_body(p: _Parser, owner: str, span) -> tuple[Seq, _Toks]:
     """Parse workflow body nodes until the matching '}'. Returns the Seq
     and the close line (positioned after '}') for else-continuations."""
     nodes = []
-    while True:
-        line = p._next_line()
-        if line is None:
-            raise _ParseError(f"unterminated block in '{owner}'", span)
-        if line.peek() and line.peek().text == "}":
-            line.take()
-            return Seq(tuple(nodes)), line
-        try:
-            word = line.name("'step', 'loop' or 'if'")
-            if word == "step":
-                nodes.append(Step(_parse_step(p, line, owner)))
-            elif word == "loop":
-                nodes.append(_parse_loop(p, line, owner, span))
-            elif word == "if":
-                nodes.append(_parse_cond(p, line, owner, span))
-            else:
-                raise _ParseError(f"expected 'step', 'loop' or 'if', got '{word}'", line.span_at())
-        except _ParseError as exc:
-            p._recover_line(exc, line)
+
+    def node(line: _Toks) -> None:
+        word = line.name("'step', 'loop' or 'if'")
+        if word == "step":
+            nodes.append(Step(_parse_step(p, line, owner)))
+        elif word == "loop":
+            nodes.append(_parse_loop(p, line, owner, span))
+        elif word == "if":
+            nodes.append(_parse_cond(p, line, owner, span))
+        else:
+            raise _ParseError(f"expected 'step', 'loop' or 'if', got '{word}'", line.span_at())
+
+    close = p._block(f"block in '{owner}'", span, node)
+    return Seq(tuple(nodes)), close
 
 
 def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
@@ -616,41 +578,28 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
     pre: list[StatePredicate] = []
     unlinks: list[LinkTemplate] = []
     links: list[LinkTemplate] = []
-    while True:
-        body = p._next_line()
-        if body is None:
-            raise _ParseError(f"unterminated step '{name}'", span)
-        if body.peek() and body.peek().text == "}":
-            body.take()
-            body.done()
-            break
-        try:
-            word = body.name("a step clause")
-            if word == "agent":
-                agent = body.name("an entity")
-            elif word == "duration":
-                tok = body.take()
-                if tok.kind == "int":
-                    duration = int(tok.text)
-                elif tok.kind == "name":
-                    duration = tok.text
-                else:
-                    raise _ParseError(f"expected a duration, got {tok.text!r}", body.span_at(tok))
-            elif word == "require":
-                pre.append(p._predicate(body))
-            elif word == "effect":
-                which = body.name("'link' or 'unlink'")
-                if which == "unlink":
-                    unlinks.append(p._template(body))
-                elif which == "link":
-                    links.append(p._template(body))
-                else:
-                    raise _ParseError(f"expected 'link' or 'unlink', got '{which}'", body.span_at())
+
+    def clause(body: _Toks) -> None:
+        nonlocal agent, duration
+        word = body.name("a step clause")
+        if word == "agent":
+            agent = body.name("an entity")
+        elif word == "duration":
+            tok = body.take()
+            if tok.kind == "int":
+                duration = int(tok.text)
+            elif tok.kind == "name":
+                duration = tok.text
             else:
-                raise _ParseError(f"unknown step clause '{word}'", body.span_at())
-            body.done()
-        except _ParseError as exc:
-            p._recover_line(exc, body)
+                raise _ParseError(f"expected a duration, got {tok.text!r}", body.span_at(tok))
+        elif word == "require":
+            pre.append(p._predicate(body))
+        elif word == "effect":
+            p._edit(body, unlinks, links)
+        else:
+            raise _ParseError(f"unknown step clause '{word}'", body.span_at())
+
+    p._block(f"step '{name}'", span, clause).done()
     return WorkflowStep(
         name, agent, duration, tuple(pre), tuple(unlinks), tuple(links), placeholder
     )
@@ -694,27 +643,20 @@ def _p_rule(p: _Parser, line: _Toks, span) -> RuleStmt:
     p._open_brace(line)
     when: list[StatePredicate] = []
     then: RuleAction | None = None
-    while True:
-        body = p._next_line()
-        if body is None:
-            raise _ParseError(f"unterminated rule '{name}'", span)
-        if body.peek() and body.peek().text == "}":
-            body.take()
-            body.done()
-            break
-        try:
-            word = body.name("'when' or 'then'")
-            if word == "when":
-                when.append(p._predicate(body))
-            elif word == "then":
-                if then is not None:
-                    raise _ParseError(f"rule '{name}' has more than one 'then'", body.span_at())
-                then = _parse_action(p, body)
-            else:
-                raise _ParseError(f"expected 'when' or 'then', got '{word}'", body.span_at())
-            body.done()
-        except _ParseError as exc:
-            p._recover_line(exc, body)
+
+    def clause(body: _Toks) -> None:
+        nonlocal then
+        word = body.name("'when' or 'then'")
+        if word == "when":
+            when.append(p._predicate(body))
+        elif word == "then":
+            if then is not None:
+                raise _ParseError(f"rule '{name}' has more than one 'then'", body.span_at())
+            then = _parse_action(p, body)
+        else:
+            raise _ParseError(f"expected 'when' or 'then', got '{word}'", body.span_at())
+
+    p._block(f"rule '{name}'", span, clause).done()
     if not when:
         raise _ParseError(f"rule '{name}' has no 'when' clause", span)
     if then is None:
@@ -779,10 +721,10 @@ def _at_clause(line: _Toks) -> int:
     return at
 
 
-def _p_run(p: _Parser, line: _Toks, span) -> RunStmt:
+def _p_run(p: _Parser, line: _Toks, span) -> RunSpec:
     wf = line.name("a workflow")
     args = p._arg_list(line) if line.peek() and line.peek().text == "(" else ()
-    return RunStmt(wf, args, _at_clause(line), span=span)
+    return RunSpec(wf, args, _at_clause(line), span=span)
 
 
 def _p_rule_ref(p: _Parser, line: _Toks, span) -> RuleRefStmt:
@@ -791,26 +733,24 @@ def _p_rule_ref(p: _Parser, line: _Toks, span) -> RuleRefStmt:
     return RuleRefStmt(name, span=span)
 
 
-def _p_activate(p: _Parser, line: _Toks, span) -> ActivateStmt:
+def _p_activate(p: _Parser, line: _Toks, span, directive=ActivateDirective):
     frame = line.name("a frame")
-    binding = p._binding_list(line)
-    return ActivateStmt(frame, binding, _at_clause(line), span=span)
+    binding = tuple(sorted(p._binding_list(line)))
+    return directive(frame, binding, _at_clause(line), span=span)
 
 
-def _p_deactivate(p: _Parser, line: _Toks, span) -> DeactivateStmt:
-    frame = line.name("a frame")
-    binding = p._binding_list(line)
-    return DeactivateStmt(frame, binding, _at_clause(line), span=span)
+def _p_deactivate(p: _Parser, line: _Toks, span) -> DeactivateDirective:
+    return _p_activate(p, line, span, directive=DeactivateDirective)
 
 
-def _p_apply(p: _Parser, line: _Toks, span) -> ApplyStmt:
+def _p_apply(p: _Parser, line: _Toks, span) -> ApplyDirective:
     name = line.name("a transitional")
-    return ApplyStmt(name, _at_clause(line), span=span)
+    return ApplyDirective(name, _at_clause(line), span=span)
 
 
-def _p_interrupt(p: _Parser, line: _Toks, span) -> InterruptStmt:
+def _p_interrupt(p: _Parser, line: _Toks, span) -> InterruptDirective:
     run = line.integer("a run ordinal")
-    return InterruptStmt(run, _at_clause(line), span=span)
+    return InterruptDirective(run, _at_clause(line), span=span)
 
 
 _SCENARIO_DISPATCH = {
@@ -842,14 +782,6 @@ def parse_scenario(text: str, file: str = "<scenario>") -> ParseResult:
 # pretty printer
 
 
-def _fmt_pred(pred: StatePredicate) -> str:
-    return pred.render()
-
-
-def _fmt_action(a: RuleAction) -> str:
-    return a.render()
-
-
 def _fmt_node(node, indent: int, out: list[str]) -> None:
     pad = "  " * indent
     if isinstance(node, Step):
@@ -861,7 +793,7 @@ def _fmt_node(node, indent: int, out: list[str]) -> None:
             out.append(f"{inner}agent {s.agent_ref}")
         out.append(f"{inner}duration {s.duration}")
         for pred in s.preconditions:
-            out.append(f"{inner}require {_fmt_pred(pred)}")
+            out.append(f"{inner}require {pred.render()}")
         for t in s.unlinks:
             out.append(f"{inner}effect unlink {t}")
         for t in s.links:
@@ -873,7 +805,7 @@ def _fmt_node(node, indent: int, out: list[str]) -> None:
         elif node.until_end:
             head = f"{pad}loop until end {{"
         elif node.guard is not None:
-            head = f"{pad}loop until {_fmt_pred(node.guard)} {{"
+            head = f"{pad}loop until {node.guard.render()} {{"
         else:
             head = f"{pad}loop {{"
         out.append(head)
@@ -881,7 +813,7 @@ def _fmt_node(node, indent: int, out: list[str]) -> None:
             _fmt_node(item, indent + 1, out)
         out.append(f"{pad}}}")
     elif isinstance(node, Cond):
-        out.append(f"{pad}if {_fmt_pred(node.guard)} {{")
+        out.append(f"{pad}if {node.guard.render()} {{")
         for item in node.then_body.items:
             _fmt_node(item, indent + 1, out)
         if node.else_body is not None:
@@ -931,8 +863,8 @@ def print_model(doc: ModelDocument) -> str:
         elif isinstance(s, RuleStmt):
             out.append(f"rule {s.name} {{")
             for pred in s.when:
-                out.append(f"  when {_fmt_pred(pred)}")
-            out.append(f"  then {_fmt_action(s.then)}")
+                out.append(f"  when {pred.render()}")
+            out.append(f"  then {s.then.render()}")
             out.append("}")
     return "\n".join(out) + "\n"
 
@@ -950,17 +882,17 @@ def print_scenario(doc: ScenarioDocument) -> str:
             out.append(f"horizon {s.value}")
         elif isinstance(s, InitStmt):
             out.append(f"init {s.template}")
-        elif isinstance(s, RunStmt):
+        elif isinstance(s, RunSpec):
             args = ", ".join(str(a) for a in s.args)
             out.append(f"run {s.workflow}({args}) at {s.at}")
         elif isinstance(s, RuleRefStmt):
             out.append(f"rule {s.name}")
-        elif isinstance(s, ActivateStmt):
+        elif isinstance(s, ActivateDirective):
             out.append(f"activate {s.frame}({_fmt_binding(s.binding)}) at {s.at}")
-        elif isinstance(s, DeactivateStmt):
+        elif isinstance(s, DeactivateDirective):
             out.append(f"deactivate {s.frame}({_fmt_binding(s.binding)}) at {s.at}")
-        elif isinstance(s, ApplyStmt):
+        elif isinstance(s, ApplyDirective):
             out.append(f"apply {s.transitional} at {s.at}")
-        elif isinstance(s, InterruptStmt):
+        elif isinstance(s, InterruptDirective):
             out.append(f"interrupt {s.run} at {s.at}")
     return "\n".join(out) + "\n"

@@ -71,9 +71,14 @@ class StatePredicate:
     kind: str
     to_ref: PredRef
 
-    def render(self) -> str:
+    def render(self, binding: dict | None = None) -> str:
+        """DSL text of the predicate, with parameters resolved through
+        ``binding`` when one is given."""
         word = "exists" if self.exists else "not_exists"
-        return f"{word} {self.from_ref} {self.kind} {self.to_ref}"
+        from_ref, to_ref = (
+            r if isinstance(r, Wildcard) else _resolve(r, binding) for r in (self.from_ref, self.to_ref)
+        )
+        return f"{word} {from_ref} {self.kind} {to_ref}"
 
     def holds(self, world: World, at: int, binding: dict | None = None) -> bool:
         found = self._match_world(world, at, binding)
@@ -131,10 +136,7 @@ def _static_check_template(world: World, t: LinkTemplate, params: frozenset[str]
     if len(refs) < 2:
         return
     res = world.validate_link(t.from_ref, t.kind, t.to_ref)
-    if not res:
-        if res.tier == 2 and not world.tier2_strict:
-            world.warnings.append(f"tier-2: {label}: {res.reason}")
-            return
+    if not world.admit(res, f"{label}: "):
         raise InvalidTemplateError(f"{label}: invalid template '{t}': {res.reason}")
 
 
@@ -188,7 +190,7 @@ def apply_edits(
                 )
         for t in ln:
             res = world.validate_link(*t)
-            if not res and not (res.tier == 2 and not world.tier2_strict):
+            if not world.admit(res, None):
                 raise PreconditionFailedError(
                     f"link target invalid: {' '.join(t)}: {res.reason}",
                     predicate=res.reason,
@@ -378,51 +380,33 @@ class Workflow:
     requires_agent: bool  # True: Workflow (external factor); False: Mechanism
 
 
-def walk_steps(node: Node):
-    if isinstance(node, Step):
-        yield node.step
-    elif isinstance(node, Seq):
+def walk_nodes(node: Node):
+    """Every node of a workflow tree, each before its children, in source
+    order."""
+    yield node
+    if isinstance(node, Seq):
         for item in node.items:
-            yield from walk_steps(item)
+            yield from walk_nodes(item)
     elif isinstance(node, Loop):
-        yield from walk_steps(node.body)
+        yield from walk_nodes(node.body)
     elif isinstance(node, Cond):
-        yield from walk_steps(node.then_body)
+        yield from walk_nodes(node.then_body)
         if node.else_body is not None:
-            yield from walk_steps(node.else_body)
+            yield from walk_nodes(node.else_body)
+
+
+def walk_steps(node: Node):
+    return (n.step for n in walk_nodes(node) if isinstance(n, Step))
 
 
 def walk_guards(node: Node):
     """All predicates a body can evaluate: loop guards, cond guards, and
     step preconditions."""
-    if isinstance(node, Step):
-        yield from node.step.preconditions
-    elif isinstance(node, Seq):
-        for item in node.items:
-            yield from walk_guards(item)
-    elif isinstance(node, Loop):
-        if node.guard is not None:
-            yield node.guard
-        yield from walk_guards(node.body)
-    elif isinstance(node, Cond):
-        yield node.guard
-        yield from walk_guards(node.then_body)
-        if node.else_body is not None:
-            yield from walk_guards(node.else_body)
-
-
-def _check_bounded(node: Node, name: str) -> None:
-    if isinstance(node, Loop):
-        if node.count is None and node.guard is None and not node.until_end:
-            raise UnboundedLoopError(f"workflow '{name}' contains a loop with no count and no guard")
-        _check_bounded(node.body, name)
-    elif isinstance(node, Seq):
-        for item in node.items:
-            _check_bounded(item, name)
-    elif isinstance(node, Cond):
-        _check_bounded(node.then_body, name)
-        if node.else_body is not None:
-            _check_bounded(node.else_body, name)
+    for n in walk_nodes(node):
+        if isinstance(n, Step):
+            yield from n.step.preconditions
+        elif isinstance(n, (Loop, Cond)) and n.guard is not None:
+            yield n.guard
 
 
 def param_kinds(wf: Workflow) -> dict[str, str]:
@@ -456,7 +440,9 @@ def param_kinds(wf: Workflow) -> dict[str, str]:
 def define_workflow(world: World, name: str, body: Seq, requires_agent: bool, params=()) -> Workflow:
     if name in world.workflows:
         raise DuplicateNameError(f"workflow '{name}' already defined")
-    _check_bounded(body, name)
+    for n in walk_nodes(body):
+        if isinstance(n, Loop) and n.count is None and n.guard is None and not n.until_end:
+            raise UnboundedLoopError(f"workflow '{name}' contains a loop with no count and no guard")
     wf = Workflow(name, tuple(params), body, requires_agent)
     pset = frozenset(wf.params)
     seen_steps: set[str] = set()

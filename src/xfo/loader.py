@@ -6,18 +6,15 @@ problem at once.
 """
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from . import dsl
 from .dsl import (
-    ActivateStmt,
-    ApplyStmt,
-    DeactivateStmt,
     Diagnostic,
     FrameStmt,
     HorizonStmt,
     InitStmt,
-    InterruptStmt,
     ModelDocument,
     ModelHeader,
     ParticularStmt,
@@ -25,7 +22,6 @@ from .dsl import (
     RelationStmt,
     RuleRefStmt,
     RuleStmt,
-    RunStmt,
     ScenarioDocument,
     ScenarioHeader,
     SourceSpan,
@@ -40,15 +36,7 @@ from .dynamics import (
     define_workflow,
 )
 from .errors import XfoError
-from .microworld import (
-    ActivateDirective,
-    ApplyDirective,
-    DeactivateDirective,
-    InterruptDirective,
-    RunSpec,
-    Scenario,
-    _build_binding,
-)
+from .microworld import Scenario, check_scenario
 from .relations import World
 
 
@@ -106,81 +94,43 @@ def _load_stmt(world: World, stmt, diags: list) -> None:
 
 
 def build_scenario(doc: ScenarioDocument, world: World) -> tuple[Scenario | None, list[Diagnostic]]:
-    """Resolve a scenario document against a loaded world."""
+    """Resolve a scenario document against a loaded world: every error
+    ``check_scenario`` finds becomes a diagnostic at its statement."""
     diags: list[Diagnostic] = []
-    name = doc.name
-    horizon: int | None = None
-    init: list = []
-    schedule: list = []
-    rules: list[str] = []
-    n_runs = 0
+    horizon: HorizonStmt | None = None
+    # the statements behind each Scenario field, in field order
+    source: dict[str, list] = {"rules": [], "init": [], "schedule": []}
     for stmt in doc.statements:
-        if isinstance(stmt, ScenarioHeader):
-            continue
         if isinstance(stmt, HorizonStmt):
             if horizon is not None:
                 _diag(diags, "E_PARSE", "horizon given more than once", stmt.span)
             elif stmt.value <= 0:
                 _diag(diags, "E_NO_HORIZON", "horizon must be a positive tick", stmt.span)
             else:
-                horizon = stmt.value
-        elif isinstance(stmt, InitStmt):
-            t = stmt.template
-            try:
-                res = world.validate_link(t.from_ref, t.kind, t.to_ref)
-            except XfoError as exc:
-                _diag(diags, "E_INVALID_INIT_LINK", f"initial link '{t}': {exc}", stmt.span)
-                continue
-            if not res and not (res.tier == 2 and not world.tier2_strict):
-                _diag(diags, "E_INVALID_INIT_LINK", f"initial link '{t}': {res.reason}", stmt.span)
-                continue
-            init.append(t)
-        elif isinstance(stmt, RunStmt):
-            wf = world.workflows.get(stmt.workflow)
-            if wf is None:
-                _diag(diags, "E_RESOLVE", f"unknown workflow '{stmt.workflow}'", stmt.span)
-                continue
-            try:
-                _build_binding(world, wf, stmt.args, "run")
-            except XfoError as exc:
-                _diag(diags, "E_RESOLVE", str(exc), stmt.span)
-                continue
-            schedule.append(RunSpec(stmt.workflow, stmt.args, stmt.at))
-            n_runs += 1
+                horizon = stmt
         elif isinstance(stmt, RuleRefStmt):
-            if stmt.name not in world.rules:
-                _diag(diags, "E_RESOLVE", f"unknown rule '{stmt.name}'", stmt.span)
-                continue
-            rules.append(stmt.name)
-        elif isinstance(stmt, ActivateStmt):
-            if stmt.frame not in world.frames:
-                _diag(diags, "E_RESOLVE", f"unknown frame '{stmt.frame}'", stmt.span)
-                continue
-            schedule.append(ActivateDirective(stmt.frame, tuple(sorted(stmt.binding)), stmt.at))
-        elif isinstance(stmt, DeactivateStmt):
-            if stmt.frame not in world.frames:
-                _diag(diags, "E_RESOLVE", f"unknown frame '{stmt.frame}'", stmt.span)
-                continue
-            schedule.append(DeactivateDirective(stmt.frame, tuple(sorted(stmt.binding)), stmt.at))
-        elif isinstance(stmt, ApplyStmt):
-            if stmt.transitional not in world.transitionals:
-                _diag(diags, "E_RESOLVE", f"unknown transitional '{stmt.transitional}'", stmt.span)
-                continue
-            schedule.append(ApplyDirective(stmt.transitional, stmt.at))
-        elif isinstance(stmt, InterruptStmt):
-            schedule.append(InterruptDirective(stmt.run, stmt.at))
+            source["rules"].append(stmt)
+        elif isinstance(stmt, InitStmt):
+            source["init"].append(stmt)
+        elif not isinstance(stmt, ScenarioHeader):
+            source["schedule"].append(stmt)
+    scenario = Scenario(
+        doc.name,
+        # without a horizon, still resolve every statement; no tick is past it
+        horizon.value if horizon is not None else sys.maxsize,
+        tuple(s.template for s in source["init"]),
+        tuple(source["schedule"]),
+        tuple(s.name for s in source["rules"]),
+    )
+    source["horizon"] = [horizon]
+    for field, i, exc in check_scenario(world, scenario):
+        _diag(diags, exc.code, str(exc), source[field][i].span)
+    diags.sort(key=lambda d: d.span.line)  # source order
     if horizon is None:
         _diag(diags, "E_NO_HORIZON", "scenario has no horizon", _first_span(doc))
-        return None, diags
-    for item in schedule:
-        if item.at > horizon:
-            _diag(diags, "E_RESOLVE", f"tick {item.at} is past the horizon {horizon}", _first_span(doc))
-    for item in schedule:
-        if isinstance(item, InterruptDirective) and not 0 <= item.run < n_runs:
-            _diag(diags, "E_RESOLVE", f"no run with ordinal {item.run}", _first_span(doc))
     if any(d.severity == "error" for d in diags):
         return None, diags
-    return Scenario(name, horizon, tuple(init), tuple(schedule), tuple(rules)), diags
+    return scenario, diags
 
 
 def _first_span(doc) -> SourceSpan:

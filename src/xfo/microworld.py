@@ -16,20 +16,19 @@ the interrupt tick still applies.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .dynamics import (
     LinkTemplate,
-    StatePredicate,
-    Wildcard,
     WorkflowStep,
     Workflow,
     Cond,
     Loop,
     Seq,
     Step,
-    _resolve,
     _resolve_duration,
     activate_frame,
     apply_edits,
@@ -38,7 +37,9 @@ from .dynamics import (
     param_kinds,
 )
 from .errors import (
+    DuplicateActiveLinkError,
     InvalidInitialLinkError,
+    InvalidLinkError,
     NotInterruptibleError,
     PreconditionFailedError,
     ResolveError,
@@ -47,6 +48,9 @@ from .errors import (
 )
 from .relations import World
 from .trace import TraceEvent
+
+if TYPE_CHECKING:
+    from .dsl import SourceSpan
 
 # Ceiling on zero-duration step churn within one tick; a run that exceeds
 # it is livelocked model content, not a schedulable program.
@@ -64,11 +68,18 @@ class RunStatus(str, Enum):
 TERMINAL = (RunStatus.COMPLETED, RunStatus.INTERRUPTED, RunStatus.BROKEN)
 
 
+def _span_field():
+    """Where an item was written in a source file, if it was; excluded from
+    equality so that parsed and hand-built items compare equal."""
+    return field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class RunSpec:
     workflow: str
     args: tuple  # entity names and ints, positionally matching the params
     at: int
+    span: SourceSpan | None = _span_field()
 
 
 @dataclass(frozen=True)
@@ -76,25 +87,29 @@ class ActivateDirective:
     frame: str
     binding: tuple  # sorted (slot, value) pairs
     at: int
+    span: SourceSpan | None = _span_field()
 
 
 @dataclass(frozen=True)
 class DeactivateDirective:
     frame: str
-    binding: tuple
+    binding: tuple  # sorted (slot, value) pairs
     at: int
+    span: SourceSpan | None = _span_field()
 
 
 @dataclass(frozen=True)
 class ApplyDirective:
     transitional: str
     at: int
+    span: SourceSpan | None = _span_field()
 
 
 @dataclass(frozen=True)
 class InterruptDirective:
     run: int
     at: int
+    span: SourceSpan | None = _span_field()
 
 
 @dataclass(frozen=True)
@@ -193,16 +208,6 @@ class _Queue:
         return len(self._heap)
 
 
-def _render_pred(pred: StatePredicate, binding: dict) -> str:
-    def side(ref):
-        if isinstance(ref, Wildcard):
-            return str(ref)
-        return _resolve(ref, binding)
-
-    word = "exists" if pred.exists else "not_exists"
-    return f"{word} {side(pred.from_ref)} {pred.kind} {side(pred.to_ref)}"
-
-
 def _build_binding(world: World, wf: Workflow, args: tuple, label: str) -> dict:
     if len(args) != len(wf.params):
         raise ResolveError(
@@ -224,71 +229,87 @@ def _build_binding(world: World, wf: Workflow, args: tuple, label: str) -> dict:
     return binding
 
 
+def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoError]]:
+    """Every reason ``sc`` cannot be loaded on ``world``, in scenario order.
+
+    Yields (field, index, error): the Scenario field at fault ("horizon",
+    "rules", "init" or "schedule"), the offending entry's index in it, and
+    the error loading raises for it. Writes nothing to the world.
+    """
+    label = f"scenario '{sc.name}'"
+    if sc.horizon <= 0:
+        yield "horizon", 0, ResolveError(f"{label}: horizon must be positive")
+    for i, name in enumerate(sc.rules):
+        if name not in world.rules:
+            yield "rules", i, ResolveError(f"{label}: unknown rule '{name}'")
+    seen: set[tuple] = set()
+    for i, t in enumerate(sc.init):
+        triple = (t.from_ref, t.kind, t.to_ref)
+        try:
+            world._require_tick(0)
+            if triple in seen or world.active_link(*triple) is not None:
+                raise DuplicateActiveLinkError(f"link '{t.from_ref}' {t.kind} '{t.to_ref}' is already active")
+            res = world.validate_link(*triple)
+            if not world.admit(res, None):
+                raise InvalidLinkError(f"invalid link: {res.reason}")
+            seen.add(triple)
+        except XfoError as exc:
+            yield "init", i, InvalidInitialLinkError(f"initial link '{t}': {exc}")
+    n_runs = len(sc.run_specs())
+    for i, item in enumerate(sc.schedule):
+        if item.at > sc.horizon:
+            yield "schedule", i, ResolveError(f"{label}: tick {item.at} is past the horizon {sc.horizon}")
+        try:
+            _check_item(world, item, label, n_runs)
+        except XfoError as exc:
+            yield "schedule", i, exc
+
+
+def _check_item(world: World, item, label: str, n_runs: int) -> None:
+    if isinstance(item, RunSpec):
+        wf = world.workflows.get(item.workflow)
+        if wf is None:
+            raise ResolveError(f"{label}: unknown workflow '{item.workflow}'")
+        _build_binding(world, wf, item.args, label)
+    elif isinstance(item, (ActivateDirective, DeactivateDirective)):
+        if item.frame not in world.frames:
+            raise ResolveError(f"{label}: unknown frame '{item.frame}'")
+        for _, value in item.binding:
+            if value not in world.registry:
+                raise ResolveError(f"{label}: unknown entity '{value}'")
+    elif isinstance(item, ApplyDirective):
+        if item.transitional not in world.transitionals:
+            raise ResolveError(f"{label}: unknown transitional '{item.transitional}'")
+    elif isinstance(item, InterruptDirective):
+        if not 0 <= item.run < n_runs:
+            raise ResolveError(f"{label}: no run with ordinal {item.run}")
+    else:
+        raise ResolveError(f"{label}: unknown schedule item {item!r}")
+
+
 class Simulation:
     """Executes one scenario over one world. Single-threaded by contract."""
 
     def __init__(self, world: World, scenario: Scenario):
+        # Check everything before writing anything: a refused scenario
+        # leaves the world untouched.
+        error = next(check_scenario(world, scenario), None)
+        if error is not None:
+            raise error[2]
         self.world = world
         self.scenario = scenario
         self.runs: list[WorkflowRun] = []
         self.queue = _Queue()
         self.now = 0  # next unprocessed tick
-        self._rule_prev: dict[str, bool] = {}
-        self._load()
-
-    # ------------------------------------------------------------------
-    # loading
-
-    def _load(self) -> None:
-        sc, world = self.scenario, self.world
-        if sc.horizon <= 0:
-            raise ResolveError(f"scenario '{sc.name}': horizon must be positive")
-        for name in sc.rules:
-            if name not in world.rules:
-                raise ResolveError(f"scenario '{sc.name}': unknown rule '{name}'")
-            self._rule_prev[name] = False
-        for t in sc.init:
-            try:
-                world.link(t.from_ref, t.kind, t.to_ref, 0)
-            except XfoError as exc:
-                raise InvalidInitialLinkError(f"initial link '{t}': {exc}") from exc
-        n_runs = sum(1 for item in sc.schedule if isinstance(item, RunSpec))
-        for item in sc.schedule:
-            if item.at > sc.horizon:
-                raise ResolveError(f"scenario '{sc.name}': tick {item.at} is past the horizon")
+        self._rule_prev: dict[str, bool] = dict.fromkeys(scenario.rules, False)
+        for t in scenario.init:
+            world.link(t.from_ref, t.kind, t.to_ref, 0)
+        for item in scenario.schedule:
             if isinstance(item, RunSpec):
-                wf = world.workflows.get(item.workflow)
-                if wf is None:
-                    raise ResolveError(f"scenario '{sc.name}': unknown workflow '{item.workflow}'")
-                binding = _build_binding(world, wf, item.args, f"scenario '{sc.name}'")
-                run = WorkflowRun(len(self.runs), wf, binding)
-                self.runs.append(run)
-                self.queue.push(item.at, ("start", run.id))
-            elif isinstance(item, ActivateDirective):
-                self._check_frame_ref(item.frame, item.binding)
-                self.queue.push(item.at, ("activate", item.frame, item.binding))
-            elif isinstance(item, DeactivateDirective):
-                self._check_frame_ref(item.frame, item.binding)
-                self.queue.push(item.at, ("deactivate", item.frame, item.binding))
-            elif isinstance(item, ApplyDirective):
-                if item.transitional not in world.transitionals:
-                    raise ResolveError(
-                        f"scenario '{sc.name}': unknown transitional '{item.transitional}'"
-                    )
-                self.queue.push(item.at, ("apply", item.transitional))
-            elif isinstance(item, InterruptDirective):
-                if not 0 <= item.run < n_runs:
-                    raise ResolveError(f"scenario '{sc.name}': no run with ordinal {item.run}")
-                self.queue.push(item.at, ("interrupt", item.run))
+                wf = world.workflows[item.workflow]
+                self._queue_run(wf, _build_binding(world, wf, item.args, ""), item.at)
             else:
-                raise ResolveError(f"scenario '{sc.name}': unknown schedule item {item!r}")
-
-    def _check_frame_ref(self, frame: str, binding: tuple) -> None:
-        if frame not in self.world.frames:
-            raise ResolveError(f"scenario '{self.scenario.name}': unknown frame '{frame}'")
-        for _, value in binding:
-            if value not in self.world.registry:
-                raise ResolveError(f"scenario '{self.scenario.name}': unknown entity '{value}'")
+                self.queue.push(item.at, item)
 
     # ------------------------------------------------------------------
     # public operations
@@ -316,7 +337,7 @@ class Simulation:
             raise NotInterruptibleError(f"run {run_id} is already {run.status.value}")
         if at < self.now:
             raise NotInterruptibleError(f"tick {at} has already been processed")
-        self.queue.push(at, ("interrupt", run_id))
+        self.queue.push(at, InterruptDirective(run_id, at))
 
     def detect_broken(self, run: WorkflowRun, step: WorkflowStep, tick: int) -> bool:
         """Check a step's preconditions at its start tick; on failure mark
@@ -324,7 +345,7 @@ class Simulation:
         failing predicate. The scheduler calls this at every step start."""
         for pred in step.preconditions:
             if not pred.holds(self.world, tick, run.binding):
-                self._break(run, step.name, tick, _render_pred(pred, run.binding))
+                self._break(run, step.name, tick, pred.render(run.binding))
                 return True
         return False
 
@@ -347,38 +368,40 @@ class Simulation:
         while (action := self.queue.pop_at(tick)) is not None:
             self._execute(action, tick)
 
-    def _execute(self, action: tuple, tick: int) -> None:
+    def _queue_run(self, wf: Workflow, binding: dict, at: int) -> None:
+        run = WorkflowRun(len(self.runs), wf, binding)
+        self.runs.append(run)
+        self.queue.push(at, ("start", run.id))
+
+    def _execute(self, action, tick: int) -> None:
+        """Run one queued action: a scenario directive, or a run's
+        ("start", run_id) or ("step_end", run_id, step)."""
         world = self.world
-        op = action[0]
-        if op == "start":
+        if isinstance(action, tuple):
             run = self.runs[action[1]]
-            if run.status is not RunStatus.PENDING:
-                return
-            run.status = RunStatus.RUNNING
-            world.record("WorkflowStart", tick, {"run": run.id, "workflow": run.workflow.name})
-            self._begin_next_step(run, tick)
-        elif op == "step_end":
-            self._finish_step(self.runs[action[1]], action[2], tick)
-        elif op == "activate":
-            frame, binding = action[1], dict(action[2])
+            if action[0] == "step_end":
+                self._finish_step(run, action[2], tick)
+            elif run.status is RunStatus.PENDING:
+                run.status = RunStatus.RUNNING
+                world.record("WorkflowStart", tick, {"run": run.id, "workflow": run.workflow.name})
+                self._begin_next_step(run, tick)
+        elif isinstance(action, ActivateDirective):
             try:
-                activate_frame(world, frame, binding, tick)
+                activate_frame(world, action.frame, dict(action.binding), tick)
             except XfoError as exc:
-                raise SimulationError(f"activate '{frame}' at {tick}: {exc}") from exc
-        elif op == "deactivate":
-            frame, binding = action[1], dict(action[2])
+                raise SimulationError(f"activate '{action.frame}' at {tick}: {exc}") from exc
+        elif isinstance(action, DeactivateDirective):
             try:
-                deactivate_frame(world, (frame, binding), tick)
+                deactivate_frame(world, (action.frame, dict(action.binding)), tick)
             except XfoError as exc:
-                raise SimulationError(f"deactivate '{frame}' at {tick}: {exc}") from exc
-        elif op == "apply":
-            tr = world.transitionals[action[1]]
+                raise SimulationError(f"deactivate '{action.frame}' at {tick}: {exc}") from exc
+        elif isinstance(action, ApplyDirective):
             try:
-                apply_transitional(world, tr, tick)
+                apply_transitional(world, world.transitionals[action.transitional], tick)
             except XfoError as exc:
-                raise SimulationError(f"apply '{action[1]}' at {tick}: {exc}") from exc
-        elif op == "interrupt":
-            self._interrupt_now(self.runs[action[1]], tick)
+                raise SimulationError(f"apply '{action.transitional}' at {tick}: {exc}") from exc
+        else:
+            self._interrupt_now(self.runs[action.run], tick)
 
     def _interrupt_now(self, run: WorkflowRun, tick: int) -> None:
         if run.status in TERMINAL:
@@ -463,10 +486,7 @@ class Simulation:
         try:
             if action.kind == "start_workflow":
                 wf = world.workflows[action.target]
-                binding = _build_binding(world, wf, action.args, f"rule '{rule.name}'")
-                run = WorkflowRun(len(self.runs), wf, binding)
-                self.runs.append(run)
-                self.queue.push(tick, ("start", run.id))
+                self._queue_run(wf, _build_binding(world, wf, action.args, f"rule '{rule.name}'"), tick)
             elif action.kind == "apply_transitional":
                 apply_transitional(world, world.transitionals[action.target], tick)
             elif action.kind == "activate_frame":

@@ -285,6 +285,19 @@ class World:
             f"(universals '{reg.lookup(from_p).parent}' / '{reg.lookup(to_p).parent}')",
         )
 
+    def admit(self, res: ValidationResult, warning: str | None = "") -> bool:
+        """The admission rule for a link with verdict ``res``: True when it
+        is valid, or fails only tier 2 in a world that is not tier-2
+        strict. Such a downgraded failure appends ``tier-2: {warning}{reason}``
+        to ``warnings``; a precheck whose link() will warn passes None."""
+        if res:
+            return True
+        if res.tier == 2 and not self.tier2_strict:
+            if warning is not None:
+                self.warnings.append(f"tier-2: {warning}{res.reason}")
+            return True
+        return False
+
     def active_link(self, from_p: EntityId, kind: str, to_p: EntityId) -> LinkInstance | None:
         row = self.spans.get((from_p, kind, to_p))
         if row and row[-1].end is None:
@@ -331,13 +344,9 @@ class World:
                 f"link '{from_p}' {kind} '{to_p}' is already active"
             )
         res = self.validate_link(from_p, kind, to_p)
-        if not res:
-            if res.tier == 2 and not self.tier2_strict:
-                self.warnings.append(f"tier-2: {res.reason}")
-            elif res.tier == 2:
-                raise Tier2UncoveredError(f"invalid link: {res.reason}", result=res)
-            else:
-                raise InvalidLinkError(f"invalid link: {res.reason}", result=res)
+        if not self.admit(res):
+            error = Tier2UncoveredError if res.tier == 2 else InvalidLinkError
+            raise error(f"invalid link: {res.reason}", result=res)
 
     def link(self, from_p: EntityId, kind: str, to_p: EntityId, at: int) -> LinkInstance:
         self._require_tick(at)

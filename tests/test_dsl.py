@@ -12,7 +12,6 @@ from xfo.dsl import (
     RelateStmt,
     RelationStmt,
     RuleStmt,
-    RunStmt,
     TransitionalStmt,
     UniversalStmt,
     WorkflowStmt,
@@ -22,6 +21,7 @@ from xfo.dsl import (
     print_scenario,
 )
 from xfo.dynamics import Cond, Loop, Step, Wildcard
+from xfo.microworld import RunSpec
 
 from helpers import model_text
 
@@ -143,24 +143,28 @@ def test_parse_mechanism_and_rule():
     assert r.then.kind == "start_workflow" and r.then.args == ("boss",)
 
 
+# Uses every scenario statement and directive kind.
+EVERY_DIRECTIVE = (
+    "scenario s\n"
+    "horizon 12\n"
+    "init a K b\n"
+    "run w(a, 2) at 0\n"
+    "run nullary() at 1\n"
+    "rule r\n"
+    "activate F(x=a, y=b) at 2\n"
+    "deactivate F(x=a, y=b) at 3\n"
+    "apply t at 4\n"
+    "interrupt 0 at 5\n"
+)
+
+
 def test_parse_scenario_statements():
-    res = parse_scenario(
-        "scenario s\n"
-        "horizon 12\n"
-        "init a K b\n"
-        "run w(a, 2) at 0\n"
-        "run nullary() at 1\n"
-        "rule r\n"
-        "activate F(x=a, y=b) at 2\n"
-        "deactivate F(x=a, y=b) at 3\n"
-        "apply t at 4\n"
-        "interrupt 0 at 5\n"
-    )
+    res = parse_scenario(EVERY_DIRECTIVE)
     assert res.ok, [d.render() for d in res.diagnostics]
     stmts = res.document.statements
     assert res.document.name == "s"
     run = stmts[3]
-    assert isinstance(run, RunStmt) and run.args == ("a", 2) and run.at == 0
+    assert run == RunSpec("w", ("a", 2), 0) and run.span.line == 4
     assert stmts[4].args == ()
     assert isinstance(stmts[2], InitStmt)
     assert stmts[6].binding == (("x", "a"), ("y", "b"))
@@ -286,6 +290,40 @@ def test_loader_flags_run_arity_and_argument_kinds():
         assert [d.code for d in sdiags] == ["E_RESOLVE"], bad_run
 
 
+def test_loader_reports_what_loading_would_refuse_at_its_line():
+    model = parse_model(
+        "universal Thing is_a B_Object\n"
+        "universal Mark is_a B_Quality\n"
+        "particular a instance_of Thing\n"
+        "particular q instance_of Mark\n"
+        "relate Thing Has_Quality Mark\n"
+        "frame Marked {\n"
+        "  slot x\n"
+        "  slot m\n"
+        "  link x Has_Quality m\n"
+        "}\n"
+        "mechanism m {\n"
+        "  step s {\n"
+        "    duration 1\n"
+        "  }\n"
+        "}\n"
+    )
+    assert model.ok
+    world, diags = loader.build_world(model.document)
+    assert not diags
+    for line, code in (("activate Marked(x=ghost, m=q) at 1", "E_RESOLVE"),
+                       ("deactivate Marked(x=a, m=ghost) at 1", "E_RESOLVE"),
+                       ("init a Has_Quality q", "E_INVALID_INIT_LINK"),  # given twice
+                       ("run m() at 9", "E_RESOLVE"),                   # past the horizon
+                       ("interrupt 1 at 1", "E_RESOLVE")):              # no run 1
+        res = parse_scenario(f"scenario s\nhorizon 3\ninit a Has_Quality q\nrun m() at 0\n{line}\n", "x.xws")
+        assert res.ok
+        scenario, sdiags = loader.build_scenario(res.document, world)
+        assert scenario is None, line
+        assert [(d.code, d.span.line) for d in sdiags] == [(code, 5)], line
+    assert not world.links and not world.trace and not world.warnings
+
+
 def test_loader_reports_every_statement_error():
     res = parse_model(
         "universal Pottery is_a B_Object\n"
@@ -316,6 +354,11 @@ def test_roundtrip_shipped_files():
         second = parse_scenario(printed, name)
         assert second.ok
         assert second.document == first.document
+    first = parse_scenario(EVERY_DIRECTIVE)
+    printed = print_scenario(first.document)
+    assert printed == EVERY_DIRECTIVE
+    second = parse_scenario(printed)
+    assert second.ok and second.document == first.document
 
 
 @given(st.text(max_size=300))

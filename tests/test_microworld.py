@@ -522,3 +522,24 @@ def test_second_scenario_on_a_run_world_is_refused_untouched():
     with pytest.raises(InvalidInitialLinkError, match="before the last recorded tick"):
         load_scenario(world, scen)
     assert (len(world.links), len(world.trace)) == before
+
+
+def test_refused_scenario_leaves_the_world_untouched():
+    """Defect 2: a scenario is checked in full before anything is written,
+    so a refusal leaves no link, event, warning or frame activation."""
+    from xfo.dynamics import LinkTemplate
+    from xfo.microworld import RunSpec
+    world = load_world("traffic.xfo")
+    init = LinkTemplate("lampA_green", "Has_Quality", "dark")
+    for scen, error in (
+        (Scenario("s", 5, (init,), (RunSpec("ghost", (), 0),)), ResolveError),
+        (Scenario("s", 5, (init, init), ()), InvalidInitialLinkError),
+    ):
+        before = (list(world.links), list(world.trace), list(world.warnings),
+                  dict(world.frame_activations))
+        with pytest.raises(error):
+            load_scenario(world, scen)
+        after = (world.links, world.trace, world.warnings, world.frame_activations)
+        assert after == before
+    load_scenario(world, Scenario("s", 5, (init,), ()))  # the world is still usable
+    assert len(world.links) == 1
