@@ -3,24 +3,32 @@
 Line-oriented statements; `{ ... }` blocks; `#` comments to end of line.
 The grammar is versioned and documented in GRAMMAR.md. Parsing is total:
 any input yields a (possibly partial) document plus diagnostics, and the
-parser never throws. Statement dataclasses exclude spans from equality so
-parse -> print -> parse round-trips compare structurally equal. Scenario
-schedule lines parse straight to the kernel's RunSpec and directive types.
+parser never throws. Model definitions parse straight to the kernel's
+definition types (EntityDef, RelationKind, RelationDeclaration,
+Transitional, Frame, Workflow, Rule) and scenario schedule lines to its
+RunSpec and directive types; each carries a source span kept out of
+equality, so parse -> print -> parse round-trips compare structurally
+equal.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .dynamics import (
     Cond,
+    Frame,
     LinkTemplate,
     Loop,
+    Rule,
     RuleAction,
     Seq,
     StatePredicate,
     Step,
+    Transitional,
     Wildcard,
+    Workflow,
     WorkflowStep,
 )
 from .microworld import (
@@ -29,8 +37,9 @@ from .microworld import (
     DeactivateDirective,
     InterruptDirective,
     RunSpec,
-    _span_field,
 )
+from .ontology import EntityDef, Layer, SourceSpan, _span_field
+from .relations import RelationDeclaration, RelationKind
 
 GRAMMAR_VERSION = "1.0"
 
@@ -42,17 +51,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<int>[0-9]+)"
     r"|(?P<punct>[(){},=])"
 )
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int
-    column: int
-    length: int = 1
-
-    def __str__(self) -> str:
-        return f"{self.file}:{self.line}:{self.column}"
 
 
 @dataclass(frozen=True)
@@ -81,69 +79,6 @@ class Token:
 @dataclass(frozen=True)
 class ModelHeader:
     name: str
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class UniversalStmt:
-    name: str
-    parent: str
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class ParticularStmt:
-    name: str
-    universal: str
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class RelationStmt:
-    name: str
-    domain: str
-    range_: str
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class RelateStmt:
-    from_u: str
-    kind: str
-    to_u: str
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class TransitionalStmt:
-    name: str
-    unlinks: tuple[LinkTemplate, ...]
-    links: tuple[LinkTemplate, ...]
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class FrameStmt:
-    name: str
-    slots: tuple[str, ...]
-    templates: tuple[LinkTemplate, ...]
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class WorkflowStmt:
-    name: str
-    params: tuple[str, ...]
-    requires_agent: bool
-    body: Seq
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class RuleStmt:
-    name: str
-    when: tuple[StatePredicate, ...]
-    then: RuleAction
     span: SourceSpan | None = _span_field()
 
 
@@ -359,7 +294,7 @@ class _Parser:
     def _block(self, what: str, span, clause) -> _Toks:
         """Parse the lines of a block up to its closing '}', each with
         ``clause(line)``; a failing line is reported and skipped. Returns
-        the closing line, positioned after the '}'."""
+        the closing line, positioned after the '}'; pass it to ``_end``."""
         while True:
             line = self._next_line()
             if line is None:
@@ -372,6 +307,15 @@ class _Parser:
                 line.done()
             except _ParseError as exc:
                 self._recover_line(exc, line)
+
+    def _end(self, close: _Toks) -> None:
+        """Report anything after a block's closing '}'. The block is
+        complete, so the error is recorded here rather than raised into a
+        recovery that would skip the lines after it."""
+        try:
+            close.done()
+        except _ParseError as exc:
+            self._error(exc)
 
     # shared pieces -----------------------------------------------------
 
@@ -466,49 +410,49 @@ def _p_model(p: _Parser, line: _Toks, span) -> ModelHeader:
     return ModelHeader(name, span=span)
 
 
-def _p_universal(p: _Parser, line: _Toks, span) -> UniversalStmt:
+def _p_universal(p: _Parser, line: _Toks, span) -> EntityDef:
     name = line.name("a universal name")
     line.keyword("is_a")
     parent = line.name("a parent entity")
     line.done()
-    return UniversalStmt(name, parent, span=span)
+    return EntityDef(name, Layer.U, parent, span=span)
 
 
-def _p_particular(p: _Parser, line: _Toks, span) -> ParticularStmt:
+def _p_particular(p: _Parser, line: _Toks, span) -> EntityDef:
     name = line.name("a particular name")
     line.keyword("instance_of")
     universal = line.name("a universal")
     line.done()
-    return ParticularStmt(name, universal, span=span)
+    return EntityDef(name, Layer.P, universal, span=span)
 
 
-def _p_relation(p: _Parser, line: _Toks, span) -> RelationStmt:
+def _p_relation(p: _Parser, line: _Toks, span) -> RelationKind:
     name = line.name("a relation kind name")
     line.keyword("from")
     domain = line.name("a B entity")
     line.keyword("to")
     range_ = line.name("a B entity")
     line.done()
-    return RelationStmt(name, domain, range_, span=span)
+    return RelationKind(name, domain, range_, span=span)
 
 
-def _p_relate(p: _Parser, line: _Toks, span) -> RelateStmt:
+def _p_relate(p: _Parser, line: _Toks, span) -> RelationDeclaration:
     from_u = line.name("a universal")
     kind = line.name("a relation kind")
     to_u = line.name("a universal")
     line.done()
-    return RelateStmt(from_u, kind, to_u, span=span)
+    return RelationDeclaration(from_u, kind, to_u, span=span)
 
 
-def _p_transitional(p: _Parser, line: _Toks, span) -> TransitionalStmt:
+def _p_transitional(p: _Parser, line: _Toks, span) -> Transitional:
     name = line.name("a transitional name")
     p._open_brace(line)
     unlinks, links = [], []
-    p._block(f"transitional '{name}'", span, lambda body: p._edit(body, unlinks, links)).done()
-    return TransitionalStmt(name, tuple(unlinks), tuple(links), span=span)
+    p._end(p._block(f"transitional '{name}'", span, lambda body: p._edit(body, unlinks, links)))
+    return Transitional(name, tuple(unlinks), tuple(links), span=span)
 
 
-def _p_frame(p: _Parser, line: _Toks, span) -> FrameStmt:
+def _p_frame(p: _Parser, line: _Toks, span) -> Frame:
     name = line.name("a frame name")
     p._open_brace(line)
     slots, templates = [], []
@@ -522,11 +466,11 @@ def _p_frame(p: _Parser, line: _Toks, span) -> FrameStmt:
         else:
             raise _ParseError(f"expected 'slot' or 'link', got '{word}'", body.span_at())
 
-    p._block(f"frame '{name}'", span, clause).done()
-    return FrameStmt(name, tuple(slots), tuple(templates), span=span)
+    p._end(p._block(f"frame '{name}'", span, clause))
+    return Frame(name, tuple(slots), tuple(templates), span=span)
 
 
-def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> WorkflowStmt:
+def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> Workflow:
     name = line.name("a workflow name")
     params: tuple = ()
     if line.peek() and line.peek().text == "(":
@@ -536,12 +480,9 @@ def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> WorkflowS
                 raise _ParseError(f"parameter names must be identifiers, got {a!r}", span)
         params = raw
     p._open_brace(line)
-    body, _ = _parse_body(p, name, span)
-    return WorkflowStmt(name, params, requires_agent, body, span=span)
-
-
-def _p_mechanism(p: _Parser, line: _Toks, span) -> WorkflowStmt:
-    return _p_workflow(p, line, span, requires_agent=False)
+    body, close = _parse_body(p, name, span)
+    p._end(close)
+    return Workflow(name, params, body, requires_agent, span=span)
 
 
 def _parse_body(p: _Parser, owner: str, span) -> tuple[Seq, _Toks]:
@@ -599,7 +540,7 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
         else:
             raise _ParseError(f"unknown step clause '{word}'", body.span_at())
 
-    p._block(f"step '{name}'", span, clause).done()
+    p._end(p._block(f"step '{name}'", span, clause))
     return WorkflowStep(
         name, agent, duration, tuple(pre), tuple(unlinks), tuple(links), placeholder
     )
@@ -621,7 +562,8 @@ def _parse_loop(p: _Parser, line: _Toks, owner: str, span) -> Loop:
         else:
             guard = p._predicate(line)
     p._open_brace(line)
-    body, _ = _parse_body(p, owner, span)
+    body, close = _parse_body(p, owner, span)
+    p._end(close)
     return Loop(body, count, guard, until_end)
 
 
@@ -632,13 +574,13 @@ def _parse_cond(p: _Parser, line: _Toks, owner: str, span) -> Cond:
     else_body = None
     if close.peek() is not None:
         close.keyword("else")
-        close.punct("{")
-        close.done()
-        else_body, _ = _parse_body(p, owner, span)
+        p._open_brace(close)
+        else_body, close = _parse_body(p, owner, span)
+    p._end(close)
     return Cond(guard, then_body, else_body)
 
 
-def _p_rule(p: _Parser, line: _Toks, span) -> RuleStmt:
+def _p_rule(p: _Parser, line: _Toks, span) -> Rule:
     name = line.name("a rule name")
     p._open_brace(line)
     when: list[StatePredicate] = []
@@ -656,12 +598,12 @@ def _p_rule(p: _Parser, line: _Toks, span) -> RuleStmt:
         else:
             raise _ParseError(f"expected 'when' or 'then', got '{word}'", body.span_at())
 
-    p._block(f"rule '{name}'", span, clause).done()
+    p._end(p._block(f"rule '{name}'", span, clause))
     if not when:
         raise _ParseError(f"rule '{name}' has no 'when' clause", span)
     if then is None:
         raise _ParseError(f"rule '{name}' has no 'then' clause", span)
-    return RuleStmt(name, tuple(when), then, span=span)
+    return Rule(name, tuple(when), then, span=span)
 
 
 def _parse_action(p: _Parser, line: _Toks) -> RuleAction:
@@ -688,7 +630,7 @@ _MODEL_DISPATCH = {
     "transitional": _p_transitional,
     "frame": _p_frame,
     "workflow": _p_workflow,
-    "mechanism": _p_mechanism,
+    "mechanism": partial(_p_workflow, requires_agent=False),
     "rule": _p_rule,
 }
 
@@ -739,10 +681,6 @@ def _p_activate(p: _Parser, line: _Toks, span, directive=ActivateDirective):
     return directive(frame, binding, _at_clause(line), span=span)
 
 
-def _p_deactivate(p: _Parser, line: _Toks, span) -> DeactivateDirective:
-    return _p_activate(p, line, span, directive=DeactivateDirective)
-
-
 def _p_apply(p: _Parser, line: _Toks, span) -> ApplyDirective:
     name = line.name("a transitional")
     return ApplyDirective(name, _at_clause(line), span=span)
@@ -760,7 +698,7 @@ _SCENARIO_DISPATCH = {
     "run": _p_run,
     "rule": _p_rule_ref,
     "activate": _p_activate,
-    "deactivate": _p_deactivate,
+    "deactivate": partial(_p_activate, directive=DeactivateDirective),
     "apply": _p_apply,
     "interrupt": _p_interrupt,
 }
@@ -831,40 +769,41 @@ def print_model(doc: ModelDocument) -> str:
     for s in doc.statements:
         if isinstance(s, ModelHeader):
             out.append(f"model {s.name}")
-        elif isinstance(s, UniversalStmt):
-            out.append(f"universal {s.name} is_a {s.parent}")
-        elif isinstance(s, ParticularStmt):
-            out.append(f"particular {s.name} instance_of {s.universal}")
-        elif isinstance(s, RelationStmt):
-            out.append(f"relation {s.name} from {s.domain} to {s.range_}")
-        elif isinstance(s, RelateStmt):
+        elif isinstance(s, EntityDef):
+            if s.layer is Layer.U:
+                out.append(f"universal {s.name} is_a {s.parent}")
+            else:
+                out.append(f"particular {s.name} instance_of {s.parent}")
+        elif isinstance(s, RelationKind):
+            out.append(f"relation {s.name} from {s.domain_b} to {s.range_b}")
+        elif isinstance(s, RelationDeclaration):
             out.append(f"relate {s.from_u} {s.kind} {s.to_u}")
-        elif isinstance(s, TransitionalStmt):
+        elif isinstance(s, Transitional):
             out.append(f"transitional {s.name} {{")
             for t in s.unlinks:
                 out.append(f"  unlink {t}")
             for t in s.links:
                 out.append(f"  link {t}")
             out.append("}")
-        elif isinstance(s, FrameStmt):
+        elif isinstance(s, Frame):
             out.append(f"frame {s.name} {{")
             for slot in s.slots:
                 out.append(f"  slot {slot}")
             for t in s.templates:
                 out.append(f"  link {t}")
             out.append("}")
-        elif isinstance(s, WorkflowStmt):
+        elif isinstance(s, Workflow):
             kw = "workflow" if s.requires_agent else "mechanism"
             params = f"({', '.join(s.params)})" if s.params else ""
             out.append(f"{kw} {s.name}{params} {{")
             for item in s.body.items:
                 _fmt_node(item, 1, out)
             out.append("}")
-        elif isinstance(s, RuleStmt):
+        elif isinstance(s, Rule):
             out.append(f"rule {s.name} {{")
-            for pred in s.when:
+            for pred in s.guard:
                 out.append(f"  when {pred.render()}")
-            out.append(f"  then {s.then.render()}")
+            out.append(f"  then {s.action.render()}")
             out.append("}")
     return "\n".join(out) + "\n"
 

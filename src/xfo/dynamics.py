@@ -27,7 +27,7 @@ from .errors import (
     UnknownSlotError,
     XfoError,
 )
-from .ontology import Layer
+from .ontology import Layer, SourceSpan, _span_field
 from .relations import World
 from .trace import TraceEvent
 
@@ -123,6 +123,7 @@ class Transitional:
     name: str
     unlinks: tuple[LinkTemplate, ...]
     links: tuple[LinkTemplate, ...]
+    span: SourceSpan | None = _span_field()
 
 
 def _static_check_template(world: World, t: LinkTemplate, params: frozenset[str], label: str) -> None:
@@ -140,21 +141,24 @@ def _static_check_template(world: World, t: LinkTemplate, params: frozenset[str]
         raise InvalidTemplateError(f"{label}: invalid template '{t}': {res.reason}")
 
 
+def _check_edits(world: World, templates: tuple, params: frozenset[str], label: str) -> None:
+    """Check one unlink/link batch: each template valid, none edited twice."""
+    seen: set[tuple] = set()
+    for t in templates:
+        key = (t.from_ref, t.kind, t.to_ref)
+        if key in seen:
+            raise InvalidTemplateError(f"{label}: template '{t}' appears more than once")
+        seen.add(key)
+        _static_check_template(world, t, params, label)
+
+
 def define_transitional(world: World, name: str, unlinks, links) -> Transitional:
     """Register a named transitional; also registers it as a P entity under
     the Transitional universal."""
     unlinks, links = tuple(unlinks), tuple(links)
     if name in world.transitionals:
         raise DuplicateNameError(f"transitional '{name}' already defined")
-    seen: set[tuple] = set()
-    for t in unlinks + links:
-        key = (t.from_ref, t.kind, t.to_ref)
-        if key in seen:
-            raise InvalidTemplateError(
-                f"transitional '{name}': template '{t}' appears more than once"
-            )
-        seen.add(key)
-        _static_check_template(world, t, frozenset(), f"transitional '{name}'")
+    _check_edits(world, unlinks + links, frozenset(), f"transitional '{name}'")
     world.registry.instantiate_particular(name, "Transitional")
     tr = Transitional(name, unlinks, links)
     world.transitionals[name] = tr
@@ -221,6 +225,7 @@ class Frame:
     name: str
     slots: tuple[str, ...]
     templates: tuple[LinkTemplate, ...]  # refs are slot names
+    span: SourceSpan | None = _span_field()
 
     def used_slots(self) -> tuple[str, ...]:
         used = []
@@ -264,19 +269,30 @@ def define_frame(world: World, name: str, slots, templates) -> Frame:
     return f
 
 
-def activate_frame(world: World, frame: Frame | str, binding: dict[str, str], at: int) -> FrameActivation:
-    """Create every frame link at one tick, atomically."""
-    f = world.frames.get(frame if isinstance(frame, str) else frame.name)
+def check_frame_binding(world: World, name: str, binding: dict[str, str]) -> Frame:
+    """The frame ``name``, after checking that ``binding`` names only its
+    declared slots, binds every slot its templates use, and binds each to
+    a known entity. The one check of a frame binding, wherever it is
+    written: a scenario, a rule or a direct activation."""
+    f = world.frames.get(name)
     if f is None:
-        raise UnknownActionError(f"unknown frame '{frame}'")
-    for slot in binding:
+        raise UnknownActionError(f"unknown frame '{name}'")
+    for slot, value in binding.items():
         if slot not in f.slots:
-            raise UnknownSlotError(f"frame '{f.name}': binding names undeclared slot '{slot}'")
+            raise UnknownSlotError(f"frame '{name}': binding names undeclared slot '{slot}'")
+        if value not in world.registry:
+            raise UnknownEntityError(f"frame '{name}': unknown entity '{value}' for slot '{slot}'")
     missing = [s for s in f.used_slots() if s not in binding]
     if missing:
         raise IncompleteBindingError(
-            f"frame '{f.name}': binding missing slot(s) {', '.join(missing)}"
+            f"frame '{name}': binding missing slot(s) {', '.join(missing)}"
         )
+    return f
+
+
+def activate_frame(world: World, frame: Frame | str, binding: dict[str, str], at: int) -> FrameActivation:
+    """Create every frame link at one tick, atomically."""
+    f = check_frame_binding(world, frame if isinstance(frame, str) else frame.name, binding)
     act = FrameActivation(f.name, dict(binding), at, [])
     if act.key() in world.frame_activations:
         raise AlreadyActiveError(f"frame '{f.name}' already active for this binding")
@@ -288,13 +304,13 @@ def activate_frame(world: World, frame: Frame | str, binding: dict[str, str], at
                 f"frame '{f.name}': binding collapses two templates onto {' '.join(t)}"
             )
         seen.add(t)
-        world.registry.lookup(t[0])
-        world.registry.lookup(t[2])
+    # World.link's own checks, minus its tier-2 warning: link() records that
     for t in triples:
-        try:
-            world.check_linkable(*t)
-        except XfoError as exc:
-            raise InvalidLinkError(f"frame '{f.name}': {exc}") from exc
+        if world.active_link(*t) is not None:
+            raise InvalidLinkError(f"frame '{f.name}': link '{t[0]}' {t[1]} '{t[2]}' is already active")
+        res = world.validate_link(*t)
+        if not world.admit(res, None):
+            raise InvalidLinkError(f"frame '{f.name}': invalid link: {res.reason}")
     world.record("FrameActivate", at, {"frame": f.name, "binding": _binding_payload(binding)})
     for t in triples:
         act.created.append(world.link(*t, at))
@@ -378,6 +394,7 @@ class Workflow:
     params: tuple[str, ...]
     body: Seq
     requires_agent: bool  # True: Workflow (external factor); False: Mechanism
+    span: SourceSpan | None = _span_field()
 
 
 def walk_nodes(node: Node):
@@ -437,6 +454,31 @@ def param_kinds(wf: Workflow) -> dict[str, str]:
     return kinds
 
 
+def bind_args(world: World, wf: Workflow, args: tuple) -> dict:
+    """The binding of ``wf``'s parameters to ``args``: one argument per
+    parameter, an entity where the body uses it as one and a number where
+    it is a duration. The one check of a run's arguments, wherever they
+    are written: a scenario ``run`` or a rule's ``start_workflow``."""
+    if len(args) != len(wf.params):
+        raise UnknownActionError(
+            f"workflow '{wf.name}' takes {len(wf.params)} argument(s), got {len(args)}"
+        )
+    kinds = param_kinds(wf)
+    binding = {}
+    for param, value in zip(wf.params, args):
+        want = kinds.get(param)
+        if isinstance(value, int):
+            if want == "entity":
+                raise ResolveError(f"parameter '{param}' needs an entity, got {value}")
+        else:
+            if want == "count":
+                raise ResolveError(f"parameter '{param}' needs a number, got '{value}'")
+            if value not in world.registry:
+                raise UnknownEntityError(f"unknown entity '{value}' for parameter '{param}'")
+        binding[param] = value
+    return binding
+
+
 def define_workflow(world: World, name: str, body: Seq, requires_agent: bool, params=()) -> Workflow:
     if name in world.workflows:
         raise DuplicateNameError(f"workflow '{name}' already defined")
@@ -460,15 +502,7 @@ def define_workflow(world: World, name: str, body: Seq, requires_agent: bool, pa
             )
         if isinstance(step.duration, int) and step.duration < 0:
             raise InvalidTemplateError(f"workflow '{name}': step '{step.name}' has negative duration")
-        seen_edits: set[tuple] = set()
-        for t in step.unlinks + step.links:
-            key = (t.from_ref, t.kind, t.to_ref)
-            if key in seen_edits:
-                raise InvalidTemplateError(
-                    f"workflow '{name}': step '{step.name}' edits '{t}' more than once"
-                )
-            seen_edits.add(key)
-            _static_check_template(world, t, pset, f"workflow '{name}' step '{step.name}'")
+        _check_edits(world, step.unlinks + step.links, pset, f"workflow '{name}' step '{step.name}'")
     for pred in walk_guards(body):
         _check_predicate(world, pred, f"workflow '{name}'", params=pset)
     param_kinds(wf)  # raises on contradictory parameter use
@@ -618,6 +652,7 @@ class Rule:
     name: str
     guard: tuple[StatePredicate, ...]
     action: RuleAction
+    span: SourceSpan | None = _span_field()
 
 
 def _check_predicate(world: World, p: StatePredicate, label: str, params: frozenset = frozenset()) -> None:
@@ -637,26 +672,21 @@ def define_rule(world: World, name: str, guard, action: RuleAction) -> Rule:
     guard = tuple(guard)
     for p in guard:
         _check_predicate(world, p, f"rule '{name}'")
-    if action.kind == "start_workflow":
-        wf = world.workflows.get(action.target)
-        if wf is None:
-            raise UnknownActionError(f"rule '{name}': unknown workflow '{action.target}'")
-        if len(action.args) != len(wf.params):
-            raise UnknownActionError(
-                f"rule '{name}': workflow '{action.target}' takes {len(wf.params)} "
-                f"argument(s), got {len(action.args)}"
-            )
-    elif action.kind == "apply_transitional":
-        if action.target not in world.transitionals:
-            raise UnknownActionError(f"rule '{name}': unknown transitional '{action.target}'")
-    elif action.kind in ("activate_frame", "deactivate_frame"):
-        if action.target not in world.frames:
-            raise UnknownActionError(f"rule '{name}': unknown frame '{action.target}'")
-        for _, value in action.binding:
-            if value not in world.registry:
-                raise UnknownEntityError(f"rule '{name}': unknown entity '{value}' in binding")
-    else:
-        raise UnknownActionError(f"rule '{name}': unknown action kind '{action.kind}'")
+    try:
+        if action.kind == "start_workflow":
+            wf = world.workflows.get(action.target)
+            if wf is None:
+                raise UnknownActionError(f"unknown workflow '{action.target}'")
+            bind_args(world, wf, action.args)
+        elif action.kind == "apply_transitional":
+            if action.target not in world.transitionals:
+                raise UnknownActionError(f"unknown transitional '{action.target}'")
+        elif action.kind in ("activate_frame", "deactivate_frame"):
+            check_frame_binding(world, action.target, dict(action.binding))
+        else:
+            raise UnknownActionError(f"unknown action kind '{action.kind}'")
+    except XfoError as exc:
+        raise type(exc)(f"rule '{name}': {exc}") from exc
     rule = Rule(name, guard, action)
     world.rules[name] = rule
     return rule

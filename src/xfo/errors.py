@@ -24,6 +24,10 @@ class BadParentError(XfoError):
     code = "E_BAD_PARENT"
 
 
+class UnknownParentError(BadParentError):
+    code = "E_UNKNOWN_PARENT"
+
+
 class UnknownEntityError(XfoError):
     code = "E_UNKNOWN_ENTITY"
 

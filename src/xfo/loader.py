@@ -12,24 +12,20 @@ from pathlib import Path
 from . import dsl
 from .dsl import (
     Diagnostic,
-    FrameStmt,
     HorizonStmt,
     InitStmt,
     ModelDocument,
     ModelHeader,
-    ParticularStmt,
-    RelateStmt,
-    RelationStmt,
     RuleRefStmt,
-    RuleStmt,
     ScenarioDocument,
     ScenarioHeader,
     SourceSpan,
-    TransitionalStmt,
-    UniversalStmt,
-    WorkflowStmt,
 )
 from .dynamics import (
+    Frame,
+    Rule,
+    Transitional,
+    Workflow,
     define_frame,
     define_rule,
     define_transitional,
@@ -37,7 +33,8 @@ from .dynamics import (
 )
 from .errors import XfoError
 from .microworld import Scenario, check_scenario
-from .relations import World
+from .ontology import EntityDef, Layer
+from .relations import RelationDeclaration, RelationKind, World
 
 
 def _diag(diags: list, code: str, message: str, span: SourceSpan | None) -> None:
@@ -59,38 +56,35 @@ def build_world(doc: ModelDocument, *, tier2_strict: bool = True) -> tuple[World
     diags: list[Diagnostic] = []
     for stmt in doc.statements:
         try:
-            _load_stmt(world, stmt, diags)
+            _load_stmt(world, stmt)
         except XfoError as exc:
             _diag(diags, exc.code, str(exc), stmt.span)
         _drain_warnings(world, diags, stmt.span)
     return world, diags
 
 
-def _load_stmt(world: World, stmt, diags: list) -> None:
+def _load_stmt(world: World, stmt) -> None:
+    """Define one parsed definition; the kernel's define_* calls do every
+    check."""
     if isinstance(stmt, ModelHeader):
         world.model_name = stmt.name
-    elif isinstance(stmt, UniversalStmt):
-        if stmt.parent not in world.registry:
-            _diag(diags, "E_UNKNOWN_PARENT", f"unknown parent '{stmt.parent}'", stmt.span)
-            return
-        world.registry.define_universal(stmt.name, stmt.parent)
-    elif isinstance(stmt, ParticularStmt):
-        if stmt.universal not in world.registry:
-            _diag(diags, "E_UNKNOWN_PARENT", f"unknown universal '{stmt.universal}'", stmt.span)
-            return
-        world.registry.instantiate_particular(stmt.name, stmt.universal)
-    elif isinstance(stmt, RelationStmt):
-        world.declare_relation_kind(stmt.name, stmt.domain, stmt.range_)
-    elif isinstance(stmt, RelateStmt):
+    elif isinstance(stmt, EntityDef):
+        if stmt.layer is Layer.U:
+            world.registry.define_universal(stmt.name, stmt.parent, stmt.doc)
+        else:
+            world.registry.instantiate_particular(stmt.name, stmt.parent, stmt.doc)
+    elif isinstance(stmt, RelationKind):
+        world.declare_relation_kind(stmt.name, stmt.domain_b, stmt.range_b)
+    elif isinstance(stmt, RelationDeclaration):
         world.declare_u_relation(stmt.from_u, stmt.kind, stmt.to_u)
-    elif isinstance(stmt, TransitionalStmt):
+    elif isinstance(stmt, Transitional):
         define_transitional(world, stmt.name, stmt.unlinks, stmt.links)
-    elif isinstance(stmt, FrameStmt):
+    elif isinstance(stmt, Frame):
         define_frame(world, stmt.name, stmt.slots, stmt.templates)
-    elif isinstance(stmt, WorkflowStmt):
+    elif isinstance(stmt, Workflow):
         define_workflow(world, stmt.name, stmt.body, stmt.requires_agent, stmt.params)
-    elif isinstance(stmt, RuleStmt):
-        define_rule(world, stmt.name, stmt.when, stmt.then)
+    elif isinstance(stmt, Rule):
+        define_rule(world, stmt.name, stmt.guard, stmt.action)
 
 
 def build_scenario(doc: ScenarioDocument, world: World) -> tuple[Scenario | None, list[Diagnostic]]:
@@ -122,9 +116,10 @@ def build_scenario(doc: ScenarioDocument, world: World) -> tuple[Scenario | None
         tuple(source["schedule"]),
         tuple(s.name for s in source["rules"]),
     )
-    source["horizon"] = [horizon]
+    source["horizon"] = [horizon]  # also stands for the scenario as a whole
     for field, i, exc in check_scenario(world, scenario):
-        _diag(diags, exc.code, str(exc), source[field][i].span)
+        stmt = source[field][i]
+        _diag(diags, exc.code, str(exc), stmt.span if stmt else _first_span(doc))
     diags.sort(key=lambda d: d.span.line)  # source order
     if horizon is None:
         _diag(diags, "E_NO_HORIZON", "scenario has no horizon", _first_span(doc))

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .dynamics import (
     LinkTemplate,
@@ -33,8 +32,9 @@ from .dynamics import (
     activate_frame,
     apply_edits,
     apply_transitional,
+    bind_args,
+    check_frame_binding,
     deactivate_frame,
-    param_kinds,
 )
 from .errors import (
     DuplicateActiveLinkError,
@@ -44,13 +44,12 @@ from .errors import (
     PreconditionFailedError,
     ResolveError,
     SimulationError,
+    TickOrderError,
     XfoError,
 )
+from .ontology import SourceSpan, _span_field
 from .relations import World
 from .trace import TraceEvent
-
-if TYPE_CHECKING:
-    from .dsl import SourceSpan
 
 # Ceiling on zero-duration step churn within one tick; a run that exceeds
 # it is livelocked model content, not a schedulable program.
@@ -66,12 +65,6 @@ class RunStatus(str, Enum):
 
 
 TERMINAL = (RunStatus.COMPLETED, RunStatus.INTERRUPTED, RunStatus.BROKEN)
-
-
-def _span_field():
-    """Where an item was written in a source file, if it was; excluded from
-    equality so that parsed and hand-built items compare equal."""
-    return field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -208,37 +201,22 @@ class _Queue:
         return len(self._heap)
 
 
-def _build_binding(world: World, wf: Workflow, args: tuple, label: str) -> dict:
-    if len(args) != len(wf.params):
-        raise ResolveError(
-            f"{label}: workflow '{wf.name}' takes {len(wf.params)} argument(s), got {len(args)}"
-        )
-    kinds = param_kinds(wf)
-    binding = {}
-    for param, value in zip(wf.params, args):
-        want = kinds.get(param)
-        if isinstance(value, int):
-            if want == "entity":
-                raise ResolveError(f"{label}: parameter '{param}' needs an entity, got {value}")
-        else:
-            if want == "count":
-                raise ResolveError(f"{label}: parameter '{param}' needs a number, got '{value}'")
-            if value not in world.registry:
-                raise ResolveError(f"{label}: unknown entity '{value}' for parameter '{param}'")
-        binding[param] = value
-    return binding
-
-
 def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoError]]:
     """Every reason ``sc`` cannot be loaded on ``world``, in scenario order.
 
     Yields (field, index, error): the Scenario field at fault ("horizon",
     "rules", "init" or "schedule"), the offending entry's index in it, and
-    the error loading raises for it. Writes nothing to the world.
+    the error loading raises for it; a world already past tick 0 is the
+    "horizon" field's fault, since a scenario's time starts at 0. Writes
+    nothing to the world.
     """
     label = f"scenario '{sc.name}'"
     if sc.horizon <= 0:
         yield "horizon", 0, ResolveError(f"{label}: horizon must be positive")
+    try:
+        world._require_tick(0)
+    except TickOrderError as exc:
+        yield "horizon", 0, InvalidInitialLinkError(f"{label}: initial state: {exc}")
     for i, name in enumerate(sc.rules):
         if name not in world.rules:
             yield "rules", i, ResolveError(f"{label}: unknown rule '{name}'")
@@ -246,7 +224,6 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
     for i, t in enumerate(sc.init):
         triple = (t.from_ref, t.kind, t.to_ref)
         try:
-            world._require_tick(0)
             if triple in seen or world.active_link(*triple) is not None:
                 raise DuplicateActiveLinkError(f"link '{t.from_ref}' {t.kind} '{t.to_ref}' is already active")
             res = world.validate_link(*triple)
@@ -260,31 +237,27 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
         if item.at > sc.horizon:
             yield "schedule", i, ResolveError(f"{label}: tick {item.at} is past the horizon {sc.horizon}")
         try:
-            _check_item(world, item, label, n_runs)
+            _check_item(world, item, n_runs)
         except XfoError as exc:
-            yield "schedule", i, exc
+            yield "schedule", i, ResolveError(f"{label}: {exc}")
 
 
-def _check_item(world: World, item, label: str, n_runs: int) -> None:
+def _check_item(world: World, item, n_runs: int) -> None:
     if isinstance(item, RunSpec):
         wf = world.workflows.get(item.workflow)
         if wf is None:
-            raise ResolveError(f"{label}: unknown workflow '{item.workflow}'")
-        _build_binding(world, wf, item.args, label)
+            raise ResolveError(f"unknown workflow '{item.workflow}'")
+        bind_args(world, wf, item.args)
     elif isinstance(item, (ActivateDirective, DeactivateDirective)):
-        if item.frame not in world.frames:
-            raise ResolveError(f"{label}: unknown frame '{item.frame}'")
-        for _, value in item.binding:
-            if value not in world.registry:
-                raise ResolveError(f"{label}: unknown entity '{value}'")
+        check_frame_binding(world, item.frame, dict(item.binding))
     elif isinstance(item, ApplyDirective):
         if item.transitional not in world.transitionals:
-            raise ResolveError(f"{label}: unknown transitional '{item.transitional}'")
+            raise ResolveError(f"unknown transitional '{item.transitional}'")
     elif isinstance(item, InterruptDirective):
         if not 0 <= item.run < n_runs:
-            raise ResolveError(f"{label}: no run with ordinal {item.run}")
+            raise ResolveError(f"no run with ordinal {item.run}")
     else:
-        raise ResolveError(f"{label}: unknown schedule item {item!r}")
+        raise ResolveError(f"unknown schedule item {item!r}")
 
 
 class Simulation:
@@ -307,7 +280,7 @@ class Simulation:
         for item in scenario.schedule:
             if isinstance(item, RunSpec):
                 wf = world.workflows[item.workflow]
-                self._queue_run(wf, _build_binding(world, wf, item.args, ""), item.at)
+                self._queue_run(wf, bind_args(world, wf, item.args), item.at)
             else:
                 self.queue.push(item.at, item)
 
@@ -486,7 +459,7 @@ class Simulation:
         try:
             if action.kind == "start_workflow":
                 wf = world.workflows[action.target]
-                self._queue_run(wf, _build_binding(world, wf, action.args, f"rule '{rule.name}'"), tick)
+                self._queue_run(wf, bind_args(world, wf, action.args), tick)
             elif action.kind == "apply_transitional":
                 apply_transitional(world, world.transitionals[action.target], tick)
             elif action.kind == "activate_frame":

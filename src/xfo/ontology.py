@@ -8,7 +8,7 @@ chain terminates at B_Entity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -16,6 +16,7 @@ from .errors import (
     DuplicateNameError,
     InvalidNameError,
     UnknownEntityError,
+    UnknownParentError,
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -31,11 +32,29 @@ class Layer(str, Enum):
 
 
 @dataclass(frozen=True)
+class SourceSpan:
+    file: str
+    line: int
+    column: int
+    length: int = 1
+
+    def __str__(self) -> str:
+        return f"{self.file}:{self.line}:{self.column}"
+
+
+def _span_field():
+    """Where a definition was written in a source file, if it was; excluded
+    from equality so that parsed and hand-built definitions compare equal."""
+    return field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class EntityDef:
     name: str
     layer: Layer
     parent: EntityId | None
     doc: str | None = None
+    span: SourceSpan | None = _span_field()
 
 
 # The shipped upper taxonomy, in definition order. The X_ prefix marks
@@ -104,7 +123,7 @@ class Registry:
         """Define a U entity under a B or U parent."""
         p = self._defs.get(parent)
         if p is None:
-            raise BadParentError(f"unknown parent '{parent}' for universal '{name}'")
+            raise UnknownParentError(f"unknown parent '{parent}' for universal '{name}'")
         if p.layer is Layer.P:
             raise BadParentError(
                 f"universal '{name}' cannot descend from particular '{parent}'"
@@ -115,7 +134,7 @@ class Registry:
         """Define a P entity as an instance of a U entity."""
         u = self._defs.get(universal)
         if u is None:
-            raise BadParentError(f"unknown universal '{universal}' for particular '{name}'")
+            raise UnknownParentError(f"unknown universal '{universal}' for particular '{name}'")
         if u.layer is not Layer.U:
             raise BadParentError(
                 f"particular '{name}' must instantiate a universal, "

@@ -29,7 +29,7 @@ from .errors import (
     UnknownKindError,
     XfoError,
 )
-from .ontology import NAME_RE, EntityId, Layer, Registry, bootstrap_b_taxonomy
+from .ontology import NAME_RE, EntityId, Layer, Registry, SourceSpan, _span_field, bootstrap_b_taxonomy
 from .trace import TraceEvent
 
 
@@ -39,6 +39,7 @@ class RelationKind:
     domain_b: EntityId
     range_b: EntityId
     builtin: bool = False
+    span: SourceSpan | None = _span_field()
 
 
 BUILTIN_KINDS: tuple[RelationKind, ...] = (
@@ -54,6 +55,7 @@ class RelationDeclaration:
     from_u: EntityId
     kind: str
     to_u: EntityId
+    span: SourceSpan | None = _span_field()
 
 
 Triple = tuple[EntityId, str, EntityId]

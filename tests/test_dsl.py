@@ -5,23 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from xfo import loader
 from xfo.dsl import (
-    FrameStmt,
     InitStmt,
     ModelHeader,
-    ParticularStmt,
-    RelateStmt,
-    RelationStmt,
-    RuleStmt,
-    TransitionalStmt,
-    UniversalStmt,
-    WorkflowStmt,
     parse_model,
     parse_scenario,
     print_model,
     print_scenario,
 )
-from xfo.dynamics import Cond, Loop, Step, Wildcard
+from xfo.dynamics import Cond, Frame, Loop, Rule, Step, Transitional, Wildcard, Workflow
 from xfo.microworld import RunSpec
+from xfo.ontology import EntityDef
+from xfo.relations import RelationDeclaration, RelationKind
 
 from helpers import model_text
 
@@ -36,7 +30,7 @@ def test_parse_basic_statements():
     )
     assert res.ok
     kinds = [type(s) for s in res.document.statements]
-    assert kinds == [ModelHeader, UniversalStmt, ParticularStmt, RelationStmt, RelateStmt]
+    assert kinds == [ModelHeader, EntityDef, EntityDef, RelationKind, RelationDeclaration]
     assert res.document.name == "M"
     u = res.document.statements[1]
     assert (u.name, u.parent) == ("Pottery", "B_Object")
@@ -62,10 +56,10 @@ def test_parse_block_statements():
     )
     assert res.ok
     t, f = res.document.statements
-    assert isinstance(t, TransitionalStmt)
+    assert isinstance(t, Transitional)
     assert [str(x) for x in t.unlinks] == ["a K b"]
     assert [str(x) for x in t.links] == ["a K c"]
-    assert isinstance(f, FrameStmt) and f.slots == ("x", "y")
+    assert isinstance(f, Frame) and f.slots == ("x", "y")
 
 
 def test_parse_workflow_forms():
@@ -110,7 +104,7 @@ def test_parse_workflow_forms():
     )
     assert res.ok, [d.render() for d in res.diagnostics]
     wf = res.document.statements[0]
-    assert isinstance(wf, WorkflowStmt) and wf.requires_agent and wf.params == ("p", "d")
+    assert isinstance(wf, Workflow) and wf.requires_agent and wf.params == ("p", "d")
     items = wf.body.items
     assert isinstance(items[0], Step) and items[0].step.duration == "d"
     assert isinstance(items[1], Loop) and items[1].count == 3
@@ -138,9 +132,9 @@ def test_parse_mechanism_and_rule():
     )
     assert res.ok
     m, r = res.document.statements
-    assert isinstance(m, WorkflowStmt) and not m.requires_agent
-    assert isinstance(r, RuleStmt) and len(r.when) == 2
-    assert r.then.kind == "start_workflow" and r.then.args == ("boss",)
+    assert isinstance(m, Workflow) and not m.requires_agent
+    assert isinstance(r, Rule) and len(r.guard) == 2
+    assert r.action.kind == "start_workflow" and r.action.args == ("boss",)
 
 
 # Uses every scenario statement and directive kind.
@@ -181,9 +175,19 @@ def test_parse_collects_all_errors():
     assert not res.ok
     assert len([d for d in res.diagnostics if d.severity == "error"]) == 3
     # the good statement still parsed
-    assert [type(s) for s in res.document.statements] == [ParticularStmt]
+    assert [type(s) for s in res.document.statements] == [EntityDef]
     lines = [d.span.line for d in res.diagnostics]
     assert lines == [1, 2, 3]
+    # text after a body's closing '}': workflow, loop, else
+    step = "    step s {\n      duration 1\n    }\n"
+    for text, line in (
+        ("workflow w {\n" + step + "} junk\n", 5),
+        ("workflow w {\n  loop 2 {\n" + step + "  } junk\n}\n", 6),
+        ("workflow w {\n  if exists a K b {\n" + step + "  } else {\n" + step + "  } junk\n}\n", 10),
+    ):
+        res = parse_model(text + "universal Good is_a B_Object\n")
+        assert [(d.code, d.span.line) for d in res.diagnostics] == [("E_PARSE", line)], text
+        assert [type(s) for s in res.document.statements] == [Workflow, EntityDef]
 
 
 def test_parse_error_recovery_skips_block():
@@ -196,7 +200,7 @@ def test_parse_error_recovery_skips_block():
         "universal Good is_a B_Object\n"
     )
     assert not res.ok
-    assert [type(s) for s in res.document.statements] == [UniversalStmt]
+    assert [type(s) for s in res.document.statements] == [EntityDef]
 
 
 def test_parse_clause_error_recovers_within_block():
@@ -212,7 +216,7 @@ def test_parse_clause_error_recovers_within_block():
     assert len(errors) == 1 and errors[0].span.line == 3
     t, good = res.document.statements
     assert [str(x) for x in t.links] == ["a K b", "a K c"]  # both clauses kept
-    assert isinstance(good, UniversalStmt)
+    assert isinstance(good, EntityDef)
 
 
 def test_parse_nested_step_header_error_recovers():
@@ -232,7 +236,7 @@ def test_parse_nested_step_header_error_recovers():
     assert len(errors) == 1 and errors[0].span.line == 2
     wf, good = res.document.statements
     assert [n.step.name for n in wf.body.items] == ["ok"]
-    assert isinstance(good, UniversalStmt)
+    assert isinstance(good, EntityDef)
 
 
 def test_parse_bad_character():
@@ -313,6 +317,8 @@ def test_loader_reports_what_loading_would_refuse_at_its_line():
     assert not diags
     for line, code in (("activate Marked(x=ghost, m=q) at 1", "E_RESOLVE"),
                        ("deactivate Marked(x=a, m=ghost) at 1", "E_RESOLVE"),
+                       ("activate Marked(y=a, m=q) at 1", "E_RESOLVE"),   # undeclared slot
+                       ("deactivate Marked(x=a) at 1", "E_RESOLVE"),      # used slot m unbound
                        ("init a Has_Quality q", "E_INVALID_INIT_LINK"),  # given twice
                        ("run m() at 9", "E_RESOLVE"),                   # past the horizon
                        ("interrupt 1 at 1", "E_RESOLVE")):              # no run 1
@@ -340,6 +346,14 @@ def test_roundtrip_shipped_files():
     for name in ("traffic.xfo", "school.xfo", "celadon.xfo"):
         first = parse_model(model_text(name), name)
         assert first.ok
+        # the loader defines what was parsed, unchanged
+        world, _ = loader.build_world(first.document)
+        tables = {Transitional: world.transitionals, Frame: world.frames,
+                  Workflow: world.workflows, Rule: world.rules}
+        defs = [s for s in first.document.statements if type(s) in tables]
+        assert defs
+        for d in defs:
+            assert tables[type(d)][d.name] == d
         printed = print_model(first.document)
         second = parse_model(printed, name)
         assert second.ok

@@ -198,6 +198,18 @@ def test_activate_frame_atomic_failure(school_world):
     assert [e.kind for e in w.trace] == ["Link"]  # only the pre-existing link
 
 
+def test_activate_frame_warns_once_per_uncovered_link():
+    w = World(tier2_strict=False)
+    w.registry.define_universal("Lamp", "B_Object")
+    w.registry.define_universal("Color", "B_Quality")
+    w.registry.instantiate_particular("lamp", "Lamp")
+    w.registry.instantiate_particular("red", "Color")
+    define_frame(w, "Lit", ("x", "c"), (T("x", "Has_Quality", "c"),))  # no declaration covers it
+    activate_frame(w, "Lit", {"x": "lamp", "c": "red"}, 0)
+    assert len(w.links) == 1
+    assert len(w.warnings) == 1 and w.warnings[0].startswith("tier-2: no declaration covers")
+
+
 def test_frame_roundtrip_exact_spans(school_world):
     w = school_world
     act = activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
@@ -373,6 +385,11 @@ def test_define_rule_validation(school_world):
         # wildcard type must be a universal
         define_rule(w, "r4", [P(False, Wildcard("B_Object"), "Has_Role", "teacher_role")],
                     RuleAction("start_workflow", "hireReplacement", args=("superintendent1",)))
+    with pytest.raises(UnknownSlotError):
+        define_rule(w, "r6", guard, RuleAction("activate_frame", "Employment",
+                                               binding=(("salary", "teacher_salary"),)))
+    with pytest.raises(UnknownEntityError):
+        define_rule(w, "r7", guard, RuleAction("start_workflow", "hireReplacement", args=("ghost",)))
     r = define_rule(w, "r5", guard,
                     RuleAction("start_workflow", "hireReplacement", args=("superintendent1",)))
     assert r.action.render() == "start_workflow hireReplacement(superintendent1)"

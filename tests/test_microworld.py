@@ -1,6 +1,8 @@
 """Scheduler semantics: determinism, interrupts, broken runs, rules."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from xfo import loader
@@ -15,7 +17,14 @@ from xfo.errors import (
 from xfo.microworld import RunStatus, Scenario, load_scenario
 from xfo.trace import trace_to_json
 
-from helpers import hq_quality, link_events, load_world, load_shipped_scenario, run_scenario
+from helpers import (
+    hq_quality,
+    link_events,
+    load_shipped_scenario,
+    load_world,
+    model_text,
+    run_scenario,
+)
 import traffic_oracle
 
 
@@ -521,6 +530,17 @@ def test_second_scenario_on_a_run_world_is_refused_untouched():
     before = (len(world.links), len(world.trace))
     with pytest.raises(InvalidInitialLinkError, match="before the last recorded tick"):
         load_scenario(world, scen)
+    assert (len(world.links), len(world.trace)) == before
+    # the same schedule without initial links is refused too, not broken mid-run
+    with pytest.raises(InvalidInitialLinkError, match="before the last recorded tick"):
+        load_scenario(world, dataclasses.replace(scen, init=()))
+    assert (len(world.links), len(world.trace)) == before
+    # and reported as a diagnostic, also when the horizon is missing
+    text = "".join(l for l in model_text("celadon_run.xws").splitlines(keepends=True)
+                   if not l.startswith(("init", "horizon")))
+    scenario, diags = loader.build_scenario(parse_scenario(text).document, world)
+    assert scenario is None
+    assert sorted(d.code for d in diags) == ["E_INVALID_INIT_LINK", "E_NO_HORIZON"]
     assert (len(world.links), len(world.trace)) == before
 
 
