@@ -572,8 +572,9 @@ def _parse_cond(p: _Parser, line: _Toks, owner: str, span) -> Cond:
     p._open_brace(line)
     then_body, close = _parse_body(p, owner, span)
     else_body = None
-    if close.peek() is not None:
-        close.keyword("else")
+    nxt = close.peek()
+    if nxt is not None and nxt.kind == "name" and nxt.text == "else":
+        close.take()
         p._open_brace(close)
         else_body, close = _parse_body(p, owner, span)
     p._end(close)

@@ -470,6 +470,8 @@ def bind_args(world: World, wf: Workflow, args: tuple) -> dict:
         if isinstance(value, int):
             if want == "entity":
                 raise ResolveError(f"parameter '{param}' needs an entity, got {value}")
+            if want == "count" and value < 0:
+                raise ResolveError(f"parameter '{param}' needs a duration of at least 0, got {value}")
         else:
             if want == "count":
                 raise ResolveError(f"parameter '{param}' needs a number, got '{value}'")

@@ -7,6 +7,13 @@ once each in definition order (class 1), then any class-0 actions the
 rules scheduled for the same tick drain. Two executions of one scenario
 therefore produce byte-identical traces.
 
+Time advances to the next tick that has a queued action or a rule whose
+guard may have changed; the ticks in between are skipped. This cannot
+change the trace: a guard reads only active links, which change only
+through ``World.link``/``World.unlink`` (stamped per kind in
+``World.kind_changed``), so an unstamped guard would re-evaluate to its
+previous value and fire no edge.
+
 Step effects apply at the step's end tick; a step occupies the half-open
 interval [start, start + duration). A step's preconditions are checked at
 its start tick; a failure marks the run Broken. Interrupting a run
@@ -49,7 +56,6 @@ from .errors import (
 )
 from .ontology import SourceSpan, _span_field
 from .relations import World
-from .trace import TraceEvent
 
 # Ceiling on zero-duration step churn within one tick; a run that exceeds
 # it is livelocked model content, not a schedulable program.
@@ -197,6 +203,9 @@ class _Queue:
             return heapq.heappop(self._heap)[3]
         return None
 
+    def next_tick(self) -> int | None:
+        return self._heap[0][0] if self._heap else None
+
     def __len__(self):
         return len(self._heap)
 
@@ -274,7 +283,17 @@ class Simulation:
         self.runs: list[WorkflowRun] = []
         self.queue = _Queue()
         self.now = 0  # next unprocessed tick
+        self.ticks_visited = 0
+        self.guards_evaluated = 0
+        # Enabled rules in definition order, each with the kinds its guard
+        # reads; a rule is re-evaluated only when one of them changed at or
+        # after the world sequence number of its last evaluation (-1: never).
+        self._rules = [
+            (rule, frozenset(p.kind for p in rule.guard))
+            for name, rule in world.rules.items() if name in scenario.rules
+        ]
         self._rule_prev: dict[str, bool] = dict.fromkeys(scenario.rules, False)
+        self._rule_seen = [-1] * len(self._rules)
         for t in scenario.init:
             world.link(t.from_ref, t.kind, t.to_ref, 0)
         for item in scenario.schedule:
@@ -287,8 +306,8 @@ class Simulation:
     # ------------------------------------------------------------------
     # public operations
 
-    def run_until(self, t: int) -> list[TraceEvent]:
-        """Advance to the end of tick t and return the trace so far.
+    def run_until(self, t: int) -> None:
+        """Advance to the end of tick t; callers read ``world.trace``.
 
         Repeated calls with increasing t extend the same trace; a second
         call with a smaller t is a no-op.
@@ -297,11 +316,15 @@ class Simulation:
             raise XfoError(f"run_until({t}): beyond scenario horizon {self.scenario.horizon}")
         while self.now <= t:
             tick = self.now
+            self.ticks_visited += 1
             self._drain(tick)
             self._rules_phase(tick)
             self._drain(tick)
-            self.now += 1
-        return list(self.world.trace)
+            if any(map(self._dirty, range(len(self._rules)))):
+                self.now = tick + 1
+            else:
+                nxt = self.queue.next_tick()
+                self.now = t + 1 if nxt is None else min(nxt, t + 1)
 
     def interrupt(self, run_id: int, at: int):
         """Schedule an external interrupt of a run at tick `at`."""
@@ -443,16 +466,24 @@ class Simulation:
             {"run": run.id, "workflow": run.workflow.name, "step": step_name, "predicate": predicate},
         )
 
+    def _dirty(self, i: int) -> bool:
+        seen = self._rule_seen[i]
+        changed = self.world.kind_changed
+        return seen < 0 or any(changed.get(k, -1) >= seen for k in self._rules[i][1])
+
     def _rules_phase(self, tick: int) -> None:
-        for name in self.world.rules:
-            if name not in self._rule_prev:
-                continue  # rule not enabled by this scenario
-            rule = self.world.rules[name]
+        for i, (rule, _) in enumerate(self._rules):
+            if not self._dirty(i):
+                continue  # no link its guard reads changed: same value, no edge
+            seen = self.world._seq
+            self.guards_evaluated += 1
             holds = all(p.holds(self.world, tick) for p in rule.guard)
-            if holds and not self._rule_prev[name]:
-                self.world.record("RuleFired", tick, {"rule": name, "action": rule.action.render()})
+            if holds and not self._rule_prev[rule.name]:
+                self.world.record("RuleFired", tick, {"rule": rule.name, "action": rule.action.render()})
                 self._fire(rule, tick)
-            self._rule_prev[name] = holds
+            # both after the action, so a run resumed after it failed re-evaluates
+            self._rule_prev[rule.name] = holds
+            self._rule_seen[i] = seen
 
     def _fire(self, rule, tick: int) -> None:
         world, action = self.world, rule.action

@@ -147,6 +147,10 @@ class World:
     * ``_by_entity`` maps an entity to the triples it appears in on either
       side, and ``_by_kind`` a kind to its triples. Both use insertion-
       ordered dicts as sets, so iteration never depends on string hashing.
+    * ``kind_changed`` maps each kind ever linked or unlinked to the
+      sequence number of its latest Link or Unlink event, so a reader
+      of one kind's active links can tell whether they changed since a
+      given event.
     * Ticks never go backwards: an edit or event dated before the last
       recorded tick raises TickOrderError and changes nothing.
 
@@ -165,6 +169,7 @@ class World:
         self.spans: dict[Triple, list[LinkInstance]] = {}
         self._by_entity: dict[EntityId, dict[Triple, None]] = {}
         self._by_kind: dict[str, dict[Triple, None]] = {}
+        self.kind_changed: dict[str, int] = {}
         self.trace: list[TraceEvent] = []
         self.warnings: list[str] = []
         self.model_name = "model"
@@ -364,6 +369,7 @@ class World:
             self._by_kind.setdefault(kind, {})[triple] = None
         else:
             row.append(inst)
+        self.kind_changed[kind] = self._seq
         self.record("Link", at, {"from": from_p, "relation": kind, "to": to_p})
         return inst
 
@@ -375,6 +381,7 @@ class World:
             )
         self._require_tick(at)
         inst.end = at
+        self.kind_changed[kind] = self._seq
         self.record("Unlink", at, {"from": from_p, "relation": kind, "to": to_p})
         return inst
 

@@ -188,6 +188,15 @@ def test_parse_collects_all_errors():
         res = parse_model(text + "universal Good is_a B_Object\n")
         assert [(d.code, d.span.line) for d in res.diagnostics] == [("E_PARSE", line)], text
         assert [type(s) for s in res.document.statements] == [Workflow, EntityDef]
+    # text after an 'if' body with no 'else' is not taken for a missing 'else'
+    res = parse_model(
+        "workflow w {\n  if exists a K b {\n" + step + "  } junk\n"
+        + step.replace("step s", "step t") + "}\nuniversal Good2 is_a B_Object\n"
+    )
+    assert [(d.code, d.span.line) for d in res.diagnostics] == [("E_PARSE", 6)]
+    wf, good = res.document.statements
+    assert [type(n).__name__ for n in wf.body.items] == ["Cond", "Step"]
+    assert good.name == "Good2"
 
 
 def test_parse_error_recovery_skips_block():

@@ -551,9 +551,12 @@ def test_refused_scenario_leaves_the_world_untouched():
     from xfo.microworld import RunSpec
     world = load_world("traffic.xfo")
     init = LinkTemplate("lampA_green", "Has_Quality", "dark")
+    lamps = ("lampA_green", "lampA_yellow", "lampA_red")
     for scen, error in (
         (Scenario("s", 5, (init,), (RunSpec("ghost", (), 0),)), ResolveError),
         (Scenario("s", 5, (init, init), ()), InvalidInitialLinkError),
+        # a negative duration would queue a step's end before its start
+        (Scenario("s", 5, (init,), (RunSpec("trafficCycle", lamps + (2, -1, 3), 0),)), ResolveError),
     ):
         before = (list(world.links), list(world.trace), list(world.warnings),
                   dict(world.frame_activations))
