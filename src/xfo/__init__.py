@@ -3,13 +3,16 @@ relationships, transitionals, frames, checked workflows, and deterministic
 microworld simulation."""
 
 from .dynamics import (
+    ActivateDirective,
+    ApplyDirective,
     CompletenessReport,
     Cond,
+    DeactivateDirective,
     Frame,
     LinkTemplate,
     Loop,
     Rule,
-    RuleAction,
+    RunSpec,
     Seq,
     StatePredicate,
     Step,
@@ -28,7 +31,6 @@ from .dynamics import (
 )
 from .microworld import (
     RunStatus,
-    RunSpec,
     Scenario,
     Simulation,
     WorkflowRun,

@@ -6,9 +6,11 @@ any input yields a (possibly partial) document plus diagnostics, and the
 parser never throws. Model definitions parse straight to the kernel's
 definition types (EntityDef, RelationKind, RelationDeclaration,
 Transitional, Frame, Workflow, Rule) and scenario schedule lines to its
-RunSpec and directive types; each carries a source span kept out of
-equality, so parse -> print -> parse round-trips compare structurally
-equal.
+action and InterruptDirective types; each carries a source span kept out
+of equality, so parse -> print -> parse round-trips compare structurally
+equal. A rule's ``then`` and a scenario line name the same four actions
+under two keywords (``dynamics.ACTION_KEYWORDS``, e.g. ``start_workflow``
+and ``run``) and parse to the same type; the scenario line adds its tick.
 """
 from __future__ import annotations
 
@@ -17,12 +19,14 @@ from dataclasses import dataclass
 from functools import partial
 
 from .dynamics import (
+    ACTION_KEYWORDS,
+    ApplyDirective,
     Cond,
     Frame,
     LinkTemplate,
     Loop,
     Rule,
-    RuleAction,
+    RunSpec,
     Seq,
     StatePredicate,
     Step,
@@ -31,13 +35,7 @@ from .dynamics import (
     Workflow,
     WorkflowStep,
 )
-from .microworld import (
-    ActivateDirective,
-    ApplyDirective,
-    DeactivateDirective,
-    InterruptDirective,
-    RunSpec,
-)
+from .microworld import InterruptDirective
 from .ontology import EntityDef, Layer, SourceSpan, _span_field
 from .relations import RelationDeclaration, RelationKind
 
@@ -343,43 +341,37 @@ class _Parser:
         to = line.ref()
         return StatePredicate(tok.text == "exists", frm, kind, to)
 
-    def _arg_list(self, line: _Toks) -> tuple:
-        """Parenthesized comma-separated names/ints; parens may be empty."""
-        args = []
-        line.punct("(")
-        if line.peek() and line.peek().text == ")":
-            line.take()
-            return tuple(args)
-        while True:
-            tok = line.take()
-            if tok.kind == "name":
-                args.append(tok.text)
-            elif tok.kind == "int":
-                args.append(int(tok.text))
-            else:
-                raise _ParseError(f"expected an argument, got {tok.text!r}", line.span_at(tok))
-            tok = line.take()
-            if tok.text == ")":
-                return tuple(args)
-            if tok.text != ",":
-                raise _ParseError(f"expected ',' or ')', got {tok.text!r}", line.span_at(tok))
 
-    def _binding_list(self, line: _Toks) -> tuple:
-        pairs = []
-        line.punct("(")
-        if line.peek() and line.peek().text == ")":
-            line.take()
-            return tuple(pairs)
-        while True:
-            slot = line.name("a slot name")
-            line.punct("=")
-            value = line.name("an entity")
-            pairs.append((slot, value))
-            tok = line.take()
-            if tok.text == ")":
-                return tuple(pairs)
-            if tok.text != ",":
-                raise _ParseError(f"expected ',' or ')', got {tok.text!r}", line.span_at(tok))
+def _paren_list(line: _Toks, item) -> tuple:
+    """Parenthesized comma-separated items, each read by ``item(line)``
+    (``_arg`` or ``_slot_value``); the parens may be empty."""
+    items = []
+    line.punct("(")
+    if line.peek() and line.peek().text == ")":
+        line.take()
+        return ()
+    while True:
+        items.append(item(line))
+        tok = line.take()
+        if tok.text == ")":
+            return tuple(items)
+        if tok.text != ",":
+            raise _ParseError(f"expected ',' or ')', got {tok.text!r}", line.span_at(tok))
+
+
+def _arg(line: _Toks) -> str | int:
+    tok = line.take()
+    if tok.kind == "name":
+        return tok.text
+    if tok.kind == "int":
+        return int(tok.text)
+    raise _ParseError(f"expected an argument, got {tok.text!r}", line.span_at(tok))
+
+
+def _slot_value(line: _Toks) -> tuple[str, str]:
+    slot = line.name("a slot name")
+    line.punct("=")
+    return slot, line.name("an entity")
 
 
 def _parse_statements(parser: _Parser, dispatch) -> list:
@@ -474,7 +466,7 @@ def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> Workflow:
     name = line.name("a workflow name")
     params: tuple = ()
     if line.peek() and line.peek().text == "(":
-        raw = p._arg_list(line)
+        raw = _paren_list(line, _arg)
         for a in raw:
             if not isinstance(a, str):
                 raise _ParseError(f"parameter names must be identifiers, got {a!r}", span)
@@ -585,7 +577,7 @@ def _p_rule(p: _Parser, line: _Toks, span) -> Rule:
     name = line.name("a rule name")
     p._open_brace(line)
     when: list[StatePredicate] = []
-    then: RuleAction | None = None
+    then = None
 
     def clause(body: _Toks) -> None:
         nonlocal then
@@ -595,7 +587,11 @@ def _p_rule(p: _Parser, line: _Toks, span) -> Rule:
         elif word == "then":
             if then is not None:
                 raise _ParseError(f"rule '{name}' has more than one 'then'", body.span_at())
-            then = _parse_action(p, body)
+            keyword = body.name("an action")
+            cls = _RULE_ACTIONS.get(keyword)
+            if cls is None:
+                raise _ParseError(f"unknown action '{keyword}'", body.span_at())
+            then = cls(*_action_operand(body, cls))
         else:
             raise _ParseError(f"expected 'when' or 'then', got '{word}'", body.span_at())
 
@@ -607,19 +603,20 @@ def _p_rule(p: _Parser, line: _Toks, span) -> Rule:
     return Rule(name, tuple(when), then, span=span)
 
 
-def _parse_action(p: _Parser, line: _Toks) -> RuleAction:
-    word = line.name("an action")
-    if word == "start_workflow":
+def _action_operand(line: _Toks, cls) -> tuple:
+    """What follows an action's keyword, in a rule and in a scenario alike:
+    the target, then the run arguments or the frame binding (sorted by
+    slot)."""
+    if cls is ApplyDirective:
+        return (line.name("a transitional"),)
+    if cls is RunSpec:
         target = line.name("a workflow")
-        args = p._arg_list(line) if line.peek() and line.peek().text == "(" else ()
-        return RuleAction("start_workflow", target, args=args)
-    if word == "apply_transitional":
-        return RuleAction("apply_transitional", line.name("a transitional"))
-    if word in ("activate_frame", "deactivate_frame"):
-        target = line.name("a frame")
-        binding = p._binding_list(line)
-        return RuleAction(word, target, binding=tuple(sorted(binding)))
-    raise _ParseError(f"unknown action '{word}'", line.span_at())
+        return target, _paren_list(line, _arg) if line.peek() and line.peek().text == "(" else ()
+    target = line.name("a frame")
+    return target, tuple(sorted(_paren_list(line, _slot_value)))
+
+
+_RULE_ACTIONS = {rule_word: cls for cls, (_, rule_word) in ACTION_KEYWORDS.items()}
 
 
 _MODEL_DISPATCH = {
@@ -664,27 +661,14 @@ def _at_clause(line: _Toks) -> int:
     return at
 
 
-def _p_run(p: _Parser, line: _Toks, span) -> RunSpec:
-    wf = line.name("a workflow")
-    args = p._arg_list(line) if line.peek() and line.peek().text == "(" else ()
-    return RunSpec(wf, args, _at_clause(line), span=span)
-
-
 def _p_rule_ref(p: _Parser, line: _Toks, span) -> RuleRefStmt:
     name = line.name("a rule name")
     line.done()
     return RuleRefStmt(name, span=span)
 
 
-def _p_activate(p: _Parser, line: _Toks, span, directive=ActivateDirective):
-    frame = line.name("a frame")
-    binding = tuple(sorted(p._binding_list(line)))
-    return directive(frame, binding, _at_clause(line), span=span)
-
-
-def _p_apply(p: _Parser, line: _Toks, span) -> ApplyDirective:
-    name = line.name("a transitional")
-    return ApplyDirective(name, _at_clause(line), span=span)
+def _p_action(p: _Parser, line: _Toks, span, cls):
+    return cls(*_action_operand(line, cls), _at_clause(line), span=span)
 
 
 def _p_interrupt(p: _Parser, line: _Toks, span) -> InterruptDirective:
@@ -696,12 +680,9 @@ _SCENARIO_DISPATCH = {
     "scenario": _p_scenario,
     "horizon": _p_horizon,
     "init": _p_init,
-    "run": _p_run,
     "rule": _p_rule_ref,
-    "activate": _p_activate,
-    "deactivate": partial(_p_activate, directive=DeactivateDirective),
-    "apply": _p_apply,
     "interrupt": _p_interrupt,
+    **{word: partial(_p_action, cls=cls) for cls, (word, _) in ACTION_KEYWORDS.items()},
 }
 
 
@@ -809,10 +790,6 @@ def print_model(doc: ModelDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def _fmt_binding(binding) -> str:
-    return ", ".join(f"{k}={v}" for k, v in binding)
-
-
 def print_scenario(doc: ScenarioDocument) -> str:
     out: list[str] = []
     for s in doc.statements:
@@ -822,17 +799,10 @@ def print_scenario(doc: ScenarioDocument) -> str:
             out.append(f"horizon {s.value}")
         elif isinstance(s, InitStmt):
             out.append(f"init {s.template}")
-        elif isinstance(s, RunSpec):
-            args = ", ".join(str(a) for a in s.args)
-            out.append(f"run {s.workflow}({args}) at {s.at}")
         elif isinstance(s, RuleRefStmt):
             out.append(f"rule {s.name}")
-        elif isinstance(s, ActivateDirective):
-            out.append(f"activate {s.frame}({_fmt_binding(s.binding)}) at {s.at}")
-        elif isinstance(s, DeactivateDirective):
-            out.append(f"deactivate {s.frame}({_fmt_binding(s.binding)}) at {s.at}")
-        elif isinstance(s, ApplyDirective):
-            out.append(f"apply {s.transitional} at {s.at}")
         elif isinstance(s, InterruptDirective):
             out.append(f"interrupt {s.run} at {s.at}")
+        elif type(s) in ACTION_KEYWORDS:
+            out.append(f"{ACTION_KEYWORDS[type(s)][0]} {s.operand()} at {s.at}")
     return "\n".join(out) + "\n"

@@ -1,10 +1,10 @@
-"""Transitionals, Frames, Workflows/Mechanisms and condition-action rules.
+"""Transitionals, Frames, Workflows/Mechanisms, actions and rules.
 
 Link edits are atomic: an edit batch is prechecked in full before anything
 is applied, so a failed batch leaves the link history untouched. Strict
 edits carry implicit preconditions (an unlink needs its link active, a new
-link needs validity and absence); placeholder steps apply their declared
-postconditions leniently instead, asserting rather than checking them.
+link needs validity and absence); placeholder steps skip an inactive
+unlink or an active link instead of failing, but still need valid links.
 """
 from __future__ import annotations
 
@@ -141,14 +141,23 @@ def _static_check_template(world: World, t: LinkTemplate, params: frozenset[str]
         raise InvalidTemplateError(f"{label}: invalid template '{t}': {res.reason}")
 
 
+def _repeated(edits: list):
+    """The first link template or resolved triple that occurs twice in
+    ``edits``, if any: one batch edits each link at most once."""
+    seen = set()
+    for t in edits:
+        if t in seen:
+            return t
+        seen.add(t)
+    return None
+
+
 def _check_edits(world: World, templates: tuple, params: frozenset[str], label: str) -> None:
-    """Check one unlink/link batch: each template valid, none edited twice."""
-    seen: set[tuple] = set()
+    """Check one unlink/link batch: none edited twice, each template valid."""
+    t = _repeated(templates)
+    if t is not None:
+        raise InvalidTemplateError(f"{label}: template '{t}' appears more than once")
     for t in templates:
-        key = (t.from_ref, t.kind, t.to_ref)
-        if key in seen:
-            raise InvalidTemplateError(f"{label}: template '{t}' appears more than once")
-        seen.add(key)
         _static_check_template(world, t, params, label)
 
 
@@ -176,34 +185,36 @@ def apply_edits(
 ) -> list[TraceEvent]:
     """Apply an unlink/link batch atomically at one tick.
 
-    Strict mode prechecks every edit and raises PreconditionFailedError
-    (world unchanged) naming the implicit predicate that failed. Lenient
-    mode skips unlinks with no active link and links already active.
+    Every edit is prechecked; a failure, or two edits on one triple, raises
+    PreconditionFailedError naming the failed predicate and leaves the
+    world unchanged. Lenient mode first drops inactive unlinks and active links.
     """
     un = [t.resolve(binding) for t in unlinks]
     ln = [t.resolve(binding) for t in links]
+    t = _repeated(un + ln)
+    if t is not None:
+        raise PreconditionFailedError(f"binding collapses two edits onto {' '.join(t)}")
     if lenient:
         un = [t for t in un if world.active_link(*t) is not None]
         ln = [t for t in ln if world.active_link(*t) is None]
-    else:
-        for t in un:
-            if world.active_link(*t) is None:
-                raise PreconditionFailedError(
-                    f"unlink target not active: {' '.join(t)}",
-                    predicate=f"exists {t[0]} {t[1]} {t[2]}",
-                )
-        for t in ln:
-            res = world.validate_link(*t)
-            if not world.admit(res, None):
-                raise PreconditionFailedError(
-                    f"link target invalid: {' '.join(t)}: {res.reason}",
-                    predicate=res.reason,
-                )
-            if world.active_link(*t) is not None:
-                raise PreconditionFailedError(
-                    f"link target already active: {' '.join(t)}",
-                    predicate=f"not_exists {t[0]} {t[1]} {t[2]}",
-                )
+    for t in un:
+        if world.active_link(*t) is None:
+            raise PreconditionFailedError(
+                f"unlink target not active: {' '.join(t)}",
+                predicate=f"exists {t[0]} {t[1]} {t[2]}",
+            )
+    for t in ln:
+        res = world.validate_link(*t)
+        if not world.admit(res, None):
+            raise PreconditionFailedError(
+                f"link target invalid: {' '.join(t)}: {res.reason}",
+                predicate=res.reason,
+            )
+        if world.active_link(*t) is not None:
+            raise PreconditionFailedError(
+                f"link target already active: {' '.join(t)}",
+                predicate=f"not_exists {t[0]} {t[1]} {t[2]}",
+            )
     before = len(world.trace)
     for t in un:
         world.unlink(*t, at)
@@ -297,13 +308,9 @@ def activate_frame(world: World, frame: Frame | str, binding: dict[str, str], at
     if act.key() in world.frame_activations:
         raise AlreadyActiveError(f"frame '{f.name}' already active for this binding")
     triples = [t.resolve(binding) for t in f.templates]
-    seen = set()
-    for t in triples:
-        if t in seen:
-            raise InvalidLinkError(
-                f"frame '{f.name}': binding collapses two templates onto {' '.join(t)}"
-            )
-        seen.add(t)
+    t = _repeated(triples)
+    if t is not None:
+        raise InvalidLinkError(f"frame '{f.name}': binding collapses two templates onto {' '.join(t)}")
     # World.link's own checks, minus its tier-2 warning: link() records that
     for t in triples:
         if world.active_link(*t) is not None:
@@ -627,23 +634,99 @@ def check_completeness(workflow: Workflow, initial) -> CompletenessReport:
 
 
 # ----------------------------------------------------------------------
-# rules
+# actions: what a rule's ``then`` names, and a scenario line at a tick
+
+
+class Action:
+    """An action that starts a workflow, applies a transitional, or
+    activates or deactivates a frame. A scenario directive gives its tick
+    in ``at``; a rule's action has ``at`` None and runs when it fires."""
+
+    def render(self) -> str:
+        """The action in rule syntax, e.g. ``start_workflow w(a, 2)``."""
+        return f"{ACTION_KEYWORDS[type(self)][1]} {self.operand()}"
 
 
 @dataclass(frozen=True)
-class RuleAction:
-    kind: str  # start_workflow | apply_transitional | activate_frame | deactivate_frame
-    target: str
-    args: tuple = ()  # start_workflow positional args
-    binding: tuple = ()  # frame actions: sorted (slot, value) pairs
+class RunSpec(Action):
+    target: str  # workflow name
+    args: tuple = ()  # entity names and ints, positionally matching the params
+    at: int | None = None
+    span: SourceSpan | None = _span_field()
 
-    def render(self) -> str:
-        if self.kind == "start_workflow":
-            return f"start_workflow {self.target}({', '.join(map(str, self.args))})"
-        if self.kind == "apply_transitional":
-            return f"apply_transitional {self.target}"
-        inner = ", ".join(f"{k}={v}" for k, v in self.binding)
-        return f"{self.kind} {self.target}({inner})"
+    def operand(self) -> str:
+        return f"{self.target}({', '.join(map(str, self.args))})"
+
+
+@dataclass(frozen=True)
+class ApplyDirective(Action):
+    target: str  # transitional name
+    at: int | None = None
+    span: SourceSpan | None = _span_field()
+
+    def operand(self) -> str:
+        return self.target
+
+
+@dataclass(frozen=True)
+class _FrameAction(Action):
+    target: str  # frame name
+    binding: tuple = ()  # sorted (slot, value) pairs
+    at: int | None = None
+    span: SourceSpan | None = _span_field()
+
+    def operand(self) -> str:
+        return f"{self.target}({', '.join(f'{k}={v}' for k, v in self.binding)})"
+
+
+class ActivateDirective(_FrameAction):
+    """Create the frame's links under ``binding``."""
+
+
+class DeactivateDirective(_FrameAction):
+    """Remove the links of the frame's activation under ``binding``."""
+
+
+# Each action's keyword in a scenario and in a rule's ``then``.
+ACTION_KEYWORDS = {
+    RunSpec: ("run", "start_workflow"),
+    ApplyDirective: ("apply", "apply_transitional"),
+    ActivateDirective: ("activate", "activate_frame"),
+    DeactivateDirective: ("deactivate", "deactivate_frame"),
+}
+
+
+def check_action(world: World, action: Action) -> None:
+    """Raise unless ``action`` names a defined workflow, transitional or
+    frame and its arguments or binding fit it. The one check of an
+    action, wherever it is written: a rule's ``then`` or a scenario line."""
+    if isinstance(action, RunSpec):
+        wf = world.workflows.get(action.target)
+        if wf is None:
+            raise UnknownActionError(f"unknown workflow '{action.target}'")
+        bind_args(world, wf, action.args)
+    elif isinstance(action, ApplyDirective):
+        if action.target not in world.transitionals:
+            raise UnknownActionError(f"unknown transitional '{action.target}'")
+    elif isinstance(action, _FrameAction):
+        check_frame_binding(world, action.target, dict(action.binding))
+    else:
+        raise UnknownActionError(f"unknown action {action!r}")
+
+
+def apply_action(world: World, action: Action, at: int) -> None:
+    """Apply a transitional, or activate or deactivate a frame, at tick
+    ``at``; each is atomic. Starting a workflow is the simulation's."""
+    if isinstance(action, ApplyDirective):
+        apply_transitional(world, world.transitionals[action.target], at)
+    elif isinstance(action, ActivateDirective):
+        activate_frame(world, action.target, dict(action.binding), at)
+    else:
+        deactivate_frame(world, (action.target, dict(action.binding)), at)
+
+
+# ----------------------------------------------------------------------
+# rules
 
 
 @dataclass(frozen=True)
@@ -653,7 +736,7 @@ class Rule:
 
     name: str
     guard: tuple[StatePredicate, ...]
-    action: RuleAction
+    action: Action
     span: SourceSpan | None = _span_field()
 
 
@@ -668,25 +751,16 @@ def _check_predicate(world: World, p: StatePredicate, label: str, params: frozen
             raise UnknownEntityError(f"{label}: unknown entity '{r}' in predicate '{p.render()}'")
 
 
-def define_rule(world: World, name: str, guard, action: RuleAction) -> Rule:
+def define_rule(world: World, name: str, guard, action: Action) -> Rule:
     if name in world.rules:
         raise DuplicateNameError(f"rule '{name}' already defined")
     guard = tuple(guard)
     for p in guard:
         _check_predicate(world, p, f"rule '{name}'")
     try:
-        if action.kind == "start_workflow":
-            wf = world.workflows.get(action.target)
-            if wf is None:
-                raise UnknownActionError(f"unknown workflow '{action.target}'")
-            bind_args(world, wf, action.args)
-        elif action.kind == "apply_transitional":
-            if action.target not in world.transitionals:
-                raise UnknownActionError(f"unknown transitional '{action.target}'")
-        elif action.kind in ("activate_frame", "deactivate_frame"):
-            check_frame_binding(world, action.target, dict(action.binding))
-        else:
-            raise UnknownActionError(f"unknown action kind '{action.kind}'")
+        check_action(world, action)
+        if action.at is not None:
+            raise ResolveError(f"action '{action.render()}' has a tick; it runs when the rule fires")
     except XfoError as exc:
         raise type(exc)(f"rule '{name}': {exc}") from exc
     rule = Rule(name, guard, action)

@@ -19,6 +19,12 @@ interval [start, start + duration). A step's preconditions are checked at
 its start tick; a failure marks the run Broken. Interrupting a run
 cancels its actions at strictly later ticks, so a step ending exactly at
 the interrupt tick still applies.
+
+A scenario directive and a rule's action are the same dynamics action
+types: the directive carries its tick, the rule's action runs at the tick
+the rule fires. ``dynamics.check_action`` checks both at load and
+``dynamics.apply_action`` applies both, except that starting a workflow
+queues a run here. A rule whose action fails leaves no RuleFired event.
 """
 from __future__ import annotations
 
@@ -28,7 +34,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dynamics import (
+    ACTION_KEYWORDS,
     LinkTemplate,
+    Rule,
+    RunSpec,
     WorkflowStep,
     Workflow,
     Cond,
@@ -36,12 +45,10 @@ from .dynamics import (
     Seq,
     Step,
     _resolve_duration,
-    activate_frame,
+    apply_action,
     apply_edits,
-    apply_transitional,
     bind_args,
-    check_frame_binding,
-    deactivate_frame,
+    check_action,
 )
 from .errors import (
     DuplicateActiveLinkError,
@@ -57,8 +64,8 @@ from .errors import (
 from .ontology import SourceSpan, _span_field
 from .relations import World
 
-# Ceiling on zero-duration step churn within one tick; a run that exceeds
-# it is livelocked model content, not a schedulable program.
+# Ceiling on a run's cursor moves within one tick; a run that exceeds it is
+# livelocked model content, not a schedulable program.
 SPIN_LIMIT = 10_000
 
 
@@ -71,37 +78,6 @@ class RunStatus(str, Enum):
 
 
 TERMINAL = (RunStatus.COMPLETED, RunStatus.INTERRUPTED, RunStatus.BROKEN)
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    workflow: str
-    args: tuple  # entity names and ints, positionally matching the params
-    at: int
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class ActivateDirective:
-    frame: str
-    binding: tuple  # sorted (slot, value) pairs
-    at: int
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class DeactivateDirective:
-    frame: str
-    binding: tuple  # sorted (slot, value) pairs
-    at: int
-    span: SourceSpan | None = _span_field()
-
-
-@dataclass(frozen=True)
-class ApplyDirective:
-    transitional: str
-    at: int
-    span: SourceSpan | None = _span_field()
 
 
 @dataclass(frozen=True)
@@ -119,7 +95,7 @@ class Scenario:
     name: str
     horizon: int
     init: tuple[LinkTemplate, ...]
-    schedule: tuple  # RunSpecs and directives in source order
+    schedule: tuple  # actions with a tick, and interrupts, in source order
     rules: tuple[str, ...] = ()
 
     def run_specs(self) -> list[RunSpec]:
@@ -127,31 +103,34 @@ class Scenario:
 
 
 class WorkflowRun:
-    """One execution of a workflow within a scenario."""
+    """One execution of a workflow within a scenario, with a cursor that
+    walks the workflow's control tree and yields the next step on demand.
+    Loop and conditional guards are evaluated at the tick control reaches
+    them."""
 
     def __init__(self, run_id: int, workflow: Workflow, binding: dict):
         self.id = run_id
         self.workflow = workflow
         self.binding = binding
         self.status = RunStatus.PENDING
-        self.cursor = _Cursor(workflow.body)
         self.last_completed_step: str | None = None
         self.cancelled_after: int | None = None
-        self._spin = (0, 0)  # (tick, steps begun this tick)
+        self._stack: list[list] = [["seq", workflow.body, 0]]
+        self._spin_tick = 0
+        self._moves = 0  # cursor moves at _spin_tick, over every next_step call
 
-
-class _Cursor:
-    """Walks a workflow control tree, yielding the next step on demand.
-
-    Loop and conditional guards are evaluated at the tick control reaches
-    them.
-    """
-
-    def __init__(self, body: Seq):
-        self._stack: list[list] = [["seq", body, 0]]
-
-    def next_step(self, world: World, tick: int, binding: dict, horizon: int) -> WorkflowStep | None:
+    def next_step(self, world: World, tick: int, horizon: int) -> WorkflowStep | None:
+        # count every move, not only steps begun: a loop whose iterations
+        # begin no step livelocks as surely as a zero-duration one
+        if self._spin_tick != tick:
+            self._spin_tick, self._moves = tick, 0
         while self._stack:
+            self._moves += 1
+            if self._moves > SPIN_LIMIT:
+                raise SimulationError(
+                    f"run {self.id} ('{self.workflow.name}') began {SPIN_LIMIT} steps at tick {tick}; "
+                    "zero-duration loop livelock"
+                )
             frame = self._stack[-1]
             if frame[0] == "seq":
                 node, idx = frame[1], frame[2]
@@ -167,7 +146,7 @@ class _Cursor:
                 elif isinstance(item, Loop):
                     self._stack.append(["loop", item, 0])
                 elif isinstance(item, Cond):
-                    if item.guard.holds(world, tick, binding):
+                    if item.guard.holds(world, tick, self.binding):
                         self._stack.append(["seq", item.then_body, 0])
                     elif item.else_body is not None:
                         self._stack.append(["seq", item.else_body, 0])
@@ -176,7 +155,7 @@ class _Cursor:
                 if node.count is not None:
                     again = done < node.count
                 elif node.guard is not None:
-                    again = not node.guard.holds(world, tick, binding)
+                    again = not node.guard.holds(world, tick, self.binding)
                 else:  # until_end: rescheduled while the horizon allows
                     again = tick <= horizon
                 if not again:
@@ -243,30 +222,17 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
             yield "init", i, InvalidInitialLinkError(f"initial link '{t}': {exc}")
     n_runs = len(sc.run_specs())
     for i, item in enumerate(sc.schedule):
-        if item.at > sc.horizon:
+        if item.at is None:
+            yield "schedule", i, ResolveError(f"{label}: {item!r} has no tick")
+        elif item.at > sc.horizon:
             yield "schedule", i, ResolveError(f"{label}: tick {item.at} is past the horizon {sc.horizon}")
         try:
-            _check_item(world, item, n_runs)
+            if not isinstance(item, InterruptDirective):
+                check_action(world, item)
+            elif not 0 <= item.run < n_runs:
+                raise ResolveError(f"no run with ordinal {item.run}")
         except XfoError as exc:
             yield "schedule", i, ResolveError(f"{label}: {exc}")
-
-
-def _check_item(world: World, item, n_runs: int) -> None:
-    if isinstance(item, RunSpec):
-        wf = world.workflows.get(item.workflow)
-        if wf is None:
-            raise ResolveError(f"unknown workflow '{item.workflow}'")
-        bind_args(world, wf, item.args)
-    elif isinstance(item, (ActivateDirective, DeactivateDirective)):
-        check_frame_binding(world, item.frame, dict(item.binding))
-    elif isinstance(item, ApplyDirective):
-        if item.transitional not in world.transitionals:
-            raise ResolveError(f"unknown transitional '{item.transitional}'")
-    elif isinstance(item, InterruptDirective):
-        if not 0 <= item.run < n_runs:
-            raise ResolveError(f"no run with ordinal {item.run}")
-    else:
-        raise ResolveError(f"unknown schedule item {item!r}")
 
 
 class Simulation:
@@ -298,8 +264,7 @@ class Simulation:
             world.link(t.from_ref, t.kind, t.to_ref, 0)
         for item in scenario.schedule:
             if isinstance(item, RunSpec):
-                wf = world.workflows[item.workflow]
-                self._queue_run(wf, bind_args(world, wf, item.args), item.at)
+                self._queue_run(item, item.at)
             else:
                 self.queue.push(item.at, item)
 
@@ -364,8 +329,9 @@ class Simulation:
         while (action := self.queue.pop_at(tick)) is not None:
             self._execute(action, tick)
 
-    def _queue_run(self, wf: Workflow, binding: dict, at: int) -> None:
-        run = WorkflowRun(len(self.runs), wf, binding)
+    def _queue_run(self, spec: RunSpec, at: int) -> None:
+        wf = self.world.workflows[spec.target]
+        run = WorkflowRun(len(self.runs), wf, bind_args(self.world, wf, spec.args))
         self.runs.append(run)
         self.queue.push(at, ("start", run.id))
 
@@ -381,23 +347,14 @@ class Simulation:
                 run.status = RunStatus.RUNNING
                 world.record("WorkflowStart", tick, {"run": run.id, "workflow": run.workflow.name})
                 self._begin_next_step(run, tick)
-        elif isinstance(action, ActivateDirective):
-            try:
-                activate_frame(world, action.frame, dict(action.binding), tick)
-            except XfoError as exc:
-                raise SimulationError(f"activate '{action.frame}' at {tick}: {exc}") from exc
-        elif isinstance(action, DeactivateDirective):
-            try:
-                deactivate_frame(world, (action.frame, dict(action.binding)), tick)
-            except XfoError as exc:
-                raise SimulationError(f"deactivate '{action.frame}' at {tick}: {exc}") from exc
-        elif isinstance(action, ApplyDirective):
-            try:
-                apply_transitional(world, world.transitionals[action.transitional], tick)
-            except XfoError as exc:
-                raise SimulationError(f"apply '{action.transitional}' at {tick}: {exc}") from exc
-        else:
+        elif isinstance(action, InterruptDirective):
             self._interrupt_now(self.runs[action.run], tick)
+        else:
+            try:
+                apply_action(world, action, tick)
+            except XfoError as exc:
+                word = ACTION_KEYWORDS[type(action)][0]
+                raise SimulationError(f"{word} '{action.target}' at {tick}: {exc}") from exc
 
     def _interrupt_now(self, run: WorkflowRun, tick: int) -> None:
         if run.status in TERMINAL:
@@ -413,15 +370,7 @@ class Simulation:
         return run.cancelled_after is not None and tick > run.cancelled_after
 
     def _begin_next_step(self, run: WorkflowRun, tick: int) -> None:
-        spin_tick, spun = run._spin
-        spun = spun + 1 if spin_tick == tick else 1
-        run._spin = (tick, spun)
-        if spun > SPIN_LIMIT:
-            raise SimulationError(
-                f"run {run.id} ('{run.workflow.name}') began {SPIN_LIMIT} steps at tick {tick}; "
-                "zero-duration loop livelock"
-            )
-        step = run.cursor.next_step(self.world, tick, run.binding, self.scenario.horizon)
+        step = run.next_step(self.world, tick, self.scenario.horizon)
         if step is None:
             run.status = RunStatus.COMPLETED
             self.world.record(
@@ -479,25 +428,22 @@ class Simulation:
             self.guards_evaluated += 1
             holds = all(p.holds(self.world, tick) for p in rule.guard)
             if holds and not self._rule_prev[rule.name]:
-                self.world.record("RuleFired", tick, {"rule": rule.name, "action": rule.action.render()})
                 self._fire(rule, tick)
             # both after the action, so a run resumed after it failed re-evaluates
             self._rule_prev[rule.name] = holds
             self._rule_seen[i] = seen
 
-    def _fire(self, rule, tick: int) -> None:
+    def _fire(self, rule: Rule, tick: int) -> None:
+        """Record RuleFired and take the action; a failed action leaves no record."""
         world, action = self.world, rule.action
+        fired = world.record("RuleFired", tick, {"rule": rule.name, "action": action.render()})
         try:
-            if action.kind == "start_workflow":
-                wf = world.workflows[action.target]
-                self._queue_run(wf, bind_args(world, wf, action.args), tick)
-            elif action.kind == "apply_transitional":
-                apply_transitional(world, world.transitionals[action.target], tick)
-            elif action.kind == "activate_frame":
-                activate_frame(world, action.target, dict(action.binding), tick)
+            if isinstance(action, RunSpec):
+                self._queue_run(action, tick)
             else:
-                deactivate_frame(world, (action.target, dict(action.binding)), tick)
+                apply_action(world, action, tick)
         except XfoError as exc:
+            world.unrecord(fired)
             raise SimulationError(f"rule '{rule.name}' action failed at {tick}: {exc}") from exc
 
 

@@ -199,6 +199,12 @@ class World:
         self.trace.append(ev)
         return ev
 
+    def unrecord(self, ev: TraceEvent) -> None:
+        """Undo ``record``: remove ``ev`` if it is still the newest event."""
+        if self.trace and self.trace[-1] is ev:
+            self.trace.pop()
+            self._seq -= 1
+
     # ------------------------------------------------------------------
     # kinds and declarations
 

@@ -1,6 +1,8 @@
 """Parser, diagnostics, pretty-printer round-trips."""
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from xfo import loader
@@ -12,8 +14,7 @@ from xfo.dsl import (
     print_model,
     print_scenario,
 )
-from xfo.dynamics import Cond, Frame, Loop, Rule, Step, Transitional, Wildcard, Workflow
-from xfo.microworld import RunSpec
+from xfo.dynamics import Cond, Frame, Loop, Rule, RunSpec, Step, Transitional, Wildcard, Workflow
 from xfo.ontology import EntityDef
 from xfo.relations import RelationDeclaration, RelationKind
 
@@ -134,7 +135,7 @@ def test_parse_mechanism_and_rule():
     m, r = res.document.statements
     assert isinstance(m, Workflow) and not m.requires_agent
     assert isinstance(r, Rule) and len(r.guard) == 2
-    assert r.action.kind == "start_workflow" and r.action.args == ("boss",)
+    assert r.action == RunSpec("hire", ("boss",))
 
 
 # Uses every scenario statement and directive kind.
@@ -382,6 +383,21 @@ def test_roundtrip_shipped_files():
     assert printed == EVERY_DIRECTIVE
     second = parse_scenario(printed)
     assert second.ok and second.document == first.document
+
+
+def test_rule_action_and_scenario_line_parse_to_one_action():
+    for word, rule_word, operand in (
+        ("run", "start_workflow", "w(a, 2)"),
+        ("apply", "apply_transitional", "t"),
+        ("activate", "activate_frame", "F(x=a, y=b)"),
+        ("deactivate", "deactivate_frame", "F(x=a, y=b)"),
+    ):
+        model = f"rule r {{\n  when exists a K b\n  then {rule_word} {operand}\n}}\n"
+        scenario = f"{word} {operand} at 3\n"
+        rule_doc, scenario_doc = parse_model(model).document, parse_scenario(scenario).document
+        (rule,), (line,) = rule_doc.statements, scenario_doc.statements
+        assert rule.action == dataclasses.replace(line, at=None) and line.at == 3
+        assert print_model(rule_doc) == model and print_scenario(scenario_doc) == scenario
 
 
 @given(st.text(max_size=300))

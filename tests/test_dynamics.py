@@ -4,10 +4,12 @@ from __future__ import annotations
 import pytest
 
 from xfo.dynamics import (
+    ActivateDirective,
+    ApplyDirective,
     Cond,
     LinkTemplate,
     Loop,
-    RuleAction,
+    RunSpec,
     Seq,
     StatePredicate,
     Step,
@@ -31,6 +33,7 @@ from xfo.errors import (
     MissingAgentError,
     NotActiveError,
     PreconditionFailedError,
+    ResolveError,
     UnboundedLoopError,
     UnknownActionError,
     UnknownEntityError,
@@ -372,26 +375,29 @@ def test_define_rule_validation(school_world):
     w = school_world
     guard = [P(False, Wildcard("Person"), "Has_Role", "teacher_role")]
     with pytest.raises(DuplicateNameError):
-        define_rule(w, "teacher_vacancy", guard, RuleAction("apply_transitional", "x"))
+        define_rule(w, "teacher_vacancy", guard, ApplyDirective("x"))
     with pytest.raises(UnknownActionError):
-        define_rule(w, "r1", guard, RuleAction("start_workflow", "ghost"))
+        define_rule(w, "r1", guard, RunSpec("ghost"))
     with pytest.raises(UnknownActionError):
         # arity mismatch against hireReplacement(recruiter)
-        define_rule(w, "r2", guard, RuleAction("start_workflow", "hireReplacement", args=()))
+        define_rule(w, "r2", guard, RunSpec("hireReplacement", ()))
     with pytest.raises(UnknownEntityError):
         define_rule(w, "r3", [P(True, "ghost", "Has_Role", "teacher_role")],
-                    RuleAction("start_workflow", "hireReplacement", args=("superintendent1",)))
+                    RunSpec("hireReplacement", ("superintendent1",)))
     with pytest.raises(UnknownEntityError):
         # wildcard type must be a universal
         define_rule(w, "r4", [P(False, Wildcard("B_Object"), "Has_Role", "teacher_role")],
-                    RuleAction("start_workflow", "hireReplacement", args=("superintendent1",)))
+                    RunSpec("hireReplacement", ("superintendent1",)))
     with pytest.raises(UnknownSlotError):
-        define_rule(w, "r6", guard, RuleAction("activate_frame", "Employment",
-                                               binding=(("salary", "teacher_salary"),)))
+        define_rule(w, "r6", guard, ActivateDirective("Employment",
+                                                      (("salary", "teacher_salary"),)))
     with pytest.raises(UnknownEntityError):
-        define_rule(w, "r7", guard, RuleAction("start_workflow", "hireReplacement", args=("ghost",)))
+        define_rule(w, "r7", guard, RunSpec("hireReplacement", ("ghost",)))
+    with pytest.raises(ResolveError):
+        # a rule's action runs at the tick the rule fires; it has no tick of its own
+        define_rule(w, "r8", guard, RunSpec("hireReplacement", ("superintendent1",), 7))
     r = define_rule(w, "r5", guard,
-                    RuleAction("start_workflow", "hireReplacement", args=("superintendent1",)))
+                    RunSpec("hireReplacement", ("superintendent1",)))
     assert r.action.render() == "start_workflow hireReplacement(superintendent1)"
 
 

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +21,7 @@ from xfo.microworld import RunStatus, Scenario, load_scenario
 from xfo.trace import trace_to_json
 
 from helpers import (
+    MODELS_DIR,
     hq_quality,
     link_events,
     load_shipped_scenario,
@@ -469,6 +473,103 @@ run spin() at 0
         sim.run_until(2)
 
 
+SPIN_MODEL = """
+model Spin
+universal Thing is_a B_Object
+particular a instance_of Thing
+particular b instance_of Thing
+relation K from B_Object to B_Object
+relate Thing K Thing
+mechanism spin {
+  loop until exists a K b {
+    if exists b K a {
+      step s {
+        duration 1
+      }
+    }
+  }
+}
+"""
+
+SPIN_CHILD = f"""
+from xfo import loader
+from xfo.dsl import parse_model, parse_scenario
+from xfo.microworld import Simulation
+world, _ = loader.build_world(parse_model({SPIN_MODEL!r}).document)
+doc = parse_scenario("scenario s\\nhorizon 5\\nrun spin() at 1\\n").document
+sim = Simulation(world, loader.build_scenario(doc, world)[0])
+try:
+    sim.run_until(3)
+except Exception as exc:
+    print(type(exc).__name__, exc, sim.summary())
+"""
+
+
+def test_loop_whose_iterations_begin_no_step_is_refused():
+    # Each iteration takes no step, so nothing can change the loop's guard.
+    # Run in a child process: an engine that does not count these cursor
+    # moves loops forever, and the timeout fails the test instead.
+    env = dict(os.environ, PYTHONPATH=str(MODELS_DIR.parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SPIN_CHILD], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.stdout == (
+        "SimulationError run 0 ('spin') began 10000 steps at tick 1; zero-duration loop livelock "
+        "[(0, 'spin', 'Running', None)]\n"
+    ), proc.stderr
+
+
+COLLAPSE_MODEL = """
+model Collapse
+universal Thing is_a B_Object
+universal Shade is_a B_Quality
+particular a instance_of Thing
+particular b instance_of Thing
+particular c instance_of Thing
+relation K from B_Object to B_Object
+relate Thing K Thing
+relate Thing Has_Quality Shade
+mechanism link_twice(x, y) {
+  step s {
+    duration 1
+    effect link x K c
+    effect link y K c
+  }
+}
+mechanism unlink_twice(x, y) {
+  step s {
+    duration 1
+    effect unlink x K b
+    effect unlink y K b
+  }
+}
+mechanism assume(x) {
+  step s placeholder {
+    duration 1
+    effect unlink a K b
+    effect link a Has_Quality x
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("run, predicate", [
+    ("link_twice(a, a)", "binding collapses two edits onto a K c"),
+    ("unlink_twice(a, a)", "binding collapses two edits onto a K b"),
+    # a placeholder asserts that its links are absent, not that they are valid
+    ("assume(c)", "range: B ancestor of 'c' is 'B_Object', which does not descend from 'B_Quality'"),
+])
+def test_refused_step_edits_break_the_run_and_write_nothing(run, predicate):
+    world, scenario = _world_and_scenario(COLLAPSE_MODEL, f"scenario s\nhorizon 5\ninit a K b\nrun {run} at 0\n")
+    sim = load_scenario(world, scenario)
+    sim.run_until(3)
+    assert sim.summary()[0][2] == "Broken"
+    assert [(e.at, e.kind) for e in world.trace] == [
+        (0, "Link"), (0, "WorkflowStart"), (0, "StepStart"), (1, "WorkflowBroken")]
+    assert world.trace[-1].payload["predicate"] == predicate
+    assert world.active_link("a", "K", "b") is not None
+    assert world.active_link("a", "K", "c") is None
+
+
 def test_load_rejects_bad_scenarios():
     world = load_world("traffic.xfo")
     with pytest.raises(ResolveError):
@@ -557,6 +658,8 @@ def test_refused_scenario_leaves_the_world_untouched():
         (Scenario("s", 5, (init, init), ()), InvalidInitialLinkError),
         # a negative duration would queue a step's end before its start
         (Scenario("s", 5, (init,), (RunSpec("trafficCycle", lamps + (2, -1, 3), 0),)), ResolveError),
+        # a directive without a tick; only a rule's action has none
+        (Scenario("s", 5, (init,), (RunSpec("trafficCycle", lamps + (2, 1, 3)),)), ResolveError),
     ):
         before = (list(world.links), list(world.trace), list(world.warnings),
                   dict(world.frame_activations))

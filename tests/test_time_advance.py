@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from xfo import loader
 from xfo.dsl import parse_model, parse_scenario
-from xfo.dynamics import RuleAction, define_rule
+from xfo.dynamics import RunSpec, define_rule
 from xfo.errors import XfoError
 from xfo.microworld import Simulation
 from xfo.trace import trace_to_json
@@ -44,7 +44,6 @@ class NaiveSimulation(Simulation):
             rule = self.world.rules[name]
             holds = all(p.holds(self.world, tick) for p in rule.guard)
             if holds and not self._rule_prev[name]:
-                self.world.record("RuleFired", tick, {"rule": name, "action": rule.action.render()})
                 self._fire(rule, tick)
             self._rule_prev[name] = holds
 
@@ -298,12 +297,25 @@ def test_rule_dirtied_within_a_tick_is_evaluated_at_the_next(case):
     assert [(e["at"], e["payload"]["rule"]) for e in events if e["kind"] == "RuleFired"] == fired
 
 
+def test_failed_rule_action_leaves_no_rule_fired():
+    # the rule fires at tick 0 and unlinks a link that is not active; each
+    # retry of the tick fails the same way and records nothing
+    rules = "rule undo {\n  when not_exists a K0 b\n  then apply_transitional unlink_k0\n}\n"
+    error = ("SimulationError", "rule 'undo' action failed at 0: unlink target not active: a K0 b")
+    ops = [("run_until", 3)] * 3
+    runs = [_drive(engine, SMALL + rules, "scenario s\nhorizon 9\nrule undo\n", ops)
+            for engine in (NaiveSimulation, Simulation)]
+    assert runs[1] == runs[0]
+    assert [outcome for _, outcome, _ in runs[1]["calls"]] == [error] * 3
+    assert json.loads(runs[1]["trace"])["events"] == []
+
+
 def test_rule_with_no_guard_fires_at_tick_zero():
     # the DSL needs a 'when'; the API takes an empty conjunction, which holds
     fired = []
     for engine in (NaiveSimulation, Simulation):
         world, _ = loader.build_world(parse_model(SMALL, "m.xfo").document)
-        define_rule(world, "always", (), RuleAction("start_workflow", "idle"))
+        define_rule(world, "always", (), RunSpec("idle"))
         sres = parse_scenario("scenario s\nhorizon 3\nrule always\n", "s.xws")
         sc, _ = loader.build_scenario(sres.document, world)
         engine(world, sc).run_until(3)
