@@ -55,6 +55,6 @@ from .relations import (
     ValidationResult,
     World,
 )
-from .trace import TraceDoc, TraceEvent, parse_trace, replay_spans, trace_to_json
+from .trace import TraceDoc, TraceEvent, parse_trace, replay_spans, trace_parts, trace_to_json
 
 __version__ = "0.1.0"

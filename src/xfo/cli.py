@@ -20,7 +20,7 @@ from .errors import (
 )
 from .microworld import load_scenario
 from .ontology import Layer
-from .trace import parse_trace, trace_to_json
+from .trace import parse_trace, trace_parts
 
 
 def _print_diags(diags) -> bool:
@@ -98,8 +98,8 @@ def cmd_run(args) -> int:
     for msg in world.warnings:
         print(f"warning: {msg}")
     if args.trace:
-        text = trace_to_json(world.model_name, scenario.name, scenario.horizon, world.trace)
-        Path(args.trace).write_text(text, encoding="utf-8")
+        with open(args.trace, "w", encoding="utf-8") as out:
+            out.writelines(trace_parts(world.model_name, scenario.name, scenario.horizon, world.trace))
         print(f"wrote trace: {args.trace}")
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .dynamics import (
     ACTION_KEYWORDS,
@@ -48,6 +49,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<int>[0-9]+)"
     r"|(?P<punct>[(){},=])"
+    r"|(?P<bad>.)"  # anything else: one E_PARSE per character
 )
 
 
@@ -62,8 +64,7 @@ class Diagnostic:
         return f"{self.span}: {self.severity}: [{self.code}] {self.message}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # name | int | wildcard | punct
     text: str
     line: int
@@ -146,22 +147,19 @@ def _tokenize(text: str, file: str, diags: list[Diagnostic]) -> list[list[Token]
     lines: list[list[Token]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks: list[Token] = []
-        pos = 0
-        while pos < len(raw):
-            m = _TOKEN_RE.match(raw, pos)
-            if m is None:
-                diags.append(Diagnostic(
-                    "error", "E_PARSE", f"unexpected character {raw[pos]!r}",
-                    SourceSpan(file, line_no, pos + 1),
-                ))
-                pos += 1
-                continue
+        for m in _TOKEN_RE.finditer(raw):  # contiguous: every character matches a group
             kind = m.lastgroup
+            if kind == "ws":
+                continue
             if kind == "comment":
                 break
-            if kind != "ws":
+            if kind == "bad":
+                diags.append(Diagnostic(
+                    "error", "E_PARSE", f"unexpected character {m.group()!r}",
+                    SourceSpan(file, line_no, m.start() + 1),
+                ))
+            else:
                 toks.append(Token(kind, m.group(), line_no, m.start() + 1))
-            pos = m.end()
         lines.append(toks)
     return lines
 

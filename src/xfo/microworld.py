@@ -128,8 +128,8 @@ class WorkflowRun:
             self._moves += 1
             if self._moves > SPIN_LIMIT:
                 raise SimulationError(
-                    f"run {self.id} ('{self.workflow.name}') began {SPIN_LIMIT} steps at tick {tick}; "
-                    "zero-duration loop livelock"
+                    f"run {self.id} ('{self.workflow.name}') made {SPIN_LIMIT} cursor moves "
+                    f"at tick {tick}; loop livelock"
                 )
             frame = self._stack[-1]
             if frame[0] == "seq":
@@ -224,6 +224,8 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
     for i, item in enumerate(sc.schedule):
         if item.at is None:
             yield "schedule", i, ResolveError(f"{label}: {item!r} has no tick")
+        elif item.at < 0:
+            yield "schedule", i, ResolveError(f"{label}: tick {item.at} is before tick 0")
         elif item.at > sc.horizon:
             yield "schedule", i, ResolveError(f"{label}: tick {item.at} is past the horizon {sc.horizon}")
         try:

@@ -32,16 +32,15 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _quality_spans(doc: TraceDoc):
-    """entity -> list of (start, end, quality) from Has_Quality links,
-    clipped to the horizon."""
-    spans = replay_spans(doc.events)
+def _quality_spans(spans, horizon: int):
+    """entity -> list of (start, end, quality) from the Has_Quality links
+    in ``replay_spans`` output, clipped to the horizon."""
     rows: dict[str, list[tuple[int, int, str]]] = {}
     for (frm, kind, to), ranges in spans.items():
         if kind != "Has_Quality":
             continue
         for start, end in ranges:
-            stop = doc.horizon if end is None else min(end, doc.horizon)
+            stop = horizon if end is None else min(end, horizon)
             if stop <= start:
                 continue
             rows.setdefault(frm, []).append((start, stop, to))
@@ -61,7 +60,7 @@ def _axis(out: list[str], width: int, y: int, horizon: int) -> None:
 
 def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
     """One band per entity showing its Has_Quality spans over [0, horizon]."""
-    rows = _quality_spans(doc)
+    rows = _quality_spans(replay_spans(doc.events), doc.horizon)
     if entities is None:
         names = sorted(rows)
     else:
@@ -101,11 +100,12 @@ def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _containers(doc: TraceDoc):
-    """container -> sorted member entities, from Continuant_Part_Of links."""
+def _containers(spans):
+    """container -> sorted member entities, from the Continuant_Part_Of
+    links in ``replay_spans`` output."""
     groups: dict[str, list[str]] = {}
     grouped: set[str] = set()
-    for (frm, kind, to), _ranges in replay_spans(doc.events).items():
+    for (frm, kind, to), _ranges in spans.items():
         if kind != "Continuant_Part_Of":
             continue
         groups.setdefault(to, [])
@@ -122,8 +122,9 @@ def render_snapshot(doc: TraceDoc, at: int) -> str:
     member colored by its active Has_Quality link."""
     if not 0 <= at <= doc.horizon:
         raise TickOutOfRangeError(f"tick {at} outside [0, {doc.horizon}]")
-    rows = _quality_spans(doc)
-    groups, grouped = _containers(doc)
+    spans = replay_spans(doc.events)
+    rows = _quality_spans(spans, doc.horizon)
+    groups, grouped = _containers(spans)
     loose = sorted(set(rows) - grouped)
     panels = [(name, groups[name]) for name in sorted(groups)]
     if loose:

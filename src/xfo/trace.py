@@ -2,12 +2,18 @@
 
 The serialized form is fully deterministic: fixed field order, integer
 ticks, no floating point anywhere. Two identical runs produce identical
-bytes.
+bytes. Those bytes are exactly ``json.dumps(doc, indent=2) + "\n"``:
+2-space indent, ASCII-only (``\\uXXXX`` escapes), keys in the order
+model, scenario, horizon, version, events and, per event, seq, at, kind,
+payload. ``trace_parts`` writes them with the C string encoder; the
+indenting pure-Python encoder is kept only as the tests' reference.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedTraceError
 
@@ -26,14 +32,14 @@ EVENT_KINDS = (
     "WorkflowBroken",
     "Interrupt",
 )
+_KIND_SET = frozenset(EVENT_KINDS)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq: int
     at: int
     kind: str
-    payload: dict = field(default_factory=dict)
+    payload: dict
 
 
 @dataclass(frozen=True)
@@ -45,18 +51,48 @@ class TraceDoc:
     events: tuple[TraceEvent, ...]
 
 
-def trace_to_json(model: str, scenario: str, horizon: int, events: list[TraceEvent]) -> str:
-    doc = {
-        "model": model,
-        "scenario": scenario,
-        "horizon": horizon,
-        "version": TRACE_FORMAT_VERSION,
-        "events": [
-            {"seq": e.seq, "at": e.at, "kind": e.kind, "payload": e.payload}
-            for e in events
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+# One JSON value with no indentation: the C encoder, ensure_ascii on.
+_encode = json.JSONEncoder().encode
+
+
+def _value(v, indent: str) -> str:
+    """``v`` as ``json.dumps(indent=2)`` lays it out at nesting ``indent``;
+    object keys are strings, as JSON's are."""
+    if type(v) is str:
+        return _encode(v)
+    if type(v) is int:  # an int's JSON is its repr; bool and int subclasses are not
+        return f"{v}"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = indent + "  "
+        items = ",".join([f"\n{inner}{_encode(k)}: {_value(x, inner)}" for k, x in v.items()])
+        return f"{{{items}\n{indent}}}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = indent + "  "
+        items = ",".join([f"\n{inner}{_value(x, inner)}" for x in v])
+        return f"[{items}\n{indent}]"
+    return _encode(v)
+
+
+def trace_parts(model: str, scenario: str, horizon: int, events: Iterable[TraceEvent]) -> Iterator[str]:
+    """The trace document in pieces: a header, one piece per event, a
+    footer. Joined they are ``trace_to_json``; ``xfo run --trace`` writes
+    them one by one."""
+    yield (f'{{\n  "model": {_value(model, "  ")},\n  "scenario": {_value(scenario, "  ")},\n'
+           f'  "horizon": {_value(horizon, "  ")},\n  "version": {TRACE_FORMAT_VERSION},\n  "events": [')
+    sep = "\n"
+    for seq, at, kind, payload in events:
+        yield (f'{sep}    {{\n      "seq": {_value(seq, "      ")},\n      "at": {_value(at, "      ")},\n'
+               f'      "kind": {_value(kind, "      ")},\n      "payload": {_value(payload, "      ")}\n    }}')
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
+
+
+def trace_to_json(model: str, scenario: str, horizon: int, events: Iterable[TraceEvent]) -> str:
+    return "".join(trace_parts(model, scenario, horizon, events))
 
 
 def parse_trace(text: str) -> TraceDoc:
@@ -74,22 +110,23 @@ def parse_trace(text: str) -> TraceDoc:
         raise MalformedTraceError(f"unsupported trace format version {raw['version']}")
     if not isinstance(raw.get("events"), list):
         raise MalformedTraceError("missing or invalid 'events' list")
-    events = []
+    events: list[TraceEvent] = []
+    append, kinds, is_a, event = events.append, _KIND_SET, isinstance, TraceEvent
     last_seq, last_at = -1, 0
     for i, e in enumerate(raw["events"]):
-        if not isinstance(e, dict):
+        if not is_a(e, dict):
             raise MalformedTraceError(f"event {i} is not an object")
-        seq, at, kind = e.get("seq"), e.get("at"), e.get("kind")
-        if not isinstance(seq, int) or not isinstance(at, int) or kind not in EVENT_KINDS:
+        seq, at, kind, payload = e.get("seq"), e.get("at"), e.get("kind"), e.get("payload")
+        # a JSON kind may be a list or object: test str before hashing it
+        if not (is_a(seq, int) and is_a(at, int) and is_a(kind, str) and kind in kinds):
             raise MalformedTraceError(f"event {i} has invalid seq/at/kind")
         if seq <= last_seq:
             raise MalformedTraceError(f"event {i}: seq not strictly increasing")
         if at < last_at:
             raise MalformedTraceError(f"event {i}: tick decreases")
-        payload = e.get("payload")
-        if not isinstance(payload, dict):
+        if not is_a(payload, dict):
             raise MalformedTraceError(f"event {i} has no payload object")
-        events.append(TraceEvent(seq, at, kind, payload))
+        append(event(seq, at, kind, payload))
         last_seq, last_at = seq, at
     return TraceDoc(raw["model"], raw["scenario"], raw["horizon"], raw["version"], tuple(events))
 

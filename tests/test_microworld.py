@@ -513,7 +513,7 @@ def test_loop_whose_iterations_begin_no_step_is_refused():
     proc = subprocess.run([sys.executable, "-c", SPIN_CHILD], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.stdout == (
-        "SimulationError run 0 ('spin') began 10000 steps at tick 1; zero-duration loop livelock "
+        "SimulationError run 0 ('spin') made 10000 cursor moves at tick 1; loop livelock "
         "[(0, 'spin', 'Running', None)]\n"
     ), proc.stderr
 
@@ -660,6 +660,8 @@ def test_refused_scenario_leaves_the_world_untouched():
         (Scenario("s", 5, (init,), (RunSpec("trafficCycle", lamps + (2, -1, 3), 0),)), ResolveError),
         # a directive without a tick; only a rule's action has none
         (Scenario("s", 5, (init,), (RunSpec("trafficCycle", lamps + (2, 1, 3)),)), ResolveError),
+        # a tick before 0 would run after tick 0, moving time backwards
+        (Scenario("s", 5, (init,), (RunSpec("trafficCycle", lamps + (2, 1, 3), -1),)), ResolveError),
     ):
         before = (list(world.links), list(world.trace), list(world.warnings),
                   dict(world.frame_activations))

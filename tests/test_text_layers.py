@@ -1,0 +1,257 @@
+"""Differential tests for the text layers: the trace writer, the trace
+reader and the DSL tokenizer, each against the plain implementation it
+replaced. The references below are that code, kept verbatim apart from
+names; every optimised path must give the same bytes, the same objects
+and the same error messages."""
+from __future__ import annotations
+
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xfo import cli
+from xfo.dsl import Diagnostic, Token, _tokenize
+from xfo.errors import MalformedTraceError
+from xfo.ontology import SourceSpan
+from xfo.trace import EVENT_KINDS, TRACE_FORMAT_VERSION, TraceDoc, TraceEvent, parse_trace, trace_to_json
+
+from helpers import MODELS_DIR, model_text, run_scenario
+
+SHIPPED_RUNS = [
+    ("traffic.xfo", "traffic_desk.xws"),
+    ("school.xfo", "school_hire.xws"),
+    ("celadon.xfo", "celadon_run.xws"),
+    ("celadon.xfo", "celadon_broken.xws"),
+    ("celadon.xfo", "celadon_interrupt.xws"),
+]
+
+
+# ----------------------------------------------------------------------
+# references
+
+
+def reference_to_json(model, scenario, horizon, events) -> str:
+    doc = {
+        "model": model,
+        "scenario": scenario,
+        "horizon": horizon,
+        "version": TRACE_FORMAT_VERSION,
+        "events": [
+            {"seq": e.seq, "at": e.at, "kind": e.kind, "payload": e.payload}
+            for e in events
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_parse(text: str) -> TraceDoc:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedTraceError(f"not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise MalformedTraceError("trace document must be a JSON object")
+    for key, typ in (("model", str), ("scenario", str), ("horizon", int), ("version", int)):
+        if not isinstance(raw.get(key), typ):
+            raise MalformedTraceError(f"missing or invalid header field '{key}'")
+    if raw["version"] != TRACE_FORMAT_VERSION:
+        raise MalformedTraceError(f"unsupported trace format version {raw['version']}")
+    if not isinstance(raw.get("events"), list):
+        raise MalformedTraceError("missing or invalid 'events' list")
+    events = []
+    last_seq, last_at = -1, 0
+    for i, e in enumerate(raw["events"]):
+        if not isinstance(e, dict):
+            raise MalformedTraceError(f"event {i} is not an object")
+        seq, at, kind = e.get("seq"), e.get("at"), e.get("kind")
+        if not isinstance(seq, int) or not isinstance(at, int) or kind not in EVENT_KINDS:
+            raise MalformedTraceError(f"event {i} has invalid seq/at/kind")
+        if seq <= last_seq:
+            raise MalformedTraceError(f"event {i}: seq not strictly increasing")
+        if at < last_at:
+            raise MalformedTraceError(f"event {i}: tick decreases")
+        payload = e.get("payload")
+        if not isinstance(payload, dict):
+            raise MalformedTraceError(f"event {i} has no payload object")
+        events.append(TraceEvent(seq, at, kind, payload))
+        last_seq, last_at = seq, at
+    return TraceDoc(raw["model"], raw["scenario"], raw["horizon"], raw["version"], tuple(events))
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t]+)"
+    r"|(?P<comment>#.*)"
+    r"|(?P<wildcard>any:[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<punct>[(){},=])"
+)
+
+
+def reference_tokenize(text: str, file: str, diags: list) -> list[list[Token]]:
+    lines = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        toks = []
+        pos = 0
+        while pos < len(raw):
+            m = _REFERENCE_TOKEN_RE.match(raw, pos)
+            if m is None:
+                diags.append(Diagnostic(
+                    "error", "E_PARSE", f"unexpected character {raw[pos]!r}",
+                    SourceSpan(file, line_no, pos + 1),
+                ))
+                pos += 1
+                continue
+            kind = m.lastgroup
+            if kind == "comment":
+                break
+            if kind != "ws":
+                toks.append(Token(kind, m.group(), line_no, m.start() + 1))
+            pos = m.end()
+        lines.append(toks)
+    return lines
+
+
+def outcome(read, text):
+    """A reader's TraceDoc, or the message of its MalformedTraceError."""
+    try:
+        return read(text)
+    except MalformedTraceError as exc:
+        return f"MalformedTraceError: {exc}"
+
+
+# ----------------------------------------------------------------------
+# strategies
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r", "é ü", "日本", "😀", ""])
+BIG_INT = st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70) | st.integers(max_value=-(2**63))
+LEAF = st.none() | st.booleans() | BIG_INT | TEXT | st.floats(allow_nan=False)
+VALUE = st.recursive(
+    LEAF,
+    lambda inner: st.dictionaries(TEXT, inner, max_size=3) | st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+PAYLOAD = st.dictionaries(TEXT, VALUE, max_size=4)  # empty payloads included
+KIND = st.sampled_from(EVENT_KINDS)
+
+
+@st.composite
+def valid_events(draw):
+    """Events parse_trace accepts: seq strictly increasing, at not decreasing."""
+    n = draw(st.integers(0, 5))
+    seqs = sorted(draw(st.sets(BIG_INT.filter(lambda s: s >= 0), min_size=n, max_size=n)))
+    ats = sorted(draw(st.lists(st.integers(0, 2**64), min_size=n, max_size=n)))
+    return [TraceEvent(s, a, draw(KIND), draw(PAYLOAD)) for s, a in zip(seqs, ats)]
+
+
+# ----------------------------------------------------------------------
+# writer
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=TEXT, scenario=TEXT, horizon=BIG_INT,
+       events=st.lists(st.builds(TraceEvent, BIG_INT | st.booleans(), BIG_INT, KIND | TEXT, PAYLOAD),
+                       max_size=4))
+def test_writer_matches_reference(model, scenario, horizon, events):
+    assert trace_to_json(model, scenario, horizon, events) == reference_to_json(model, scenario, horizon, events)
+
+
+@pytest.mark.parametrize("model,scenario", SHIPPED_RUNS, ids=[s for _, s in SHIPPED_RUNS])
+def test_shipped_traces_are_byte_identical(model, scenario, tmp_path, capsys):
+    world, _, scen = run_scenario(model, scenario)
+    args = (world.model_name, scen.name, scen.horizon, world.trace)
+    text = trace_to_json(*args)
+    assert text == reference_to_json(*args)
+    assert parse_trace(text) == reference_parse(text)
+    assert parse_trace(text).events == tuple(world.trace)
+    # `xfo run --trace` streams the same parts to the file
+    out = tmp_path / "trace.json"
+    assert cli.main(["run", str(MODELS_DIR / model), str(MODELS_DIR / scenario), "--trace", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == text.encode("ascii")
+
+
+def test_empty_trace_is_byte_identical():
+    assert trace_to_json("m", "s", 0, []) == reference_to_json("m", "s", 0, []) == (
+        '{\n  "model": "m",\n  "scenario": "s",\n  "horizon": 0,\n  "version": 1,\n  "events": []\n}\n'
+    )
+
+
+# ----------------------------------------------------------------------
+# reader
+
+DELETE = object()
+# values of every JSON type, including `true` where an int is due
+MUTANT = st.sampled_from([DELETE, True, False, None, -1, 0, 1.5, "Link", "Bogus", [], ["Link"], {}, {"a": 1}])
+FIELD = st.sampled_from(["seq", "at", "kind", "payload", None])  # None: the whole event
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=valid_events(), data=st.data())
+def test_reader_matches_reference(events, data):
+    raw = json.loads(reference_to_json("m", "s", 5, events))
+    if events and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(events) - 1))
+        field, value = data.draw(FIELD), data.draw(MUTANT)
+        if field is None:
+            raw["events"][i] = {} if value is DELETE else value
+        elif value is DELETE:
+            del raw["events"][i][field]
+        else:
+            raw["events"][i][field] = value
+        if i > 0 and isinstance(raw["events"][i], dict) and data.draw(st.booleans()):  # a tick that goes backwards
+            raw["events"][i]["at"] = raw["events"][i - 1]["at"] - 1
+    elif data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(["model", "scenario", "horizon", "version", "events"]))
+        value = data.draw(MUTANT | st.just(TRACE_FORMAT_VERSION + 1))
+        if value is DELETE:
+            del raw[key]
+        else:
+            raw[key] = value
+    text = json.dumps(raw)
+    assert outcome(parse_trace, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "[]", "{}",
+    '{"model": "m", "scenario": "s", "horizon": 1, "version": 1, "events": [{"seq": true, "at": 0,'
+    ' "kind": "Link", "payload": {}}]}',
+    '{"model": "m", "scenario": "s", "horizon": 1, "version": 1, "events": [{"seq": 0, "at": 0,'
+    ' "kind": ["Link"], "payload": {}}]}',
+])
+def test_reader_matches_reference_on_edge_documents(text):
+    assert outcome(parse_trace, text) == outcome(reference_parse, text)
+
+
+def test_events_are_immutable():
+    ev = TraceEvent(0, 0, "Link", {})
+    with pytest.raises(AttributeError):
+        ev.at = 1
+    assert TraceEvent._field_defaults == {}  # no payload shared between events
+
+
+# ----------------------------------------------------------------------
+# tokenizer
+
+SOURCE = st.text(alphabet=st.sampled_from(list("any:ab_Z09 \t#(){},=\n\r-@é\x0c \"")), max_size=60)
+
+
+def tokens_and_diags(tokenize, text):
+    diags: list = []
+    return tokenize(text, "f.xfo", diags), diags
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=SOURCE)
+def test_tokenizer_matches_reference(text):
+    assert tokens_and_diags(_tokenize, text) == tokens_and_diags(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.iterdir() if p.suffix in (".xfo", ".xws")))
+def test_tokenizer_matches_reference_on_shipped_files(name):
+    text = model_text(name)
+    assert tokens_and_diags(_tokenize, text) == tokens_and_diags(reference_tokenize, text)
