@@ -1,7 +1,7 @@
 """Transitionals, Frames, Workflows/Mechanisms, actions and rules.
 
-Link edits are atomic: an edit batch is prechecked in full before anything
-is applied, so a failed batch leaves the link history untouched. Strict
+Link edits are atomic: each batch is one ``World.edit``, checked in full
+before it writes, so a failed batch leaves the link history untouched. Strict
 edits carry implicit preconditions (an unlink needs its link active, a new
 link needs validity and absence); placeholder steps skip an inactive
 unlink or an active link instead of failing, but still need valid links.
@@ -13,11 +13,14 @@ from typing import Union
 
 from .errors import (
     AlreadyActiveError,
+    DuplicateActiveLinkError,
     DuplicateNameError,
     IncompleteBindingError,
     InvalidLinkError,
     InvalidTemplateError,
+    LinkEditError,
     MissingAgentError,
+    NoActiveLinkError,
     NotActiveError,
     PreconditionFailedError,
     ResolveError,
@@ -28,7 +31,7 @@ from .errors import (
     XfoError,
 )
 from .ontology import Layer, SourceSpan, _span_field
-from .relations import World
+from .relations import World, _repeated
 from .trace import TraceEvent
 
 # A ref inside a template or predicate is a concrete entity name or, inside
@@ -137,19 +140,10 @@ def _static_check_template(world: World, t: LinkTemplate, params: frozenset[str]
     if len(refs) < 2:
         return
     res = world.validate_link(t.from_ref, t.kind, t.to_ref)
-    if not world.admit(res, f"{label}: "):
+    if not world.admit(res):
         raise InvalidTemplateError(f"{label}: invalid template '{t}': {res.reason}")
-
-
-def _repeated(edits: list):
-    """The first link template or resolved triple that occurs twice in
-    ``edits``, if any: one batch edits each link at most once."""
-    seen = set()
-    for t in edits:
-        if t in seen:
-            return t
-        seen.add(t)
-    return None
+    if not res:
+        world.warnings.append(f"tier-2: {label}: {res.reason}")
 
 
 def _check_edits(world: World, templates: tuple, params: frozenset[str], label: str) -> None:
@@ -183,9 +177,9 @@ def apply_edits(
     *,
     lenient: bool = False,
 ) -> list[TraceEvent]:
-    """Apply an unlink/link batch atomically at one tick.
+    """Apply an unlink/link batch atomically at one tick: one ``World.edit``.
 
-    Every edit is prechecked; a failure, or two edits on one triple, raises
+    A refused edit, or two edits on one triple, raises
     PreconditionFailedError naming the failed predicate and leaves the
     world unchanged. Lenient mode first drops inactive unlinks and active links.
     """
@@ -197,29 +191,18 @@ def apply_edits(
     if lenient:
         un = [t for t in un if world.active_link(*t) is not None]
         ln = [t for t in ln if world.active_link(*t) is None]
-    for t in un:
-        if world.active_link(*t) is None:
-            raise PreconditionFailedError(
-                f"unlink target not active: {' '.join(t)}",
-                predicate=f"exists {t[0]} {t[1]} {t[2]}",
-            )
-    for t in ln:
-        res = world.validate_link(*t)
-        if not world.admit(res, None):
-            raise PreconditionFailedError(
-                f"link target invalid: {' '.join(t)}: {res.reason}",
-                predicate=res.reason,
-            )
-        if world.active_link(*t) is not None:
-            raise PreconditionFailedError(
-                f"link target already active: {' '.join(t)}",
-                predicate=f"not_exists {t[0]} {t[1]} {t[2]}",
-            )
     before = len(world.trace)
-    for t in un:
-        world.unlink(*t, at)
-    for t in ln:
-        world.link(*t, at)
+    try:
+        world.edit(un, ln, at)
+    except NoActiveLinkError as exc:
+        t = " ".join(exc.triple)
+        raise PreconditionFailedError(f"unlink target not active: {t}", predicate=f"exists {t}") from exc
+    except DuplicateActiveLinkError as exc:
+        t = " ".join(exc.triple)
+        raise PreconditionFailedError(f"link target already active: {t}", predicate=f"not_exists {t}") from exc
+    except InvalidLinkError as exc:
+        t, reason = " ".join(exc.triple), exc.result.reason
+        raise PreconditionFailedError(f"link target invalid: {t}: {reason}", predicate=reason) from exc
     return world.trace[before:]
 
 
@@ -311,16 +294,12 @@ def activate_frame(world: World, frame: Frame | str, binding: dict[str, str], at
     t = _repeated(triples)
     if t is not None:
         raise InvalidLinkError(f"frame '{f.name}': binding collapses two templates onto {' '.join(t)}")
-    # World.link's own checks, minus its tier-2 warning: link() records that
-    for t in triples:
-        if world.active_link(*t) is not None:
-            raise InvalidLinkError(f"frame '{f.name}': link '{t[0]}' {t[1]} '{t[2]}' is already active")
-        res = world.validate_link(*t)
-        if not world.admit(res, None):
-            raise InvalidLinkError(f"frame '{f.name}': invalid link: {res.reason}")
-    world.record("FrameActivate", at, {"frame": f.name, "binding": _binding_payload(binding)})
-    for t in triples:
-        act.created.append(world.link(*t, at))
+    ev = world.record("FrameActivate", at, {"frame": f.name, "binding": _binding_payload(binding)})
+    try:
+        act.created = world.edit((), triples, at)
+    except LinkEditError as exc:  # a link is already active or invalid
+        world.unrecord(ev)
+        raise InvalidLinkError(f"frame '{f.name}': {exc}") from exc
     world.frame_activations[act.key()] = act
     return act
 
@@ -343,8 +322,7 @@ def deactivate_frame(world: World, activation: FrameActivation | tuple, at: int)
         )
     before = len(world.trace)
     world.record("FrameDeactivate", at, {"frame": act.frame, "binding": _binding_payload(act.binding)})
-    for l in act.created:
-        world.unlink(*l.triple(), at)
+    world.edit([l.triple() for l in act.created], (), at)
     del world.frame_activations[key]
     return world.trace[before:]
 

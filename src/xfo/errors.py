@@ -46,16 +46,23 @@ class SignatureMismatchError(XfoError):
     code = "E_SIG_MISMATCH"
 
 
-class InvalidLinkError(XfoError):
-    """A particular-level link failed validation.
+class LinkEditError(XfoError):
+    """``World.edit`` refused its batch; ``triple`` is the link at fault."""
 
-    Carries the ValidationResult as ``result`` when raised by link().
-    """
+    code = "E_LINK_EDIT"
+
+    def __init__(self, message, triple=None):
+        super().__init__(message)
+        self.triple = triple
+
+
+class InvalidLinkError(LinkEditError):
+    """A particular-level link failed validation; ``result`` is its verdict."""
 
     code = "E_INVALID_LINK"
 
-    def __init__(self, message, result=None):
-        super().__init__(message)
+    def __init__(self, message, result=None, triple=None):
+        super().__init__(message, triple)
         self.result = result
 
 
@@ -65,11 +72,11 @@ class Tier2UncoveredError(InvalidLinkError):
     code = "E_TIER2_UNCOVERED"
 
 
-class DuplicateActiveLinkError(XfoError):
+class DuplicateActiveLinkError(LinkEditError):
     code = "E_DUP_LINK"
 
 
-class NoActiveLinkError(XfoError):
+class NoActiveLinkError(LinkEditError):
     code = "E_NO_ACTIVE_LINK"
 
 

@@ -98,9 +98,7 @@ def build_scenario(doc: ScenarioDocument, world: World) -> tuple[Scenario | None
         if isinstance(stmt, HorizonStmt):
             if horizon is not None:
                 _diag(diags, "E_PARSE", "horizon given more than once", stmt.span)
-            elif stmt.value <= 0:
-                _diag(diags, "E_NO_HORIZON", "horizon must be a positive tick", stmt.span)
-            else:
+            else:  # check_scenario refuses a horizon below 1, at this line
                 horizon = stmt
         elif isinstance(stmt, RuleRefStmt):
             source["rules"].append(stmt)

@@ -10,9 +10,9 @@ therefore produce byte-identical traces.
 Time advances to the next tick that has a queued action or a rule whose
 guard may have changed; the ticks in between are skipped. This cannot
 change the trace: a guard reads only active links, which change only
-through ``World.link``/``World.unlink`` (stamped per kind in
-``World.kind_changed``), so an unstamped guard would re-evaluate to its
-previous value and fire no edge.
+through ``World.edit`` (stamped per kind in ``World.kind_changed``), so
+an unstamped guard would re-evaluate to its previous value and fire no
+edge.
 
 Step effects apply at the step's end tick; a step occupies the half-open
 interval [start, start + duration). A step's preconditions are checked at
@@ -53,7 +53,6 @@ from .dynamics import (
 from .errors import (
     DuplicateActiveLinkError,
     InvalidInitialLinkError,
-    InvalidLinkError,
     NotInterruptibleError,
     PreconditionFailedError,
     ResolveError,
@@ -212,11 +211,9 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
     for i, t in enumerate(sc.init):
         triple = (t.from_ref, t.kind, t.to_ref)
         try:
-            if triple in seen or world.active_link(*triple) is not None:
+            if triple in seen:
                 raise DuplicateActiveLinkError(f"link '{t.from_ref}' {t.kind} '{t.to_ref}' is already active")
-            res = world.validate_link(*triple)
-            if not world.admit(res, None):
-                raise InvalidLinkError(f"invalid link: {res.reason}")
+            world.check_link(*triple)
             seen.add(triple)
         except XfoError as exc:
             yield "init", i, InvalidInitialLinkError(f"initial link '{t}': {exc}")
@@ -226,7 +223,7 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
             yield "schedule", i, ResolveError(f"{label}: {item!r} has no tick")
         elif item.at < 0:
             yield "schedule", i, ResolveError(f"{label}: tick {item.at} is before tick 0")
-        elif item.at > sc.horizon:
+        elif item.at > sc.horizon > 0:  # a horizon below 1 is reported once, above
             yield "schedule", i, ResolveError(f"{label}: tick {item.at} is past the horizon {sc.horizon}")
         try:
             if not isinstance(item, InterruptDirective):
@@ -262,8 +259,7 @@ class Simulation:
         ]
         self._rule_prev: dict[str, bool] = dict.fromkeys(scenario.rules, False)
         self._rule_seen = [-1] * len(self._rules)
-        for t in scenario.init:
-            world.link(t.from_ref, t.kind, t.to_ref, 0)
+        world.edit((), [(t.from_ref, t.kind, t.to_ref) for t in scenario.init], 0)
         for item in scenario.schedule:
             if isinstance(item, RunSpec):
                 self._queue_run(item, item.at)

@@ -11,7 +11,7 @@ sanctioned, which is exactly what tier 2 exists to reject.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -21,6 +21,7 @@ from .errors import (
     DuplicateNameError,
     InvalidLinkError,
     InvalidNameError,
+    LinkEditError,
     NoActiveLinkError,
     NotIndependentContinuantError,
     SignatureMismatchError,
@@ -93,6 +94,17 @@ VALID = ValidationResult(True)
 _START = attrgetter("start")
 
 
+def _repeated(edits: Sequence):
+    """The first link template or triple that occurs twice in ``edits``,
+    if any: one batch edits each link at most once."""
+    seen = set()
+    for t in edits:
+        if t in seen:
+            return t
+        seen.add(t)
+    return None
+
+
 @dataclass(frozen=True)
 class StateLink:
     direction: str  # "out" | "in"
@@ -133,8 +145,8 @@ class World:
     safe for concurrent readers. ``tier2_strict=False`` downgrades tier-2
     link failures to entries in ``warnings``.
 
-    The link store is indexed; ``link`` and ``unlink`` are its only writers
-    and keep these invariants:
+    The link store is indexed. ``edit`` is its only writer: it writes a
+    batch whole or not at all, and keeps these invariants:
 
     * ``links`` is the append-only log of every LinkInstance, in creation
       order.
@@ -298,18 +310,11 @@ class World:
             f"(universals '{reg.lookup(from_p).parent}' / '{reg.lookup(to_p).parent}')",
         )
 
-    def admit(self, res: ValidationResult, warning: str | None = "") -> bool:
+    def admit(self, res: ValidationResult) -> bool:
         """The admission rule for a link with verdict ``res``: True when it
         is valid, or fails only tier 2 in a world that is not tier-2
-        strict. Such a downgraded failure appends ``tier-2: {warning}{reason}``
-        to ``warnings``; a precheck whose link() will warn passes None."""
-        if res:
-            return True
-        if res.tier == 2 and not self.tier2_strict:
-            if warning is not None:
-                self.warnings.append(f"tier-2: {warning}{res.reason}")
-            return True
-        return False
+        strict. Pure: whoever writes an admitted failure warns of it."""
+        return res.valid or (res.tier == 2 and not self.tier2_strict)
 
     def active_link(self, from_p: EntityId, kind: str, to_p: EntityId) -> LinkInstance | None:
         row = self.spans.get((from_p, kind, to_p))
@@ -349,47 +354,59 @@ class World:
             ):
                 yield t
 
-    def check_linkable(self, from_p: EntityId, kind: str, to_p: EntityId) -> None:
-        """Raise unless a new (from, kind, to) link may start now. A
-        duplicate is rejected before validation, so it adds no warning."""
-        if self.active_link(from_p, kind, to_p) is not None:
-            raise DuplicateActiveLinkError(
-                f"link '{from_p}' {kind} '{to_p}' is already active"
-            )
-        res = self.validate_link(from_p, kind, to_p)
+    def check_link(self, from_p: EntityId, kind: str, to_p: EntityId) -> ValidationResult:
+        """Raise unless a new (from, kind, to) link may start now, checking
+        for a duplicate first; return its verdict. Writes no tier-2 warning."""
+        triple = (from_p, kind, to_p)
+        if self.active_link(*triple) is not None:
+            raise DuplicateActiveLinkError(f"link '{from_p}' {kind} '{to_p}' is already active", triple)
+        res = self.validate_link(*triple)
         if not self.admit(res):
             error = Tier2UncoveredError if res.tier == 2 else InvalidLinkError
-            raise error(f"invalid link: {res.reason}", result=res)
+            raise error(f"invalid link: {res.reason}", result=res, triple=triple)
+        return res
+
+    def edit(self, unlinks: Sequence[Triple], links: Sequence[Triple], at: int) -> list[LinkInstance]:
+        """The one writer of link history: end ``unlinks``, then start
+        ``links``, at tick ``at``. Before any write it refuses, in order, a
+        triple named twice, an unlink not active at ``at``, a past tick and
+        a link ``check_link`` refuses. Each link is validated once; an
+        uncovered one adds a ``tier-2:`` warning. Returns ended, then new."""
+        t = _repeated([*unlinks, *links])
+        if t is not None:
+            raise LinkEditError(f"link '{t[0]}' {t[1]} '{t[2]}' is edited twice in one batch", t)
+        edited = [self.active_link(*t) for t in unlinks]
+        for t, inst in zip(unlinks, edited):
+            if inst is None or inst.start > at:
+                raise NoActiveLinkError(f"no active link '{t[0]}' {t[1]} '{t[2]}' at tick {at}", t)
+        self._require_tick(at)
+        verdicts = [self.check_link(*t) for t in links]
+        for inst in edited:
+            inst.end = at
+            self.kind_changed[inst.kind] = self._seq
+            self.record("Unlink", at, {"from": inst.from_p, "relation": inst.kind, "to": inst.to_p})
+        for triple, res in zip(links, verdicts):
+            if not res:
+                self.warnings.append(f"tier-2: {res.reason}")
+            from_p, kind, to_p = triple
+            inst = LinkInstance(from_p, kind, to_p, at)
+            self.links.append(inst)
+            row = self.spans.setdefault(triple, [])
+            if not row:  # first link of this triple
+                for e in (from_p, to_p):
+                    self._by_entity.setdefault(e, {})[triple] = None
+                self._by_kind.setdefault(kind, {})[triple] = None
+            row.append(inst)
+            self.kind_changed[kind] = self._seq
+            self.record("Link", at, {"from": from_p, "relation": kind, "to": to_p})
+            edited.append(inst)
+        return edited
 
     def link(self, from_p: EntityId, kind: str, to_p: EntityId, at: int) -> LinkInstance:
-        self._require_tick(at)
-        self.check_linkable(from_p, kind, to_p)
-        inst = LinkInstance(from_p, kind, to_p, at)
-        self.links.append(inst)
-        triple = inst.triple()
-        row = self.spans.get(triple)
-        if row is None:
-            self.spans[triple] = [inst]
-            self._by_entity.setdefault(from_p, {})[triple] = None
-            self._by_entity.setdefault(to_p, {})[triple] = None
-            self._by_kind.setdefault(kind, {})[triple] = None
-        else:
-            row.append(inst)
-        self.kind_changed[kind] = self._seq
-        self.record("Link", at, {"from": from_p, "relation": kind, "to": to_p})
-        return inst
+        return self.edit((), ((from_p, kind, to_p),), at)[0]
 
     def unlink(self, from_p: EntityId, kind: str, to_p: EntityId, at: int) -> LinkInstance:
-        inst = self.active_link(from_p, kind, to_p)
-        if inst is None or inst.start > at:
-            raise NoActiveLinkError(
-                f"no active link '{from_p}' {kind} '{to_p}' at tick {at}"
-            )
-        self._require_tick(at)
-        inst.end = at
-        self.kind_changed[kind] = self._seq
-        self.record("Unlink", at, {"from": from_p, "relation": kind, "to": to_p})
-        return inst
+        return self.edit(((from_p, kind, to_p),), (), at)[0]
 
     # ------------------------------------------------------------------
     # state and TICs

@@ -104,8 +104,10 @@ def parse_trace(text: str) -> TraceDoc:
     if not isinstance(raw, dict):
         raise MalformedTraceError("trace document must be a JSON object")
     for key, typ in (("model", str), ("scenario", str), ("horizon", int), ("version", int)):
-        if not isinstance(raw.get(key), typ):
+        if type(raw.get(key)) is not typ:
             raise MalformedTraceError(f"missing or invalid header field '{key}'")
+    if raw["horizon"] < 1:
+        raise MalformedTraceError(f"horizon {raw['horizon']} is below 1")
     if raw["version"] != TRACE_FORMAT_VERSION:
         raise MalformedTraceError(f"unsupported trace format version {raw['version']}")
     if not isinstance(raw.get("events"), list):
@@ -118,7 +120,7 @@ def parse_trace(text: str) -> TraceDoc:
             raise MalformedTraceError(f"event {i} is not an object")
         seq, at, kind, payload = e.get("seq"), e.get("at"), e.get("kind"), e.get("payload")
         # a JSON kind may be a list or object: test str before hashing it
-        if not (is_a(seq, int) and is_a(at, int) and is_a(kind, str) and kind in kinds):
+        if not (type(seq) is int and type(at) is int and is_a(kind, str) and kind in kinds):
             raise MalformedTraceError(f"event {i} has invalid seq/at/kind")
         if seq <= last_seq:
             raise MalformedTraceError(f"event {i}: seq not strictly increasing")

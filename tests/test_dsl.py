@@ -271,6 +271,21 @@ def test_missing_horizon_diagnostic():
     assert any(d.code == "E_NO_HORIZON" for d in diags)
 
 
+def test_zero_horizon_is_reported_once_at_its_line():
+    """A horizon of 0 used to get "scenario has no horizon" besides its
+    own diagnostic. It gets only that one, and no tick is past it."""
+    from xfo.relations import World
+
+    res = parse_scenario("scenario s\nhorizon 0\ninterrupt 0 at 2\n", "x.xws")
+    assert res.ok
+    scenario, diags = loader.build_scenario(res.document, World())
+    assert scenario is None
+    assert [(d.code, d.span.line, d.message) for d in diags] == [
+        ("E_RESOLVE", 2, "scenario 's': horizon must be positive"),
+        ("E_RESOLVE", 3, "scenario 's': no run with ordinal 0"),
+    ]
+
+
 def test_unknown_parent_diagnostic():
     res = parse_model("universal X is_a Y\n")
     assert res.ok

@@ -39,6 +39,7 @@ from xfo.errors import (
     UnknownEntityError,
     UnknownSlotError,
 )
+from xfo.microworld import Scenario, load_scenario
 from xfo.ontology import Layer
 from xfo.relations import World
 
@@ -211,6 +212,16 @@ def test_activate_frame_warns_once_per_uncovered_link():
     activate_frame(w, "Lit", {"x": "lamp", "c": "red"}, 0)
     assert len(w.links) == 1
     assert len(w.warnings) == 1 and w.warnings[0].startswith("tier-2: no declaration covers")
+    # so do a parameterised workflow step and a scenario's initial link
+    w.registry.instantiate_particular("lamp2", "Lamp")
+    w.registry.instantiate_particular("blue", "Color")
+    define_workflow(w, "paint", Seq((_step("paint", links=[T("x", "Has_Quality", "blue")]),)), False, ("x",))
+    assert len(w.warnings) == 1  # a template with a parameter is checked when it is bound
+    sim = load_scenario(w, Scenario("s", 3, (T("lamp2", "Has_Quality", "red"),), (RunSpec("paint", ("lamp",), 0),)))
+    assert len(w.links) == 2 and len(w.warnings) == 2
+    sim.run_until(3)
+    assert [(l.from_p, l.to_p) for l in w.links] == [("lamp", "red"), ("lamp2", "red"), ("lamp", "blue")]
+    assert len(w.warnings) == 3 and all(m.startswith("tier-2: no declaration covers") for m in w.warnings)
 
 
 def test_frame_roundtrip_exact_spans(school_world):

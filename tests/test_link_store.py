@@ -6,6 +6,8 @@ exactly as the store did before it was indexed.
 """
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +15,10 @@ from xfo.dynamics import StatePredicate, Wildcard
 from xfo.errors import (
     DuplicateActiveLinkError,
     InvalidLinkError,
+    LinkEditError,
     NoActiveLinkError,
     TickOrderError,
+    Tier2UncoveredError,
     XfoError,
 )
 from xfo.ontology import Layer
@@ -81,13 +85,38 @@ def naive_failing_tier(world, from_p, kind, to_p):
     return 0 if covered else 2
 
 
+def naive_batch_refusal(world, unlinks, links, at):
+    """(error type, refused triple) for the first check a ``World.edit``
+    batch fails, in the documented order, or None when it passes."""
+    seen = []
+    for t in unlinks + links:
+        if t in seen:
+            return LinkEditError, t
+        seen.append(t)
+    for t in unlinks:
+        active = naive_active_link(world, *t)
+        if active is None or active.start > at:
+            return NoActiveLinkError, t
+    if world.trace and at < world.trace[-1].at:
+        return TickOrderError, None
+    for t in links:
+        tier = naive_failing_tier(world, *t)
+        if naive_active_link(world, *t) is not None:
+            return DuplicateActiveLinkError, t
+        if tier == 1:
+            return InvalidLinkError, t
+        if tier == 2 and world.tier2_strict:
+            return Tier2UncoveredError, t
+    return None
+
+
 # ----------------------------------------------------------------------
 # a universal tree three levels deep under B, with covered and uncovered
 # pairs
 
 
-def tree_world() -> World:
-    w = World(tier2_strict=False)
+def tree_world(tier2_strict: bool = False) -> World:
+    w = World(tier2_strict=tier2_strict)
     reg = w.registry
     for name, parent in (
         ("Device", "B_Object"), ("Lamp", "Device"), ("Beacon", "Device"),
@@ -163,27 +192,65 @@ def _check_history(world, last_tick):
             assert reg.is_descendant(a.name, b.name) == naive_is_descendant(reg, a.name, b.name)
 
 
+def _history(pool):
+    op = st.sampled_from(("link", "unlink"))
+    triples = [TRIPLES[i] for i in pool]
+    triple = st.sampled_from(triples)
+    step = st.integers(min_value=-2, max_value=3)  # tick step; negative goes backwards
+    # one World.edit of 2-4 edits: distinct triples (fewer if the pool is
+    # smaller), or any, which may name one triple twice
+    ops = st.lists(op, min_size=2, max_size=4)
+    batch = (st.tuples(ops, st.permutations(triples)).map(lambda p: list(zip(*p)))
+             | st.lists(st.tuples(op, triple), min_size=2, max_size=4))
+    return st.lists(st.tuples(op, triple, step) | st.tuples(st.just("batch"), batch, step), max_size=40)
+
+
 # A few triples per history, so most histories relink a triple several
 # times and past-tick reads have to find a span before the last.
 HISTORIES = st.lists(
     st.integers(min_value=0, max_value=len(TRIPLES) - 1), min_size=1, max_size=5, unique=True
-).flatmap(lambda pool: st.lists(
-    st.tuples(
-        st.sampled_from(("link", "unlink")),
-        st.sampled_from([TRIPLES[i] for i in pool]),
-        st.integers(min_value=-2, max_value=3),  # tick step; negative goes backwards
-    ),
-    max_size=40,
-))
+).flatmap(_history)
 
 
-@given(HISTORIES)
+def _edit_batch(w, edits, at) -> bool:
+    """Apply ``edits`` as one ``World.edit`` and check it against the naive
+    refusal; True when it is accepted. A refused batch changes nothing; an
+    accepted one leaves what its edits leave one at a time, unlinks first."""
+    unlinks = [t for op, t in edits if op == "unlink"]
+    links = [t for op, t in edits if op == "link"]
+    expected = naive_batch_refusal(w, unlinks, links, at)
+    before = (_store_snapshot(w), dict(w.kind_changed), w._seq)
+    ref = copy.deepcopy(w)
+    try:
+        w.edit(unlinks, links, at)
+    except XfoError as exc:
+        assert (type(exc), getattr(exc, "triple", None)) == expected, (edits, at, exc)
+        assert (_store_snapshot(w), w.kind_changed, w._seq) == before
+        return False
+    assert expected is None, (edits, at)
+    # one warning per written link that no declaration covers
+    uncovered = sum(naive_failing_tier(w, *t) == 2 for t in links)
+    assert len(w.warnings) == len(ref.warnings) + uncovered
+    for t in unlinks:
+        ref.unlink(*t, at)
+    for t in links:
+        ref.link(*t, at)
+    assert (_store_snapshot(w), w.trace, w.kind_changed, w._seq) == (
+        _store_snapshot(ref), ref.trace, ref.kind_changed, ref._seq)
+    return True
+
+
+@given(HISTORIES, st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_indexed_store_matches_naive_scans(ops):
-    w = tree_world()
+def test_indexed_store_matches_naive_scans(ops, tier2_strict):
+    w = tree_world(tier2_strict)
     tick = 2
     for op, triple, step in ops:
         at = tick + step
+        if op == "batch":  # ``triple`` holds the batch's (op, triple) edits
+            tick = at if _edit_batch(w, triple, at) else tick
+            _check_current(w)
+            continue
         before = _store_snapshot(w)
         backwards = bool(w.trace) and at < w.trace[-1].at
         active = naive_active_link(w, *triple)
@@ -191,6 +258,8 @@ def test_indexed_store_matches_naive_scans(ops):
             expected = (TickOrderError if backwards else
                         DuplicateActiveLinkError if active is not None else
                         InvalidLinkError if naive_failing_tier(w, *triple) == 1 else None)
+            if expected is None and tier2_strict and naive_failing_tier(w, *triple) == 2:
+                expected = Tier2UncoveredError
         else:
             expected = (NoActiveLinkError if active is None or active.start > at else
                         TickOrderError if backwards else None)

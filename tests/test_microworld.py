@@ -18,6 +18,7 @@ from xfo.errors import (
     XfoError,
 )
 from xfo.microworld import RunStatus, Scenario, load_scenario
+from xfo.relations import World
 from xfo.trace import trace_to_json
 
 from helpers import (
@@ -57,6 +58,21 @@ def test_desk_scenario_phases():
 def test_desk_scenario_matches_oracle_events():
     world, _, _ = run_scenario("traffic.xfo", "traffic_desk.xws")
     assert link_events(world.trace) == traffic_oracle.expected_events()
+
+
+@pytest.mark.parametrize("model,scenario", [("traffic.xfo", "traffic_desk.xws"), ("school.xfo", "school_hire.xws")])
+def test_each_written_link_is_validated_once(model, scenario, monkeypatch):
+    """``World.edit`` validates each link it writes once, and no caller
+    validates it again before: one call per Link event, in event order."""
+    world = load_world(model)
+    sim = load_scenario(world, load_shipped_scenario(world, scenario))
+    calls = []
+    validate = World.validate_link
+    monkeypatch.setattr(World, "validate_link", lambda self, *t: calls.append(t) or validate(self, *t))
+    before = len(world.trace)
+    sim.run_until(sim.scenario.horizon)
+    written = [(f, k, t) for at, kind, f, k, t in link_events(world.trace[before:]) if kind == "Link"]
+    assert written and calls == written
 
 
 def test_run_until_zero():

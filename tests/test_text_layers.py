@@ -1,10 +1,12 @@
 """Differential tests for the text layers: the trace writer, the trace
 reader and the DSL tokenizer, each against the plain implementation it
 replaced. The references below are that code, kept verbatim apart from
-names; every optimised path must give the same bytes, the same objects
-and the same error messages."""
+names and two rules the reader has gained since: a JSON bool is not an
+integer, and a horizon is at least 1. Every optimised path must give the
+same bytes, the same objects and the same error messages."""
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -27,6 +29,15 @@ SHIPPED_RUNS = [
     ("celadon.xfo", "celadon_broken.xws"),
     ("celadon.xfo", "celadon_interrupt.xws"),
 ]
+# sha256 of each run's trace JSON. The SVG goldens see only Has_Quality
+# spans, so these pin everything else: every event, its order and payload.
+SHIPPED_TRACE_SHA256 = {
+    "traffic_desk.xws": "ba59f33ee5da76a147e228cceae53a8539c4e8260864c15a433abdb4ac9a14ab",
+    "school_hire.xws": "744803931bdd73c3df9f97534665ca64a5cb3f0b02dcd72800d7240438ebe181",
+    "celadon_run.xws": "29bb74b445102f72d4d1c0765465d18f70557f0204a6041a5a3f72a6b12fb25c",
+    "celadon_broken.xws": "5fa67ce172b8ed0e7982a35d9504a23140bc44bf32fce6a8d6d38d88d0c485fa",
+    "celadon_interrupt.xws": "7b291d51e658bae6c7971ffd01f05713da081bf91b875e222717b7af751b9f12",
+}
 
 
 # ----------------------------------------------------------------------
@@ -55,8 +66,10 @@ def reference_parse(text: str) -> TraceDoc:
     if not isinstance(raw, dict):
         raise MalformedTraceError("trace document must be a JSON object")
     for key, typ in (("model", str), ("scenario", str), ("horizon", int), ("version", int)):
-        if not isinstance(raw.get(key), typ):
+        if not isinstance(raw.get(key), typ) or isinstance(raw.get(key), bool):
             raise MalformedTraceError(f"missing or invalid header field '{key}'")
+    if raw["horizon"] < 1:
+        raise MalformedTraceError(f"horizon {raw['horizon']} is below 1")
     if raw["version"] != TRACE_FORMAT_VERSION:
         raise MalformedTraceError(f"unsupported trace format version {raw['version']}")
     if not isinstance(raw.get("events"), list):
@@ -67,7 +80,8 @@ def reference_parse(text: str) -> TraceDoc:
         if not isinstance(e, dict):
             raise MalformedTraceError(f"event {i} is not an object")
         seq, at, kind = e.get("seq"), e.get("at"), e.get("kind")
-        if not isinstance(seq, int) or not isinstance(at, int) or kind not in EVENT_KINDS:
+        if (not isinstance(seq, int) or not isinstance(at, int) or isinstance(seq, bool)
+                or isinstance(at, bool) or kind not in EVENT_KINDS):
             raise MalformedTraceError(f"event {i} has invalid seq/at/kind")
         if seq <= last_seq:
             raise MalformedTraceError(f"event {i}: seq not strictly increasing")
@@ -165,6 +179,7 @@ def test_shipped_traces_are_byte_identical(model, scenario, tmp_path, capsys):
     world, _, scen = run_scenario(model, scenario)
     args = (world.model_name, scen.name, scen.horizon, world.trace)
     text = trace_to_json(*args)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SHIPPED_TRACE_SHA256[scenario]
     assert text == reference_to_json(*args)
     assert parse_trace(text) == reference_parse(text)
     assert parse_trace(text).events == tuple(world.trace)
@@ -224,6 +239,21 @@ def test_reader_matches_reference(events, data):
     ' "kind": ["Link"], "payload": {}}]}',
 ])
 def test_reader_matches_reference_on_edge_documents(text):
+    assert outcome(parse_trace, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seq", True), ("at", True), ("version", True), ("horizon", True), ("horizon", 0), ("horizon", -5),
+])
+def test_reader_refuses_bools_and_a_horizon_below_1(field, value):
+    """`true` is no integer and a trace spans at least one tick; the
+    timeline of such a document used to be an SVG with width="-30"."""
+    raw = {"model": "m", "scenario": "s", "horizon": 1, "version": TRACE_FORMAT_VERSION, "events": [
+        {"seq": 0, "at": 0, "kind": "Link", "payload": {"from": "a", "relation": "Has_Quality", "to": "red"}}]}
+    (raw if field in raw else raw["events"][0])[field] = value
+    text = json.dumps(raw)
+    with pytest.raises(MalformedTraceError):
+        parse_trace(text)
     assert outcome(parse_trace, text) == outcome(reference_parse, text)
 
 
