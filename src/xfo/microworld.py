@@ -51,8 +51,8 @@ from .dynamics import (
     check_action,
 )
 from .errors import (
-    DuplicateActiveLinkError,
     InvalidInitialLinkError,
+    LinkEditError,
     NotInterruptibleError,
     PreconditionFailedError,
     ResolveError,
@@ -212,7 +212,7 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
         triple = (t.from_ref, t.kind, t.to_ref)
         try:
             if triple in seen:
-                raise DuplicateActiveLinkError(f"link '{t.from_ref}' {t.kind} '{t.to_ref}' is already active")
+                raise LinkEditError(f"link '{t.from_ref}' {t.kind} '{t.to_ref}' is given more than once", triple)
             world.check_link(*triple)
             seen.add(triple)
         except XfoError as exc:

@@ -166,9 +166,16 @@ class World:
     * Ticks never go backwards: an edit or event dated before the last
       recorded tick raises TickOrderError and changes nothing.
 
-    Declarations are kept as a list and indexed as kind -> from_u ->
-    {to_u}; tier-2 cover intersects that index with the participants'
-    cached ancestor sets.
+    Declarations are kept as a list, in declaration order, and
+    ``declare_u_relation`` is their only writer. It keeps two indexes
+    beside the list:
+
+    * ``_covers`` maps kind -> from_u -> {to_u}; tier-2 cover intersects
+      it with the participants' cached ancestor sets.
+    * ``_decls_of`` maps each universal to the positions in
+      ``declarations`` of the declarations it appears in, on either side,
+      in ascending order; the U view of ``tic_of`` reads it, so a
+      declaration added after a ``tic_of`` call is seen by the next one.
     """
 
     def __init__(self, registry: Registry | None = None, *, tier2_strict: bool = True) -> None:
@@ -177,6 +184,7 @@ class World:
         self.kinds: dict[str, RelationKind] = {k.name: k for k in BUILTIN_KINDS}
         self.declarations: list[RelationDeclaration] = []
         self._covers: dict[str, dict[EntityId, set[EntityId]]] = {}
+        self._decls_of: dict[EntityId, list[int]] = {}
         self.links: list[LinkInstance] = []
         self.spans: dict[Triple, list[LinkInstance]] = {}
         self._by_entity: dict[EntityId, dict[Triple, None]] = {}
@@ -279,6 +287,8 @@ class World:
         tos = self._covers.setdefault(kind, {}).setdefault(from_u, set())
         if to_u not in tos:
             tos.add(to_u)
+            for u in {from_u, to_u}:
+                self._decls_of.setdefault(u, []).append(len(self.declarations))
             self.declarations.append(decl)
         return decl
 
@@ -441,8 +451,12 @@ class World:
             entries = tuple(TicEntry(s.direction, s.kind, s.counterpart) for s in st.links)
             return TIC(e, at, entries)
         lineage = self.registry.ancestors(e)
+        # each position once (a declaration between two lineage members is
+        # indexed under both), in declaration order, so the stable sort
+        # below breaks ties by declaration order
+        found = sorted({i for u in lineage for i in self._decls_of.get(u, ())})
         entries = []
-        for d in self.declarations:
+        for d in map(self.declarations.__getitem__, found):
             if d.from_u in lineage:
                 entries.append(TicEntry("out", d.kind, d.to_u, via=d.from_u))
             if d.to_u in lineage:

@@ -661,6 +661,19 @@ def test_second_scenario_on_a_run_world_is_refused_untouched():
     assert (len(world.links), len(world.trace)) == before
 
 
+def test_initial_link_given_twice_is_reported_as_repeated():
+    """Nothing is active before a scenario loads, so a repeated init line
+    is named as repeated, not as already active, at its second line."""
+    world = load_world("traffic.xfo")
+    text = "scenario s\nhorizon 3\n" + "init lampA_green Has_Quality dark\n" * 2
+    scenario, diags = loader.build_scenario(parse_scenario(text, "s.xws").document, world)
+    assert scenario is None
+    assert [(d.code, d.span.line) for d in diags] == [("E_INVALID_INIT_LINK", 4)]
+    assert diags[0].message.endswith(
+        "link 'lampA_green' Has_Quality 'dark' is given more than once")
+    assert not world.links and not world.trace
+
+
 def test_refused_scenario_leaves_the_world_untouched():
     """Defect 2: a scenario is checked in full before anything is written,
     so a refusal leaves no link, event, warning or frame activation."""
