@@ -142,8 +142,8 @@ def cmd_explain(args) -> int:
     kind = {Layer.B: "B-layer type", Layer.U: "universal", Layer.P: "particular"}[ent.layer]
     print(f"{name}: {kind} (layer {ent.layer.value})")
     print(f"  chain: {' -> '.join(world.registry.parent_chain(name))}")
-    try:
-        tic = world.tic_of(name) if ent.layer is not Layer.P else world.tic_of(name, 0)
+    try:  # a particular shows what is declared for its universal
+        tic = world.tic_of(ent.parent if ent.layer is Layer.P else name)
     except NotIndependentContinuantError:
         return 0
     if tic.entries:

@@ -11,13 +11,21 @@ of equality, so parse -> print -> parse round-trips compare structurally
 equal. A rule's ``then`` and a scenario line name the same four actions
 under two keywords (``dynamics.ACTION_KEYWORDS``, e.g. ``start_workflow``
 and ``run``) and parse to the same type; the scenario line adds its tick.
+
+Each line that holds a token becomes one cursor (``_Toks``) over its
+tokens as plain strings; a token's kind follows from its text. A line of
+name, digit and punctuation characters, blanks and tabs is split by one
+``findall``, and its token columns are computed only when a diagnostic
+needs one (a statement's span needs only the width of the leading
+blanks). A line with any other character (a comment, a wildcard, a bad
+character) is scanned match by match, and its columns are kept.
 """
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 from .dynamics import (
     ACTION_KEYWORDS,
@@ -42,15 +50,12 @@ from .relations import RelationDeclaration, RelationKind
 
 GRAMMAR_VERSION = "1.0"
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t]+)"
-    r"|(?P<comment>#.*)"
-    r"|(?P<wildcard>any:[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<int>[0-9]+)"
-    r"|(?P<punct>[(){},=])"
-    r"|(?P<bad>.)"  # anything else: one E_PARSE per character
-)
+# A wildcard, name, int or punctuation token, a comment, or any other
+# non-blank character (one E_PARSE each)
+_WORD_RE = re.compile(r"any:[A-Za-z_]\w*|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[(){},=]|#.*|[^ \t]", re.ASCII)
+_TOKEN_CHARS = frozenset(string.ascii_letters + string.digits + "_(){},=")
+# a line without these is tokens, blanks and tabs only: one findall splits it
+_other_char = re.compile(r"[^A-Za-z0-9_(){},= \t]").search
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,6 @@ class Diagnostic:
 
     def render(self) -> str:
         return f"{self.span}: {self.severity}: [{self.code}] {self.message}"
-
-
-class Token(NamedTuple):
-    kind: str  # name | int | wildcard | punct
-    text: str
-    line: int
-    col: int
 
 
 # ----------------------------------------------------------------------
@@ -143,24 +141,28 @@ class ParseResult:
 # tokenizer
 
 
-def _tokenize(text: str, file: str, diags: list[Diagnostic]) -> list[list[Token]]:
-    lines: list[list[Token]] = []
+def _tokenize(text: str, file: str, diags: list[Diagnostic]) -> list[_Toks]:
+    """The lines that hold a token, each as a cursor over its tokens."""
+    lines: list[_Toks] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks: list[Token] = []
-        for m in _TOKEN_RE.finditer(raw):  # contiguous: every character matches a group
-            kind = m.lastgroup
-            if kind == "ws":
-                continue
-            if kind == "comment":
-                break
-            if kind == "bad":
-                diags.append(Diagnostic(
-                    "error", "E_PARSE", f"unexpected character {m.group()!r}",
-                    SourceSpan(file, line_no, m.start() + 1),
-                ))
-            else:
-                toks.append(Token(kind, m.group(), line_no, m.start() + 1))
-        lines.append(toks)
+        if _other_char(raw) is None:
+            toks, cols = _WORD_RE.findall(raw), None
+        else:
+            toks, cols = [], []
+            for m in _WORD_RE.finditer(raw):
+                tok = m.group()
+                if tok[0] == "#":
+                    break
+                if len(tok) == 1 and tok not in _TOKEN_CHARS:
+                    diags.append(Diagnostic(
+                        "error", "E_PARSE", f"unexpected character {tok!r}",
+                        SourceSpan(file, line_no, m.start() + 1),
+                    ))
+                else:
+                    toks.append(tok)
+                    cols.append(m.start() + 1)
+        if toks:
+            lines.append(_Toks(toks, file, line_no, raw, cols))
     return lines
 
 
@@ -171,76 +173,84 @@ class _ParseError(Exception):
         self.span = span
 
 
-def _brace_depth(tokens: list[Token]) -> int:
-    return sum(1 for t in tokens if t.text == "{") - sum(1 for t in tokens if t.text == "}")
+def _brace_depth(tokens: list[str]) -> int:
+    return tokens.count("{") - tokens.count("}")
 
 
 class _Toks:
-    """Cursor over one line's tokens."""
+    """Cursor over one line's tokens, which are plain strings: a name is an
+    identifier, an int all digits, a wildcard holds ':', and any other
+    token is one punctuation character. ``cols`` (1-based token columns)
+    is filled only when an error needs a span past the first token."""
 
-    def __init__(self, tokens: list[Token], file: str, line_no: int):
+    __slots__ = ("tokens", "file", "line_no", "raw", "cols", "pos")
+
+    def __init__(self, tokens: list[str], file: str, line_no: int, raw: str, cols: list[int] | None):
         self.tokens = tokens
         self.file = file
         self.line_no = line_no
+        self.raw = raw
+        self.cols = cols
         self.pos = 0
 
-    def span_at(self, tok: Token | None = None) -> SourceSpan:
-        if tok is None:
-            if self.pos < len(self.tokens):
-                tok = self.tokens[self.pos]
-            elif self.tokens:
-                tok = self.tokens[-1]
-            else:
-                return SourceSpan(self.file, self.line_no, 1)
-        return SourceSpan(self.file, tok.line, tok.col, len(tok.text))
+    def span_at(self, i: int | None = None) -> SourceSpan:
+        """Span of token ``i``; by default the next token, else the last."""
+        if i is None:
+            i = min(self.pos, len(self.tokens) - 1)
+        if self.cols is None:
+            if i == 0:
+                col = len(self.raw) - len(self.raw.lstrip(" \t")) + 1
+                return SourceSpan(self.file, self.line_no, col, len(self.tokens[0]))
+            self.cols = [m.start() + 1 for m in _WORD_RE.finditer(self.raw)]
+        return SourceSpan(self.file, self.line_no, self.cols[i], len(self.tokens[i]))
 
-    def peek(self) -> Token | None:
+    def taken_span(self) -> SourceSpan:
+        return self.span_at(self.pos - 1)
+
+    def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise _ParseError("unexpected end of line", self.span_at())
+    def take(self) -> str:
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            raise _ParseError("unexpected end of line", self.span_at()) from None
         self.pos += 1
         return tok
 
     def name(self, what: str = "a name") -> str:
         tok = self.take()
-        if tok.kind != "name":
-            raise _ParseError(f"expected {what}, got {tok.text!r}", self.span_at(tok))
-        return tok.text
+        if not tok.isidentifier():
+            raise _ParseError(f"expected {what}, got {tok!r}", self.taken_span())
+        return tok
 
     def integer(self, what: str = "a number") -> int:
         tok = self.take()
-        if tok.kind != "int":
-            raise _ParseError(f"expected {what}, got {tok.text!r}", self.span_at(tok))
-        return int(tok.text)
+        if not tok.isdigit():
+            raise _ParseError(f"expected {what}, got {tok!r}", self.taken_span())
+        return int(tok)
 
     def ref(self) -> str | Wildcard:
         tok = self.take()
-        if tok.kind == "name":
-            return tok.text
-        if tok.kind == "wildcard":
-            return Wildcard(tok.text.split(":", 1)[1])
-        raise _ParseError(f"expected an entity ref, got {tok.text!r}", self.span_at(tok))
+        if tok.isidentifier():
+            return tok
+        if ":" in tok:
+            return Wildcard(tok.split(":", 1)[1])
+        raise _ParseError(f"expected an entity ref, got {tok!r}", self.taken_span())
 
     def keyword(self, word: str) -> None:
         tok = self.take()
-        if tok.kind != "name" or tok.text != word:
-            raise _ParseError(f"expected '{word}', got {tok.text!r}", self.span_at(tok))
+        if tok != word:
+            raise _ParseError(f"expected '{word}', got {tok!r}", self.taken_span())
 
     def punct(self, text: str) -> None:
         tok = self.take()
-        if tok.kind != "punct" or tok.text != text:
-            raise _ParseError(f"expected '{text}', got {tok.text!r}", self.span_at(tok))
+        if tok != text:
+            raise _ParseError(f"expected '{text}', got {tok!r}", self.taken_span())
 
     def done(self) -> None:
-        if not self.at_end():
-            tok = self.tokens[self.pos]
-            raise _ParseError(f"unexpected trailing {tok.text!r}", self.span_at(tok))
+        if self.pos < len(self.tokens):
+            raise _ParseError(f"unexpected trailing {self.tokens[self.pos]!r}", self.span_at())
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +259,6 @@ class _Toks:
 
 class _Parser:
     def __init__(self, text: str, file: str):
-        self.file = file
         self.diags: list[Diagnostic] = []
         self._lines = _tokenize(text, file, self.diags)
         self.i = 0
@@ -257,11 +266,9 @@ class _Parser:
     # line stream -------------------------------------------------------
 
     def _next_line(self) -> _Toks | None:
-        while self.i < len(self._lines):
-            toks = self._lines[self.i]
+        if self.i < len(self._lines):
             self.i += 1
-            if toks:
-                return _Toks(toks, self.file, toks[0].line)
+            return self._lines[self.i - 1]
         return None
 
     def _error(self, exc: _ParseError) -> None:
@@ -295,7 +302,7 @@ class _Parser:
             line = self._next_line()
             if line is None:
                 raise _ParseError(f"unterminated {what}", span)
-            if line.peek() and line.peek().text == "}":
+            if line.peek() == "}":
                 line.take()
                 return line
             try:
@@ -332,12 +339,12 @@ class _Parser:
 
     def _predicate(self, line: _Toks) -> StatePredicate:
         tok = line.take()
-        if tok.kind != "name" or tok.text not in ("exists", "not_exists"):
-            raise _ParseError(f"expected 'exists' or 'not_exists', got {tok.text!r}", line.span_at(tok))
+        if tok not in ("exists", "not_exists"):
+            raise _ParseError(f"expected 'exists' or 'not_exists', got {tok!r}", line.taken_span())
         frm = line.ref()
         kind = line.name("a relation kind")
         to = line.ref()
-        return StatePredicate(tok.text == "exists", frm, kind, to)
+        return StatePredicate(tok == "exists", frm, kind, to)
 
 
 def _paren_list(line: _Toks, item) -> tuple:
@@ -345,25 +352,25 @@ def _paren_list(line: _Toks, item) -> tuple:
     (``_arg`` or ``_slot_value``); the parens may be empty."""
     items = []
     line.punct("(")
-    if line.peek() and line.peek().text == ")":
+    if line.peek() == ")":
         line.take()
         return ()
     while True:
         items.append(item(line))
         tok = line.take()
-        if tok.text == ")":
+        if tok == ")":
             return tuple(items)
-        if tok.text != ",":
-            raise _ParseError(f"expected ',' or ')', got {tok.text!r}", line.span_at(tok))
+        if tok != ",":
+            raise _ParseError(f"expected ',' or ')', got {tok!r}", line.taken_span())
 
 
 def _arg(line: _Toks) -> str | int:
     tok = line.take()
-    if tok.kind == "name":
-        return tok.text
-    if tok.kind == "int":
-        return int(tok.text)
-    raise _ParseError(f"expected an argument, got {tok.text!r}", line.span_at(tok))
+    if tok.isidentifier():
+        return tok
+    if tok.isdigit():
+        return int(tok)
+    raise _ParseError(f"expected an argument, got {tok!r}", line.taken_span())
 
 
 def _slot_value(line: _Toks) -> tuple[str, str]:
@@ -378,11 +385,11 @@ def _parse_statements(parser: _Parser, dispatch) -> list:
         span = line.span_at()
         try:
             kw_tok = line.take()
-            if kw_tok.kind != "name":
-                raise _ParseError(f"expected a statement keyword, got {kw_tok.text!r}", span)
-            handler = dispatch.get(kw_tok.text)
+            if not kw_tok.isidentifier():
+                raise _ParseError(f"expected a statement keyword, got {kw_tok!r}", span)
+            handler = dispatch.get(kw_tok)
             if handler is None:
-                raise _ParseError(f"unknown statement '{kw_tok.text}'", span)
+                raise _ParseError(f"unknown statement '{kw_tok}'", span)
             stmt = handler(parser, line, span)
             if stmt is not None:
                 stmts.append(stmt)
@@ -463,7 +470,7 @@ def _p_frame(p: _Parser, line: _Toks, span) -> Frame:
 def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> Workflow:
     name = line.name("a workflow name")
     params: tuple = ()
-    if line.peek() and line.peek().text == "(":
+    if line.peek() == "(":
         raw = _paren_list(line, _arg)
         for a in raw:
             if not isinstance(a, str):
@@ -498,8 +505,7 @@ def _parse_body(p: _Parser, owner: str, span) -> tuple[Seq, _Toks]:
 def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
     name = line.name("a step name")
     placeholder = False
-    nxt = line.peek()
-    if nxt is not None and nxt.kind == "name" and nxt.text == "placeholder":
+    if line.peek() == "placeholder":
         line.take()
         placeholder = True
     span = line.span_at()
@@ -517,12 +523,12 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
             agent = body.name("an entity")
         elif word == "duration":
             tok = body.take()
-            if tok.kind == "int":
-                duration = int(tok.text)
-            elif tok.kind == "name":
-                duration = tok.text
+            if tok.isdigit():
+                duration = int(tok)
+            elif tok.isidentifier():
+                duration = tok
             else:
-                raise _ParseError(f"expected a duration, got {tok.text!r}", body.span_at(tok))
+                raise _ParseError(f"expected a duration, got {tok!r}", body.taken_span())
         elif word == "require":
             pre.append(p._predicate(body))
         elif word == "effect":
@@ -541,12 +547,11 @@ def _parse_loop(p: _Parser, line: _Toks, owner: str, span) -> Loop:
     guard = None
     until_end = False
     nxt = line.peek()
-    if nxt is not None and nxt.kind == "int":
-        count = int(line.take().text)
-    elif nxt is not None and nxt.kind == "name" and nxt.text == "until":
+    if nxt is not None and nxt.isdigit():
+        count = int(line.take())
+    elif nxt == "until":
         line.take()
-        after = line.peek()
-        if after is not None and after.kind == "name" and after.text == "end":
+        if line.peek() == "end":
             line.take()
             until_end = True
         else:
@@ -562,8 +567,7 @@ def _parse_cond(p: _Parser, line: _Toks, owner: str, span) -> Cond:
     p._open_brace(line)
     then_body, close = _parse_body(p, owner, span)
     else_body = None
-    nxt = close.peek()
-    if nxt is not None and nxt.kind == "name" and nxt.text == "else":
+    if close.peek() == "else":
         close.take()
         p._open_brace(close)
         else_body, close = _parse_body(p, owner, span)
@@ -609,7 +613,7 @@ def _action_operand(line: _Toks, cls) -> tuple:
         return (line.name("a transitional"),)
     if cls is RunSpec:
         target = line.name("a workflow")
-        return target, _paren_list(line, _arg) if line.peek() and line.peek().text == "(" else ()
+        return target, _paren_list(line, _arg) if line.peek() == "(" else ()
     target = line.name("a frame")
     return target, tuple(sorted(_paren_list(line, _slot_value)))
 

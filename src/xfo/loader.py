@@ -134,9 +134,10 @@ def _first_span(doc) -> SourceSpan:
 
 
 def load_model_path(path: str | Path, *, tier2_strict: bool = True):
-    """Parse and load a model file: (world | None, diagnostics)."""
+    """Parse and load a UTF-8 model file, a leading BOM ignored: (world |
+    None, diagnostics)."""
     path = Path(path)
-    result = dsl.parse_model(path.read_text(encoding="utf-8"), file=path.name)
+    result = dsl.parse_model(path.read_text(encoding="utf-8-sig"), file=path.name)
     diags = list(result.diagnostics)
     if not result.ok:
         return None, diags
@@ -148,9 +149,10 @@ def load_model_path(path: str | Path, *, tier2_strict: bool = True):
 
 
 def load_scenario_path(path: str | Path, world: World):
-    """Parse and resolve a scenario file: (scenario | None, diagnostics)."""
+    """Parse and resolve a UTF-8 scenario file, a leading BOM ignored:
+    (scenario | None, diagnostics)."""
     path = Path(path)
-    result = dsl.parse_scenario(path.read_text(encoding="utf-8"), file=path.name)
+    result = dsl.parse_scenario(path.read_text(encoding="utf-8-sig"), file=path.name)
     diags = list(result.diagnostics)
     if not result.ok:
         return None, diags

@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from xfo import cli
+import xfo
+from xfo import cli, dsl
 
 from helpers import GOLDEN_DIR, copy_models
 
@@ -191,6 +194,48 @@ def test_explain_b_entity(capsys):
     assert cli.main(["explain", "traffic.xfo", "B_Entity"]) == 0
     out = capsys.readouterr().out
     assert "chain: B_Entity" in out  # chain of length 1
+
+
+def test_explain_particular_lists_its_universals_relationships(capsys):
+    """A particular has no links before a run; explain shows what is
+    declared for its universal, each line naming that universal."""
+    assert cli.main(["explain", "traffic.xfo", "lampA_green"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "  relationships:",
+        "    out Continuant_Part_Of TrafficLight (via Lamp)",
+        "    out Has_Quality Color (via Lamp)",
+    ]
+
+
+def test_files_may_start_with_a_utf8_bom(tmp_path, capsys):
+    bom = tmp_path / "bom.xfo"
+    bom.write_bytes(b"\xef\xbb\xbfmodel M\nuniversal Car is_a B_Object\n")
+    assert cli.main(["check", str(bom)]) == 0
+    assert capsys.readouterr().out == f"{bom}: ok (16 entities, 4 relation kinds, 0 warning(s))\n"
+    assert cli.main(["run", "traffic.xfo", "traffic_desk.xws"]) == 0
+    plain = capsys.readouterr().out
+    for name in ("traffic.xfo", "traffic_desk.xws"):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + Path(name).read_bytes())
+    assert cli.main(["run", str(tmp_path / "traffic.xfo"), str(tmp_path / "traffic_desk.xws")]) == 0
+    assert capsys.readouterr().out == plain
+    # text handed to the parser is not a file: a BOM in it is a character
+    diags = dsl.parse_model("\ufeffmodel M\n", "m.xfo").diagnostics
+    assert [d.render() for d in diags] == ["m.xfo:1:1: error: [E_PARSE] unexpected character '\\ufeff'"]
+
+
+def test_lexical_errors_golden_in_a_fresh_process():
+    """Every E_PARSE of a file of lexical corner cases (comments, tabs,
+    wildcards, non-ASCII letters, stray characters, text after '}'). The
+    golden was written by the per-token tokenizer this one replaced and is
+    never regenerated; CI diffs the installed console script against it."""
+    src = Path(xfo.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "xfo.cli", "check", "--warn-tier2", "lexical_errors.xfo"],
+        cwd=Path(__file__).parent / "data", capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / "check_lexical_errors.txt").read_text(encoding="utf-8")
 
 
 def test_trace_file_is_valid_json(capsys):

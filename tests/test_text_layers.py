@@ -9,13 +9,15 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xfo import cli
-from xfo.dsl import Diagnostic, Token, _tokenize
+from xfo.dsl import Diagnostic, _tokenize
 from xfo.errors import MalformedTraceError
 from xfo.ontology import SourceSpan
 from xfo.trace import EVENT_KINDS, TRACE_FORMAT_VERSION, TraceDoc, TraceEvent, parse_trace, trace_to_json
@@ -105,7 +107,7 @@ _REFERENCE_TOKEN_RE = re.compile(
 )
 
 
-def reference_tokenize(text: str, file: str, diags: list) -> list[list[Token]]:
+def reference_tokenize(text: str, file: str, diags: list) -> list[list[tuple]]:
     lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = []
@@ -123,7 +125,7 @@ def reference_tokenize(text: str, file: str, diags: list) -> list[list[Token]]:
             if kind == "comment":
                 break
             if kind != "ws":
-                toks.append(Token(kind, m.group(), line_no, m.start() + 1))
+                toks.append((kind, m.group(), line_no, m.start() + 1))
             pos = m.end()
         lines.append(toks)
     return lines
@@ -267,12 +269,34 @@ def test_events_are_immutable():
 # ----------------------------------------------------------------------
 # tokenizer
 
-SOURCE = st.text(alphabet=st.sampled_from(list("any:ab_Z09 \t#(){},=\n\r-@é\x0c \"")), max_size=60)
+SOURCE = st.text(alphabet=st.sampled_from(list("any:ab_Z09 \t#(){},=\n\r-@é\x0c \"\x85\x1c\ufeff")), max_size=60)
+
+
+def token_kind(tok: str) -> str:
+    if tok.isidentifier():
+        return "name"
+    if tok.isdigit():
+        return "int"
+    return "wildcard" if ":" in tok else "punct"
+
+
+def expand(lines) -> list[tuple]:
+    """``_tokenize``'s cursors as the reference's (kind, text, line, col)
+    tuples: one column from the tokenizer, or from the cursor's span when
+    the tokenizer left it to be computed."""
+    out = []
+    for line in lines:
+        for i, tok in enumerate(line.tokens):
+            span = line.span_at(i)
+            assert (span.file, span.line, span.length) == ("f.xfo", line.line_no, len(tok))
+            out.append((token_kind(tok), tok, line.line_no, span.column))
+    return out
 
 
 def tokens_and_diags(tokenize, text):
     diags: list = []
-    return tokenize(text, "f.xfo", diags), diags
+    lines = tokenize(text, "f.xfo", diags)
+    return (expand(lines) if tokenize is _tokenize else [t for line in lines for t in line]), diags
 
 
 @settings(max_examples=500, deadline=None)
@@ -284,4 +308,27 @@ def test_tokenizer_matches_reference(text):
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.iterdir() if p.suffix in (".xfo", ".xws")))
 def test_tokenizer_matches_reference_on_shipped_files(name):
     text = model_text(name)
+    assert tokens_and_diags(_tokenize, text) == tokens_and_diags(reference_tokenize, text)
+
+
+def generated_inputs() -> dict[str, str]:
+    """Small inputs from the benchmark's generators."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import gen
+
+    traffic = gen.traffic(7, lights=3, horizon=50)
+    school = gen.school(7, rules=3, pairs=5, horizon=200)
+    return {
+        "catalog.xfo": gen.catalog(7, universals=200, particulars=400, declarations=100,
+                                   transitionals=40, workflows=10).model,
+        "traffic.xfo": traffic.model, "traffic.xws": traffic.scenario,
+        "school.xfo": school.model, "school.xws": school.scenario,
+    }
+
+
+@pytest.mark.parametrize("name", ["catalog.xfo", "traffic.xfo", "traffic.xws", "school.xfo", "school.xws"])
+def test_tokenizer_matches_reference_on_generated_inputs(name):
+    text = generated_inputs()[name]
     assert tokens_and_diags(_tokenize, text) == tokens_and_diags(reference_tokenize, text)
