@@ -24,8 +24,10 @@ from .trace import parse_trace, trace_parts
 
 
 def _print_diags(diags) -> bool:
-    """Print diagnostics in source order; True when any is an error."""
-    for d in diags:
+    """Print diagnostics in source order, sorted by line and column (the
+    tokenizer reports bad characters before the parser's errors); True
+    when any is an error."""
+    for d in sorted(diags, key=lambda d: (d.span.line, d.span.column)):
         print(d.render())
     return any(d.severity == "error" for d in diags)
 

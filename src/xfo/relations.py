@@ -176,6 +176,13 @@ class World:
       ``declarations`` of the declarations it appears in, on either side,
       in ascending order; the U view of ``tic_of`` reads it, so a
       declaration added after a ``tic_of`` call is seen by the next one.
+
+    ``validate_link`` keeps one verdict per triple in ``_verdicts``. Only a
+    new cover can change a verdict: an entity's ancestors, its layer and a
+    kind's bounds never change once defined, and an unknown id or kind
+    raises and stores nothing. So ``declare_u_relation`` is the one code
+    that clears the memo, when it adds a cover. ``verdicts_computed``
+    counts the misses.
     """
 
     def __init__(self, registry: Registry | None = None, *, tier2_strict: bool = True) -> None:
@@ -185,6 +192,8 @@ class World:
         self.declarations: list[RelationDeclaration] = []
         self._covers: dict[str, dict[EntityId, set[EntityId]]] = {}
         self._decls_of: dict[EntityId, list[int]] = {}
+        self._verdicts: dict[Triple, ValidationResult] = {}
+        self.verdicts_computed = 0
         self.links: list[LinkInstance] = []
         self.spans: dict[Triple, list[LinkInstance]] = {}
         self._by_entity: dict[EntityId, dict[Triple, None]] = {}
@@ -290,6 +299,7 @@ class World:
             for u in {from_u, to_u}:
                 self._decls_of.setdefault(u, []).append(len(self.declarations))
             self.declarations.append(decl)
+            self._verdicts.clear()  # a tier-2 failure may now be covered
         return decl
 
     # ------------------------------------------------------------------
@@ -297,7 +307,16 @@ class World:
 
     def validate_link(self, from_p: EntityId, kind: str, to_p: EntityId) -> ValidationResult:
         """Two-tier check for a particular-level link; never raises for an
-        Invalid verdict, only for unknown ids or kinds."""
+        Invalid verdict, only for unknown ids or kinds. Memoised per triple
+        (see the class docstring)."""
+        triple = (from_p, kind, to_p)
+        res = self._verdicts.get(triple)
+        if res is None:
+            res = self._verdicts[triple] = self._verdict(from_p, kind, to_p)
+            self.verdicts_computed += 1
+        return res
+
+    def _verdict(self, from_p: EntityId, kind: str, to_p: EntityId) -> ValidationResult:
         k = self.kind(kind)
         reg = self.registry
         for name in (from_p, to_p):

@@ -5,8 +5,10 @@ ticks, no floating point anywhere. Two identical runs produce identical
 bytes. Those bytes are exactly ``json.dumps(doc, indent=2) + "\n"``:
 2-space indent, ASCII-only (``\\uXXXX`` escapes), keys in the order
 model, scenario, horizon, version, events and, per event, seq, at, kind,
-payload. ``trace_parts`` writes them with the C string encoder; the
-indenting pure-Python encoder is kept only as the tests' reference.
+payload. ``trace_parts`` writes them with the C string encoder, each
+distinct string encoded once per document; they are still byte for byte
+``json.dumps(indent=2)``, whose indenting pure-Python encoder is kept only
+as the tests' reference.
 """
 from __future__ import annotations
 
@@ -77,16 +79,38 @@ def _value(v, indent: str) -> str:
     return _encode(v)
 
 
+class _Encoded(dict):
+    """str -> its JSON, filled on first use."""
+
+    def __missing__(self, s: str) -> str:
+        j = self[s] = _encode(s)
+        return j
+
+
 def trace_parts(model: str, scenario: str, horizon: int, events: Iterable[TraceEvent]) -> Iterator[str]:
     """The trace document in pieces: a header, one piece per event, a
     footer. Joined they are ``trace_to_json``; ``xfo run --trace`` writes
-    them one by one."""
+    them one by one.
+
+    An int ``seq`` or ``at``, a str kind and a non-empty payload dict
+    (its keys strings, as JSON's are) are laid out here; any other value
+    goes through ``_value``. Each distinct string is encoded once per call,
+    since a trace names the same few entities thousands of times."""
     yield (f'{{\n  "model": {_value(model, "  ")},\n  "scenario": {_value(scenario, "  ")},\n'
            f'  "horizon": {_value(horizon, "  ")},\n  "version": {TRACE_FORMAT_VERSION},\n  "events": [')
+    enc = _Encoded()
     sep = "\n"
     for seq, at, kind, payload in events:
-        yield (f'{sep}    {{\n      "seq": {_value(seq, "      ")},\n      "at": {_value(at, "      ")},\n'
-               f'      "kind": {_value(kind, "      ")},\n      "payload": {_value(payload, "      ")}\n    }}')
+        if type(payload) is dict and payload:
+            items = ",".join([f'\n        {enc[k]}: {enc[x] if type(x) is str else _value(x, "        ")}'
+                              for k, x in payload.items()])
+            payload = f"{{{items}\n      }}"
+        else:
+            payload = _value(payload, "      ")
+        yield (f'{sep}    {{\n      "seq": {seq if type(seq) is int else _value(seq, "      ")},\n'
+               f'      "at": {at if type(at) is int else _value(at, "      ")},\n'
+               f'      "kind": {enc[kind] if type(kind) is str else _value(kind, "      ")},\n'
+               f'      "payload": {payload}\n    }}')
         sep = ",\n"
     yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 

@@ -226,8 +226,9 @@ def test_files_may_start_with_a_utf8_bom(tmp_path, capsys):
 def test_lexical_errors_golden_in_a_fresh_process():
     """Every E_PARSE of a file of lexical corner cases (comments, tabs,
     wildcards, non-ASCII letters, stray characters, text after '}'). The
-    golden was written by the per-token tokenizer this one replaced and is
-    never regenerated; CI diffs the installed console script against it."""
+    golden was written by the per-token tokenizer this one replaced, and
+    regenerated once only to print the diagnostics in line order; CI diffs
+    the installed console script against it."""
     src = Path(xfo.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "xfo.cli", "check", "--warn-tier2", "lexical_errors.xfo"],
@@ -236,6 +237,16 @@ def test_lexical_errors_golden_in_a_fresh_process():
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / "check_lexical_errors.txt").read_text(encoding="utf-8")
+
+
+def test_diagnostics_are_printed_in_line_order(capsys):
+    """The tokenizer records a bad character's E_PARSE before any parser
+    error; the printed (line, column) never decreases all the same."""
+    data = Path(__file__).parent / "data" / "lexical_errors.xfo"
+    assert cli.main(["check", "--warn-tier2", str(data)]) == 1
+    lines = capsys.readouterr().out.splitlines()[:-1]  # the last is the summary
+    spans = [tuple(map(int, line.split(": ")[0].split(":")[-2:])) for line in lines]
+    assert len(spans) == 12 and spans == sorted(spans)
 
 
 def test_trace_file_is_valid_json(capsys):

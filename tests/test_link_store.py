@@ -7,6 +7,7 @@ exactly as the store did before it was indexed.
 from __future__ import annotations
 
 import copy
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,19 +116,28 @@ def naive_batch_refusal(world, unlinks, links, at):
 # pairs
 
 
-def tree_world(tier2_strict: bool = False) -> World:
+UNIVERSALS = (
+    ("Device", "B_Object"), ("Lamp", "Device"), ("Beacon", "Device"),
+    ("FogLamp", "Lamp"),
+    ("Color", "B_Quality"), ("Warm", "Color"), ("Cool", "Color"), ("Amber", "Warm"),
+)
+PARTICULARS = (
+    ("lamp1", "Lamp"), ("lamp2", "Lamp"), ("fog1", "FogLamp"), ("beacon1", "Beacon"),
+    ("red", "Warm"), ("amber", "Amber"), ("blue", "Cool"), ("grey", "Color"),
+)
+
+
+def universal_world(tier2_strict: bool) -> World:
     w = World(tier2_strict=tier2_strict)
+    for name, parent in UNIVERSALS:
+        w.registry.define_universal(name, parent)
+    return w
+
+
+def tree_world(tier2_strict: bool = False) -> World:
+    w = universal_world(tier2_strict)
     reg = w.registry
-    for name, parent in (
-        ("Device", "B_Object"), ("Lamp", "Device"), ("Beacon", "Device"),
-        ("FogLamp", "Lamp"),
-        ("Color", "B_Quality"), ("Warm", "Color"), ("Cool", "Color"), ("Amber", "Warm"),
-    ):
-        reg.define_universal(name, parent)
-    for name, u in (
-        ("lamp1", "Lamp"), ("lamp2", "Lamp"), ("fog1", "FogLamp"), ("beacon1", "Beacon"),
-        ("red", "Warm"), ("amber", "Amber"), ("blue", "Cool"), ("grey", "Color"),
-    ):
+    for name, u in PARTICULARS:
         reg.instantiate_particular(name, u)
     w.declare_u_relation("Lamp", "Has_Quality", "Warm")
     w.declare_u_relation("FogLamp", "Has_Quality", "Color")
@@ -311,3 +321,95 @@ def test_backwards_unlink_and_warning_are_rejected_untouched():
     with pytest.raises(NoActiveLinkError):
         w.unlink("lamp2", "Has_Quality", "red", 3)
     w.unlink("lamp1", "Has_Quality", "red", 4)  # same tick as the last event
+
+
+# ----------------------------------------------------------------------
+# the verdict memo against the uncached verdict
+
+MEMO_KINDS = ("Has_Quality", "Continuant_Part_Of", "Lit_By", "Mounted_On")
+MEMO_TRIPLES = [
+    (f, k, t) for f in ("lamp1", "fog1", "beacon1") for k in MEMO_KINDS
+    for t in ("lamp1", "fog1", "beacon1", "red", "amber", "blue")
+] + [("red", "Has_Quality", "lamp1")]
+_DEVICE_U, _COLOR_U = ("Device", "Lamp", "FogLamp", "Beacon"), ("Color", "Warm", "Cool", "Amber")
+MEMO_DECLARATIONS = (
+    [(d, k, c) for d in _DEVICE_U for k in ("Has_Quality", "Lit_By") for c in _COLOR_U]
+    + [(d, k, e) for d in _DEVICE_U for k in ("Continuant_Part_Of", "Mounted_On") for e in _DEVICE_U]
+    + [("Warm", "Has_Quality", "Lamp")]  # tier-1 mismatch
+)
+# Histories start with four of the six particulars. Each op may be refused
+# (an unknown name or kind, a duplicate, a tier-1 mismatch); a link's
+# refusal is checked, the others' only suppressed.
+MEMO_HISTORIES = st.lists(
+    st.tuples(st.just("declare"), st.sampled_from(MEMO_DECLARATIONS))
+    | st.tuples(st.just("kind"), st.sampled_from([
+        ("Lit_By", "B_Object", "B_Quality"), ("Mounted_On", "B_Object", "B_Object"),
+        ("Lit_By", "B_Object", "B_Object")]))
+    | st.tuples(st.just("particular"), st.sampled_from([("fog1", "FogLamp"), ("amber", "Amber")]))
+    | st.tuples(st.just("link"), st.sampled_from(MEMO_TRIPLES)),
+    max_size=40,
+)
+
+
+def _outcome(tier, triple):
+    """The failing tier (0 when valid), or the type of the error raised."""
+    try:
+        return tier(*triple)
+    except XfoError as exc:
+        return type(exc)
+
+
+@given(MEMO_HISTORIES, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_verdict_memo_matches_uncached_verdicts(ops, tier2_strict):
+    """Declarations, kinds, particulars and links between verdicts: after
+    every op, each triple's verdict equals the uncached one, and a second
+    read of every verdict computes nothing."""
+    w = universal_world(tier2_strict)
+    for name, u in (("lamp1", "Lamp"), ("beacon1", "Beacon"), ("red", "Warm"), ("blue", "Cool")):
+        w.registry.instantiate_particular(name, u)
+
+    def tier(*t):
+        res = w.validate_link(*t)
+        return 0 if res.valid else res.tier
+
+    def naive(*t):  # as validate_link: an unknown name raises before any tier
+        w.kind(t[1])
+        w.registry.lookup(t[0]), w.registry.lookup(t[2])
+        return naive_failing_tier(w, *t)
+
+    for at, (op, arg) in enumerate(ops):
+        if op == "link":
+            verdict = _outcome(naive, arg)
+            expected = (DuplicateActiveLinkError if naive_active_link(w, *arg) is not None else
+                        InvalidLinkError if verdict == 1 else
+                        Tier2UncoveredError if verdict == 2 and tier2_strict else
+                        None if verdict in (0, 2) else verdict)
+            try:
+                w.link(*arg, at)
+            except XfoError as exc:
+                assert type(exc) is expected, (arg, exc)
+            else:
+                assert expected is None, arg
+        else:
+            write = {"declare": w.declare_u_relation, "kind": w.declare_relation_kind,
+                     "particular": w.registry.instantiate_particular}[op]
+            with suppress(XfoError):
+                write(*arg)
+        for t in MEMO_TRIPLES:
+            assert _outcome(tier, t) == _outcome(naive, t), (op, arg, t)
+        computed = w.verdicts_computed
+        for t in MEMO_TRIPLES:
+            _outcome(tier, t)
+        assert w.verdicts_computed == computed
+
+
+def test_a_new_cover_admits_a_link_refused_for_tier_2():
+    """The refused verdict is memoised; the covering declaration clears it."""
+    w = tree_world(tier2_strict=True)
+    t = ("beacon1", "Has_Quality", "blue")
+    with pytest.raises(Tier2UncoveredError):
+        w.link(*t, 1)
+    w.declare_u_relation("Device", "Has_Quality", "Cool")
+    assert w.link(*t, 2).start == 2
+    assert w.verdicts_computed == 2

@@ -380,6 +380,19 @@ def test_school_hire_counters_do_not_grow_with_the_horizon(horizon):
     assert sim.now == horizon + 1
 
 
+def test_traffic_desk_counters():
+    """42 Link events over 18 distinct triples: each triple's verdict is
+    computed once, 12 of them for the scenario's initial links."""
+    world = load_world("traffic.xfo")
+    sc = load_shipped_scenario(world, "traffic_desk.xws")
+    assert world.verdicts_computed == 12
+    sim = Simulation(world, sc)
+    sim.run_until(sc.horizon)
+    assert (sim.ticks_visited, sim.guards_evaluated) == (12, 0)
+    assert sum(e.kind == "Link" for e in world.trace) == 42
+    assert world.verdicts_computed == 18
+
+
 def test_counters_accumulate_across_calls():
     world = load_world("school.xfo")
     sc = load_shipped_scenario(world, "school_hire.xws")
