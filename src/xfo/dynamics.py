@@ -469,6 +469,9 @@ def bind_args(world: World, wf: Workflow, args: tuple) -> dict:
 def define_workflow(world: World, name: str, body: Seq, requires_agent: bool, params=()) -> Workflow:
     if name in world.workflows:
         raise DuplicateNameError(f"workflow '{name}' already defined")
+    dup = _repeated(params)
+    if dup is not None:
+        raise DuplicateNameError(f"workflow '{name}' declares parameter '{dup}' twice")
     for n in walk_nodes(body):
         if isinstance(n, Loop) and n.count is None and n.guard is None and not n.until_end:
             raise UnboundedLoopError(f"workflow '{name}' contains a loop with no count and no guard")

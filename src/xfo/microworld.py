@@ -2,17 +2,20 @@
 
 Logical integer ticks replace wall-clock time; asynchrony between runs is
 modeled as a reproducible interleaving. Within one tick, queued actions
-(priority class 0) drain in schedule order, then enabled rules evaluate
-once each in definition order (class 1), then any class-0 actions the
-rules scheduled for the same tick drain. Two executions of one scenario
-therefore produce byte-identical traces.
+drain in the order they were queued, then the stale enabled rules
+evaluate once each in definition order, then any actions the rules
+queued for the same tick drain. Two executions of one scenario therefore
+produce byte-identical traces.
 
-Time advances to the next tick that has a queued action or a rule whose
-guard may have changed; the ticks in between are skipped. This cannot
-change the trace: a guard reads only active links, which change only
-through ``World.edit`` (stamped per kind in ``World.kind_changed``), so
-an unstamped guard would re-evaluate to its previous value and fire no
-edge.
+A rule is stale until its first evaluation, and again once a Link or
+Unlink event of a kind its guard reads is recorded after its last
+evaluation began; the simulation reads those events from ``World.trace``,
+each once. Time advances to the next tick that has a queued action or a
+stale rule; the ticks in between are skipped. This cannot change the
+trace: a guard reads only active links, which change only through
+``World.edit``, and it records a Link or Unlink event for each change, so
+a rule that is not stale would re-evaluate to its previous value and fire
+no edge.
 
 Step effects apply at the step's end tick; a step occupies the half-open
 interval [start, start + duration). A step's preconditions are checked at
@@ -32,6 +35,7 @@ import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 
 from .dynamics import (
     ACTION_KEYWORDS,
@@ -165,29 +169,6 @@ class WorkflowRun:
         return None
 
 
-class _Queue:
-    """Total-ordered action queue: (tick, priorityClass, scheduleSeq)."""
-
-    def __init__(self):
-        self._heap: list = []
-        self._seq = 0
-
-    def push(self, tick: int, action: tuple, priority: int = 0) -> None:
-        heapq.heappush(self._heap, (tick, priority, self._seq, action))
-        self._seq += 1
-
-    def pop_at(self, tick: int):
-        if self._heap and self._heap[0][0] == tick:
-            return heapq.heappop(self._heap)[3]
-        return None
-
-    def next_tick(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self):
-        return len(self._heap)
-
-
 def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoError]]:
     """Every reason ``sc`` cannot be loaded on ``world``, in scenario order.
 
@@ -246,25 +227,27 @@ class Simulation:
         self.world = world
         self.scenario = scenario
         self.runs: list[WorkflowRun] = []
-        self.queue = _Queue()
+        self.queue: list[tuple[int, int, object]] = []  # a heap of (tick, order queued, action)
+        self._order = count()
         self.now = 0  # next unprocessed tick
         self.ticks_visited = 0
         self.guards_evaluated = 0
-        # Enabled rules in definition order, each with the kinds its guard
-        # reads; a rule is re-evaluated only when one of them changed at or
-        # after the world sequence number of its last evaluation (-1: never).
-        self._rules = [
-            (rule, frozenset(p.kind for p in rule.guard))
-            for name, rule in world.rules.items() if name in scenario.rules
-        ]
+        # Enabled rules in definition order, and the positions in it of the
+        # rules whose guards read each kind; every rule starts stale.
+        self._rules = [rule for name, rule in world.rules.items() if name in scenario.rules]
+        self._readers: dict[str, list[int]] = {}
+        for i, rule in enumerate(self._rules):
+            for p in rule.guard:
+                self._readers.setdefault(p.kind, []).append(i)
+        self._stale_rules = set(range(len(self._rules)))
         self._rule_prev: dict[str, bool] = dict.fromkeys(scenario.rules, False)
-        self._rule_seen = [-1] * len(self._rules)
         world.edit((), [(t.from_ref, t.kind, t.to_ref) for t in scenario.init], 0)
+        self._read = len(world.trace)  # position of the first event _stale has not read
         for item in scenario.schedule:
             if isinstance(item, RunSpec):
                 self._queue_run(item, item.at)
             else:
-                self.queue.push(item.at, item)
+                self._push(item.at, item)
 
     # ------------------------------------------------------------------
     # public operations
@@ -283,11 +266,10 @@ class Simulation:
             self._drain(tick)
             self._rules_phase(tick)
             self._drain(tick)
-            if any(map(self._dirty, range(len(self._rules)))):
+            if self._stale():
                 self.now = tick + 1
             else:
-                nxt = self.queue.next_tick()
-                self.now = t + 1 if nxt is None else min(nxt, t + 1)
+                self.now = min(self.queue[0][0], t + 1) if self.queue else t + 1
 
     def interrupt(self, run_id: int, at: int):
         """Schedule an external interrupt of a run at tick `at`."""
@@ -296,7 +278,7 @@ class Simulation:
             raise NotInterruptibleError(f"run {run_id} is already {run.status.value}")
         if at < self.now:
             raise NotInterruptibleError(f"tick {at} has already been processed")
-        self.queue.push(at, InterruptDirective(run_id, at))
+        self._push(at, InterruptDirective(run_id, at))
 
     def detect_broken(self, run: WorkflowRun, step: WorkflowStep, tick: int) -> bool:
         """Check a step's preconditions at its start tick; on failure mark
@@ -323,15 +305,19 @@ class Simulation:
             raise XfoError(f"no run with ordinal {run_id}")
         return self.runs[run_id]
 
+    def _push(self, tick: int, action) -> None:
+        heapq.heappush(self.queue, (tick, next(self._order), action))
+
     def _drain(self, tick: int) -> None:
-        while (action := self.queue.pop_at(tick)) is not None:
-            self._execute(action, tick)
+        queue = self.queue
+        while queue and queue[0][0] == tick:
+            self._execute(heapq.heappop(queue)[2], tick)
 
     def _queue_run(self, spec: RunSpec, at: int) -> None:
         wf = self.world.workflows[spec.target]
         run = WorkflowRun(len(self.runs), wf, bind_args(self.world, wf, spec.args))
         self.runs.append(run)
-        self.queue.push(at, ("start", run.id))
+        self._push(at, ("start", run.id))
 
     def _execute(self, action, tick: int) -> None:
         """Run one queued action: a scenario directive, or a run's
@@ -382,7 +368,7 @@ class Simulation:
             "StepStart", tick, {"run": run.id, "workflow": run.workflow.name, "step": step.name}
         )
         duration = _resolve_duration(step.duration, run.binding)
-        self.queue.push(tick + duration, ("step_end", run.id, step))
+        self._push(tick + duration, ("step_end", run.id, step))
 
     def _finish_step(self, run: WorkflowRun, step: WorkflowStep, tick: int) -> None:
         if self._cancelled(run, tick):
@@ -413,23 +399,29 @@ class Simulation:
             {"run": run.id, "workflow": run.workflow.name, "step": step_name, "predicate": predicate},
         )
 
-    def _dirty(self, i: int) -> bool:
-        seen = self._rule_seen[i]
-        changed = self.world.kind_changed
-        return seen < 0 or any(changed.get(k, -1) >= seen for k in self._rules[i][1])
+    def _stale(self) -> set[int]:
+        """The stale rules' positions, after marking stale the readers of
+        the kind of each Link or Unlink event recorded since the last call."""
+        trace = self.world.trace
+        if self._readers and self._read < len(trace):  # no reader: no event can make a rule stale
+            for ev in trace[self._read:]:
+                if ev.kind == "Link" or ev.kind == "Unlink":
+                    self._stale_rules.update(self._readers.get(ev.payload["relation"], ()))
+            self._read = len(trace)
+        return self._stale_rules
 
     def _rules_phase(self, tick: int) -> None:
-        for i, (rule, _) in enumerate(self._rules):
-            if not self._dirty(i):
+        for i, rule in enumerate(self._rules):
+            if i not in self._stale():
                 continue  # no link its guard reads changed: same value, no edge
-            seen = self.world._seq
             self.guards_evaluated += 1
             holds = all(p.holds(self.world, tick) for p in rule.guard)
             if holds and not self._rule_prev[rule.name]:
                 self._fire(rule, tick)
-            # both after the action, so a run resumed after it failed re-evaluates
+            # both after the action, so a run resumed after it failed
+            # re-evaluates; the action's own edits are read at the next call
             self._rule_prev[rule.name] = holds
-            self._rule_seen[i] = seen
+            self._stale_rules.discard(i)
 
     def _fire(self, rule: Rule, tick: int) -> None:
         """Record RuleFired and take the action; a failed action leaves no record."""

@@ -159,10 +159,8 @@ class World:
     * ``_by_entity`` maps an entity to the triples it appears in on either
       side, and ``_by_kind`` a kind to its triples. Both use insertion-
       ordered dicts as sets, so iteration never depends on string hashing.
-    * ``kind_changed`` maps each kind ever linked or unlinked to the
-      sequence number of its latest Link or Unlink event, so a reader
-      of one kind's active links can tell whether they changed since a
-      given event.
+    * Each event's ``seq`` is its position in ``trace``: ``record``
+      appends and ``unrecord`` removes only the newest event.
     * Ticks never go backwards: an edit or event dated before the last
       recorded tick raises TickOrderError and changes nothing.
 
@@ -198,7 +196,6 @@ class World:
         self.spans: dict[Triple, list[LinkInstance]] = {}
         self._by_entity: dict[EntityId, dict[Triple, None]] = {}
         self._by_kind: dict[str, dict[Triple, None]] = {}
-        self.kind_changed: dict[str, int] = {}
         self.trace: list[TraceEvent] = []
         self.warnings: list[str] = []
         self.model_name = "model"
@@ -208,7 +205,6 @@ class World:
         self.workflows: dict[str, object] = {}
         self.rules: dict[str, object] = {}
         self.frame_activations: dict[tuple, object] = {}
-        self._seq = 0
         # Named transitionals register as P instances of this universal.
         self.registry.define_universal("Transitional", "X_Transitional")
 
@@ -223,8 +219,7 @@ class World:
 
     def record(self, kind: str, at: int, payload: dict) -> TraceEvent:
         self._require_tick(at)
-        ev = TraceEvent(self._seq, at, kind, payload)
-        self._seq += 1
+        ev = TraceEvent(len(self.trace), at, kind, payload)
         self.trace.append(ev)
         return ev
 
@@ -232,7 +227,6 @@ class World:
         """Undo ``record``: remove ``ev`` if it is still the newest event."""
         if self.trace and self.trace[-1] is ev:
             self.trace.pop()
-            self._seq -= 1
 
     # ------------------------------------------------------------------
     # kinds and declarations
@@ -412,7 +406,6 @@ class World:
         verdicts = [self.check_link(*t) for t in links]
         for inst in edited:
             inst.end = at
-            self.kind_changed[inst.kind] = self._seq
             self.record("Unlink", at, {"from": inst.from_p, "relation": inst.kind, "to": inst.to_p})
         for triple, res in zip(links, verdicts):
             if not res:
@@ -426,7 +419,6 @@ class World:
                     self._by_entity.setdefault(e, {})[triple] = None
                 self._by_kind.setdefault(kind, {})[triple] = None
             row.append(inst)
-            self.kind_changed[kind] = self._seq
             self.record("Link", at, {"from": from_p, "relation": kind, "to": to_p})
             edited.append(inst)
         return edited

@@ -57,9 +57,18 @@ class TraceDoc:
 _encode = json.JSONEncoder().encode
 
 
+def _key(k) -> str:
+    """The JSON of object key ``k``, which must be a string: JSON has no
+    other key, and json.dumps would write ``1`` as ``"1"``, which reads
+    back as a different key."""
+    if not isinstance(k, str):
+        raise TypeError(f"trace object key {k!r} is not a string")
+    return _encode(k)
+
+
 def _value(v, indent: str) -> str:
     """``v`` as ``json.dumps(indent=2)`` lays it out at nesting ``indent``;
-    object keys are strings, as JSON's are."""
+    an object key that is not a string raises TypeError."""
     if type(v) is str:
         return _encode(v)
     if type(v) is int:  # an int's JSON is its repr; bool and int subclasses are not
@@ -68,7 +77,7 @@ def _value(v, indent: str) -> str:
         if not v:
             return "{}"
         inner = indent + "  "
-        items = ",".join([f"\n{inner}{_encode(k)}: {_value(x, inner)}" for k, x in v.items()])
+        items = ",".join([f"\n{inner}{_key(k)}: {_value(x, inner)}" for k, x in v.items()])
         return f"{{{items}\n{indent}}}"
     if isinstance(v, (list, tuple)):
         if not v:
@@ -80,10 +89,11 @@ def _value(v, indent: str) -> str:
 
 
 class _Encoded(dict):
-    """str -> its JSON, filled on first use."""
+    """str -> its JSON, filled on first use; any other key raises TypeError,
+    as ``_key`` does."""
 
     def __missing__(self, s: str) -> str:
-        j = self[s] = _encode(s)
+        j = self[s] = _key(s)
         return j
 
 
@@ -93,9 +103,10 @@ def trace_parts(model: str, scenario: str, horizon: int, events: Iterable[TraceE
     them one by one.
 
     An int ``seq`` or ``at``, a str kind and a non-empty payload dict
-    (its keys strings, as JSON's are) are laid out here; any other value
-    goes through ``_value``. Each distinct string is encoded once per call,
-    since a trace names the same few entities thousands of times."""
+    are laid out here; any other value goes through ``_value``. A payload
+    key that is not a string, at any depth, raises TypeError. Each
+    distinct string is encoded once per call, since a trace names the same
+    few entities thousands of times."""
     yield (f'{{\n  "model": {_value(model, "  ")},\n  "scenario": {_value(scenario, "  ")},\n'
            f'  "horizon": {_value(horizon, "  ")},\n  "version": {TRACE_FORMAT_VERSION},\n  "events": [')
     enc = _Encoded()

@@ -367,6 +367,15 @@ def test_loader_reports_every_statement_error():
     assert [d.code for d in diags] == ["E_DUP_NAME", "E_UNKNOWN_ENTITY", "E_BAD_BOUND"]
 
 
+def test_workflow_naming_a_parameter_twice_is_refused_at_its_line():
+    res = parse_model("model m\nmechanism w(x, x) {\n  step s {\n    duration 0\n  }\n}\n")
+    assert res.ok
+    world, diags = loader.build_world(res.document)
+    assert [(d.code, d.span.line, d.message) for d in diags] == [
+        ("E_DUP_NAME", 2, "workflow 'w' declares parameter 'x' twice")]
+    assert "w" not in world.workflows
+
+
 def test_roundtrip_shipped_files():
     for name in ("traffic.xfo", "school.xfo", "celadon.xfo"):
         first = parse_model(model_text(name), name)

@@ -268,6 +268,8 @@ def test_define_workflow_errors(lamp_world):
         define_workflow(w, "w3", Seq((_step("s"), _step("s"))), False)
     with pytest.raises(UnknownEntityError):
         define_workflow(w, "w4", Seq((_step("s", agent="ghost"),)), True)
+    with pytest.raises(DuplicateNameError, match="workflow 'w5' declares parameter 'x' twice"):
+        define_workflow(w, "w5", Seq((_step("s"),)), False, params=("x", "y", "x"))
 
 
 def test_define_workflow_param_conflict(lamp_world):

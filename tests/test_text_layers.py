@@ -209,6 +209,18 @@ def test_empty_trace_is_byte_identical():
     )
 
 
+@pytest.mark.parametrize("payloads", [
+    [{1: "a"}],
+    [{"binding": {"x": "a", 2: "b"}}],
+    [{1: "a"}, {True: "b"}],  # True == 1 once wrote the JSON cached for 1
+    [{"from": "a"}, {True: "b"}],
+])
+def test_writer_refuses_keys_that_are_not_strings(payloads):
+    events = [TraceEvent(i, 0, "Link", p) for i, p in enumerate(payloads)]
+    with pytest.raises(TypeError, match="is not a string"):
+        trace_to_json("m", "s", 1, events)
+
+
 # ----------------------------------------------------------------------
 # reader
 

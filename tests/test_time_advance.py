@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from xfo import loader
 from xfo.dsl import parse_model, parse_scenario
-from xfo.dynamics import RunSpec, define_rule
+from xfo.dynamics import RunSpec, apply_transitional, define_rule
 from xfo.errors import XfoError
 from xfo.microworld import Simulation
 from xfo.trace import trace_to_json
@@ -59,7 +59,8 @@ def _outcome(call, *args):
 def _drive(engine, model_text: str, scenario_text: str, ops) -> dict:
     """Build a fresh world, run ``ops`` on an ``engine`` simulation and
     return everything observable: each call's outcome, ``now`` after it,
-    the trace JSON and the summary."""
+    the trace JSON and the summary. An "apply" op writes to the world
+    directly, at ``now``, outside the simulation."""
     mres = parse_model(model_text, "m.xfo")
     assert mres.ok, [d.render() for d in mres.diagnostics]
     world, diags = loader.build_world(mres.document)
@@ -73,9 +74,13 @@ def _drive(engine, model_text: str, scenario_text: str, ops) -> dict:
     for op in ops:
         if op[0] == "run_until":
             calls.append((op, _outcome(sim.run_until, op[1]), sim.now))
+        elif op[0] == "apply":
+            calls.append((op, _outcome(apply_transitional, world, world.transitionals[op[1]], sim.now), sim.now))
         else:
             _, run, delta = op
             calls.append((op, _outcome(sim.interrupt, run, sim.now + delta), sim.now))
+        # events removed after a failed action leave no gap
+        assert [e.seq for e in world.trace] == list(range(len(world.trace)))
     return {
         "calls": calls,
         "trace": trace_to_json(world.model_name, scenario.name, scenario.horizon, world.trace),
@@ -214,6 +219,8 @@ def worlds(draw):
     for stop in stops:
         if n_runs and draw(st.integers(0, 3)) == 2:
             ops.append(("interrupt", draw(st.integers(0, n_runs - 1)), draw(st.integers(-1, 3))))
+        if draw(st.integers(0, 3)) == 2:
+            ops.append(("apply", draw(st.sampled_from(transitionals))))
         ops.append(("run_until", stop))
     if draw(st.integers(0, 9)) == 5:
         ops.append(("run_until", horizon + 1))  # refused: past the horizon
