@@ -180,9 +180,10 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("timeline", help="render a trace as SVG")
     p.add_argument("trace")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--at", type=int, default=None, metavar="T",
-                   help="render the snapshot panel at tick T instead")
-    p.add_argument("--entities", nargs="+", default=None, metavar="NAME")
+    view = p.add_mutually_exclusive_group()
+    view.add_argument("--at", type=int, default=None, metavar="T",
+                      help="render the snapshot panel at tick T instead")
+    view.add_argument("--entities", nargs="+", default=None, metavar="NAME")
     p.set_defaults(func=cmd_timeline)
 
     p = sub.add_parser("explain", help="describe an entity")

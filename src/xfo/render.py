@@ -1,12 +1,17 @@
 """Static SVG rendering of traces: quality timelines and lamp snapshots.
 
 Output is deterministic byte-for-byte: integer coordinates only, fixed
-color table, entities in sorted order.
+color table, entities in sorted order. Both renderers read the doc's span
+index (``TraceDoc.spans``), so a doc replays its events once however many
+times it is drawn.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
+
 from .errors import MalformedTraceError, TickOutOfRangeError
-from .trace import TraceDoc, replay_spans
+from .trace import TraceDoc
 
 COLOR_TABLE = {
     "green": "#2e8b57",
@@ -34,7 +39,7 @@ def _esc(text: str) -> str:
 
 def _quality_spans(spans, horizon: int):
     """entity -> list of (start, end, quality) from the Has_Quality links
-    in ``replay_spans`` output, clipped to the horizon."""
+    in a span index, clipped to the horizon."""
     rows: dict[str, list[tuple[int, int, str]]] = {}
     for (frm, kind, to), ranges in spans.items():
         if kind != "Has_Quality":
@@ -59,18 +64,19 @@ def _axis(out: list[str], width: int, y: int, horizon: int) -> None:
 
 
 def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
-    """One band per entity showing its Has_Quality spans over [0, horizon]."""
-    rows = _quality_spans(replay_spans(doc.events), doc.horizon)
+    """One band per entity showing its Has_Quality spans over [0, horizon];
+    ``entities`` draws the named ones, each once, in the order first named."""
+    rows = _quality_spans(doc.spans, doc.horizon)
     if entities is None:
         names = sorted(rows)
     else:
-        unknown = sorted(set(entities) - set(rows))
+        names = list(dict.fromkeys(entities))
+        unknown = sorted(set(names) - set(rows))
         if unknown:
             raise MalformedTraceError(
                 f"no Has_Quality history for entit{'y' if len(unknown) == 1 else 'ies'}: "
                 + ", ".join(unknown)
             )
-        names = list(entities)
     width = _LABEL_W + doc.horizon * _PX_PER_TICK + _RIGHT
     axis_y = _TOP + len(names) * (_ROW_H + _ROW_GAP) + 8
     height = axis_y + 30
@@ -102,7 +108,7 @@ def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
 
 def _containers(spans):
     """container -> sorted member entities, from the Continuant_Part_Of
-    links in ``replay_spans`` output."""
+    links in a span index."""
     groups: dict[str, list[str]] = {}
     grouped: set[str] = set()
     for (frm, kind, to), _ranges in spans.items():
@@ -117,25 +123,48 @@ def _containers(spans):
     return groups, grouped
 
 
+_start = itemgetter(0)
+
+
+def _qualities_at(spans, horizon: int, at: int) -> dict[str, str | None]:
+    """entity -> the quality its Has_Quality links show at tick ``at``, or
+    None, for each entity that has a Has_Quality span left once spans are
+    clipped to ``[start, min(end, horizon))``, as the timeline draws them.
+
+    At the horizon tick no span is active. Where several are, the least
+    ``(start, stop, quality)`` wins. A trace's ticks never decrease, so one
+    triple's spans are sorted and disjoint: only the last one starting at
+    or before ``at`` can be active."""
+    best: dict[str, tuple[int, int, str] | None] = {}
+    for (frm, kind, to), ranges in spans.items():
+        if kind != "Has_Quality":
+            continue
+        i = bisect_right(ranges, at, key=_start)
+        if i:
+            start, end = ranges[i - 1]
+            stop = horizon if end is None else min(end, horizon)
+            if at < stop:
+                row, held = (start, stop, to), best.get(frm)
+                if held is None or row < held:
+                    best[frm] = row
+                continue
+        if frm not in best and any(start < (horizon if end is None else min(end, horizon))
+                                   for start, end in ranges):
+            best[frm] = None
+    return {entity: None if row is None else row[2] for entity, row in best.items()}
+
+
 def render_snapshot(doc: TraceDoc, at: int) -> str:
     """Lamp states at one tick: one row per container, a filled circle per
     member colored by its active Has_Quality link."""
     if not 0 <= at <= doc.horizon:
         raise TickOutOfRangeError(f"tick {at} outside [0, {doc.horizon}]")
-    spans = replay_spans(doc.events)
-    rows = _quality_spans(spans, doc.horizon)
-    groups, grouped = _containers(spans)
-    loose = sorted(set(rows) - grouped)
+    shown = _qualities_at(doc.spans, doc.horizon, at)
+    groups, grouped = _containers(doc.spans)
+    loose = sorted(set(shown) - grouped)
     panels = [(name, groups[name]) for name in sorted(groups)]
     if loose:
         panels.append(("(ungrouped)", loose))
-
-    def quality_at(entity: str) -> str | None:
-        for start, stop, quality in rows.get(entity, ()):
-            if start <= at < stop:
-                return quality
-        return None
-
     r, gap, row_h = 16, 70, 78
     max_members = max((len(m) for _, m in panels), default=0)
     width = _LABEL_W + max(max_members * gap, gap) + _RIGHT
@@ -155,7 +184,7 @@ def render_snapshot(doc: TraceDoc, at: int) -> str:
         )
         for j, member in enumerate(members):
             cx = _LABEL_W + gap // 2 + j * gap
-            quality = quality_at(member)
+            quality = shown.get(member)
             fill = _color(quality) if quality is not None else "#eeeeee"
             out.append(
                 f'<circle cx="{cx}" cy="{y}" r="{r}" fill="{fill}" stroke="#333333">'

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import MalformedTraceError
@@ -46,11 +47,24 @@ class TraceEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class TraceDoc:
+    """A parsed trace. ``spans`` is its span index, ``replay_spans(events)``:
+    built on first read and then kept, so a doc replays its events once
+    however often it is rendered. The index is not a field: ``==`` and
+    ``repr`` leave it out.
+
+    A doc and its event payloads must not be mutated after parsing; the
+    index would not follow. Two threads that read the index for the first
+    time may both build it, which does no harm: both build the same value."""
+
     model: str
     scenario: str
     horizon: int
     version: int
     events: tuple[TraceEvent, ...]
+
+    @cached_property
+    def spans(self) -> dict[tuple[str, str, str], list[tuple[int, int | None]]]:
+        return replay_spans(self.events)
 
 
 # One JSON value with no indentation: the C encoder, ensure_ascii on.

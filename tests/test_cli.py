@@ -44,6 +44,10 @@ GOLDEN_CASES = [
      ("celadon.svg", "timeline_celadon.svg")),
     ("snapshot_traffic.txt", ["timeline", "traffic.trace.json", "-o", "traffic_at1.svg", "--at", "1"],
      ("traffic_at1.svg", "snapshot_traffic.svg")),
+    # at the horizon tick every lamp shows none: spans end at the horizon
+    ("snapshot_traffic_horizon.txt",
+     ["timeline", "traffic.trace.json", "-o", "traffic_at12.svg", "--at", "12"],
+     ("traffic_at12.svg", "snapshot_traffic_horizon.svg")),
     ("explain_traffic.txt", ["explain", "traffic.xfo", "TrafficLight"], None),
     ("explain_school.txt", ["explain", "school.xfo", "Person"], None),
     ("explain_celadon.txt", ["explain", "celadon.xfo", "Pottery"], None),
@@ -183,6 +187,26 @@ def test_timeline_at_out_of_range(capsys):
     assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--trace", "t2.trace.json"]) == 0
     assert cli.main(["timeline", "t2.trace.json", "-o", "t2.svg", "--at", "13"]) == 2
     capsys.readouterr()
+
+
+def test_timeline_at_and_entities_are_a_usage_error(capsys):
+    assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--trace", "t3.trace.json"]) == 0
+    code = cli.main(["timeline", "t3.trace.json", "-o", "t3.svg", "--at", "1",
+                     "--entities", "lampA_green"])
+    assert code == 2
+    assert "not allowed with argument --at" in capsys.readouterr().err
+    assert not Path("t3.svg").exists()
+
+
+def test_timeline_draws_an_entity_named_twice_once(capsys):
+    assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--trace", "t4.trace.json"]) == 0
+    assert cli.main(["timeline", "t4.trace.json", "-o", "once.svg", "--entities", "lampA_green"]) == 0
+    assert cli.main(["timeline", "t4.trace.json", "-o", "twice.svg",
+                     "--entities", "lampA_green", "lampA_green"]) == 0
+    capsys.readouterr()
+    twice = Path("twice.svg").read_text(encoding="utf-8")
+    assert twice.count(">lampA_green</text>") == 1
+    assert twice == Path("once.svg").read_text(encoding="utf-8")
 
 
 def test_explain_unknown_entity(capsys):
