@@ -31,7 +31,7 @@ from .errors import (
     XfoError,
 )
 from .ontology import Layer, SourceSpan, _span_field
-from .relations import World, _repeated
+from .relations import Triple, World, _repeated
 from .trace import TraceEvent
 
 # A ref inside a template or predicate is a concrete entity name or, inside
@@ -168,26 +168,31 @@ def define_transitional(world: World, name: str, unlinks, links) -> Transitional
     return tr
 
 
-def apply_edits(
-    world: World,
-    unlinks: tuple[LinkTemplate, ...],
-    links: tuple[LinkTemplate, ...],
-    at: int,
-    binding: dict | None = None,
-    *,
-    lenient: bool = False,
-) -> list[TraceEvent]:
-    """Apply an unlink/link batch atomically at one tick: one ``World.edit``.
+# One unlink/link batch resolved to triples: (unlinks, links).
+Batch = tuple[tuple[Triple, ...], tuple[Triple, ...]]
 
-    A refused edit, or two edits on one triple, raises
-    PreconditionFailedError naming the failed predicate and leaves the
-    world unchanged. Lenient mode first drops inactive unlinks and active links.
-    """
-    un = [t.resolve(binding) for t in unlinks]
-    ln = [t.resolve(binding) for t in links]
+
+def resolve_edits(unlinks: tuple[LinkTemplate, ...], links: tuple[LinkTemplate, ...],
+                  binding: dict | None = None) -> Batch:
+    """Resolve an unlink/link batch against ``binding``. Raises
+    PreconditionFailedError when the binding collapses two edits onto one
+    triple, and ResolveError for a parameter bound to a non-entity."""
+    un = tuple([t.resolve(binding) for t in unlinks])
+    ln = tuple([t.resolve(binding) for t in links])
     t = _repeated(un + ln)
     if t is not None:
         raise PreconditionFailedError(f"binding collapses two edits onto {' '.join(t)}")
+    return un, ln
+
+
+def apply_batch(world: World, batch: Batch, at: int, *, lenient: bool = False) -> list[TraceEvent]:
+    """Apply a resolved batch atomically at one tick: one ``World.edit``.
+
+    A refused edit raises PreconditionFailedError naming the failed
+    predicate and leaves the world unchanged. Lenient mode first drops
+    inactive unlinks and active links, reading the world at this call.
+    """
+    un, ln = batch
     if lenient:
         un = [t for t in un if world.active_link(*t) is not None]
         ln = [t for t in ln if world.active_link(*t) is None]
@@ -204,6 +209,20 @@ def apply_edits(
         t, reason = " ".join(exc.triple), exc.result.reason
         raise PreconditionFailedError(f"link target invalid: {t}: {reason}", predicate=reason) from exc
     return world.trace[before:]
+
+
+def apply_edits(
+    world: World,
+    unlinks: tuple[LinkTemplate, ...],
+    links: tuple[LinkTemplate, ...],
+    at: int,
+    binding: dict | None = None,
+    *,
+    lenient: bool = False,
+) -> list[TraceEvent]:
+    """Resolve an unlink/link batch and apply it atomically at one tick;
+    ``resolve_edits`` then ``apply_batch``."""
+    return apply_batch(world, resolve_edits(unlinks, links, binding), at, lenient=lenient)
 
 
 def apply_transitional(world: World, t: Transitional, at: int, binding: dict | None = None) -> list[TraceEvent]:

@@ -39,6 +39,7 @@ from itertools import count
 
 from .dynamics import (
     ACTION_KEYWORDS,
+    Batch,
     LinkTemplate,
     Rule,
     RunSpec,
@@ -50,9 +51,10 @@ from .dynamics import (
     Step,
     _resolve_duration,
     apply_action,
-    apply_edits,
+    apply_batch,
     bind_args,
     check_action,
+    resolve_edits,
 )
 from .errors import (
     InvalidInitialLinkError,
@@ -109,7 +111,13 @@ class WorkflowRun:
     """One execution of a workflow within a scenario, with a cursor that
     walks the workflow's control tree and yields the next step on demand.
     Loop and conditional guards are evaluated at the tick control reaches
-    them."""
+    them.
+
+    ``binding`` is fixed when ``bind_args`` builds it and never mutated, so
+    each step's unlink and link templates are resolved against it once per
+    run, at the step's first end, and the resolved batch is kept under the
+    step's name (unique within a workflow). A batch that fails to resolve
+    is never kept."""
 
     def __init__(self, run_id: int, workflow: Workflow, binding: dict):
         self.id = run_id
@@ -121,6 +129,14 @@ class WorkflowRun:
         self._stack: list[list] = [["seq", workflow.body, 0]]
         self._spin_tick = 0
         self._moves = 0  # cursor moves at _spin_tick, over every next_step call
+        self._batches: dict[str, Batch] = {}
+
+    def batch(self, step: WorkflowStep) -> Batch:
+        """``step``'s edits resolved against the binding; see the class."""
+        batch = self._batches.get(step.name)
+        if batch is None:
+            batch = self._batches[step.name] = resolve_edits(step.unlinks, step.links, self.binding)
+        return batch
 
     def next_step(self, world: World, tick: int, horizon: int) -> WorkflowStep | None:
         # count every move, not only steps begun: a loop whose iterations
@@ -377,10 +393,7 @@ class Simulation:
         if run.status is not RunStatus.RUNNING and not boundary:
             return
         try:
-            apply_edits(
-                self.world, step.unlinks, step.links, tick, run.binding,
-                lenient=step.placeholder,
-            )
+            apply_batch(self.world, run.batch(step), tick, lenient=step.placeholder)
         except PreconditionFailedError as exc:
             self._break(run, step.name, tick, exc.predicate or str(exc))
             return

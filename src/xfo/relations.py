@@ -92,6 +92,8 @@ class ValidationResult:
 VALID = ValidationResult(True)
 
 _START = attrgetter("start")
+# A TraceEvent built without the NamedTuple's Python-level __new__.
+_event = tuple.__new__
 
 
 def _repeated(edits: Sequence):
@@ -159,8 +161,10 @@ class World:
     * ``_by_entity`` maps an entity to the triples it appears in on either
       side, and ``_by_kind`` a kind to its triples. Both use insertion-
       ordered dicts as sets, so iteration never depends on string hashing.
-    * Each event's ``seq`` is its position in ``trace``: ``record``
-      appends and ``unrecord`` removes only the newest event.
+    * Each event's ``seq`` is its position in ``trace``. ``edit`` appends
+      its own Link and Unlink events, after one tick check for the whole
+      batch; ``record`` appends every other event, and ``unrecord``
+      removes only the newest event.
     * Ticks never go backwards: an edit or event dated before the last
       recorded tick raises TickOrderError and changes nothing.
 
@@ -219,7 +223,7 @@ class World:
 
     def record(self, kind: str, at: int, payload: dict) -> TraceEvent:
         self._require_tick(at)
-        ev = TraceEvent(len(self.trace), at, kind, payload)
+        ev = _event(TraceEvent, (len(self.trace), at, kind, payload))
         self.trace.append(ev)
         return ev
 
@@ -394,7 +398,9 @@ class World:
         ``links``, at tick ``at``. Before any write it refuses, in order, a
         triple named twice, an unlink not active at ``at``, a past tick and
         a link ``check_link`` refuses. Each link is validated once; an
-        uncovered one adds a ``tier-2:`` warning. Returns ended, then new."""
+        uncovered one adds a ``tier-2:`` warning. It appends an Unlink event
+        per ended link and a Link event per new one itself, with no further
+        tick check: the batch's tick was checked once. Returns ended, then new."""
         t = _repeated([*unlinks, *links])
         if t is not None:
             raise LinkEditError(f"link '{t[0]}' {t[1]} '{t[2]}' is edited twice in one batch", t)
@@ -404,9 +410,11 @@ class World:
                 raise NoActiveLinkError(f"no active link '{t[0]}' {t[1]} '{t[2]}' at tick {at}", t)
         self._require_tick(at)
         verdicts = [self.check_link(*t) for t in links]
+        trace = self.trace
         for inst in edited:
             inst.end = at
-            self.record("Unlink", at, {"from": inst.from_p, "relation": inst.kind, "to": inst.to_p})
+            payload = {"from": inst.from_p, "relation": inst.kind, "to": inst.to_p}
+            trace.append(_event(TraceEvent, (len(trace), at, "Unlink", payload)))
         for triple, res in zip(links, verdicts):
             if not res:
                 self.warnings.append(f"tier-2: {res.reason}")
@@ -419,7 +427,8 @@ class World:
                     self._by_entity.setdefault(e, {})[triple] = None
                 self._by_kind.setdefault(kind, {})[triple] = None
             row.append(inst)
-            self.record("Link", at, {"from": from_p, "relation": kind, "to": to_p})
+            payload = {"from": from_p, "relation": kind, "to": to_p}
+            trace.append(_event(TraceEvent, (len(trace), at, "Link", payload)))
             edited.append(inst)
         return edited
 

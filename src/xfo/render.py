@@ -37,6 +37,14 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+class _Escaped(dict):
+    """text -> ``_esc(text)``, filled on first use."""
+
+    def __missing__(self, text: str) -> str:
+        e = self[text] = _esc(text)
+        return e
+
+
 def _quality_spans(spans, horizon: int):
     """entity -> list of (start, end, quality) from the Has_Quality links
     in a span index, clipped to the horizon."""
@@ -87,11 +95,12 @@ def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
         f'<text x="{_LABEL_W}" y="20" font-size="13" font-family="sans-serif">'
         f"{_esc(doc.scenario)}: quality timeline</text>",
     ]
+    esc = _Escaped()  # each distinct name and quality escaped once
     for i, name in enumerate(names):
         y = _TOP + i * (_ROW_H + _ROW_GAP)
         out.append(
             f'<text x="{_LABEL_W - 8}" y="{y + 17}" font-size="12" text-anchor="end" '
-            f'font-family="sans-serif">{_esc(name)}</text>'
+            f'font-family="sans-serif">{esc[name]}</text>'
         )
         for start, stop, quality in rows.get(name, ()):
             x = _LABEL_W + start * _PX_PER_TICK
@@ -99,31 +108,33 @@ def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
             out.append(
                 f'<rect x="{x}" y="{y}" width="{w}" height="{_ROW_H}" '
                 f'fill="{_color(quality)}" stroke="#333333">'
-                f"<title>{_esc(name)}: {_esc(quality)} [{start},{stop})</title></rect>"
+                f"<title>{esc[name]}: {esc[quality]} [{start},{stop})</title></rect>"
             )
     _axis(out, width, axis_y, doc.horizon)
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def _containers(spans):
-    """container -> sorted member entities, from the Continuant_Part_Of
-    links in a span index."""
+_start = itemgetter(0)
+
+
+def _containers(spans, at: int):
+    """container -> sorted members at tick ``at``, and the set of all
+    those members, from the Continuant_Part_Of links in a span index. An
+    entity is a member while a span of its link holds ``at``: ``start <=
+    at`` and an end that is None or greater. Unlike colours, spans are not
+    clipped to the horizon."""
     groups: dict[str, list[str]] = {}
-    grouped: set[str] = set()
-    for (frm, kind, to), _ranges in spans.items():
+    for (frm, kind, to), ranges in spans.items():
         if kind != "Continuant_Part_Of":
             continue
-        groups.setdefault(to, [])
-        if frm not in groups[to]:
-            groups[to].append(frm)
-        grouped.add(frm)
+        i = bisect_right(ranges, at, key=_start)
+        end = ranges[i - 1][1] if i else at
+        if end is None or end > at:
+            groups.setdefault(to, []).append(frm)
     for members in groups.values():
         members.sort()
-    return groups, grouped
-
-
-_start = itemgetter(0)
+    return groups, {m for members in groups.values() for m in members}
 
 
 def _qualities_at(spans, horizon: int, at: int) -> dict[str, str | None]:
@@ -155,12 +166,13 @@ def _qualities_at(spans, horizon: int, at: int) -> dict[str, str | None]:
 
 
 def render_snapshot(doc: TraceDoc, at: int) -> str:
-    """Lamp states at one tick: one row per container, a filled circle per
-    member colored by its active Has_Quality link."""
+    """Lamp states at one tick: one row per container with a member at
+    that tick, a filled circle per member colored by its active
+    Has_Quality link."""
     if not 0 <= at <= doc.horizon:
         raise TickOutOfRangeError(f"tick {at} outside [0, {doc.horizon}]")
     shown = _qualities_at(doc.spans, doc.horizon, at)
-    groups, grouped = _containers(doc.spans)
+    groups, grouped = _containers(doc.spans, at)
     loose = sorted(set(shown) - grouped)
     panels = [(name, groups[name]) for name in sorted(groups)]
     if loose:

@@ -6,9 +6,14 @@ bytes. Those bytes are exactly ``json.dumps(doc, indent=2) + "\n"``:
 2-space indent, ASCII-only (``\\uXXXX`` escapes), keys in the order
 model, scenario, horizon, version, events and, per event, seq, at, kind,
 payload. ``trace_parts`` writes them with the C string encoder, each
-distinct string encoded once per document; they are still byte for byte
-``json.dumps(indent=2)``, whose indenting pure-Python encoder is kept only
-as the tests' reference.
+distinct string encoded once per document. So is each distinct payload
+whose values are all str, exact int or None, as is every payload the
+engine writes but a frame's (its binding is a dict): it is keyed by its
+items and their value types, since ``1 == True == 1.0`` and ``0.0 ==
+-0.0`` in Python but not in JSON. Any other payload is laid out per
+event, and one that raises is never kept. The bytes are still those of
+``json.dumps(indent=2)``, whose indenting pure-Python encoder is kept
+only as the tests' reference.
 """
 from __future__ import annotations
 
@@ -111,6 +116,19 @@ class _Encoded(dict):
         return j
 
 
+# The value types whose JSON is fixed by value and type together: payloads
+# with equal items whose values are of these types have one JSON. Floats
+# and bools are left out: -0.0 == 0.0 and 1.0 == 1, yet their JSON differs.
+_MEMO_TYPES = frozenset((str, int, type(None)))
+
+
+def _payload(payload: dict, enc: _Encoded) -> str:
+    """A non-empty payload dict as an event's ``"payload"`` value."""
+    items = ",".join([f'\n        {enc[k]}: {enc[x] if type(x) is str else _value(x, "        ")}'
+                      for k, x in payload.items()])
+    return f"{{{items}\n      }}"
+
+
 def trace_parts(model: str, scenario: str, horizon: int, events: Iterable[TraceEvent]) -> Iterator[str]:
     """The trace document in pieces: a header, one piece per event, a
     footer. Joined they are ``trace_to_json``; ``xfo run --trace`` writes
@@ -119,17 +137,26 @@ def trace_parts(model: str, scenario: str, horizon: int, events: Iterable[TraceE
     An int ``seq`` or ``at``, a str kind and a non-empty payload dict
     are laid out here; any other value goes through ``_value``. A payload
     key that is not a string, at any depth, raises TypeError. Each
-    distinct string is encoded once per call, since a trace names the same
-    few entities thousands of times."""
+    distinct string, and each distinct payload the module docstring says
+    may be memoised, is encoded once per call, since a trace repeats the
+    same few entities and edits thousands of times."""
     yield (f'{{\n  "model": {_value(model, "  ")},\n  "scenario": {_value(scenario, "  ")},\n'
            f'  "horizon": {_value(horizon, "  ")},\n  "version": {TRACE_FORMAT_VERSION},\n  "events": [')
     enc = _Encoded()
+    done: dict[tuple, str] = {}
     sep = "\n"
     for seq, at, kind, payload in events:
         if type(payload) is dict and payload:
-            items = ",".join([f'\n        {enc[k]}: {enc[x] if type(x) is str else _value(x, "        ")}'
-                              for k, x in payload.items()])
-            payload = f"{{{items}\n      }}"
+            key = (*payload.items(), *map(type, payload.values()))
+            try:
+                text = done.get(key)
+            except TypeError:  # a list or dict value cannot be hashed
+                text = key = None
+            if text is None:
+                text = _payload(payload, enc)
+                if key is not None and _MEMO_TYPES.issuperset(key[len(payload):]):
+                    done[key] = text
+            payload = text
         else:
             payload = _value(payload, "      ")
         yield (f'{sep}    {{\n      "seq": {seq if type(seq) is int else _value(seq, "      ")},\n'
@@ -162,8 +189,8 @@ def parse_trace(text: str) -> TraceDoc:
     if not isinstance(raw.get("events"), list):
         raise MalformedTraceError("missing or invalid 'events' list")
     events: list[TraceEvent] = []
-    append, kinds, is_a, event = events.append, _KIND_SET, isinstance, TraceEvent
-    last_seq, last_at = -1, 0
+    append, kinds, is_a, new = events.append, _KIND_SET, isinstance, tuple.__new__
+    horizon, last_seq, last_at = raw["horizon"], -1, 0
     for i, e in enumerate(raw["events"]):
         if not is_a(e, dict):
             raise MalformedTraceError(f"event {i} is not an object")
@@ -175,9 +202,11 @@ def parse_trace(text: str) -> TraceDoc:
             raise MalformedTraceError(f"event {i}: seq not strictly increasing")
         if at < last_at:
             raise MalformedTraceError(f"event {i}: tick decreases")
+        if at > horizon:
+            raise MalformedTraceError(f"event {i}: tick {at} is past the horizon {horizon}")
         if not is_a(payload, dict):
             raise MalformedTraceError(f"event {i} has no payload object")
-        append(event(seq, at, kind, payload))
+        append(new(TraceEvent, (seq, at, kind, payload)))
         last_seq, last_at = seq, at
     return TraceDoc(raw["model"], raw["scenario"], raw["horizon"], raw["version"], tuple(events))
 

@@ -175,7 +175,10 @@ def _spans_as_tuples(world):
 
 
 def _store_snapshot(world):
-    return len(world.links), len(world.trace), list(world.warnings), _spans_as_tuples(world)
+    """What a refused edit must leave as it was: the link log, the trace
+    (each event's seq its position), the warnings and the spans."""
+    assert [e.seq for e in world.trace] == list(range(len(world.trace)))
+    return len(world.links), list(world.trace), list(world.warnings), _spans_as_tuples(world)
 
 
 def _check_current(world):

@@ -13,6 +13,7 @@ from xfo.dsl import parse_model, parse_scenario
 from xfo.errors import (
     InvalidInitialLinkError,
     NotInterruptibleError,
+    PreconditionFailedError,
     ResolveError,
     SimulationError,
     XfoError,
@@ -700,3 +701,92 @@ def test_refused_scenario_leaves_the_world_untouched():
         assert after == before
     load_scenario(world, Scenario("s", 5, (init,), ()))  # the world is still usable
     assert len(world.links) == 1
+
+
+# ----------------------------------------------------------------------
+# each run resolves a step's edits once
+
+
+def test_each_run_resolves_each_step_once(monkeypatch):
+    """A run's binding never changes, so each step's templates are resolved
+    once per run, not once per step executed."""
+    from xfo.dynamics import LinkTemplate, walk_steps
+    world = load_world("traffic.xfo")
+    sim = load_scenario(world, load_shipped_scenario(world, "traffic_desk.xws"))
+    calls = []
+    resolve = LinkTemplate.resolve
+    monkeypatch.setattr(LinkTemplate, "resolve", lambda self, binding: calls.append(binding) or resolve(self, binding))
+    sim.run_until(sim.scenario.horizon)
+    ends = [(e.payload["run"], e.payload["step"]) for e in world.trace if e.kind == "StepEnd"]
+    steps = {s.name: s for s in walk_steps(world.workflows["trafficCycle"].body)}
+    templates = [len(steps[name].unlinks + steps[name].links) for _, name in dict.fromkeys(ends)]
+    assert len(calls) == sum(templates)
+    assert len(ends) > len(set(ends))  # steps ran more than once, and resolved once
+
+
+def test_a_binding_that_collapses_two_edits_breaks_every_run():
+    """A batch that fails to resolve is never kept: each run re-resolves it
+    and breaks with the same predicate."""
+    world, scenario = _world_and_scenario(
+        COLLAPSE_MODEL, "scenario s\nhorizon 5\ninit a K b\nrun link_twice(a, a) at 0\nrun link_twice(b, b) at 2\n")
+    sim = load_scenario(world, scenario)
+    sim.run_until(5)
+    assert [status for _, _, status, _ in sim.summary()] == ["Broken", "Broken"]
+    assert [e.payload["predicate"] for e in world.trace if e.kind == "WorkflowBroken"] == [
+        "binding collapses two edits onto a K c", "binding collapses two edits onto b K c"]
+    step = sim.runs[0].workflow.body.items[0].step
+    for _ in range(2):
+        with pytest.raises(PreconditionFailedError, match="binding collapses two edits onto a K c"):
+            sim.runs[0].batch(step)
+
+
+PLACEHOLDER_LOOPS = COLLAPSE_MODEL + """
+particular dim instance_of Shade
+mechanism drop_later {
+  loop 2 {
+    step guess placeholder {
+      duration 1
+      effect unlink a K b
+      effect link a Has_Quality dim
+    }
+    step clear {
+      duration 1
+      effect unlink a Has_Quality dim
+    }
+  }
+}
+mechanism unlink_later {
+  loop 2 {
+    step guess placeholder {
+      duration 1
+      effect unlink a K b
+      effect link a Has_Quality dim
+    }
+    step clear {
+      duration 1
+      effect unlink a Has_Quality dim
+      effect link a K b
+    }
+  }
+}
+"""
+_DIM = ("a", "Has_Quality", "dim")
+
+
+@pytest.mark.parametrize("run, init, edits", [
+    # the first pass unlinks a K b; the second finds it inactive and drops it
+    ("drop_later", "init a K b\n", [(1, "Unlink", "a", "K", "b"), (1, "Link", *_DIM), (2, "Unlink", *_DIM),
+                                     (3, "Link", *_DIM), (4, "Unlink", *_DIM)]),
+    # the first pass drops the inactive unlink; the second unlinks it
+    ("unlink_later", "", [(1, "Link", *_DIM), (2, "Unlink", *_DIM), (2, "Link", "a", "K", "b"),
+                          (3, "Unlink", "a", "K", "b"), (3, "Link", *_DIM), (4, "Unlink", *_DIM),
+                          (4, "Link", "a", "K", "b")]),
+], ids=["drop_later", "unlink_later"])
+def test_a_placeholder_step_reads_the_world_on_every_pass(run, init, edits):
+    """A run keeps a step's resolved batch, never the batch the lenient
+    filter left: the filter reads the world at each pass."""
+    world, scenario = _world_and_scenario(PLACEHOLDER_LOOPS, f"scenario s\nhorizon 6\n{init}run {run}() at 0\n")
+    sim = load_scenario(world, scenario)
+    sim.run_until(6)
+    assert sim.summary()[0][2] == "Completed"
+    assert [e for e in link_events(world.trace) if e[0] > 0] == edits

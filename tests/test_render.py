@@ -111,7 +111,8 @@ def test_parse_trace_rejects_malformed():
 
 # ----------------------------------------------------------------------
 # reference: the renderers that replayed the whole trace on every call,
-# kept verbatim apart from names; the SVG layout helpers are shared.
+# kept verbatim apart from names and one fixed rule: a snapshot reads
+# container membership at its own tick. The SVG layout helpers are shared.
 
 
 def _reference_quality_spans(spans, horizon: int):
@@ -170,12 +171,14 @@ def reference_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _reference_containers(spans):
+def _reference_containers(spans, at: int):
     groups: dict[str, list[str]] = {}
     grouped: set[str] = set()
-    for (frm, kind, to), _ranges in spans.items():
+    for (frm, kind, to), ranges in spans.items():
         if kind != "Continuant_Part_Of":
             continue
+        if not any(start <= at and (end is None or end > at) for start, end in ranges):
+            continue  # membership is read at the snapshot's tick
         groups.setdefault(to, [])
         if frm not in groups[to]:
             groups[to].append(frm)
@@ -190,7 +193,7 @@ def reference_snapshot(doc: TraceDoc, at: int) -> str:
         raise TickOutOfRangeError(f"tick {at} outside [0, {doc.horizon}]")
     spans = replay_spans(doc.events)
     rows = _reference_quality_spans(spans, doc.horizon)
-    groups, grouped = _reference_containers(spans)
+    groups, grouped = _reference_containers(spans, at)
     loose = sorted(set(rows) - grouped)
     panels = [(name, groups[name]) for name in sorted(groups)]
     if loose:
@@ -252,7 +255,8 @@ _TRIPLES = (
 
 def _events(horizon: int, steps) -> list[TraceEvent]:
     """Link or Unlink, whichever is legal, for each (tick step, triple), at
-    non-decreasing ticks that may pass the horizon; a StepStart now and
+    non-decreasing ticks that may pass the horizon (``parse_trace`` refuses
+    those, so the test builds their doc directly); a StepStart now and
     then, which the span index ignores."""
     events, active, at = [], set(), 0
     for dt, triple, noise in steps:
@@ -271,13 +275,15 @@ _steps = st.lists(st.tuples(st.sampled_from((0, 0, 1, 2)), st.sampled_from(_TRIP
 _HQ = "Has_Quality"
 # every case the index must keep: containers and ungrouped lamps, two
 # overlapping qualities on a1, a zero-length span on a2, spans open at the
-# end, a span that starts at the horizon (u2) and one past it (b2)
+# end, a span that starts at the horizon (u2) and one past it (b2); b1
+# leaves L3 at tick 2, which then has no member, and a2 joins L1 at tick 3
 _EVERY_CASE = [
     (0, ("a1", "Continuant_Part_Of", "L1"), False), (0, ("b1", "Continuant_Part_Of", "L2"), False),
     (0, ("b1", "Continuant_Part_Of", "L3"), True), (0, ("a1", _HQ, "red"), False),
     (1, ("a1", _HQ, "green"), False), (0, ("a2", _HQ, "dark"), False), (0, ("a2", _HQ, "dark"), False),
     (0, ("u1", _HQ, "plum"), False), (1, ("a1", _HQ, "red"), False), (0, ("b1", _HQ, "green"), False),
-    (2, ("u2", _HQ, "dark"), False), (1, ("b2", _HQ, "red"), False),
+    (0, ("b1", "Continuant_Part_Of", "L3"), False), (1, ("a2", "Continuant_Part_Of", "L1"), False),
+    (1, ("u2", _HQ, "dark"), False), (1, ("b2", _HQ, "red"), False),
 ]
 
 
@@ -286,7 +292,14 @@ _EVERY_CASE = [
        entities=st.lists(st.sampled_from(_LAMPS), min_size=1, max_size=5))
 @example(horizon=4, steps=_EVERY_CASE, entities=["a1", "u1", "a1"])
 def test_renderers_match_the_replaying_reference(horizon, steps, entities):
-    doc = parse_trace(trace_to_json("m", "s", horizon, _events(horizon, steps)))
+    events = _events(horizon, steps)
+    text = trace_to_json("m", "s", horizon, events)
+    if events and events[-1].at > horizon:  # no document holds such a trace
+        with pytest.raises(MalformedTraceError, match="is past the horizon"):
+            parse_trace(text)
+        doc = TraceDoc("m", "s", horizon, 1, tuple(events))
+    else:
+        doc = parse_trace(text)
     assert render_timeline(doc) == reference_timeline(doc)
     first_named = list(dict.fromkeys(entities))
     try:
@@ -331,3 +344,29 @@ def test_a_doc_replays_its_events_once(monkeypatch):
     assert doc.horizon + 1 == 13 and len(calls) == 1
     assert doc == parse_trace(text)
     assert doc.spans is index and index == replay_spans(doc.events)
+
+
+def _part_of_doc(horizon: int) -> TraceDoc:
+    """Lamp ``a`` is red from tick 0 and joins container L9 at tick 3."""
+    events = [
+        TraceEvent(0, 0, "Link", {"from": "a", "relation": "Has_Quality", "to": "red"}),
+        TraceEvent(1, 3, "Link", {"from": "a", "relation": "Continuant_Part_Of", "to": "L9"}),
+    ]
+    return TraceDoc("m", "s", horizon, 1, tuple(events))
+
+
+def test_snapshot_reads_membership_at_its_tick():
+    """A lamp was once drawn in every container it was ever part of,
+    whatever the tick: here in an L9 panel at tick 0."""
+    doc = _part_of_doc(2)
+    with pytest.raises(MalformedTraceError, match="event 1: tick 3 is past the horizon 2"):
+        parse_trace(trace_to_json("m", "s", 2, doc.events))
+    for at in range(3):
+        svg = render_snapshot(doc, at)
+        assert ">L9</text>" not in svg and ">(ungrouped)</text>" in svg and ">a</text>" in svg
+    doc = parse_trace(trace_to_json("m", "s", 3, _part_of_doc(3).events))
+    assert ">L9</text>" not in render_snapshot(doc, 2)
+    svg = render_snapshot(doc, 3)  # the horizon tick: membership is not clipped
+    assert ">L9</text>" in svg and "(ungrouped)" not in svg and "<title>a: none</title>" in svg
+    for at in range(4):
+        assert render_snapshot(doc, at) == reference_snapshot(doc, at), at

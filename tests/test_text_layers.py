@@ -1,9 +1,10 @@
 """Differential tests for the text layers: the trace writer, the trace
 reader and the DSL tokenizer, each against the plain implementation it
 replaced. The references below are that code, kept verbatim apart from
-names and two rules the reader has gained since: a JSON bool is not an
-integer, and a horizon is at least 1. Every optimised path must give the
-same bytes, the same objects and the same error messages."""
+names and three rules the reader has gained since: a JSON bool is not an
+integer, a horizon is at least 1, and no event is past the horizon. Every
+optimised path must give the same bytes, the same objects and the same
+error messages."""
 from __future__ import annotations
 
 import hashlib
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xfo import cli
@@ -89,6 +90,8 @@ def reference_parse(text: str) -> TraceDoc:
             raise MalformedTraceError(f"event {i}: seq not strictly increasing")
         if at < last_at:
             raise MalformedTraceError(f"event {i}: tick decreases")
+        if at > raw["horizon"]:
+            raise MalformedTraceError(f"event {i}: tick {at} is past the horizon {raw['horizon']}")
         payload = e.get("payload")
         if not isinstance(payload, dict):
             raise MalformedTraceError(f"event {i} has no payload object")
@@ -155,17 +158,22 @@ PAYLOAD = st.dictionaries(TEXT, VALUE, max_size=4)  # empty payloads included
 # a few keys and values, escapes and non-ASCII among them, that recur
 # across the events of one document, as entity names do in a trace
 SHARED = st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ü", "日本", "😀", "", "from", "lamp1"])
-SHARED_PAYLOAD = st.dictionaries(SHARED, SHARED, max_size=4)
+# values that are == to each other, or hash alike, but whose JSON differs:
+# a memo keyed by value alone would write one where the other is due
+COLLIDING = st.sampled_from([1, True, 1.0, 0.0, -0.0, 0, False, None, {"from": 1}, {"from": True}])
+SHARED_PAYLOAD = st.dictionaries(SHARED, SHARED | COLLIDING, max_size=4)
 KIND = st.sampled_from(EVENT_KINDS)
 
 
 @st.composite
 def valid_events(draw):
-    """Events parse_trace accepts: seq strictly increasing, at not decreasing."""
+    """A horizon and events parse_trace accepts under it: seq strictly
+    increasing, at not decreasing and at most the horizon."""
+    horizon = draw(st.integers(1, 2**64))
     n = draw(st.integers(0, 5))
     seqs = sorted(draw(st.sets(BIG_INT.filter(lambda s: s >= 0), min_size=n, max_size=n)))
-    ats = sorted(draw(st.lists(st.integers(0, 2**64), min_size=n, max_size=n)))
-    return [TraceEvent(s, a, draw(KIND), draw(PAYLOAD)) for s, a in zip(seqs, ats)]
+    ats = sorted(draw(st.lists(st.integers(0, horizon), min_size=n, max_size=n)))
+    return horizon, [TraceEvent(s, a, draw(KIND), draw(PAYLOAD)) for s, a in zip(seqs, ats)]
 
 
 # ----------------------------------------------------------------------
@@ -178,11 +186,17 @@ EVENTS = st.lists(
 )
 
 
+# one document that repeats payloads which are == but are written apart
+_COLLISIONS = [TraceEvent(i, 0, "Link", {"from": v}) for i, v in enumerate(
+    [1, True, 1.0, 0.0, -0.0, 0, False, None, 1, True, -0.0, 0.0, {"a": 1}, {"a": True}, {"a": 1}])]
+
+
 @settings(max_examples=200, deadline=None)
 @given(model=TEXT, scenario=TEXT, horizon=BIG_INT, events=EVENTS, more=EVENTS)
+@example(model="m", scenario="s", horizon=1, events=_COLLISIONS, more=_COLLISIONS[::-1])
 def test_writer_matches_reference(model, scenario, horizon, events, more):
-    """Two documents written in a row: the writer's string memo is per
-    call, so the second is laid out as if it were the first."""
+    """Two documents written in a row: the writer's string and payload
+    memos are per call, so the second is laid out as if it were the first."""
     for evs in (events, more):
         assert trace_to_json(model, scenario, horizon, evs) == reference_to_json(model, scenario, horizon, evs)
 
@@ -214,11 +228,15 @@ def test_empty_trace_is_byte_identical():
     [{"binding": {"x": "a", 2: "b"}}],
     [{1: "a"}, {True: "b"}],  # True == 1 once wrote the JSON cached for 1
     [{"from": "a"}, {True: "b"}],
+    [{"from": "a", "to": 1}, {"from": "a", "to": 1}, {"from": "a", 1: "b"}],  # after a memoised payload
 ])
 def test_writer_refuses_keys_that_are_not_strings(payloads):
+    """In every document written: the payload memo keeps no payload that
+    raised, and it lives for one document."""
     events = [TraceEvent(i, 0, "Link", p) for i, p in enumerate(payloads)]
-    with pytest.raises(TypeError, match="is not a string"):
-        trace_to_json("m", "s", 1, events)
+    for _ in range(2):
+        with pytest.raises(TypeError, match="is not a string"):
+            trace_to_json("m", "s", 1, events)
 
 
 # ----------------------------------------------------------------------
@@ -231,12 +249,13 @@ FIELD = st.sampled_from(["seq", "at", "kind", "payload", None])  # None: the who
 
 
 @settings(max_examples=200, deadline=None)
-@given(events=valid_events(), data=st.data())
-def test_reader_matches_reference(events, data):
-    raw = json.loads(reference_to_json("m", "s", 5, events))
+@given(drawn=valid_events(), data=st.data())
+def test_reader_matches_reference(drawn, data):
+    horizon, events = drawn
+    raw = json.loads(reference_to_json("m", "s", horizon, events))
     if events and data.draw(st.booleans()):
         i = data.draw(st.integers(0, len(events) - 1))
-        field, value = data.draw(FIELD), data.draw(MUTANT)
+        field, value = data.draw(FIELD), data.draw(MUTANT | st.just(horizon + 1))  # a tick past the horizon
         if field is None:
             raw["events"][i] = {} if value is DELETE else value
         elif value is DELETE:
