@@ -12,13 +12,24 @@ equal. A rule's ``then`` and a scenario line name the same four actions
 under two keywords (``dynamics.ACTION_KEYWORDS``, e.g. ``start_workflow``
 and ``run``) and parse to the same type; the scenario line adds its tick.
 
-Each line that holds a token becomes one cursor (``_Toks``) over its
-tokens as plain strings; a token's kind follows from its text. A line of
-name, digit and punctuation characters, blanks and tabs is split by one
-``findall``, and its token columns are computed only when a diagnostic
-needs one (a statement's span needs only the width of the leading
-blanks). A line with any other character (a comment, a wildcard, a bad
-character) is scanned match by match, and its columns are kept.
+A line at statement level is first tried against its dispatch's one
+compiled statement pattern, which reads a whole simple statement
+(``universal``, ``particular``, ``relation``, ``relate`` in a model,
+``init`` in a scenario) written in names, blanks and tabs only; the
+statement is built from the match groups. Any other line, and every line
+inside a block, is tokenized only when the parser reaches it, into a
+cursor (``_Toks``) over its tokens as plain strings; a token's kind
+follows from its text. A simple statement the pattern does not match (a
+comment, an error) goes through the same form on the cursor, so both
+paths give the same statement, span and diagnostic.
+
+A line of name, digit and punctuation characters, blanks and tabs is
+split by one ``findall``, and its token columns are computed only when a
+diagnostic needs one (a statement's span needs only the width of the
+leading blanks). A line with any other character (a comment, a wildcard,
+a bad character) is scanned match by match, and its columns are kept.
+The tokenizer's diagnostics are kept apart from the parser's and come
+first, in line order.
 """
 from __future__ import annotations
 
@@ -141,29 +152,26 @@ class ParseResult:
 # tokenizer
 
 
-def _tokenize(text: str, file: str, diags: list[Diagnostic]) -> list[_Toks]:
-    """The lines that hold a token, each as a cursor over its tokens."""
-    lines: list[_Toks] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if _other_char(raw) is None:
-            toks, cols = _WORD_RE.findall(raw), None
-        else:
-            toks, cols = [], []
-            for m in _WORD_RE.finditer(raw):
-                tok = m.group()
-                if tok[0] == "#":
-                    break
-                if len(tok) == 1 and tok not in _TOKEN_CHARS:
-                    diags.append(Diagnostic(
-                        "error", "E_PARSE", f"unexpected character {tok!r}",
-                        SourceSpan(file, line_no, m.start() + 1),
-                    ))
-                else:
-                    toks.append(tok)
-                    cols.append(m.start() + 1)
-        if toks:
-            lines.append(_Toks(toks, file, line_no, raw, cols))
-    return lines
+def _tokenize_line(raw: str, file: str, line_no: int, diags: list[Diagnostic]) -> _Toks | None:
+    """Line ``raw`` as a cursor over its tokens, or None if it holds none.
+    Each bad character is reported to ``diags``."""
+    if _other_char(raw) is None:
+        toks, cols = _WORD_RE.findall(raw), None
+    else:
+        toks, cols = [], []
+        for m in _WORD_RE.finditer(raw):
+            tok = m.group()
+            if tok[0] == "#":
+                break
+            if len(tok) == 1 and tok not in _TOKEN_CHARS:
+                diags.append(Diagnostic(
+                    "error", "E_PARSE", f"unexpected character {tok!r}",
+                    SourceSpan(file, line_no, m.start() + 1),
+                ))
+            else:
+                toks.append(tok)
+                cols.append(m.start() + 1)
+    return _Toks(toks, file, line_no, raw, cols) if toks else None
 
 
 class _ParseError(Exception):
@@ -259,16 +267,22 @@ class _Toks:
 
 class _Parser:
     def __init__(self, text: str, file: str):
+        self.file = file
+        self.lexical: list[Diagnostic] = []  # the tokenizer's, in line order
         self.diags: list[Diagnostic] = []
-        self._lines = _tokenize(text, file, self.diags)
-        self.i = 0
+        # (line number, text); statement level and _next_line share it
+        self.lines = enumerate(text.splitlines(), start=1)
+
+    def result(self, document) -> ParseResult:
+        return ParseResult(document, (*self.lexical, *self.diags))
 
     # line stream -------------------------------------------------------
 
     def _next_line(self) -> _Toks | None:
-        if self.i < len(self._lines):
-            self.i += 1
-            return self._lines[self.i - 1]
+        for line_no, raw in self.lines:
+            line = _tokenize_line(raw, self.file, line_no, self.lexical)
+            if line is not None:
+                return line
         return None
 
     def _error(self, exc: _ParseError) -> None:
@@ -379,9 +393,61 @@ def _slot_value(line: _Toks) -> tuple[str, str]:
     return slot, line.name("an entity")
 
 
-def _parse_statements(parser: _Parser, dispatch) -> list:
+# a name in a statement pattern: the tokenizer's name class, as one group
+_NAME = "([A-Za-z_][A-Za-z0-9_]*)"
+
+
+def _p_simple(p: _Parser, line: _Toks, span, words: list, build):
+    """A simple statement on the cursor: each of ``words`` is a name (its
+    description) or a fixed keyword, as ``_Grammar`` splits a form."""
+    names = []
+    for what, word in words:
+        if what:
+            names.append(line.name(what))
+        else:
+            line.keyword(word)
+    line.done()
+    return build(*names, span=span)
+
+
+class _Grammar:
+    """The statements of one file type. ``simple`` maps each one-line
+    form, ``keyword <description of a name> word ...``, to the function
+    that builds its statement from the names and a span; ``handlers`` maps
+    every other keyword to its parser. The forms make one pattern, with
+    one group per form (told apart by ``lastindex``, the group that closes
+    last) around its name groups. A line the pattern does not match is
+    read on the cursor by ``_p_simple``."""
+
+    __slots__ = ("match", "forms", "handlers")
+
+    def __init__(self, simple: dict, handlers: dict):
+        self.forms, self.handlers = {}, dict(handlers)
+        branches, group = [], 1
+        for form, build in simple.items():
+            (_, keyword), *words = re.findall(r"<([^>]+)>|(\S+)", form)
+            n = sum(1 for what, _ in words if what)
+            parts = [keyword, *(_NAME if what else word for what, word in words)]
+            branches.append("(" + r"[ \t]+".join(parts) + ")")
+            self.forms[group] = (build, tuple(range(group + 1, group + 1 + n)), len(keyword))
+            self.handlers[keyword] = partial(_p_simple, words=words, build=build)
+            group += 1 + n
+        self.match = re.compile(r"[ \t]*(?:" + "|".join(branches) + r")[ \t]*", re.ASCII).fullmatch
+
+
+def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
     stmts = []
-    while (line := parser._next_line()) is not None:
+    file, match, forms, dispatch = parser.file, grammar.match, grammar.forms, grammar.handlers
+    for line_no, raw in parser.lines:
+        m = match(raw)
+        if m is not None:
+            g = m.lastindex
+            build, names, width = forms[g]
+            stmts.append(build(*m.group(*names), span=SourceSpan(file, line_no, m.start(g) + 1, width)))
+            continue
+        line = _tokenize_line(raw, file, line_no, parser.lexical)
+        if line is None:
+            continue
         span = line.span_at()
         try:
             kw_tok = line.take()
@@ -405,40 +471,6 @@ def _p_model(p: _Parser, line: _Toks, span) -> ModelHeader:
     name = line.name("a model name")
     line.done()
     return ModelHeader(name, span=span)
-
-
-def _p_universal(p: _Parser, line: _Toks, span) -> EntityDef:
-    name = line.name("a universal name")
-    line.keyword("is_a")
-    parent = line.name("a parent entity")
-    line.done()
-    return EntityDef(name, Layer.U, parent, span=span)
-
-
-def _p_particular(p: _Parser, line: _Toks, span) -> EntityDef:
-    name = line.name("a particular name")
-    line.keyword("instance_of")
-    universal = line.name("a universal")
-    line.done()
-    return EntityDef(name, Layer.P, universal, span=span)
-
-
-def _p_relation(p: _Parser, line: _Toks, span) -> RelationKind:
-    name = line.name("a relation kind name")
-    line.keyword("from")
-    domain = line.name("a B entity")
-    line.keyword("to")
-    range_ = line.name("a B entity")
-    line.done()
-    return RelationKind(name, domain, range_, span=span)
-
-
-def _p_relate(p: _Parser, line: _Toks, span) -> RelationDeclaration:
-    from_u = line.name("a universal")
-    kind = line.name("a relation kind")
-    to_u = line.name("a universal")
-    line.done()
-    return RelationDeclaration(from_u, kind, to_u, span=span)
 
 
 def _p_transitional(p: _Parser, line: _Toks, span) -> Transitional:
@@ -508,7 +540,7 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
     if line.peek() == "placeholder":
         line.take()
         placeholder = True
-    span = line.span_at()
+    brace = line.pos
     p._open_brace(line)
     agent = None
     duration: int | str = 0
@@ -536,7 +568,12 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
         else:
             raise _ParseError(f"unknown step clause '{word}'", body.span_at())
 
-    p._end(p._block(f"step '{name}'", span, clause))
+    try:
+        close = p._block(f"step '{name}'", None, clause)
+    except _ParseError as exc:  # unterminated: its span is the step's '{'
+        exc.span = line.span_at(brace)
+        raise
+    p._end(close)
     return WorkflowStep(
         name, agent, duration, tuple(pre), tuple(unlinks), tuple(links), placeholder
     )
@@ -621,18 +658,24 @@ def _action_operand(line: _Toks, cls) -> tuple:
 _RULE_ACTIONS = {rule_word: cls for cls, (_, rule_word) in ACTION_KEYWORDS.items()}
 
 
-_MODEL_DISPATCH = {
-    "model": _p_model,
-    "universal": _p_universal,
-    "particular": _p_particular,
-    "relation": _p_relation,
-    "relate": _p_relate,
-    "transitional": _p_transitional,
-    "frame": _p_frame,
-    "workflow": _p_workflow,
-    "mechanism": partial(_p_workflow, requires_agent=False),
-    "rule": _p_rule,
-}
+_MODEL = _Grammar(
+    {
+        "universal <a universal name> is_a <a parent entity>":
+            lambda name, parent, span: EntityDef(name, Layer.U, parent, span=span),
+        "particular <a particular name> instance_of <a universal>":
+            lambda name, universal, span: EntityDef(name, Layer.P, universal, span=span),
+        "relation <a relation kind name> from <a B entity> to <a B entity>": RelationKind,
+        "relate <a universal> <a relation kind> <a universal>": RelationDeclaration,
+    },
+    {
+        "model": _p_model,
+        "transitional": _p_transitional,
+        "frame": _p_frame,
+        "workflow": _p_workflow,
+        "mechanism": partial(_p_workflow, requires_agent=False),
+        "rule": _p_rule,
+    },
+)
 
 
 # scenario statements ---------------------------------------------------
@@ -648,12 +691,6 @@ def _p_horizon(p: _Parser, line: _Toks, span) -> HorizonStmt:
     value = line.integer("a horizon tick")
     line.done()
     return HorizonStmt(value, span=span)
-
-
-def _p_init(p: _Parser, line: _Toks, span) -> InitStmt:
-    t = p._template(line)
-    line.done()
-    return InitStmt(t, span=span)
 
 
 def _at_clause(line: _Toks) -> int:
@@ -678,26 +715,29 @@ def _p_interrupt(p: _Parser, line: _Toks, span) -> InterruptDirective:
     return InterruptDirective(run, _at_clause(line), span=span)
 
 
-_SCENARIO_DISPATCH = {
-    "scenario": _p_scenario,
-    "horizon": _p_horizon,
-    "init": _p_init,
-    "rule": _p_rule_ref,
-    "interrupt": _p_interrupt,
-    **{word: partial(_p_action, cls=cls) for cls, (word, _) in ACTION_KEYWORDS.items()},
-}
+_SCENARIO = _Grammar(
+    {
+        "init <an entity> <a relation kind> <an entity>":
+            lambda frm, kind, to, span: InitStmt(LinkTemplate(frm, kind, to), span=span),
+    },
+    {
+        "scenario": _p_scenario,
+        "horizon": _p_horizon,
+        "rule": _p_rule_ref,
+        "interrupt": _p_interrupt,
+        **{word: partial(_p_action, cls=cls) for cls, (word, _) in ACTION_KEYWORDS.items()},
+    },
+)
 
 
 def parse_model(text: str, file: str = "<model>") -> ParseResult:
     p = _Parser(text, file)
-    stmts = _parse_statements(p, _MODEL_DISPATCH)
-    return ParseResult(ModelDocument(tuple(stmts)), tuple(p.diags))
+    return p.result(ModelDocument(tuple(_parse_statements(p, _MODEL))))
 
 
 def parse_scenario(text: str, file: str = "<scenario>") -> ParseResult:
     p = _Parser(text, file)
-    stmts = _parse_statements(p, _SCENARIO_DISPATCH)
-    return ParseResult(ScenarioDocument(tuple(stmts)), tuple(p.diags))
+    return p.result(ScenarioDocument(tuple(_parse_statements(p, _SCENARIO))))
 
 
 # ----------------------------------------------------------------------

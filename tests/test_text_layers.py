@@ -1,10 +1,11 @@
 """Differential tests for the text layers: the trace writer, the trace
 reader and the DSL tokenizer, each against the plain implementation it
-replaced. The references below are that code, kept verbatim apart from
-names and three rules the reader has gained since: a JSON bool is not an
-integer, a horizon is at least 1, and no event is past the horizon. Every
-optimised path must give the same bytes, the same objects and the same
-error messages."""
+replaced, and the parser's statement pattern against its cursor. The
+references below are that code, kept verbatim apart from names and three
+rules the reader has gained since: a JSON bool is not an integer, a
+horizon is at least 1, and no event is past the horizon. Every optimised
+path must give the same bytes, the same objects and the same error
+messages."""
 from __future__ import annotations
 
 import hashlib
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xfo import cli
-from xfo.dsl import Diagnostic, _tokenize
+from xfo import cli, dsl
+from xfo.dsl import Diagnostic, _tokenize_line, parse_model, parse_scenario
 from xfo.errors import MalformedTraceError
 from xfo.ontology import SourceSpan
 from xfo.trace import EVENT_KINDS, TRACE_FORMAT_VERSION, TraceDoc, TraceEvent, parse_trace, trace_to_json
@@ -322,8 +323,15 @@ def token_kind(tok: str) -> str:
     return "wildcard" if ":" in tok else "punct"
 
 
+def tokenize_lines(text: str, file: str, diags: list) -> list:
+    """Every line of ``text`` through the parser's tokenizer: the cursors
+    of the lines that hold a token."""
+    lines = (_tokenize_line(raw, file, n, diags) for n, raw in enumerate(text.splitlines(), start=1))
+    return [line for line in lines if line is not None]
+
+
 def expand(lines) -> list[tuple]:
-    """``_tokenize``'s cursors as the reference's (kind, text, line, col)
+    """``tokenize_lines``'s cursors as the reference's (kind, text, line, col)
     tuples: one column from the tokenizer, or from the cursor's span when
     the tokenizer left it to be computed."""
     out = []
@@ -338,19 +346,19 @@ def expand(lines) -> list[tuple]:
 def tokens_and_diags(tokenize, text):
     diags: list = []
     lines = tokenize(text, "f.xfo", diags)
-    return (expand(lines) if tokenize is _tokenize else [t for line in lines for t in line]), diags
+    return (expand(lines) if tokenize is tokenize_lines else [t for line in lines for t in line]), diags
 
 
 @settings(max_examples=500, deadline=None)
 @given(text=SOURCE)
 def test_tokenizer_matches_reference(text):
-    assert tokens_and_diags(_tokenize, text) == tokens_and_diags(reference_tokenize, text)
+    assert tokens_and_diags(tokenize_lines, text) == tokens_and_diags(reference_tokenize, text)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.iterdir() if p.suffix in (".xfo", ".xws")))
 def test_tokenizer_matches_reference_on_shipped_files(name):
     text = model_text(name)
-    assert tokens_and_diags(_tokenize, text) == tokens_and_diags(reference_tokenize, text)
+    assert tokens_and_diags(tokenize_lines, text) == tokens_and_diags(reference_tokenize, text)
 
 
 def generated_inputs() -> dict[str, str]:
@@ -373,4 +381,132 @@ def generated_inputs() -> dict[str, str]:
 @pytest.mark.parametrize("name", ["catalog.xfo", "traffic.xfo", "traffic.xws", "school.xfo", "school.xws"])
 def test_tokenizer_matches_reference_on_generated_inputs(name):
     text = generated_inputs()[name]
-    assert tokens_and_diags(_tokenize, text) == tokens_and_diags(reference_tokenize, text)
+    assert tokens_and_diags(tokenize_lines, text) == tokens_and_diags(reference_tokenize, text)
+
+
+# ----------------------------------------------------------------------
+# statement pattern and cursor
+
+# names, keywords among them: a keyword is a name wherever a name is due
+WORD = st.sampled_from(["A", "b_1", "_x", "Z9", "any", "is_a", "instance_of", "from", "to",
+                        "universal", "particular", "relation", "relate", "init", "model"])
+SIMPLE_FORMS = [
+    ("universal", None, "is_a", None),
+    ("particular", None, "instance_of", None),
+    ("relation", None, "from", None, "to", None),
+    ("relate", None, None, None),
+    ("init", None, None, None),
+]
+OTHER_LINE = st.sampled_from([
+    "", "\t", "# a comment", "model m", "scenario s", "horizon 5", "rule r", "run W(a, 1) at 2",
+    "transitional T {", "  link a K b", "  unlink a K b", "}", "} junk", "frame F {", "  slot x",
+    "workflow W(x) {", "mechanism M {", "  step s {", "  step s placeholder {", "    duration 1",
+    "    effect link a K b", "  loop 2 {", "  if exists a K b {", "  } else {",
+    "rule r {", "  when exists any:U K b", "  then apply T",
+])
+BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x85"])
+
+
+@st.composite
+def simple_line(draw) -> str:
+    """A simple statement as drawn, or with a token missing, a token too
+    many, a word that is not a name, or a bad character (a form feed
+    breaks the line) inside a word; blanks and tabs between, before and
+    after its words."""
+    words = [w or draw(WORD) for w in draw(st.sampled_from(SIMPLE_FORMS))]
+    how = draw(st.sampled_from(["as drawn", "missing", "extra", "not a name", "bad"]))
+    other = WORD | st.sampled_from(["7", "9lives", "{", "any:U", "="])
+    if how == "missing":
+        del words[draw(st.integers(0, len(words) - 1))]
+    elif how == "extra":
+        words.insert(draw(st.integers(0, len(words))), draw(other))
+    elif how == "not a name":
+        words[draw(st.integers(0, len(words) - 1))] = draw(other)
+    elif how == "bad":
+        i = draw(st.integers(0, len(words) - 1))
+        at = draw(st.integers(0, len(words[i])))
+        words[i] = words[i][:at] + draw(st.sampled_from(["@", "-", ":", "\x0c", "\xe9", "\ufeff"])) + words[i][at:]
+    blanks = st.text(alphabet=" \t", min_size=1, max_size=3)
+    line = "".join(w + draw(blanks) for w in words[:-1]) + words[-1]
+    return draw(st.text(alphabet=" \t", max_size=2)) + line + draw(st.text(alphabet=" \t", max_size=2))
+
+
+@st.composite
+def source(draw) -> str:
+    lines = draw(st.lists(simple_line() | OTHER_LINE, max_size=12))
+    return "".join(line + draw(BREAK) for line in lines)
+
+
+def commented(text: str) -> str:
+    """``text`` with `` # c`` at the end of every line: every line then goes
+    down the cursor path, and no token moves."""
+    out = []
+    for piece in text.splitlines(keepends=True):
+        body = piece.splitlines()[0] if piece.splitlines() else ""
+        out.append(body + " # c" + piece[len(body):])
+    return "".join(out)
+
+
+def parsed(parse, text: str) -> tuple:
+    result = parse(text, "f")
+    return [(repr(s), s.span) for s in result.document.statements], result.diagnostics
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=source())
+@example(text="universal is_a is_a is_a\nrelation from from from to to\ninit init init init\n")
+@example(text="transitional T {\n  universal A is_a B\n}\nworkflow W {\n  step s {\n    relate A K B\n  }\n}\n")
+@example(text="universal A is_a B\x1cparticular a\tinstance_of A \t\x85relate A K\n")
+def test_statement_pattern_matches_the_cursor(text):
+    for parse in (parse_model, parse_scenario):
+        assert parsed(parse, text) == parsed(parse, commented(text))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("transitional T {\n  universal A is_a B\n}\n", "expected 'link' or 'unlink', got 'universal'"),
+    ("mechanism M {\n  step s {\n    relate A K B\n  }\n}\n", "unknown step clause 'relate'"),
+])
+def test_simple_statement_inside_a_block_is_a_clause_error(text, message):
+    assert [d.message for d in parse_model(text).diagnostics] == [message]
+
+
+def count_cursors(monkeypatch) -> list:
+    """The line number of each ``_Toks`` cursor the parser builds from
+    here on."""
+    built = []
+    init = dsl._Toks.__init__
+
+    def counting(self, *args):
+        built.append(args[2])  # its line number
+        init(self, *args)
+
+    monkeypatch.setattr(dsl._Toks, "__init__", counting)
+    return built
+
+
+def is_simple(line: str) -> bool:
+    """Whether ``line`` is a simple model statement in names, blanks and
+    tabs."""
+    words = line.split() if re.fullmatch(r"[A-Za-z0-9_ \t]*", line) else []
+    forms = [form for form in SIMPLE_FORMS if form[0] != "init"]
+    return all(w.isidentifier() for w in words) and any(
+        len(words) == len(form) and all(slot in (None, word) for slot, word in zip(form, words))
+        for form in forms)
+
+
+def test_simple_statements_build_no_cursor(monkeypatch):
+    built = count_cursors(monkeypatch)
+    model = "".join(f"universal U{i} is_a B_Object\n\tparticular p{i}\tinstance_of U{i} \n"
+                    f"relation k{i} from B_Object to B_Quality\nrelate U{i} k{i} U{i}\n" for i in range(50))
+    assert len(parse_model(model).document.statements) == 200
+    assert len(parse_scenario("init a K b\n" * 50).document.statements) == 50
+    assert built == []
+
+
+def test_shipped_model_builds_one_cursor_per_line_that_needs_one(monkeypatch):
+    text = model_text("traffic.xfo")
+    needs = [n for n, line in enumerate(text.splitlines(), start=1)
+             if line.split("#")[0].strip() and not is_simple(line)]
+    built = count_cursors(monkeypatch)
+    assert parse_model(text, "traffic.xfo").ok
+    assert built == needs and len(needs) < len(text.splitlines())
