@@ -7,10 +7,12 @@ parser never throws. Model definitions parse straight to the kernel's
 definition types (EntityDef, RelationKind, RelationDeclaration,
 Transitional, Frame, Workflow, Rule) and scenario schedule lines to its
 action and InterruptDirective types; each carries a source span kept out
-of equality, so parse -> print -> parse round-trips compare structurally
-equal. A rule's ``then`` and a scenario line name the same four actions
-under two keywords (``dynamics.ACTION_KEYWORDS``, e.g. ``start_workflow``
-and ``run``) and parse to the same type; the scenario line adds its tick.
+of equality, so a parsed statement equals one built by hand. The kernel
+stores a parsed EntityDef, RelationKind or RelationDeclaration itself,
+span included. A rule's ``then`` and a scenario line name the same four
+actions under two keywords (``dynamics.ACTION_KEYWORDS``, e.g.
+``start_workflow`` and ``run``) and parse to the same type; the scenario
+line adds its tick.
 
 A line at statement level is first tried against its dispatch's one
 compiled statement pattern, which reads a whole simple statement
@@ -395,6 +397,8 @@ def _slot_value(line: _Toks) -> tuple[str, str]:
 
 # a name in a statement pattern: the tokenizer's name class, as one group
 _NAME = "([A-Za-z_][A-Za-z0-9_]*)"
+# A SourceSpan built without the NamedTuple's Python-level __new__.
+_span = tuple.__new__
 
 
 def _p_simple(p: _Parser, line: _Toks, span, words: list, build):
@@ -443,7 +447,8 @@ def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
         if m is not None:
             g = m.lastindex
             build, names, width = forms[g]
-            stmts.append(build(*m.group(*names), span=SourceSpan(file, line_no, m.start(g) + 1, width)))
+            span = _span(SourceSpan, (file, line_no, m.start(g) + 1, width))
+            stmts.append(build(*m.group(*names), span=span))
             continue
         line = _tokenize_line(raw, file, line_no, parser.lexical)
         if line is None:
@@ -465,12 +470,6 @@ def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
 
 
 # model statements ------------------------------------------------------
-
-
-def _p_model(p: _Parser, line: _Toks, span) -> ModelHeader:
-    name = line.name("a model name")
-    line.done()
-    return ModelHeader(name, span=span)
 
 
 def _p_transitional(p: _Parser, line: _Toks, span) -> Transitional:
@@ -668,7 +667,7 @@ _MODEL = _Grammar(
         "relate <a universal> <a relation kind> <a universal>": RelationDeclaration,
     },
     {
-        "model": _p_model,
+        "model": partial(_p_simple, words=[("a model name", "")], build=ModelHeader),
         "transitional": _p_transitional,
         "frame": _p_frame,
         "workflow": _p_workflow,
@@ -679,12 +678,6 @@ _MODEL = _Grammar(
 
 
 # scenario statements ---------------------------------------------------
-
-
-def _p_scenario(p: _Parser, line: _Toks, span) -> ScenarioHeader:
-    name = line.name("a scenario name")
-    line.done()
-    return ScenarioHeader(name, span=span)
 
 
 def _p_horizon(p: _Parser, line: _Toks, span) -> HorizonStmt:
@@ -698,12 +691,6 @@ def _at_clause(line: _Toks) -> int:
     at = line.integer("a tick")
     line.done()
     return at
-
-
-def _p_rule_ref(p: _Parser, line: _Toks, span) -> RuleRefStmt:
-    name = line.name("a rule name")
-    line.done()
-    return RuleRefStmt(name, span=span)
 
 
 def _p_action(p: _Parser, line: _Toks, span, cls):
@@ -721,9 +708,9 @@ _SCENARIO = _Grammar(
             lambda frm, kind, to, span: InitStmt(LinkTemplate(frm, kind, to), span=span),
     },
     {
-        "scenario": _p_scenario,
+        "scenario": partial(_p_simple, words=[("a scenario name", "")], build=ScenarioHeader),
         "horizon": _p_horizon,
-        "rule": _p_rule_ref,
+        "rule": partial(_p_simple, words=[("a rule name", "")], build=RuleRefStmt),
         "interrupt": _p_interrupt,
         **{word: partial(_p_action, cls=cls) for cls, (word, _) in ACTION_KEYWORDS.items()},
     },
@@ -738,113 +725,3 @@ def parse_model(text: str, file: str = "<model>") -> ParseResult:
 def parse_scenario(text: str, file: str = "<scenario>") -> ParseResult:
     p = _Parser(text, file)
     return p.result(ScenarioDocument(tuple(_parse_statements(p, _SCENARIO))))
-
-
-# ----------------------------------------------------------------------
-# pretty printer
-
-
-def _fmt_node(node, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(node, Step):
-        s = node.step
-        head = f"{pad}step {s.name}" + (" placeholder" if s.placeholder else "") + " {"
-        out.append(head)
-        inner = "  " * (indent + 1)
-        if s.agent_ref is not None:
-            out.append(f"{inner}agent {s.agent_ref}")
-        out.append(f"{inner}duration {s.duration}")
-        for pred in s.preconditions:
-            out.append(f"{inner}require {pred.render()}")
-        for t in s.unlinks:
-            out.append(f"{inner}effect unlink {t}")
-        for t in s.links:
-            out.append(f"{inner}effect link {t}")
-        out.append(f"{pad}}}")
-    elif isinstance(node, Loop):
-        if node.count is not None:
-            head = f"{pad}loop {node.count} {{"
-        elif node.until_end:
-            head = f"{pad}loop until end {{"
-        elif node.guard is not None:
-            head = f"{pad}loop until {node.guard.render()} {{"
-        else:
-            head = f"{pad}loop {{"
-        out.append(head)
-        for item in node.body.items:
-            _fmt_node(item, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(node, Cond):
-        out.append(f"{pad}if {node.guard.render()} {{")
-        for item in node.then_body.items:
-            _fmt_node(item, indent + 1, out)
-        if node.else_body is not None:
-            out.append(f"{pad}}} else {{")
-            for item in node.else_body.items:
-                _fmt_node(item, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(node, Seq):
-        for item in node.items:
-            _fmt_node(item, indent, out)
-
-
-def print_model(doc: ModelDocument) -> str:
-    out: list[str] = []
-    for s in doc.statements:
-        if isinstance(s, ModelHeader):
-            out.append(f"model {s.name}")
-        elif isinstance(s, EntityDef):
-            if s.layer is Layer.U:
-                out.append(f"universal {s.name} is_a {s.parent}")
-            else:
-                out.append(f"particular {s.name} instance_of {s.parent}")
-        elif isinstance(s, RelationKind):
-            out.append(f"relation {s.name} from {s.domain_b} to {s.range_b}")
-        elif isinstance(s, RelationDeclaration):
-            out.append(f"relate {s.from_u} {s.kind} {s.to_u}")
-        elif isinstance(s, Transitional):
-            out.append(f"transitional {s.name} {{")
-            for t in s.unlinks:
-                out.append(f"  unlink {t}")
-            for t in s.links:
-                out.append(f"  link {t}")
-            out.append("}")
-        elif isinstance(s, Frame):
-            out.append(f"frame {s.name} {{")
-            for slot in s.slots:
-                out.append(f"  slot {slot}")
-            for t in s.templates:
-                out.append(f"  link {t}")
-            out.append("}")
-        elif isinstance(s, Workflow):
-            kw = "workflow" if s.requires_agent else "mechanism"
-            params = f"({', '.join(s.params)})" if s.params else ""
-            out.append(f"{kw} {s.name}{params} {{")
-            for item in s.body.items:
-                _fmt_node(item, 1, out)
-            out.append("}")
-        elif isinstance(s, Rule):
-            out.append(f"rule {s.name} {{")
-            for pred in s.guard:
-                out.append(f"  when {pred.render()}")
-            out.append(f"  then {s.action.render()}")
-            out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def print_scenario(doc: ScenarioDocument) -> str:
-    out: list[str] = []
-    for s in doc.statements:
-        if isinstance(s, ScenarioHeader):
-            out.append(f"scenario {s.name}")
-        elif isinstance(s, HorizonStmt):
-            out.append(f"horizon {s.value}")
-        elif isinstance(s, InitStmt):
-            out.append(f"init {s.template}")
-        elif isinstance(s, RuleRefStmt):
-            out.append(f"rule {s.name}")
-        elif isinstance(s, InterruptDirective):
-            out.append(f"interrupt {s.run} at {s.at}")
-        elif type(s) in ACTION_KEYWORDS:
-            out.append(f"{ACTION_KEYWORDS[type(s)][0]} {s.operand()} at {s.at}")
-    return "\n".join(out) + "\n"

@@ -33,7 +33,7 @@ from .dynamics import (
 )
 from .errors import XfoError
 from .microworld import Scenario, check_scenario
-from .ontology import EntityDef, Layer
+from .ontology import EntityDef
 from .relations import RelationDeclaration, RelationKind, World
 
 
@@ -64,19 +64,16 @@ def build_world(doc: ModelDocument, *, tier2_strict: bool = True) -> tuple[World
 
 
 def _load_stmt(world: World, stmt) -> None:
-    """Define one parsed definition; the kernel's define_* calls do every
-    check."""
+    """Define one parsed definition; the kernel stores a simple definition
+    itself and does every check."""
     if isinstance(stmt, ModelHeader):
         world.model_name = stmt.name
     elif isinstance(stmt, EntityDef):
-        if stmt.layer is Layer.U:
-            world.registry.define_universal(stmt.name, stmt.parent, stmt.doc)
-        else:
-            world.registry.instantiate_particular(stmt.name, stmt.parent, stmt.doc)
+        world.registry.add(stmt)
     elif isinstance(stmt, RelationKind):
-        world.declare_relation_kind(stmt.name, stmt.domain_b, stmt.range_b)
+        world.declare_kind(stmt)
     elif isinstance(stmt, RelationDeclaration):
-        world.declare_u_relation(stmt.from_u, stmt.kind, stmt.to_u)
+        world.declare(stmt)
     elif isinstance(stmt, Transitional):
         define_transitional(world, stmt.name, stmt.unlinks, stmt.links)
     elif isinstance(stmt, Frame):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     BadParentError,
@@ -17,6 +18,7 @@ from .errors import (
     InvalidNameError,
     UnknownEntityError,
     UnknownParentError,
+    XfoError,
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -31,8 +33,11 @@ class Layer(str, Enum):
     P = "P"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
+    """Where a statement or diagnostic was written. A span equals a plain
+    tuple of the same four values and orders like one; nothing in the
+    package compares a span with a plain tuple or orders spans."""
+
     file: str
     line: int
     column: int
@@ -111,36 +116,42 @@ class Registry:
             raise UnknownEntityError(f"unknown entity '{name}'")
         return e
 
-    def _add(self, e: EntityDef) -> EntityId:
-        if not NAME_RE.match(e.name):
-            raise InvalidNameError(f"invalid entity name '{e.name}'")
-        if e.name in self._defs:
-            raise DuplicateNameError(f"entity name '{e.name}' already defined")
-        self._defs[e.name] = e
-        return e.name
+    def add(self, e: EntityDef) -> EntityId:
+        """Store definition ``e`` itself, span included: a U entity under a
+        B or U parent, or a P entity instantiating a U entity. The one
+        validator of defined entities: it checks the layer and the parent,
+        then the name."""
+        name, parent = e.name, e.parent
+        p = self._defs.get(parent)
+        if e.layer is Layer.U:
+            if p is None:
+                raise UnknownParentError(f"unknown parent '{parent}' for universal '{name}'")
+            if p.layer is Layer.P:
+                raise BadParentError(f"universal '{name}' cannot descend from particular '{parent}'")
+        elif e.layer is Layer.P:
+            if p is None:
+                raise UnknownParentError(f"unknown universal '{parent}' for particular '{name}'")
+            if p.layer is not Layer.U:
+                raise BadParentError(
+                    f"particular '{name}' must instantiate a universal, "
+                    f"not {p.layer.value}-layer '{parent}'"
+                )
+        else:
+            raise XfoError(f"B-layer entity '{name}' cannot be defined; the B taxonomy is shipped")
+        if not NAME_RE.match(name):
+            raise InvalidNameError(f"invalid entity name '{name}'")
+        if name in self._defs:
+            raise DuplicateNameError(f"entity name '{name}' already defined")
+        self._defs[name] = e
+        return name
 
     def define_universal(self, name: str, parent: EntityId, doc: str | None = None) -> EntityId:
         """Define a U entity under a B or U parent."""
-        p = self._defs.get(parent)
-        if p is None:
-            raise UnknownParentError(f"unknown parent '{parent}' for universal '{name}'")
-        if p.layer is Layer.P:
-            raise BadParentError(
-                f"universal '{name}' cannot descend from particular '{parent}'"
-            )
-        return self._add(EntityDef(name, Layer.U, parent, doc))
+        return self.add(EntityDef(name, Layer.U, parent, doc))
 
     def instantiate_particular(self, name: str, universal: EntityId, doc: str | None = None) -> EntityId:
         """Define a P entity as an instance of a U entity."""
-        u = self._defs.get(universal)
-        if u is None:
-            raise UnknownParentError(f"unknown universal '{universal}' for particular '{name}'")
-        if u.layer is not Layer.U:
-            raise BadParentError(
-                f"particular '{name}' must instantiate a universal, "
-                f"not {u.layer.value}-layer '{universal}'"
-            )
-        return self._add(EntityDef(name, Layer.P, universal, doc))
+        return self.add(EntityDef(name, Layer.P, universal, doc))
 
     def ancestors(self, e: EntityId) -> frozenset[EntityId]:
         """e plus every entity reachable from it by parent hops.
@@ -194,5 +205,5 @@ def bootstrap_b_taxonomy() -> Registry:
     """Fresh registry holding exactly the shipped B taxonomy."""
     reg = Registry()
     for name, parent in B_TAXONOMY:
-        reg._add(EntityDef(name, Layer.B, parent))
+        reg._defs[name] = EntityDef(name, Layer.B, parent)
     return reg

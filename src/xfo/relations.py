@@ -169,8 +169,8 @@ class World:
       recorded tick raises TickOrderError and changes nothing.
 
     Declarations are kept as a list, in declaration order, and
-    ``declare_u_relation`` is their only writer. It keeps two indexes
-    beside the list:
+    ``declare`` is their only writer. It keeps two indexes beside the
+    list:
 
     * ``_covers`` maps kind -> from_u -> {to_u}; tier-2 cover intersects
       it with the participants' cached ancestor sets.
@@ -182,9 +182,9 @@ class World:
     ``validate_link`` keeps one verdict per triple in ``_verdicts``. Only a
     new cover can change a verdict: an entity's ancestors, its layer and a
     kind's bounds never change once defined, and an unknown id or kind
-    raises and stores nothing. So ``declare_u_relation`` is the one code
-    that clears the memo, when it adds a cover. ``verdicts_computed``
-    counts the misses.
+    raises and stores nothing. So ``declare`` is the one code that clears
+    the memo, when it adds a cover. ``verdicts_computed`` counts the
+    misses.
     """
 
     def __init__(self, registry: Registry | None = None, *, tier2_strict: bool = True) -> None:
@@ -242,13 +242,18 @@ class World:
         return k
 
     def declare_relation_kind(self, name: str, domain_b: EntityId, range_b: EntityId) -> RelationKind:
-        """Register an ad hoc kind; reifies it as a U entity under
-        B_RelationalQuality (built-ins are not reified)."""
+        """Register an ad hoc kind; see ``declare_kind``."""
+        return self.declare_kind(RelationKind(name, domain_b, range_b))
+
+    def declare_kind(self, k: RelationKind) -> RelationKind:
+        """Register ad hoc kind ``k`` itself, span included; reifies it as a
+        U entity under B_RelationalQuality (built-ins are not reified)."""
+        name = k.name
         if not NAME_RE.match(name):
             raise InvalidNameError(f"invalid relation kind name '{name}'")
         if name in self.kinds:
             raise DuplicateNameError(f"relation kind '{name}' already defined")
-        for bound, side in ((domain_b, "domain"), (range_b, "range")):
+        for bound, side in ((k.domain_b, "domain"), (k.range_b, "range")):
             e = self.registry.get(bound)
             if e is None:
                 raise BadBoundError(f"unknown {side} bound '{bound}' for kind '{name}'")
@@ -257,7 +262,6 @@ class World:
                     f"{side} bound '{bound}' of kind '{name}' is {e.layer.value}-layer; bounds must be B-layer"
                 )
         self.registry.define_universal(name, "B_RelationalQuality")
-        k = RelationKind(name, domain_b, range_b)
         self.kinds[name] = k
         return k
 
@@ -280,7 +284,13 @@ class World:
         return VALID
 
     def declare_u_relation(self, from_u: EntityId, kind: str, to_u: EntityId) -> RelationDeclaration:
-        """Store a U-level relation declaration after the tier-1 check."""
+        """Store a U-level relation declaration; see ``declare``."""
+        return self.declare(RelationDeclaration(from_u, kind, to_u))
+
+    def declare(self, d: RelationDeclaration) -> RelationDeclaration:
+        """Store declaration ``d`` itself, span included, after the tier-1
+        check; a declaration equal to a stored one adds nothing."""
+        from_u, kind, to_u = d.from_u, d.kind, d.to_u
         k = self.kind(kind)
         for name in (from_u, to_u):
             if self.registry.lookup(name).layer is not Layer.U:
@@ -290,15 +300,14 @@ class World:
         res = self._tier1(k, from_u, to_u)
         if not res:
             raise SignatureMismatchError(f"'{from_u}' {kind} '{to_u}': {res.reason}")
-        decl = RelationDeclaration(from_u, kind, to_u)
         tos = self._covers.setdefault(kind, {}).setdefault(from_u, set())
         if to_u not in tos:
             tos.add(to_u)
             for u in {from_u, to_u}:
                 self._decls_of.setdefault(u, []).append(len(self.declarations))
-            self.declarations.append(decl)
+            self.declarations.append(d)
             self._verdicts.clear()  # a tier-2 failure may now be covered
-        return decl
+        return d
 
     # ------------------------------------------------------------------
     # particular-level links

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import shutil
+import sys
 from pathlib import Path
 
 import xfo
@@ -58,3 +59,20 @@ def link_events(trace) -> list[tuple[int, str, str, str, str]]:
         for e in trace
         if e.kind in ("Link", "Unlink")
     ]
+
+
+def generated_inputs() -> dict[str, str]:
+    """Small inputs from the benchmark's generators."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import gen
+
+    traffic = gen.traffic(7, lights=3, horizon=50)
+    school = gen.school(7, rules=3, pairs=5, horizon=200)
+    return {
+        "catalog.xfo": gen.catalog(7, universals=200, particulars=400, declarations=100,
+                                   transitionals=40, workflows=10).model,
+        "traffic.xfo": traffic.model, "traffic.xws": traffic.scenario,
+        "school.xfo": school.model, "school.xws": school.scenario,
+    }

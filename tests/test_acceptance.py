@@ -16,7 +16,7 @@ from xfo.ontology import B_TAXONOMY, Layer, bootstrap_b_taxonomy
 from xfo.relations import BUILTIN_KINDS, World
 from xfo.render import render_snapshot, render_timeline
 from xfo.trace import parse_trace, replay_spans, trace_to_json
-from xfo.dsl import parse_model, parse_scenario, print_model, print_scenario
+from xfo.dsl import parse_model, parse_scenario
 
 from helpers import (
     GOLDEN_DIR,
@@ -28,6 +28,7 @@ from helpers import (
     model_text,
     run_scenario,
 )
+from printer import print_model, print_scenario
 import traffic_oracle
 
 

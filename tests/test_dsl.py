@@ -11,14 +11,13 @@ from xfo.dsl import (
     ModelHeader,
     parse_model,
     parse_scenario,
-    print_model,
-    print_scenario,
 )
 from xfo.dynamics import Cond, Frame, Loop, Rule, RunSpec, Step, Transitional, Wildcard, Workflow
 from xfo.ontology import EntityDef
 from xfo.relations import RelationDeclaration, RelationKind
 
 from helpers import model_text
+from printer import print_model, print_scenario
 
 
 def test_parse_basic_statements():

@@ -9,8 +9,10 @@ from xfo.errors import (
     DuplicateNameError,
     InvalidNameError,
     UnknownEntityError,
+    UnknownParentError,
+    XfoError,
 )
-from xfo.ontology import B_TAXONOMY, Layer, Registry, bootstrap_b_taxonomy
+from xfo.ontology import B_TAXONOMY, EntityDef, Layer, Registry, SourceSpan, bootstrap_b_taxonomy
 
 
 def test_bootstrap_exact_tree():
@@ -74,6 +76,94 @@ def test_instantiate_particular():
         reg.instantiate_particular("y", "lightA")  # P is not instantiable
     with pytest.raises(DuplicateNameError):
         reg.instantiate_particular("lightA", "TrafficLight")
+
+
+def pottery_registry() -> Registry:
+    reg = bootstrap_b_taxonomy()
+    reg.define_universal("Pottery", "B_Object")
+    reg.instantiate_particular("pot1", "Pottery")
+    return reg
+
+
+# (layer, name, parent, error, message): each refusal of a definition,
+# with the error class and message define_universal and
+# instantiate_particular raise for it; the parent is checked before the name
+REFUSALS = [
+    (Layer.U, "9x", "B_Object", InvalidNameError, "invalid entity name '9x'"),
+    (Layer.P, "has space", "Pottery", InvalidNameError, "invalid entity name 'has space'"),
+    (Layer.U, "Pottery", "B_Object", DuplicateNameError, "entity name 'Pottery' already defined"),
+    (Layer.P, "pot1", "Pottery", DuplicateNameError, "entity name 'pot1' already defined"),
+    (Layer.P, "Pottery", "Pottery", DuplicateNameError, "entity name 'Pottery' already defined"),
+    (Layer.U, "X", "Nope", UnknownParentError, "unknown parent 'Nope' for universal 'X'"),
+    (Layer.U, "9x", "Nope", UnknownParentError, "unknown parent 'Nope' for universal '9x'"),
+    (Layer.P, "x", "Nope", UnknownParentError, "unknown universal 'Nope' for particular 'x'"),
+    (Layer.U, "Y", "pot1", BadParentError, "universal 'Y' cannot descend from particular 'pot1'"),
+    (Layer.P, "p", "B_Object", BadParentError,
+     "particular 'p' must instantiate a universal, not B-layer 'B_Object'"),
+    (Layer.P, "p", "pot1", BadParentError,
+     "particular 'p' must instantiate a universal, not P-layer 'pot1'"),
+]
+
+
+@pytest.mark.parametrize("layer,name,parent,error,message", REFUSALS)
+def test_add_refuses_what_the_define_calls_refuse(layer, name, parent, error, message):
+    define = "define_universal" if layer is Layer.U else "instantiate_particular"
+    calls = {
+        "add": lambda reg: reg.add(EntityDef(name, layer, parent)),
+        define: lambda reg: getattr(reg, define)(name, parent),
+    }
+    for how, call in calls.items():
+        reg = pottery_registry()
+        before = reg.entities()
+        with pytest.raises(error) as info:
+            call(reg)
+        assert (type(info.value), str(info.value)) == (error, message), how
+        assert reg.entities() == before and all(a is b for a, b in zip(reg.entities(), before))
+
+
+def test_add_stores_the_definition_itself():
+    reg = pottery_registry()
+    span = SourceSpan("m.xfo", 7, 3, 9)
+    u = EntityDef("Vase", Layer.U, "Pottery", span=span)
+    p = EntityDef("vase1", Layer.P, "Vase", doc="a vase", span=span)
+    assert reg.add(u) == "Vase" and reg.add(p) == "vase1"
+    assert reg.lookup("Vase") is u and reg.lookup("vase1") is p
+    assert reg.lookup("vase1").span is span
+    assert reg.parent_chain("vase1") == ["vase1", "Vase", "Pottery", "B_Object",
+                                         "B_MaterialEntity", "B_IndependentContinuant",
+                                         "B_Continuant", "B_Entity"]
+
+
+def test_add_refuses_a_b_layer_definition():
+    reg = bootstrap_b_taxonomy()
+    with pytest.raises(XfoError, match="B-layer entity 'B_Extra' cannot be defined"):
+        reg.add(EntityDef("B_Extra", Layer.B, "B_Entity"))
+    assert "B_Extra" not in reg and len(reg) == len(B_TAXONOMY)
+
+
+def test_source_span_contract():
+    span = SourceSpan("m.xfo", 3, 5, 9)
+    assert str(span) == "m.xfo:3:5"
+    assert repr(span) == "SourceSpan(file='m.xfo', line=3, column=5, length=9)"
+    same = SourceSpan(file="m.xfo", line=3, column=5, length=9)
+    assert span == same and hash(span) == hash(same)
+    assert span != SourceSpan("m.xfo", 3, 5) and SourceSpan("m.xfo", 3, 5).length == 1
+    # as its docstring says: a span equals a plain tuple of its values
+    assert span == ("m.xfo", 3, 5, 9)
+    for attr in ("file", "line", "column", "length"):
+        with pytest.raises(AttributeError):
+            setattr(span, attr, 1)
+    with pytest.raises(AttributeError):
+        span.other = 1
+    assert span == same
+
+
+def test_a_span_stays_out_of_definition_equality_hash_and_repr():
+    spanned = EntityDef("Vase", Layer.U, "Pottery", span=SourceSpan("m.xfo", 7, 3, 9))
+    plain = EntityDef("Vase", Layer.U, "Pottery")
+    assert spanned == plain and hash(spanned) == hash(plain)
+    assert repr(spanned) == repr(plain) == (
+        "EntityDef(name='Vase', layer=<Layer.U: 'U'>, parent='Pottery', doc=None)")
 
 
 def test_is_descendant():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import astuple
 from pathlib import Path
 
 from xfo.dsl import parse_model, parse_scenario
@@ -58,8 +57,8 @@ def outcome(name: str, text: str) -> dict:
     stmts, diags = result.document.statements, result.diagnostics
     return {
         "files": sorted({x.span.file for x in (*stmts, *diags)}),
-        "statements": [[repr(s), *astuple(s.span)[1:]] for s in stmts],
-        "diagnostics": [[d.severity, d.code, d.message, *astuple(d.span)[1:]] for d in diags],
+        "statements": [[repr(s), *tuple(s.span)[1:]] for s in stmts],
+        "diagnostics": [[d.severity, d.code, d.message, *tuple(d.span)[1:]] for d in diags],
     }
 
 

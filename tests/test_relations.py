@@ -16,8 +16,8 @@ from xfo.errors import (
     UnknownKindError,
     XfoError,
 )
-from xfo.ontology import Layer
-from xfo.relations import BUILTIN_KINDS, World
+from xfo.ontology import Layer, SourceSpan
+from xfo.relations import BUILTIN_KINDS, RelationDeclaration, RelationKind, World
 
 from helpers import load_world
 
@@ -86,6 +86,36 @@ def test_declare_u_relation_deduplicates(pottery_world):
     w.declare_u_relation("Pottery", "Participates_In", "Firing")
     w.declare_u_relation("Pottery", "Participates_In", "Firing")
     assert len(w.declarations) == 1
+
+
+def test_declare_and_declare_kind_store_the_object_itself(pottery_world):
+    w = pottery_world
+    span = SourceSpan("m.xfo", 4, 1, 8)
+    k = RelationKind("Fired_In", "B_Object", "B_Occurrent", span=span)
+    assert w.declare_kind(k) is k and w.kinds["Fired_In"] is k
+    d = RelationDeclaration("Pottery", "Fired_In", "Firing", span=span)
+    assert w.declare(d) is d and w.declarations == [d] and w.declarations[0] is d
+    # an equal declaration adds nothing: the first one stays
+    again = RelationDeclaration("Pottery", "Fired_In", "Firing")
+    assert w.declare(again) is again and w.declarations[0] is d and len(w.declarations) == 1
+    # the span stays out of equality, hashing and repr
+    assert d == again and hash(d) == hash(again)
+    assert repr(d) == "RelationDeclaration(from_u='Pottery', kind='Fired_In', to_u='Firing')"
+    assert repr(k) == "RelationKind(name='Fired_In', domain_b='B_Object', range_b='B_Occurrent', builtin=False)"
+    assert k == RelationKind("Fired_In", "B_Object", "B_Occurrent")
+
+
+def test_declare_refuses_what_declare_u_relation_refuses(pottery_world):
+    w = pottery_world
+    for args in [("Color", "Participates_In", "Firing"), ("pot1", "Participates_In", "Firing"),
+                 ("Pottery", "Nope", "Firing"), ("Missing", "Participates_In", "Firing")]:
+        errors = []
+        for call in (lambda: w.declare(RelationDeclaration(*args)), lambda: w.declare_u_relation(*args)):
+            with pytest.raises(XfoError) as info:
+                call()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1], args
+    assert w.declarations == []
 
 
 def test_validate_link_two_tiers(pottery_world):

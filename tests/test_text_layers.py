@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +22,7 @@ from xfo.errors import MalformedTraceError
 from xfo.ontology import SourceSpan
 from xfo.trace import EVENT_KINDS, TRACE_FORMAT_VERSION, TraceDoc, TraceEvent, parse_trace, trace_to_json
 
-from helpers import MODELS_DIR, model_text, run_scenario
+from helpers import MODELS_DIR, generated_inputs, model_text, run_scenario
 
 SHIPPED_RUNS = [
     ("traffic.xfo", "traffic_desk.xws"),
@@ -359,23 +357,6 @@ def test_tokenizer_matches_reference(text):
 def test_tokenizer_matches_reference_on_shipped_files(name):
     text = model_text(name)
     assert tokens_and_diags(tokenize_lines, text) == tokens_and_diags(reference_tokenize, text)
-
-
-def generated_inputs() -> dict[str, str]:
-    """Small inputs from the benchmark's generators."""
-    bench = str(Path(__file__).resolve().parent.parent / "bench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import gen
-
-    traffic = gen.traffic(7, lights=3, horizon=50)
-    school = gen.school(7, rules=3, pairs=5, horizon=200)
-    return {
-        "catalog.xfo": gen.catalog(7, universals=200, particulars=400, declarations=100,
-                                   transitionals=40, workflows=10).model,
-        "traffic.xfo": traffic.model, "traffic.xws": traffic.scenario,
-        "school.xfo": school.model, "school.xws": school.scenario,
-    }
 
 
 @pytest.mark.parametrize("name", ["catalog.xfo", "traffic.xfo", "traffic.xws", "school.xfo", "school.xws"])
