@@ -33,8 +33,19 @@ def _print_diags(diags) -> bool:
 
 
 def _readable(path: str) -> bool:
-    p = Path(path)
-    return p.is_file()
+    return Path(path).is_file()
+
+
+def _write(path: str, parts, what: str) -> int:
+    """Write ``parts`` to file ``path`` and say so: exit status 0, or 2 if it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(parts)
+    except OSError:
+        print(f"error: cannot write file '{path}'", file=sys.stderr)
+        return 2
+    print(f"wrote {what}: {path}")
+    return 0
 
 
 def _load_world(path: str, *, tier2_strict: bool = True):
@@ -75,8 +86,8 @@ def cmd_run(args) -> int:
     if _print_diags(diags) or scenario is None:
         return 1
     until = scenario.horizon if args.until is None else args.until
-    if until > scenario.horizon:
-        print(f"error: --until {until} exceeds scenario horizon {scenario.horizon}",
+    if not 0 <= until <= scenario.horizon:
+        print(f"error: --until {until} is outside the scenario's ticks 0..{scenario.horizon}",
               file=sys.stderr)
         return 2
     try:
@@ -100,9 +111,8 @@ def cmd_run(args) -> int:
     for msg in world.warnings:
         print(f"warning: {msg}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as out:
-            out.writelines(trace_parts(world.model_name, scenario.name, scenario.horizon, world.trace))
-        print(f"wrote trace: {args.trace}")
+        return _write(args.trace, trace_parts(world.model_name, scenario.name, scenario.horizon, world.trace),
+                      "trace")
     return 0
 
 
@@ -111,7 +121,7 @@ def cmd_timeline(args) -> int:
         print(f"error: cannot read trace file '{args.trace}'", file=sys.stderr)
         return 2
     try:
-        doc = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
+        doc = parse_trace(Path(args.trace).read_bytes().decode("utf-8"))
         if args.at is not None:
             svg = render.render_snapshot(doc, args.at)
             what = "snapshot"
@@ -121,12 +131,10 @@ def cmd_timeline(args) -> int:
     except TickOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MalformedTraceError as exc:
-        print(f"{args.trace}: error: [{exc.code}] {exc}")
+    except (MalformedTraceError, UnicodeDecodeError) as exc:  # a trace is UTF-8 JSON
+        print(f"{args.trace}: error: [{MalformedTraceError.code}] {exc}")
         return 1
-    Path(args.output).write_text(svg, encoding="utf-8")
-    print(f"wrote {what}: {args.output}")
-    return 0
+    return _write(args.output, [svg], what)
 
 
 def cmd_explain(args) -> int:

@@ -8,11 +8,10 @@ definition types (EntityDef, RelationKind, RelationDeclaration,
 Transitional, Frame, Workflow, Rule) and scenario schedule lines to its
 action and InterruptDirective types; each carries a source span kept out
 of equality, so a parsed statement equals one built by hand. The kernel
-stores a parsed EntityDef, RelationKind or RelationDeclaration itself,
-span included. A rule's ``then`` and a scenario line name the same four
-actions under two keywords (``dynamics.ACTION_KEYWORDS``, e.g.
-``start_workflow`` and ``run``) and parse to the same type; the scenario
-line adds its tick.
+stores each parsed definition of all seven types itself, span included.
+A rule's ``then`` and a scenario line name the same four actions under
+two keywords (``dynamics.ACTION_KEYWORDS``, e.g. ``start_workflow`` and
+``run``) and parse to the same type; the scenario line adds its tick.
 
 A line at statement level is first tried against its dispatch's one
 compiled statement pattern, which reads a whole simple statement

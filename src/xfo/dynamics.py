@@ -155,15 +155,14 @@ def _check_edits(world: World, templates: tuple, params: frozenset[str], label: 
         _static_check_template(world, t, params, label)
 
 
-def define_transitional(world: World, name: str, unlinks, links) -> Transitional:
-    """Register a named transitional; also registers it as a P entity under
-    the Transitional universal."""
-    unlinks, links = tuple(unlinks), tuple(links)
+def define_transitional(world: World, tr: Transitional) -> Transitional:
+    """Register transitional ``tr`` itself, span included; also registers
+    its name as a P entity under the Transitional universal."""
+    name = tr.name
     if name in world.transitionals:
         raise DuplicateNameError(f"transitional '{name}' already defined")
-    _check_edits(world, unlinks + links, frozenset(), f"transitional '{name}'")
+    _check_edits(world, tr.unlinks + tr.links, frozenset(), f"transitional '{name}'")
     world.registry.instantiate_particular(name, "Transitional")
-    tr = Transitional(name, unlinks, links)
     world.transitionals[name] = tr
     return tr
 
@@ -211,22 +210,8 @@ def apply_batch(world: World, batch: Batch, at: int, *, lenient: bool = False) -
     return world.trace[before:]
 
 
-def apply_edits(
-    world: World,
-    unlinks: tuple[LinkTemplate, ...],
-    links: tuple[LinkTemplate, ...],
-    at: int,
-    binding: dict | None = None,
-    *,
-    lenient: bool = False,
-) -> list[TraceEvent]:
-    """Resolve an unlink/link batch and apply it atomically at one tick;
-    ``resolve_edits`` then ``apply_batch``."""
-    return apply_batch(world, resolve_edits(unlinks, links, binding), at, lenient=lenient)
-
-
 def apply_transitional(world: World, t: Transitional, at: int, binding: dict | None = None) -> list[TraceEvent]:
-    return apply_edits(world, t.unlinks, t.links, at, binding)
+    return apply_batch(world, resolve_edits(t.unlinks, t.links, binding), at)
 
 
 # ----------------------------------------------------------------------
@@ -256,28 +241,30 @@ class FrameActivation:
     at: int
     created: list  # LinkInstance objects, template order
 
-    def key(self) -> tuple:
-        return (self.frame, tuple(sorted(self.binding.items())))
+
+def activation_key(frame: str, binding: dict[str, str]) -> tuple:
+    """The key in ``World.frame_activations`` of ``frame`` under ``binding``."""
+    return (frame, tuple(sorted(binding.items())))
 
 
 def _binding_payload(binding: dict[str, str]) -> dict[str, str]:
     return {k: binding[k] for k in sorted(binding)}
 
 
-def define_frame(world: World, name: str, slots, templates) -> Frame:
-    slots, templates = tuple(slots), tuple(templates)
+def define_frame(world: World, f: Frame) -> Frame:
+    """Register frame ``f`` itself, span included."""
+    name, slots = f.name, f.slots
     if name in world.frames:
         raise DuplicateNameError(f"frame '{name}' already defined")
     if len(set(slots)) != len(slots):
         raise DuplicateNameError(f"frame '{name}' declares a slot twice")
-    for t in templates:
+    for t in f.templates:
         world.kind(t.kind)
         for r in (t.from_ref, t.to_ref):
             if r not in slots:
                 raise UnknownSlotError(
                     f"frame '{name}': template '{t}' references undeclared slot '{r}'"
                 )
-    f = Frame(name, slots, templates)
     world.frames[name] = f
     return f
 
@@ -303,36 +290,34 @@ def check_frame_binding(world: World, name: str, binding: dict[str, str]) -> Fra
     return f
 
 
-def activate_frame(world: World, frame: Frame | str, binding: dict[str, str], at: int) -> FrameActivation:
-    """Create every frame link at one tick, atomically."""
-    f = check_frame_binding(world, frame if isinstance(frame, str) else frame.name, binding)
-    act = FrameActivation(f.name, dict(binding), at, [])
-    if act.key() in world.frame_activations:
-        raise AlreadyActiveError(f"frame '{f.name}' already active for this binding")
+def activate_frame(world: World, frame: str, binding: dict[str, str], at: int) -> FrameActivation:
+    """Create every link of ``frame`` under ``binding`` at one tick,
+    atomically."""
+    f = check_frame_binding(world, frame, binding)
+    key = activation_key(frame, binding)
+    if key in world.frame_activations:
+        raise AlreadyActiveError(f"frame '{frame}' already active for this binding")
     triples = [t.resolve(binding) for t in f.templates]
     t = _repeated(triples)
     if t is not None:
-        raise InvalidLinkError(f"frame '{f.name}': binding collapses two templates onto {' '.join(t)}")
-    ev = world.record("FrameActivate", at, {"frame": f.name, "binding": _binding_payload(binding)})
+        raise InvalidLinkError(f"frame '{frame}': binding collapses two templates onto {' '.join(t)}")
+    ev = world.record("FrameActivate", at, {"frame": frame, "binding": _binding_payload(binding)})
     try:
-        act.created = world.edit((), triples, at)
+        created = world.edit((), triples, at)
     except LinkEditError as exc:  # a link is already active or invalid
         world.unrecord(ev)
-        raise InvalidLinkError(f"frame '{f.name}': {exc}") from exc
-    world.frame_activations[act.key()] = act
+        raise InvalidLinkError(f"frame '{frame}': {exc}") from exc
+    act = world.frame_activations[key] = FrameActivation(frame, dict(binding), at, created)
     return act
 
 
-def deactivate_frame(world: World, activation: FrameActivation | tuple, at: int) -> list[TraceEvent]:
-    """Unlink exactly the activation's links at one tick, atomically."""
-    if isinstance(activation, FrameActivation):
-        key = activation.key()
-    else:
-        frame, binding = activation
-        key = (frame, tuple(sorted(binding.items())))
+def deactivate_frame(world: World, frame: str, binding: dict[str, str], at: int) -> list[TraceEvent]:
+    """Unlink exactly the links of ``frame``'s activation under ``binding``
+    at one tick, atomically."""
+    key = activation_key(frame, binding)
     act = world.frame_activations.get(key)
     if act is None:
-        raise NotActiveError(f"frame '{key[0]}' is not active for this binding")
+        raise NotActiveError(f"frame '{frame}' is not active for this binding")
     gone = [l for l in act.created if l.end is not None]
     if gone:
         desc = ", ".join(" ".join(l.triple()) for l in gone)
@@ -485,23 +470,24 @@ def bind_args(world: World, wf: Workflow, args: tuple) -> dict:
     return binding
 
 
-def define_workflow(world: World, name: str, body: Seq, requires_agent: bool, params=()) -> Workflow:
+def define_workflow(world: World, wf: Workflow) -> Workflow:
+    """Register workflow or mechanism ``wf`` itself, span included."""
+    name, body = wf.name, wf.body
     if name in world.workflows:
         raise DuplicateNameError(f"workflow '{name}' already defined")
-    dup = _repeated(params)
+    dup = _repeated(wf.params)
     if dup is not None:
         raise DuplicateNameError(f"workflow '{name}' declares parameter '{dup}' twice")
     for n in walk_nodes(body):
         if isinstance(n, Loop) and n.count is None and n.guard is None and not n.until_end:
             raise UnboundedLoopError(f"workflow '{name}' contains a loop with no count and no guard")
-    wf = Workflow(name, tuple(params), body, requires_agent)
     pset = frozenset(wf.params)
     seen_steps: set[str] = set()
     for step in walk_steps(body):
         if step.name in seen_steps:
             raise DuplicateNameError(f"workflow '{name}': step '{step.name}' defined twice")
         seen_steps.add(step.name)
-        if requires_agent and step.agent_ref is None:
+        if wf.requires_agent and step.agent_ref is None:
             raise MissingAgentError(
                 f"workflow '{name}': step '{step.name}' has no agent but the workflow requires one"
             )
@@ -722,7 +708,7 @@ def apply_action(world: World, action: Action, at: int) -> None:
     elif isinstance(action, ActivateDirective):
         activate_frame(world, action.target, dict(action.binding), at)
     else:
-        deactivate_frame(world, (action.target, dict(action.binding)), at)
+        deactivate_frame(world, action.target, dict(action.binding), at)
 
 
 # ----------------------------------------------------------------------
@@ -751,11 +737,12 @@ def _check_predicate(world: World, p: StatePredicate, label: str, params: frozen
             raise UnknownEntityError(f"{label}: unknown entity '{r}' in predicate '{p.render()}'")
 
 
-def define_rule(world: World, name: str, guard, action: Action) -> Rule:
+def define_rule(world: World, rule: Rule) -> Rule:
+    """Register rule ``rule`` itself, span included."""
+    name, action = rule.name, rule.action
     if name in world.rules:
         raise DuplicateNameError(f"rule '{name}' already defined")
-    guard = tuple(guard)
-    for p in guard:
+    for p in rule.guard:
         _check_predicate(world, p, f"rule '{name}'")
     try:
         check_action(world, action)
@@ -763,6 +750,5 @@ def define_rule(world: World, name: str, guard, action: Action) -> Rule:
             raise ResolveError(f"action '{action.render()}' has a tick; it runs when the rule fires")
     except XfoError as exc:
         raise type(exc)(f"rule '{name}': {exc}") from exc
-    rule = Rule(name, guard, action)
     world.rules[name] = rule
     return rule

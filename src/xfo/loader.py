@@ -64,8 +64,8 @@ def build_world(doc: ModelDocument, *, tier2_strict: bool = True) -> tuple[World
 
 
 def _load_stmt(world: World, stmt) -> None:
-    """Define one parsed definition; the kernel stores a simple definition
-    itself and does every check."""
+    """Define one parsed definition; the kernel does every check and
+    stores the definition itself."""
     if isinstance(stmt, ModelHeader):
         world.model_name = stmt.name
     elif isinstance(stmt, EntityDef):
@@ -75,13 +75,13 @@ def _load_stmt(world: World, stmt) -> None:
     elif isinstance(stmt, RelationDeclaration):
         world.declare(stmt)
     elif isinstance(stmt, Transitional):
-        define_transitional(world, stmt.name, stmt.unlinks, stmt.links)
+        define_transitional(world, stmt)
     elif isinstance(stmt, Frame):
-        define_frame(world, stmt.name, stmt.slots, stmt.templates)
+        define_frame(world, stmt)
     elif isinstance(stmt, Workflow):
-        define_workflow(world, stmt.name, stmt.body, stmt.requires_agent, stmt.params)
+        define_workflow(world, stmt)
     elif isinstance(stmt, Rule):
-        define_rule(world, stmt.name, stmt.guard, stmt.action)
+        define_rule(world, stmt)
 
 
 def build_scenario(doc: ScenarioDocument, world: World) -> tuple[Scenario | None, list[Diagnostic]]:
@@ -130,11 +130,23 @@ def _first_span(doc) -> SourceSpan:
     return SourceSpan("<scenario>", 1, 1)
 
 
-def load_model_path(path: str | Path, *, tier2_strict: bool = True):
-    """Parse and load a UTF-8 model file, a leading BOM ignored: (world |
-    None, diagnostics)."""
+def _parse_file(parse, path: str | Path) -> dsl.ParseResult:
+    """``parse`` of a UTF-8 file's text, a leading BOM ignored. A file that
+    is not UTF-8 has no document and one E_PARSE at its first bad byte."""
     path = Path(path)
-    result = dsl.parse_model(path.read_text(encoding="utf-8-sig"), file=path.name)
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the file after its BOM
+        lines = (exc.object[:exc.start].decode("utf-8") + "x").splitlines()  # x: the bad byte
+        message = f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+        span = SourceSpan(path.name, len(lines), len(lines[-1]))
+        return dsl.ParseResult(None, (Diagnostic("error", "E_PARSE", message, span),))
+    return parse(text, file=path.name)
+
+
+def load_model_path(path: str | Path, *, tier2_strict: bool = True):
+    """Parse (``_parse_file``) and load a model file: (world | None, diagnostics)."""
+    result = _parse_file(dsl.parse_model, path)
     diags = list(result.diagnostics)
     if not result.ok:
         return None, diags
@@ -146,10 +158,8 @@ def load_model_path(path: str | Path, *, tier2_strict: bool = True):
 
 
 def load_scenario_path(path: str | Path, world: World):
-    """Parse and resolve a UTF-8 scenario file, a leading BOM ignored:
-    (scenario | None, diagnostics)."""
-    path = Path(path)
-    result = dsl.parse_scenario(path.read_text(encoding="utf-8-sig"), file=path.name)
+    """Parse (``_parse_file``) and resolve a scenario file: (scenario | None, diagnostics)."""
+    result = _parse_file(dsl.parse_scenario, path)
     diags = list(result.diagnostics)
     if not result.ok:
         return None, diags

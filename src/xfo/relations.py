@@ -441,12 +441,6 @@ class World:
             edited.append(inst)
         return edited
 
-    def link(self, from_p: EntityId, kind: str, to_p: EntityId, at: int) -> LinkInstance:
-        return self.edit((), ((from_p, kind, to_p),), at)[0]
-
-    def unlink(self, from_p: EntityId, kind: str, to_p: EntityId, at: int) -> LinkInstance:
-        return self.edit(((from_p, kind, to_p),), (), at)[0]
-
     # ------------------------------------------------------------------
     # state and TICs
 

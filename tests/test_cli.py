@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import xfo
-from xfo import cli, dsl
+from xfo import cli, dsl, loader
 
 from helpers import GOLDEN_DIR, copy_models
 
@@ -163,9 +163,25 @@ def test_run_warn_tier2_prints_warnings(tmp_path, capsys):
 def test_usage_errors(capsys):
     assert cli.main(["check", "no_such_file.xfo"]) == 2
     assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--until", "99"]) == 2
+    assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--until", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot read model file 'no_such_file.xfo'\n"
+                                   "error: --until 99 is outside the scenario's ticks 0..12\n"
+                                   "error: --until -3 is outside the scenario's ticks 0..12\n")
     assert cli.main(["nope"]) == 2
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+def test_an_output_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--trace", str(missing / "t.json")]) == 2
+    assert capsys.readouterr().err == f"error: cannot write file '{missing / 't.json'}'\n"
+    assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--trace", "t4.trace.json"]) == 0
+    capsys.readouterr()
+    for view in ([], ["--at", "1"]):
+        assert cli.main(["timeline", "t4.trace.json", "-o", str(missing / "x.svg"), *view]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write file '{missing / 'x.svg'}'\n")
+    assert not missing.exists()
 
 
 def test_run_broken_scenario_exits_zero(capsys):
@@ -245,6 +261,35 @@ def test_files_may_start_with_a_utf8_bom(tmp_path, capsys):
     # text handed to the parser is not a file: a BOM in it is a character
     diags = dsl.parse_model("\ufeffmodel M\n", "m.xfo").diagnostics
     assert [d.render() for d in diags] == ["m.xfo:1:1: error: [E_PARSE] unexpected character '\\ufeff'"]
+
+
+def test_a_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys):
+    """A model or scenario file that is not UTF-8 gives one E_PARSE at its
+    first bad byte, counted as the parser counts lines and columns, and no
+    world or scenario; a trace that is not UTF-8 is malformed."""
+    model = tmp_path / "latin.xfo"
+    model.write_bytes("model M\nuniversal Café is_a B_Object\n".encode("latin-1"))
+    not_utf8 = "error: [E_PARSE] file is not UTF-8 text: byte 0xe9: invalid continuation byte"
+    assert cli.main(["check", str(model)]) == 1
+    assert capsys.readouterr() == (f"latin.xfo:2:14: {not_utf8}\n{model}: 1 error(s), 0 warning(s)\n", "")
+    world, diags = loader.load_model_path(model)
+    assert world is None and [d.render() for d in diags] == [f"latin.xfo:2:14: {not_utf8}"]
+    # after a BOM and a CRLF, and past a two-byte letter that is one column
+    model.write_bytes(b"\xef\xbb\xbfmodel M\r\nuniversal \xc3\xa9x\xe9 is_a B_Object\n")
+    assert [d.render() for d in loader.load_model_path(model)[1]] == [f"latin.xfo:2:13: {not_utf8}"]
+    scenario = tmp_path / "latin.xws"
+    scenario.write_bytes("scenario s\nhorizon 3\n# café\n".encode("latin-1"))
+    assert cli.main(["run", "traffic.xfo", str(scenario)]) == 1
+    assert capsys.readouterr() == (f"latin.xws:3:6: {not_utf8}\n", "")
+    world, _ = loader.load_model_path("traffic.xfo")
+    scen, diags = loader.load_scenario_path(scenario, world)
+    assert scen is None and [d.render() for d in diags] == [f"latin.xws:3:6: {not_utf8}"]
+    trace = tmp_path / "utf16.trace.json"
+    trace.write_bytes("{}".encode("utf-16"))  # starts with the bytes ff fe
+    assert cli.main(["timeline", str(trace), "-o", str(tmp_path / "x.svg")]) == 1
+    assert capsys.readouterr() == (f"{trace}: error: [E_MALFORMED_TRACE] 'utf-8' codec can't decode "
+                                   "byte 0xff in position 0: invalid start byte\n", "")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_lexical_errors_golden_in_a_fresh_process():

@@ -7,13 +7,17 @@ from xfo.dynamics import (
     ActivateDirective,
     ApplyDirective,
     Cond,
+    Frame,
     LinkTemplate,
     Loop,
+    Rule,
     RunSpec,
     Seq,
     StatePredicate,
     Step,
+    Transitional,
     Wildcard,
+    Workflow,
     WorkflowStep,
     activate_frame,
     apply_transitional,
@@ -60,8 +64,8 @@ def lamp_world():
     for color in ("green", "yellow", "dark"):
         reg.instantiate_particular(color, "Color")
     w.declare_u_relation("Lamp", "Has_Quality", "Color")
-    w.link("lampA_green", "Has_Quality", "green", 0)
-    w.link("lampA_yellow", "Has_Quality", "dark", 0)
+    w.edit((), [("lampA_green", "Has_Quality", "green")], 0)
+    w.edit((), [("lampA_yellow", "Has_Quality", "dark")], 0)
     return w
 
 
@@ -71,42 +75,42 @@ def _snapshot(world):
 
 def test_define_transitional(lamp_world):
     w = lamp_world
-    t = define_transitional(
-        w, "greenToYellow_A",
-        unlinks=[T("lampA_green", "Has_Quality", "green"), T("lampA_yellow", "Has_Quality", "dark")],
-        links=[T("lampA_green", "Has_Quality", "dark"), T("lampA_yellow", "Has_Quality", "yellow")],
+    t = Transitional(
+        "greenToYellow_A",
+        (T("lampA_green", "Has_Quality", "green"), T("lampA_yellow", "Has_Quality", "dark")),
+        (T("lampA_green", "Has_Quality", "dark"), T("lampA_yellow", "Has_Quality", "yellow")),
     )
-    assert t.name == "greenToYellow_A"
+    assert define_transitional(w, t) is t and w.transitionals["greenToYellow_A"] is t
     # registered as a P entity under the Transitional universal
     e = w.registry.lookup("greenToYellow_A")
     assert e.layer is Layer.P and w.registry.b_ancestor("greenToYellow_A") == "X_Transitional"
     with pytest.raises(DuplicateNameError):
-        define_transitional(w, "greenToYellow_A", [], [])
+        define_transitional(w, Transitional("greenToYellow_A", (), ()))
 
 
 def test_define_transitional_template_errors(lamp_world):
     w = lamp_world
     with pytest.raises(InvalidTemplateError):
         # a quality cannot be the domain of Has_Quality (tier-1)
-        define_transitional(w, "bad", [], [T("green", "Has_Quality", "lampA_green")])
+        define_transitional(w, Transitional("bad", (), (T("green", "Has_Quality", "lampA_green"),)))
     with pytest.raises(InvalidTemplateError):
-        define_transitional(w, "bad2", [], [T("ghost", "Has_Quality", "green")])
+        define_transitional(w, Transitional("bad2", (), (T("ghost", "Has_Quality", "green"),)))
     with pytest.raises(InvalidTemplateError):
         # duplicated template across the two lists
-        define_transitional(
-            w, "bad3",
-            [T("lampA_green", "Has_Quality", "green")],
-            [T("lampA_green", "Has_Quality", "green")],
-        )
+        define_transitional(w, Transitional(
+            "bad3",
+            (T("lampA_green", "Has_Quality", "green"),),
+            (T("lampA_green", "Has_Quality", "green"),),
+        ))
 
 
 def test_apply_transitional(lamp_world):
     w = lamp_world
-    t = define_transitional(
-        w, "flip",
-        unlinks=[T("lampA_green", "Has_Quality", "green"), T("lampA_yellow", "Has_Quality", "dark")],
-        links=[T("lampA_green", "Has_Quality", "dark"), T("lampA_yellow", "Has_Quality", "yellow")],
-    )
+    t = define_transitional(w, Transitional(
+        "flip",
+        (T("lampA_green", "Has_Quality", "green"), T("lampA_yellow", "Has_Quality", "dark")),
+        (T("lampA_green", "Has_Quality", "dark"), T("lampA_yellow", "Has_Quality", "yellow")),
+    ))
     events = apply_transitional(w, t, 2)
     assert [(e.kind, e.at) for e in events] == [
         ("Unlink", 2), ("Unlink", 2), ("Link", 2), ("Link", 2)
@@ -123,7 +127,7 @@ def test_apply_transitional(lamp_world):
 
 def test_apply_noop_transitional(lamp_world):
     w = lamp_world
-    t = define_transitional(w, "noop", [], [])
+    t = define_transitional(w, Transitional("noop", (), ()))
     before = _snapshot(w)
     assert apply_transitional(w, t, 1) == []
     assert _snapshot(w) == before
@@ -131,12 +135,12 @@ def test_apply_noop_transitional(lamp_world):
 
 def test_transitional_atomicity_on_link_conflict(lamp_world):
     w = lamp_world
-    t = define_transitional(
-        w, "t1",
-        unlinks=[T("lampA_yellow", "Has_Quality", "dark")],
-        links=[T("lampA_yellow", "Has_Quality", "green")],
-    )
-    w.link("lampA_yellow", "Has_Quality", "green", 1)  # occupy the link target
+    t = define_transitional(w, Transitional(
+        "t1",
+        (T("lampA_yellow", "Has_Quality", "dark"),),
+        (T("lampA_yellow", "Has_Quality", "green"),),
+    ))
+    w.edit((), [("lampA_yellow", "Has_Quality", "green")], 1)  # occupy the link target
     before = _snapshot(w)
     with pytest.raises(PreconditionFailedError) as exc:
         apply_transitional(w, t, 2)  # link target already active
@@ -163,11 +167,13 @@ EMPLOYMENT_BINDING = {
 def test_define_frame_errors(school_world):
     w = school_world
     with pytest.raises(DuplicateNameError):
-        define_frame(w, "Employment", ("a",), ())
+        define_frame(w, Frame("Employment", ("a",), ()))
+    with pytest.raises(DuplicateNameError):
+        define_frame(w, Frame("F1", ("a", "b", "a"), ()))
     with pytest.raises(UnknownSlotError):
-        define_frame(w, "F2", ("a", "b"), (T("a", "Has_Quality", "salary"),))
-    f = define_frame(w, "PureRecord", ("a", "b"), ())  # zero templates is fine
-    assert f.templates == ()
+        define_frame(w, Frame("F2", ("a", "b"), (T("a", "Has_Quality", "salary"),)))
+    f = Frame("PureRecord", ("a", "b"), ())  # zero templates is fine
+    assert define_frame(w, f) is f and w.frames["PureRecord"] is f
 
 
 def test_activate_frame_atomic(school_world):
@@ -194,7 +200,7 @@ def test_activate_frame_incomplete_binding(school_world):
 def test_activate_frame_atomic_failure(school_world):
     w = school_world
     # pre-occupy one of the six links: activation must change nothing
-    w.link("teacher1", "Has_Role", "teacher_role", 0)
+    w.edit((), [("teacher1", "Has_Role", "teacher_role")], 0)
     before = _snapshot(w)
     with pytest.raises(InvalidLinkError):
         activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
@@ -208,14 +214,14 @@ def test_activate_frame_warns_once_per_uncovered_link():
     w.registry.define_universal("Color", "B_Quality")
     w.registry.instantiate_particular("lamp", "Lamp")
     w.registry.instantiate_particular("red", "Color")
-    define_frame(w, "Lit", ("x", "c"), (T("x", "Has_Quality", "c"),))  # no declaration covers it
+    define_frame(w, Frame("Lit", ("x", "c"), (T("x", "Has_Quality", "c"),)))  # no declaration covers it
     activate_frame(w, "Lit", {"x": "lamp", "c": "red"}, 0)
     assert len(w.links) == 1
     assert len(w.warnings) == 1 and w.warnings[0].startswith("tier-2: no declaration covers")
     # so do a parameterised workflow step and a scenario's initial link
     w.registry.instantiate_particular("lamp2", "Lamp")
     w.registry.instantiate_particular("blue", "Color")
-    define_workflow(w, "paint", Seq((_step("paint", links=[T("x", "Has_Quality", "blue")]),)), False, ("x",))
+    define_workflow(w, Workflow("paint", ("x",), Seq((_step("paint", links=[T("x", "Has_Quality", "blue")]),)), False))
     assert len(w.warnings) == 1  # a template with a parameter is checked when it is bound
     sim = load_scenario(w, Scenario("s", 3, (T("lamp2", "Has_Quality", "red"),), (RunSpec("paint", ("lamp",), 0),)))
     assert len(w.links) == 2 and len(w.warnings) == 2
@@ -227,27 +233,27 @@ def test_activate_frame_warns_once_per_uncovered_link():
 def test_frame_roundtrip_exact_spans(school_world):
     w = school_world
     act = activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
-    deactivate_frame(w, act, 5)
+    deactivate_frame(w, act.frame, act.binding, 5)
     spans = {(l.from_p, l.kind, l.to_p, l.start, l.end) for l in w.links}
     assert all(s[3] == 1 and s[4] == 5 for s in spans)
     assert len(spans) == 6
-    with pytest.raises(NotActiveError):
-        deactivate_frame(w, act, 6)  # double deactivation
+    with pytest.raises(NotActiveError, match="frame 'Employment' is not active for this binding"):
+        deactivate_frame(w, act.frame, act.binding, 6)  # double deactivation
 
 
 def test_deactivate_frame_after_manual_unlink(school_world):
     w = school_world
-    act = activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
-    w.unlink("teacher1", "Has_Quality", "teacher_salary", 2)
+    activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
+    w.edit([("teacher1", "Has_Quality", "teacher_salary")], (), 2)
     with pytest.raises(NotActiveError) as exc:
-        deactivate_frame(w, act, 3)
+        deactivate_frame(w, "Employment", EMPLOYMENT_BINDING, 3)
     assert "teacher_salary" in str(exc.value)  # missing links are listed
 
 
 def test_deactivate_by_binding(school_world):
     w = school_world
     activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
-    deactivate_frame(w, ("Employment", EMPLOYMENT_BINDING), 4)
+    deactivate_frame(w, "Employment", dict(reversed(EMPLOYMENT_BINDING.items())), 4)
     assert all(l.end == 4 for l in w.links)
 
 
@@ -258,25 +264,26 @@ def _step(name, duration=1, pre=(), unlinks=(), links=(), agent=None, placeholde
 def test_define_workflow_errors(lamp_world):
     w = lamp_world
     with pytest.raises(UnboundedLoopError):
-        define_workflow(w, "w1", Seq((Loop(Seq((_step("s"),))),)), False)
+        define_workflow(w, Workflow("w1", (), Seq((Loop(Seq((_step("s"),))),)), False))
     with pytest.raises(MissingAgentError):
-        define_workflow(w, "w2", Seq((_step("s"),)), True)  # agent required
-    define_workflow(w, "ok", Seq((_step("s", agent="lampA_green"),)), True)
+        define_workflow(w, Workflow("w2", (), Seq((_step("s"),)), True))  # agent required
+    ok = Workflow("ok", (), Seq((_step("s", agent="lampA_green"),)), True)
+    assert define_workflow(w, ok) is ok and w.workflows["ok"] is ok
     with pytest.raises(DuplicateNameError):
-        define_workflow(w, "ok", Seq(()), False)
+        define_workflow(w, Workflow("ok", (), Seq(()), False))
     with pytest.raises(DuplicateNameError):
-        define_workflow(w, "w3", Seq((_step("s"), _step("s"))), False)
+        define_workflow(w, Workflow("w3", (), Seq((_step("s"), _step("s"))), False))
     with pytest.raises(UnknownEntityError):
-        define_workflow(w, "w4", Seq((_step("s", agent="ghost"),)), True)
+        define_workflow(w, Workflow("w4", (), Seq((_step("s", agent="ghost"),)), True))
     with pytest.raises(DuplicateNameError, match="workflow 'w5' declares parameter 'x' twice"):
-        define_workflow(w, "w5", Seq((_step("s"),)), False, params=("x", "y", "x"))
+        define_workflow(w, Workflow("w5", ("x", "y", "x"), Seq((_step("s"),)), False))
 
 
 def test_define_workflow_param_conflict(lamp_world):
     w = lamp_world
     step = _step("s", duration="x", links=(T("x", "Has_Quality", "green"),))
     with pytest.raises(InvalidTemplateError):
-        define_workflow(w, "w", Seq((step,)), False, params=("x",))
+        define_workflow(w, Workflow("w", ("x",), Seq((step,)), False))
 
 
 def test_define_workflow_rejects_duplicate_step_edits(lamp_world):
@@ -284,32 +291,32 @@ def test_define_workflow_rejects_duplicate_step_edits(lamp_world):
     dup = _step("s", links=(T("lampA_green", "Has_Quality", "yellow"),
                             T("lampA_green", "Has_Quality", "yellow")))
     with pytest.raises(InvalidTemplateError):
-        define_workflow(w, "w", Seq((dup,)), False)
+        define_workflow(w, Workflow("w", (), Seq((dup,)), False))
     both = _step("s2", unlinks=(T("lampA_green", "Has_Quality", "green"),),
                  links=(T("lampA_green", "Has_Quality", "green"),))
     with pytest.raises(InvalidTemplateError):
-        define_workflow(w, "w2", Seq((both,)), False)
+        define_workflow(w, Workflow("w2", (), Seq((both,)), False))
 
 
 def test_define_workflow_checks_guard_refs(lamp_world):
     w = lamp_world
     bad_pre = _step("s", pre=(P(True, "ghost", "Has_Quality", "green"),))
     with pytest.raises(UnknownEntityError):
-        define_workflow(w, "w", Seq((bad_pre,)), False)
+        define_workflow(w, Workflow("w", (), Seq((bad_pre,)), False))
     bad_loop = Loop(Seq((_step("s"),)), guard=P(True, "lampA_green", "Has_Quality", "ghost"))
     with pytest.raises(UnknownEntityError):
-        define_workflow(w, "w2", Seq((bad_loop,)), False)
+        define_workflow(w, Workflow("w2", (), Seq((bad_loop,)), False))
     # parameters are legal predicate refs
     ok = _step("s", pre=(P(True, "x", "Has_Quality", "green"),))
-    define_workflow(w, "w3", Seq((ok,)), False, params=("x",))
+    define_workflow(w, Workflow("w3", ("x",), Seq((ok,)), False))
 
 
 def test_bounded_loop_forms(lamp_world):
     w = lamp_world
     guard = P(True, "lampA_green", "Has_Quality", "dark")
-    define_workflow(w, "counted", Seq((Loop(Seq((_step("a"),)), count=3),)), False)
-    define_workflow(w, "guarded", Seq((Loop(Seq((_step("b"),)), guard=guard),)), False)
-    define_workflow(w, "horizon", Seq((Loop(Seq((_step("c"),)), until_end=True),)), False)
+    define_workflow(w, Workflow("counted", (), Seq((Loop(Seq((_step("a"),)), count=3),)), False))
+    define_workflow(w, Workflow("guarded", (), Seq((Loop(Seq((_step("b"),)), guard=guard),)), False))
+    define_workflow(w, Workflow("horizon", (), Seq((Loop(Seq((_step("c"),)), until_end=True),)), False))
 
 
 CELADON_FACT = P(True, "clay1", "Has_Quality", "raw")
@@ -331,7 +338,7 @@ def test_completeness_missing_initial_fact():
 
 
 def test_completeness_empty_workflow(lamp_world):
-    wf = define_workflow(lamp_world, "empty", Seq(()), False)
+    wf = define_workflow(lamp_world, Workflow("empty", (), Seq(()), False))
     report = check_completeness(wf, [])
     assert report.complete and report.placeholders == ()
 
@@ -342,7 +349,7 @@ def test_completeness_explores_both_branches(lamp_world):
     then_step = _step("on_green", unlinks=(T("lampA_green", "Has_Quality", "green"),))
     else_step = _step("on_other", unlinks=(T("lampA_green", "Has_Quality", "green"),))
     wf = define_workflow(
-        w, "branchy", Seq((Cond(guard, Seq((then_step,)), Seq((else_step,))),)), False
+        w, Workflow("branchy", (), Seq((Cond(guard, Seq((then_step,)), Seq((else_step,))),)), False)
     )
     report = check_completeness(wf, [])
     # both branches lack the fact; both paths are reported
@@ -363,12 +370,12 @@ def test_completeness_loop_fixpoint(lamp_world):
               unlinks=(T("lampA_green", "Has_Quality", "dark"),),
               links=(T("lampA_green", "Has_Quality", "green"),)),
     ))
-    wf = define_workflow(w, "cycle", Seq((Loop(body, until_end=True),)), False)
+    wf = define_workflow(w, Workflow("cycle", (), Seq((Loop(body, until_end=True),)), False))
     report = check_completeness(wf, [P(True, "lampA_green", "Has_Quality", "green")])
     assert report.complete, report.gaps
     # a loop body that consumes its fact without restoring it gaps on iter2
     body2 = Seq((_step("eat", unlinks=(T("lampA_green", "Has_Quality", "green"),)),))
-    wf2 = define_workflow(w, "eater", Seq((Loop(body2, count=2),)), False)
+    wf2 = define_workflow(w, Workflow("eater", (), Seq((Loop(body2, count=2),)), False))
     report2 = check_completeness(wf2, [P(True, "lampA_green", "Has_Quality", "green")])
     assert not report2.complete
     assert report2.gaps[0].path.endswith("/iter2")
@@ -378,7 +385,7 @@ def test_completeness_placeholder_asserts(lamp_world):
     w = lamp_world
     ph = _step("assumed", links=(T("lampA_green", "Has_Quality", "yellow"),), placeholder=True)
     after = _step("uses", pre=(P(True, "lampA_green", "Has_Quality", "yellow"),))
-    wf = define_workflow(w, "ph", Seq((ph, after)), False)
+    wf = define_workflow(w, Workflow("ph", (), Seq((ph, after)), False))
     report = check_completeness(wf, [])
     assert report.complete
     assert report.placeholders == ("assumed",)
@@ -386,31 +393,31 @@ def test_completeness_placeholder_asserts(lamp_world):
 
 def test_define_rule_validation(school_world):
     w = school_world
-    guard = [P(False, Wildcard("Person"), "Has_Role", "teacher_role")]
+    guard = (P(False, Wildcard("Person"), "Has_Role", "teacher_role"),)
     with pytest.raises(DuplicateNameError):
-        define_rule(w, "teacher_vacancy", guard, ApplyDirective("x"))
+        define_rule(w, Rule("teacher_vacancy", guard, ApplyDirective("x")))
     with pytest.raises(UnknownActionError):
-        define_rule(w, "r1", guard, RunSpec("ghost"))
+        define_rule(w, Rule("r1", guard, RunSpec("ghost")))
     with pytest.raises(UnknownActionError):
         # arity mismatch against hireReplacement(recruiter)
-        define_rule(w, "r2", guard, RunSpec("hireReplacement", ()))
+        define_rule(w, Rule("r2", guard, RunSpec("hireReplacement", ())))
     with pytest.raises(UnknownEntityError):
-        define_rule(w, "r3", [P(True, "ghost", "Has_Role", "teacher_role")],
-                    RunSpec("hireReplacement", ("superintendent1",)))
+        define_rule(w, Rule("r3", (P(True, "ghost", "Has_Role", "teacher_role"),),
+                            RunSpec("hireReplacement", ("superintendent1",))))
     with pytest.raises(UnknownEntityError):
         # wildcard type must be a universal
-        define_rule(w, "r4", [P(False, Wildcard("B_Object"), "Has_Role", "teacher_role")],
-                    RunSpec("hireReplacement", ("superintendent1",)))
+        define_rule(w, Rule("r4", (P(False, Wildcard("B_Object"), "Has_Role", "teacher_role"),),
+                            RunSpec("hireReplacement", ("superintendent1",))))
     with pytest.raises(UnknownSlotError):
-        define_rule(w, "r6", guard, ActivateDirective("Employment",
-                                                      (("salary", "teacher_salary"),)))
+        define_rule(w, Rule("r6", guard, ActivateDirective("Employment",
+                                                           (("salary", "teacher_salary"),))))
     with pytest.raises(UnknownEntityError):
-        define_rule(w, "r7", guard, RunSpec("hireReplacement", ("ghost",)))
+        define_rule(w, Rule("r7", guard, RunSpec("hireReplacement", ("ghost",))))
     with pytest.raises(ResolveError):
         # a rule's action runs at the tick the rule fires; it has no tick of its own
-        define_rule(w, "r8", guard, RunSpec("hireReplacement", ("superintendent1",), 7))
-    r = define_rule(w, "r5", guard,
-                    RunSpec("hireReplacement", ("superintendent1",)))
+        define_rule(w, Rule("r8", guard, RunSpec("hireReplacement", ("superintendent1",), 7)))
+    r = Rule("r5", guard, RunSpec("hireReplacement", ("superintendent1",)))
+    assert define_rule(w, r) is r and w.rules["r5"] is r
     assert r.action.render() == "start_workflow hireReplacement(superintendent1)"
 
 
@@ -418,7 +425,7 @@ def test_predicate_wildcard_evaluation(school_world):
     w = school_world
     pred = P(True, Wildcard("Person"), "Has_Role", "teacher_role")
     assert not pred.holds(w, 0)
-    w.link("teacher1", "Has_Role", "teacher_role", 0)
+    w.edit((), [("teacher1", "Has_Role", "teacher_role")], 0)
     assert pred.holds(w, 0)
     # a different role does not satisfy the concrete to-side
     assert not P(True, Wildcard("Person"), "Has_Role", "superintendent_role").holds(w, 0)

@@ -245,9 +245,9 @@ def _edit_batch(w, edits, at) -> bool:
     uncovered = sum(naive_failing_tier(w, *t) == 2 for t in links)
     assert len(w.warnings) == len(ref.warnings) + uncovered
     for t in unlinks:
-        ref.unlink(*t, at)
+        ref.edit([t], (), at)
     for t in links:
-        ref.link(*t, at)
+        ref.edit((), [t], at)
     assert (_store_snapshot(w), w.trace) == (_store_snapshot(ref), ref.trace)
     return True
 
@@ -276,7 +276,7 @@ def test_indexed_store_matches_naive_scans(ops, tier2_strict):
             expected = (NoActiveLinkError if active is None or active.start > at else
                         TickOrderError if backwards else None)
         try:
-            (w.link if op == "link" else w.unlink)(*triple, at)
+            w.edit((), [triple], at) if op == "link" else w.edit([triple], (), at)
         except XfoError as exc:
             assert type(exc) is expected, (op, triple, at, exc)
             assert _store_snapshot(w) == before
@@ -297,11 +297,11 @@ def test_relink_before_last_tick_is_rejected():
     """Relinking at a tick before the last unlink used to record a
     second span overlapping the first and a trace that fails parse_trace."""
     w = tree_world()
-    w.link("lamp1", "Has_Quality", "red", 5)
-    w.unlink("lamp1", "Has_Quality", "red", 7)
+    w.edit((), [("lamp1", "Has_Quality", "red")], 5)
+    w.edit([("lamp1", "Has_Quality", "red")], (), 7)
     before = _store_snapshot(w)
     with pytest.raises(TickOrderError) as exc:
-        w.link("lamp1", "Has_Quality", "red", 3)
+        w.edit((), [("lamp1", "Has_Quality", "red")], 3)
     assert isinstance(exc.value, XfoError) and exc.value.code == "E_TICK_ORDER"
     assert _store_snapshot(w) == before
     assert [(s.kind, s.counterpart) for s in w.state_of("lamp1", 6).links] == [("Has_Quality", "red")]
@@ -310,19 +310,19 @@ def test_relink_before_last_tick_is_rejected():
 
 def test_backwards_unlink_and_warning_are_rejected_untouched():
     w = tree_world()
-    w.link("lamp1", "Has_Quality", "red", 2)
-    w.link("lamp2", "Has_Quality", "red", 4)
+    w.edit((), [("lamp1", "Has_Quality", "red")], 2)
+    w.edit((), [("lamp2", "Has_Quality", "red")], 4)
     before = _store_snapshot(w)
     with pytest.raises(TickOrderError):
-        w.unlink("lamp1", "Has_Quality", "red", 3)
+        w.edit([("lamp1", "Has_Quality", "red")], (), 3)
     # uncovered in warn mode: the tick check comes before the warning
     with pytest.raises(TickOrderError):
-        w.link("beacon1", "Has_Quality", "blue", 1)
+        w.edit((), [("beacon1", "Has_Quality", "blue")], 1)
     assert _store_snapshot(w) == before
     # an unlink before the link's own start is still "no active link"
     with pytest.raises(NoActiveLinkError):
-        w.unlink("lamp2", "Has_Quality", "red", 3)
-    w.unlink("lamp1", "Has_Quality", "red", 4)  # same tick as the last event
+        w.edit([("lamp2", "Has_Quality", "red")], (), 3)
+    w.edit([("lamp1", "Has_Quality", "red")], (), 4)  # same tick as the last event
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +388,7 @@ def test_verdict_memo_matches_uncached_verdicts(ops, tier2_strict):
                         Tier2UncoveredError if verdict == 2 and tier2_strict else
                         None if verdict in (0, 2) else verdict)
             try:
-                w.link(*arg, at)
+                w.edit((), [arg], at)
             except XfoError as exc:
                 assert type(exc) is expected, (arg, exc)
             else:
@@ -411,7 +411,7 @@ def test_a_new_cover_admits_a_link_refused_for_tier_2():
     w = tree_world(tier2_strict=True)
     t = ("beacon1", "Has_Quality", "blue")
     with pytest.raises(Tier2UncoveredError):
-        w.link(*t, 1)
+        w.edit((), [t], 1)
     w.declare_u_relation("Device", "Has_Quality", "Cool")
-    assert w.link(*t, 2).start == 2
+    assert w.edit((), [t], 2)[0].start == 2
     assert w.verdicts_computed == 2

@@ -140,28 +140,28 @@ def test_validate_link_two_tiers(pottery_world):
 def test_link_unlink_lifecycle(pottery_world):
     w = pottery_world
     w.declare_u_relation("Pottery", "Participates_In", "Firing")
-    inst = w.link("pot1", "Participates_In", "firing7", 0)
+    inst = w.edit((), [("pot1", "Participates_In", "firing7")], 0)[0]
     assert inst.start == 0 and inst.end is None
     with pytest.raises(DuplicateActiveLinkError):
-        w.link("pot1", "Participates_In", "firing7", 1)
-    w.unlink("pot1", "Participates_In", "firing7", 2)
+        w.edit((), [("pot1", "Participates_In", "firing7")], 1)
+    w.edit([("pot1", "Participates_In", "firing7")], (), 2)
     assert inst.end == 2  # span [0, 2)
     assert inst.active_at(0) and inst.active_at(1) and not inst.active_at(2)
     # relinking later opens a second span
-    w.link("pot1", "Participates_In", "firing7", 5)
+    w.edit((), [("pot1", "Participates_In", "firing7")], 5)
     with pytest.raises(NoActiveLinkError):
-        w.unlink("pot1", "Participates_In", "firing7", 4)  # before start
+        w.edit([("pot1", "Participates_In", "firing7")], (), 4)  # before start
     with pytest.raises(NoActiveLinkError):
-        w.unlink("green", "Participates_In", "firing7", 5)  # never linked
+        w.edit([("green", "Participates_In", "firing7")], (), 5)  # never linked
     with pytest.raises(InvalidLinkError):
-        w.link("pot1", "Participates_In", "drive1", 5)
+        w.edit((), [("pot1", "Participates_In", "drive1")], 5)
 
 
 def test_link_events_recorded(pottery_world):
     w = pottery_world
     w.declare_u_relation("Pottery", "Participates_In", "Firing")
-    w.link("pot1", "Participates_In", "firing7", 0)
-    w.unlink("pot1", "Participates_In", "firing7", 3)
+    w.edit((), [("pot1", "Participates_In", "firing7")], 0)
+    w.edit([("pot1", "Participates_In", "firing7")], (), 3)
     kinds = [(e.kind, e.at) for e in w.trace]
     assert kinds == [("Link", 0), ("Unlink", 3)]
     assert w.trace[0].payload == {"from": "pot1", "relation": "Participates_In", "to": "firing7"}
@@ -170,23 +170,23 @@ def test_link_events_recorded(pottery_world):
 def test_tier2_warn_mode(pottery_world):
     w = pottery_world
     w.tier2_strict = False
-    w.link("pot1", "Participates_In", "drive1", 0)  # uncovered, allowed
+    w.edit((), [("pot1", "Participates_In", "drive1")], 0)  # uncovered, allowed
     assert len(w.warnings) == 1 and "no declaration covers" in w.warnings[0]
     # tier-1 failures still raise in warn mode
     with pytest.raises(InvalidLinkError):
-        w.link("green", "Participates_In", "firing7", 0)
+        w.edit((), [("green", "Participates_In", "firing7")], 0)
     w.tier2_strict = True
     with pytest.raises(Tier2UncoveredError):
-        w.link("pot1", "Participates_In", "firing7", 1)
+        w.edit((), [("pot1", "Participates_In", "firing7")], 1)
 
 
 def test_state_of(pottery_world):
     w = pottery_world
     w.declare_u_relation("Pottery", "Participates_In", "Firing")
     w.declare_u_relation("Pottery", "Has_Quality", "Color")
-    w.link("pot1", "Participates_In", "firing7", 1)
-    w.link("pot1", "Has_Quality", "green", 2)
-    w.unlink("pot1", "Participates_In", "firing7", 4)
+    w.edit((), [("pot1", "Participates_In", "firing7")], 1)
+    w.edit((), [("pot1", "Has_Quality", "green")], 2)
+    w.edit([("pot1", "Participates_In", "firing7")], (), 4)
     assert w.state_of("pot1", 0).links == ()
     got = [(s.direction, s.kind, s.counterpart) for s in w.state_of("pot1", 2).links]
     assert got == [("out", "Has_Quality", "green"), ("out", "Participates_In", "firing7")]
@@ -202,9 +202,9 @@ def test_state_of(pottery_world):
 def test_temporal_coherence(pottery_world):
     w = pottery_world
     w.declare_u_relation("Pottery", "Participates_In", "Firing")
-    w.link("pot1", "Participates_In", "firing7", 0)
-    w.unlink("pot1", "Participates_In", "firing7", 3)
-    w.link("pot1", "Participates_In", "firing7", 5)
+    w.edit((), [("pot1", "Participates_In", "firing7")], 0)
+    w.edit([("pot1", "Participates_In", "firing7")], (), 3)
+    w.edit((), [("pot1", "Participates_In", "firing7")], 5)
     spans = [(l.start, l.end) for l in w.links]
     assert spans == [(0, 3), (5, None)]
     for at in range(8):
@@ -232,7 +232,7 @@ def test_tic_of_universal(pottery_world):
 def test_tic_of_particular(pottery_world):
     w = pottery_world
     w.declare_u_relation("Pottery", "Participates_In", "Firing")
-    w.link("pot1", "Participates_In", "firing7", 1)
+    w.edit((), [("pot1", "Participates_In", "firing7")], 1)
     tic = w.tic_of("pot1", 1)
     assert [(e.direction, e.kind, e.counterpart) for e in tic.entries] == [
         ("out", "Participates_In", "firing7")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from xfo import loader
 from xfo.dsl import parse_model, parse_scenario
-from xfo.dynamics import RunSpec, apply_transitional, define_rule
+from xfo.dynamics import Rule, RunSpec, apply_transitional, define_rule
 from xfo.errors import XfoError
 from xfo.microworld import Simulation
 from xfo.trace import trace_to_json
@@ -322,7 +322,7 @@ def test_rule_with_no_guard_fires_at_tick_zero():
     fired = []
     for engine in (NaiveSimulation, Simulation):
         world, _ = loader.build_world(parse_model(SMALL, "m.xfo").document)
-        define_rule(world, "always", (), RunSpec("idle"))
+        define_rule(world, Rule("always", (), RunSpec("idle")))
         sres = parse_scenario("scenario s\nhorizon 3\nrule always\n", "s.xws")
         sc, _ = loader.build_scenario(sres.document, world)
         engine(world, sc).run_until(3)
