@@ -9,7 +9,7 @@ unlink or an active link instead of failing, but still need valid links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import (
     AlreadyActiveError,
@@ -210,8 +210,8 @@ def apply_batch(world: World, batch: Batch, at: int, *, lenient: bool = False) -
     return world.trace[before:]
 
 
-def apply_transitional(world: World, t: Transitional, at: int, binding: dict | None = None) -> list[TraceEvent]:
-    return apply_batch(world, resolve_edits(t.unlinks, t.links, binding), at)
+def apply_transitional(world: World, t: Transitional, at: int) -> list[TraceEvent]:
+    return apply_batch(world, resolve_edits(t.unlinks, t.links), at)
 
 
 # ----------------------------------------------------------------------
@@ -234,23 +234,6 @@ class Frame:
         return tuple(used)
 
 
-@dataclass
-class FrameActivation:
-    frame: str
-    binding: dict[str, str]
-    at: int
-    created: list  # LinkInstance objects, template order
-
-
-def activation_key(frame: str, binding: dict[str, str]) -> tuple:
-    """The key in ``World.frame_activations`` of ``frame`` under ``binding``."""
-    return (frame, tuple(sorted(binding.items())))
-
-
-def _binding_payload(binding: dict[str, str]) -> dict[str, str]:
-    return {k: binding[k] for k in sorted(binding)}
-
-
 def define_frame(world: World, f: Frame) -> Frame:
     """Register frame ``f`` itself, span included."""
     name, slots = f.name, f.slots
@@ -269,20 +252,25 @@ def define_frame(world: World, f: Frame) -> Frame:
     return f
 
 
-def check_frame_binding(world: World, name: str, binding: dict[str, str]) -> Frame:
-    """The frame ``name``, after checking that ``binding`` names only its
-    declared slots, binds every slot its templates use, and binds each to
-    a known entity. The one check of a frame binding, wherever it is
-    written: a scenario, a rule or a direct activation."""
+def check_frame_binding(world: World, name: str, binding: tuple[tuple[str, str], ...]) -> Frame:
+    """The frame ``name``, after checking that ``binding``, its
+    ``(slot, entity)`` pairs, names each slot once and only its declared
+    slots, binds every slot its templates use, and binds each to a known
+    entity. The one check of a frame binding, wherever it is written: a
+    scenario, a rule or a direct activation."""
+    slots = [slot for slot, _ in binding]
+    dup = _repeated(slots)
+    if dup is not None:
+        raise DuplicateNameError(f"frame '{name}': binding names slot '{dup}' twice")
     f = world.frames.get(name)
     if f is None:
         raise UnknownActionError(f"unknown frame '{name}'")
-    for slot, value in binding.items():
+    for slot, value in binding:
         if slot not in f.slots:
             raise UnknownSlotError(f"frame '{name}': binding names undeclared slot '{slot}'")
         if value not in world.registry:
             raise UnknownEntityError(f"frame '{name}': unknown entity '{value}' for slot '{slot}'")
-    missing = [s for s in f.used_slots() if s not in binding]
+    missing = [s for s in f.used_slots() if s not in slots]
     if missing:
         raise IncompleteBindingError(
             f"frame '{name}': binding missing slot(s) {', '.join(missing)}"
@@ -290,43 +278,48 @@ def check_frame_binding(world: World, name: str, binding: dict[str, str]) -> Fra
     return f
 
 
-def activate_frame(world: World, frame: str, binding: dict[str, str], at: int) -> FrameActivation:
-    """Create every link of ``frame`` under ``binding`` at one tick,
-    atomically."""
+def activate_frame(world: World, frame: str, binding: Iterable[tuple[str, str]], at: int) -> list[TraceEvent]:
+    """Create every link of ``frame`` under ``binding``, its ``(slot,
+    entity)`` pairs in any order, at one tick, atomically. The activation
+    is keyed by ``(frame, pairs sorted by slot)``."""
+    binding = tuple(sorted(binding))
     f = check_frame_binding(world, frame, binding)
-    key = activation_key(frame, binding)
+    key = (frame, binding)
     if key in world.frame_activations:
         raise AlreadyActiveError(f"frame '{frame}' already active for this binding")
-    triples = [t.resolve(binding) for t in f.templates]
+    values = dict(binding)  # slot order, as the payload is written
+    triples = [t.resolve(values) for t in f.templates]
     t = _repeated(triples)
     if t is not None:
         raise InvalidLinkError(f"frame '{frame}': binding collapses two templates onto {' '.join(t)}")
-    ev = world.record("FrameActivate", at, {"frame": frame, "binding": _binding_payload(binding)})
+    before = len(world.trace)
+    ev = world.record("FrameActivate", at, {"frame": frame, "binding": values})
     try:
         created = world.edit((), triples, at)
     except LinkEditError as exc:  # a link is already active or invalid
         world.unrecord(ev)
         raise InvalidLinkError(f"frame '{frame}': {exc}") from exc
-    act = world.frame_activations[key] = FrameActivation(frame, dict(binding), at, created)
-    return act
+    world.frame_activations[key] = created
+    return world.trace[before:]
 
 
-def deactivate_frame(world: World, frame: str, binding: dict[str, str], at: int) -> list[TraceEvent]:
-    """Unlink exactly the links of ``frame``'s activation under ``binding``
-    at one tick, atomically."""
-    key = activation_key(frame, binding)
-    act = world.frame_activations.get(key)
-    if act is None:
+def deactivate_frame(world: World, frame: str, binding: Iterable[tuple[str, str]], at: int) -> list[TraceEvent]:
+    """Unlink exactly the links of ``frame``'s activation under ``binding``,
+    its ``(slot, entity)`` pairs in any order, at one tick, atomically."""
+    binding = tuple(sorted(binding))
+    key = (frame, binding)
+    created = world.frame_activations.get(key)
+    if created is None:
         raise NotActiveError(f"frame '{frame}' is not active for this binding")
-    gone = [l for l in act.created if l.end is not None]
+    gone = [l for l in created if l.end is not None]
     if gone:
         desc = ", ".join(" ".join(l.triple()) for l in gone)
         raise NotActiveError(
-            f"frame '{act.frame}' activation is no longer atomic; missing link(s): {desc}"
+            f"frame '{frame}' activation is no longer atomic; missing link(s): {desc}"
         )
     before = len(world.trace)
-    world.record("FrameDeactivate", at, {"frame": act.frame, "binding": _binding_payload(act.binding)})
-    world.edit([l.triple() for l in act.created], (), at)
+    world.record("FrameDeactivate", at, {"frame": frame, "binding": dict(binding)})
+    world.edit([l.triple() for l in created], (), at)
     del world.frame_activations[key]
     return world.trace[before:]
 
@@ -695,7 +688,7 @@ def check_action(world: World, action: Action) -> None:
         if action.target not in world.transitionals:
             raise UnknownActionError(f"unknown transitional '{action.target}'")
     elif isinstance(action, _FrameAction):
-        check_frame_binding(world, action.target, dict(action.binding))
+        check_frame_binding(world, action.target, action.binding)
     else:
         raise UnknownActionError(f"unknown action {action!r}")
 
@@ -706,9 +699,9 @@ def apply_action(world: World, action: Action, at: int) -> None:
     if isinstance(action, ApplyDirective):
         apply_transitional(world, world.transitionals[action.target], at)
     elif isinstance(action, ActivateDirective):
-        activate_frame(world, action.target, dict(action.binding), at)
+        activate_frame(world, action.target, action.binding, at)
     else:
-        deactivate_frame(world, action.target, dict(action.binding), at)
+        deactivate_frame(world, action.target, action.binding, at)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (
     UnknownKindError,
     XfoError,
 )
-from .ontology import NAME_RE, EntityId, Layer, Registry, SourceSpan, _span_field, bootstrap_b_taxonomy
+from .ontology import NAME_RE, EntityId, Layer, SourceSpan, _span_field, bootstrap_b_taxonomy
 from .trace import TraceEvent
 
 
@@ -142,6 +142,7 @@ class TIC:
 
 class World:
     """Registry plus relation kinds, declarations and the link history.
+    The registry starts as the shipped B taxonomy.
 
     Mutated only by a single loader/scheduler thread; quiescent worlds are
     safe for concurrent readers. ``tier2_strict=False`` downgrades tier-2
@@ -187,8 +188,8 @@ class World:
     misses.
     """
 
-    def __init__(self, registry: Registry | None = None, *, tier2_strict: bool = True) -> None:
-        self.registry = registry if registry is not None else bootstrap_b_taxonomy()
+    def __init__(self, *, tier2_strict: bool = True) -> None:
+        self.registry = bootstrap_b_taxonomy()
         self.tier2_strict = tier2_strict
         self.kinds: dict[str, RelationKind] = {k.name: k for k in BUILTIN_KINDS}
         self.declarations: list[RelationDeclaration] = []
@@ -208,7 +209,8 @@ class World:
         self.frames: dict[str, object] = {}
         self.workflows: dict[str, object] = {}
         self.rules: dict[str, object] = {}
-        self.frame_activations: dict[tuple, object] = {}
+        # (frame, binding pairs sorted by slot) -> the links it created
+        self.frame_activations: dict[tuple, list[LinkInstance]] = {}
         # Named transitionals register as P instances of this universal.
         self.registry.define_universal("Transitional", "X_Transitional")
 

@@ -292,6 +292,45 @@ def test_a_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+SLOT_TWICE = "frame 'Employment': binding names slot 'person' twice"
+
+
+@pytest.mark.parametrize("line,word", [(8, "activate"), (9, "deactivate")])
+def test_a_scenario_binding_that_names_a_slot_twice_is_refused(line, word, tmp_path, capsys):
+    """A frame binding names each slot once: a scenario's activate or
+    deactivate line that names one twice is one diagnostic at that line,
+    and nothing runs."""
+    lines = Path("school_hire.xws").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[line - 1].startswith(f"{word} Employment(") and "person=teacher1," in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace("person=teacher1,", "person=teacher1, person=teacher2,")
+    scenario = tmp_path / "twice.xws"
+    scenario.write_text("".join(lines), encoding="utf-8")
+    trace = tmp_path / "twice.trace.json"
+    assert cli.main(["run", "school.xfo", str(scenario), "--trace", str(trace)]) == 1
+    assert capsys.readouterr() == (
+        f"twice.xws:{line}:1: error: [E_RESOLVE] scenario 'school_hire': {SLOT_TWICE}\n", "")
+    assert not trace.exists()
+
+
+def test_a_rule_binding_that_names_a_slot_twice_is_refused(tmp_path, capsys):
+    """A rule's then that names a frame slot twice is one diagnostic at
+    the rule."""
+    model = tmp_path / "twice.xfo"
+    text = Path("school.xfo").read_text(encoding="utf-8")
+    model.write_text(text + (
+        "\nrule rehire {\n"
+        "  when not_exists any:Person Has_Role teacher_role\n"
+        "  then activate_frame Employment(role=teacher_role, organization=norfolk_schools, "
+        "person=teacher1, person=teacher2, compensation=teacher_salary, duration=one_year_term, "
+        "rights=classroom_rights, responsibilities=teaching_duties)\n"
+        "}\n"), encoding="utf-8")
+    line = text.count("\n") + 2
+    assert cli.main(["check", str(model)]) == 1
+    assert capsys.readouterr() == (
+        f"twice.xfo:{line}:1: error: [E_DUP_NAME] rule 'rehire': {SLOT_TWICE}\n"
+        f"{model}: 1 error(s), 0 warning(s)\n", "")
+
+
 def test_lexical_errors_golden_in_a_fresh_process():
     """Every E_PARSE of a file of lexical corner cases (comments, tabs,
     wildcards, non-ASCII letters, stray characters, text after '}'). The

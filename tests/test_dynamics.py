@@ -153,15 +153,16 @@ def school_world():
     return load_world("school.xfo")
 
 
-EMPLOYMENT_BINDING = {
-    "role": "teacher_role",
-    "organization": "norfolk_schools",
-    "person": "teacher1",
-    "compensation": "teacher_salary",
-    "duration": "one_year_term",
-    "rights": "classroom_rights",
-    "responsibilities": "teaching_duties",
-}
+# (slot, entity) pairs, not in slot order: the frame operations sort them
+EMPLOYMENT_BINDING = (
+    ("role", "teacher_role"),
+    ("organization", "norfolk_schools"),
+    ("person", "teacher1"),
+    ("compensation", "teacher_salary"),
+    ("duration", "one_year_term"),
+    ("rights", "classroom_rights"),
+    ("responsibilities", "teaching_duties"),
+)
 
 
 def test_define_frame_errors(school_world):
@@ -178,23 +179,24 @@ def test_define_frame_errors(school_world):
 
 def test_activate_frame_atomic(school_world):
     w = school_world
-    act = activate_frame(w, "Employment", EMPLOYMENT_BINDING, 3)
-    assert len(act.created) == 6
-    assert all(l.start == 3 for l in act.created)  # one shared tick
-    kinds = [e.kind for e in w.trace]
-    assert kinds[0] == "FrameActivate" and kinds.count("Link") == 6
+    events = activate_frame(w, "Employment", EMPLOYMENT_BINDING, 3)
+    assert events == w.trace  # its FrameActivate event, then its Link events
+    assert [e.kind for e in events] == ["FrameActivate"] + ["Link"] * 6
+    assert list(events[0].payload["binding"].items()) == sorted(EMPLOYMENT_BINDING)
+    created = w.frame_activations["Employment", tuple(sorted(EMPLOYMENT_BINDING))]
+    assert len(created) == 6
+    assert all(l.start == 3 for l in created)  # one shared tick
     with pytest.raises(AlreadyActiveError):
-        activate_frame(w, "Employment", EMPLOYMENT_BINDING, 4)
+        activate_frame(w, "Employment", dict(EMPLOYMENT_BINDING).items(), 4)
 
 
 def test_activate_frame_incomplete_binding(school_world):
     w = school_world
-    binding = dict(EMPLOYMENT_BINDING)
-    del binding["person"]
+    binding = [(slot, value) for slot, value in EMPLOYMENT_BINDING if slot != "person"]
     with pytest.raises(IncompleteBindingError):
         activate_frame(w, "Employment", binding, 0)
     with pytest.raises(UnknownSlotError):
-        activate_frame(w, "Employment", {**EMPLOYMENT_BINDING, "salary": "teacher_salary"}, 0)
+        activate_frame(w, "Employment", EMPLOYMENT_BINDING + (("salary", "teacher_salary"),), 0)
 
 
 def test_activate_frame_atomic_failure(school_world):
@@ -208,6 +210,17 @@ def test_activate_frame_atomic_failure(school_world):
     assert [e.kind for e in w.trace] == ["Link"]  # only the pre-existing link
 
 
+def test_activate_frame_refuses_a_slot_named_twice(school_world):
+    """A binding that names a slot twice is refused before anything is
+    written, not read as its last value."""
+    w = school_world
+    before = (_snapshot(w), list(w.trace), dict(w.frame_activations))
+    binding = EMPLOYMENT_BINDING + (("person", "teacher2"),)
+    with pytest.raises(DuplicateNameError, match="frame 'Employment': binding names slot 'person' twice"):
+        activate_frame(w, "Employment", binding, 0)
+    assert (_snapshot(w), w.trace, w.frame_activations) == before
+
+
 def test_activate_frame_warns_once_per_uncovered_link():
     w = World(tier2_strict=False)
     w.registry.define_universal("Lamp", "B_Object")
@@ -215,7 +228,7 @@ def test_activate_frame_warns_once_per_uncovered_link():
     w.registry.instantiate_particular("lamp", "Lamp")
     w.registry.instantiate_particular("red", "Color")
     define_frame(w, Frame("Lit", ("x", "c"), (T("x", "Has_Quality", "c"),)))  # no declaration covers it
-    activate_frame(w, "Lit", {"x": "lamp", "c": "red"}, 0)
+    activate_frame(w, "Lit", (("x", "lamp"), ("c", "red")), 0)
     assert len(w.links) == 1
     assert len(w.warnings) == 1 and w.warnings[0].startswith("tier-2: no declaration covers")
     # so do a parameterised workflow step and a scenario's initial link
@@ -232,13 +245,14 @@ def test_activate_frame_warns_once_per_uncovered_link():
 
 def test_frame_roundtrip_exact_spans(school_world):
     w = school_world
-    act = activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
-    deactivate_frame(w, act.frame, act.binding, 5)
+    activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
+    events = deactivate_frame(w, "Employment", EMPLOYMENT_BINDING, 5)
+    assert [e.kind for e in events] == ["FrameDeactivate"] + ["Unlink"] * 6
     spans = {(l.from_p, l.kind, l.to_p, l.start, l.end) for l in w.links}
     assert all(s[3] == 1 and s[4] == 5 for s in spans)
     assert len(spans) == 6
     with pytest.raises(NotActiveError, match="frame 'Employment' is not active for this binding"):
-        deactivate_frame(w, act.frame, act.binding, 6)  # double deactivation
+        deactivate_frame(w, "Employment", EMPLOYMENT_BINDING, 6)  # double deactivation
 
 
 def test_deactivate_frame_after_manual_unlink(school_world):
@@ -253,7 +267,7 @@ def test_deactivate_frame_after_manual_unlink(school_world):
 def test_deactivate_by_binding(school_world):
     w = school_world
     activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)
-    deactivate_frame(w, "Employment", dict(reversed(EMPLOYMENT_BINDING.items())), 4)
+    deactivate_frame(w, "Employment", tuple(reversed(EMPLOYMENT_BINDING)), 4)
     assert all(l.end == 4 for l in w.links)
 
 
