@@ -109,14 +109,6 @@ def _resolve(ref: Ref, binding: dict | None) -> str:
     return ref
 
 
-def _resolve_duration(duration, binding: dict | None) -> int:
-    if isinstance(duration, int):
-        return duration
-    if binding and duration in binding and isinstance(binding[duration], int):
-        return binding[duration]
-    raise ResolveError(f"duration '{duration}' is not bound to an integer")
-
-
 # ----------------------------------------------------------------------
 # transitionals
 
@@ -398,54 +390,16 @@ def walk_steps(node: Node):
     return (n.step for n in walk_nodes(node) if isinstance(n, Step))
 
 
-def walk_guards(node: Node):
-    """All predicates a body can evaluate: loop guards, cond guards, and
-    step preconditions."""
-    for n in walk_nodes(node):
-        if isinstance(n, Step):
-            yield from n.step.preconditions
-        elif isinstance(n, (Loop, Cond)) and n.guard is not None:
-            yield n.guard
-
-
-def param_kinds(wf: Workflow) -> dict[str, str]:
-    """Classify each parameter as 'entity' or 'count' from its uses."""
-    kinds: dict[str, str] = {}
-
-    def note(p: str, kind: str) -> None:
-        if p in kinds and kinds[p] != kind:
-            raise InvalidTemplateError(
-                f"workflow '{wf.name}': parameter '{p}' used both as an entity and as a number"
-            )
-        kinds[p] = kind
-
-    params = set(wf.params)
-    for step in walk_steps(wf.body):
-        if isinstance(step.duration, str) and step.duration in params:
-            note(step.duration, "count")
-        if step.agent_ref in params:
-            note(step.agent_ref, "entity")
-        for t in step.unlinks + step.links:
-            for r in (t.from_ref, t.to_ref):
-                if r in params:
-                    note(r, "entity")
-        for p in step.preconditions:
-            for r in (p.from_ref, p.to_ref):
-                if isinstance(r, str) and r in params:
-                    note(r, "entity")
-    return kinds
-
-
 def bind_args(world: World, wf: Workflow, args: tuple) -> dict:
     """The binding of ``wf``'s parameters to ``args``: one argument per
-    parameter, an entity where the body uses it as one and a number where
-    it is a duration. The one check of a run's arguments, wherever they
-    are written: a scenario ``run`` or a rule's ``start_workflow``."""
+    parameter, of the kind ``define_workflow`` kept for it in
+    ``world.param_kinds``. The one check of a run's arguments, wherever
+    they are written: a scenario ``run`` or a rule's ``start_workflow``."""
     if len(args) != len(wf.params):
         raise UnknownActionError(
             f"workflow '{wf.name}' takes {len(wf.params)} argument(s), got {len(args)}"
         )
-    kinds = param_kinds(wf)
+    kinds = world.param_kinds[wf.name]
     binding = {}
     for param, value in zip(wf.params, args):
         want = kinds.get(param)
@@ -464,36 +418,70 @@ def bind_args(world: World, wf: Workflow, args: tuple) -> dict:
 
 
 def define_workflow(world: World, wf: Workflow) -> Workflow:
-    """Register workflow or mechanism ``wf`` itself, span included."""
-    name, body = wf.name, wf.body
+    """Register workflow or mechanism ``wf`` itself, span included.
+
+    One walk over the body checks each node in source order and types
+    each parameter from every place it is written: an agent, an effect
+    ref or either side of a predicate (a step's ``require``, a ``loop
+    until`` or ``if`` guard) makes it an entity, a duration a number.
+    The kinds are kept in ``world.param_kinds[wf.name]`` for
+    ``bind_args``."""
+    name = wf.name
     if name in world.workflows:
         raise DuplicateNameError(f"workflow '{name}' already defined")
     dup = _repeated(wf.params)
     if dup is not None:
         raise DuplicateNameError(f"workflow '{name}' declares parameter '{dup}' twice")
-    for n in walk_nodes(body):
+    label = f"workflow '{name}'"
+    pset = frozenset(wf.params)
+    kinds: dict[str, str] = {}
+
+    def note(refs, kind: str) -> None:
+        for r in refs:
+            if r in pset and kinds.setdefault(r, kind) != kind:
+                raise InvalidTemplateError(
+                    f"{label}: parameter '{r}' used both as an entity and as a number"
+                )
+
+    def check_guard(pred: StatePredicate) -> None:
+        _check_predicate(world, pred, label, params=pset)
+        note((pred.from_ref, pred.to_ref), "entity")
+
+    seen_steps: set[str] = set()
+    for n in walk_nodes(wf.body):
         if isinstance(n, Loop) and n.count is None and n.guard is None and not n.until_end:
             raise UnboundedLoopError(f"workflow '{name}' contains a loop with no count and no guard")
-    pset = frozenset(wf.params)
-    seen_steps: set[str] = set()
-    for step in walk_steps(body):
+        if isinstance(n, (Loop, Cond)) and n.guard is not None:
+            check_guard(n.guard)
+        if not isinstance(n, Step):
+            continue
+        step = n.step
         if step.name in seen_steps:
-            raise DuplicateNameError(f"workflow '{name}': step '{step.name}' defined twice")
+            raise DuplicateNameError(f"{label}: step '{step.name}' defined twice")
         seen_steps.add(step.name)
         if wf.requires_agent and step.agent_ref is None:
             raise MissingAgentError(
-                f"workflow '{name}': step '{step.name}' has no agent but the workflow requires one"
+                f"{label}: step '{step.name}' has no agent but the workflow requires one"
             )
         if step.agent_ref is not None and step.agent_ref not in pset and step.agent_ref not in world.registry:
             raise UnknownEntityError(
-                f"workflow '{name}': step '{step.name}' agent '{step.agent_ref}' is unknown"
+                f"{label}: step '{step.name}' agent '{step.agent_ref}' is unknown"
             )
-        if isinstance(step.duration, int) and step.duration < 0:
-            raise InvalidTemplateError(f"workflow '{name}': step '{step.name}' has negative duration")
-        _check_edits(world, step.unlinks + step.links, pset, f"workflow '{name}' step '{step.name}'")
-    for pred in walk_guards(body):
-        _check_predicate(world, pred, f"workflow '{name}'", params=pset)
-    param_kinds(wf)  # raises on contradictory parameter use
+        note((step.agent_ref,), "entity")
+        if isinstance(step.duration, int):
+            if step.duration < 0:
+                raise InvalidTemplateError(f"{label}: step '{step.name}' has negative duration")
+        elif step.duration not in pset:
+            raise InvalidTemplateError(
+                f"{label}: step '{step.name}' duration '{step.duration}' is not a parameter"
+            )
+        note((step.duration,), "count")
+        edits = step.unlinks + step.links
+        _check_edits(world, edits, pset, f"{label} step '{step.name}'")
+        note((r for t in edits for r in (t.from_ref, t.to_ref)), "entity")
+        for pred in step.preconditions:
+            check_guard(pred)
+    world.param_kinds[name] = kinds
     world.workflows[name] = wf
     return wf
 
@@ -742,6 +730,6 @@ def define_rule(world: World, rule: Rule) -> Rule:
         if action.at is not None:
             raise ResolveError(f"action '{action.render()}' has a tick; it runs when the rule fires")
     except XfoError as exc:
-        raise type(exc)(f"rule '{name}': {exc}") from exc
+        raise exc.within(f"rule '{name}'")
     world.rules[name] = rule
     return rule

@@ -11,6 +11,13 @@ class XfoError(Exception):
 
     code = "E_KERNEL"
 
+    def within(self, where: str) -> XfoError:
+        """This error, its message prefixed with ``where``, the place the
+        fault was written (a rule, a scenario); its class, and so its
+        code, and its attributes are kept."""
+        self.args = (f"{where}: {self}",)
+        return self
+
 
 class InvalidNameError(XfoError):
     code = "E_BAD_NAME"

@@ -49,7 +49,6 @@ from .dynamics import (
     Loop,
     Seq,
     Step,
-    _resolve_duration,
     apply_action,
     apply_batch,
     bind_args,
@@ -228,7 +227,7 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
             elif not 0 <= item.run < n_runs:
                 raise ResolveError(f"no run with ordinal {item.run}")
         except XfoError as exc:
-            yield "schedule", i, ResolveError(f"{label}: {exc}")
+            yield "schedule", i, exc.within(label)
 
 
 class Simulation:
@@ -366,9 +365,6 @@ class Simulation:
             {"run": run.id, "workflow": run.workflow.name, "last": run.last_completed_step},
         )
 
-    def _cancelled(self, run: WorkflowRun, tick: int) -> bool:
-        return run.cancelled_after is not None and tick > run.cancelled_after
-
     def _begin_next_step(self, run: WorkflowRun, tick: int) -> None:
         step = run.next_step(self.world, tick, self.scenario.horizon)
         if step is None:
@@ -383,12 +379,11 @@ class Simulation:
         self.world.record(
             "StepStart", tick, {"run": run.id, "workflow": run.workflow.name, "step": step.name}
         )
-        duration = _resolve_duration(step.duration, run.binding)
+        # a duration is a number or a parameter bind_args bound to one
+        duration = step.duration if isinstance(step.duration, int) else run.binding[step.duration]
         self._push(tick + duration, ("step_end", run.id, step))
 
     def _finish_step(self, run: WorkflowRun, step: WorkflowStep, tick: int) -> None:
-        if self._cancelled(run, tick):
-            return
         boundary = run.status is RunStatus.INTERRUPTED and run.cancelled_after == tick
         if run.status is not RunStatus.RUNNING and not boundary:
             return

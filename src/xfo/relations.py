@@ -209,6 +209,8 @@ class World:
         self.frames: dict[str, object] = {}
         self.workflows: dict[str, object] = {}
         self.rules: dict[str, object] = {}
+        # workflow -> {parameter: "entity" | "count"}, written by define_workflow
+        self.param_kinds: dict[str, dict[str, str]] = {}
         # (frame, binding pairs sorted by slot) -> the links it created
         self.frame_activations: dict[tuple, list[LinkInstance]] = {}
         # Named transitionals register as P instances of this universal.

@@ -45,6 +45,24 @@ class _Escaped(dict):
         return e
 
 
+def _clip(end: int | None, horizon: int) -> int:
+    """A span's end as drawn: the horizon ends an open span or a later one."""
+    return horizon if end is None else min(end, horizon)
+
+
+def _svg(width: int, height: int, title: str, body: list[str]) -> str:
+    """One SVG document: the XML declaration, the svg element of the given
+    size, the title line, then ``body``'s lines."""
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<text x="{_LABEL_W}" y="20" font-size="13" font-family="sans-serif">{_esc(title)}</text>',
+        *body,
+        "</svg>",
+    ]) + "\n"
+
+
 def _quality_spans(spans, horizon: int):
     """entity -> list of (start, end, quality) from the Has_Quality links
     in a span index, clipped to the horizon."""
@@ -53,7 +71,7 @@ def _quality_spans(spans, horizon: int):
         if kind != "Has_Quality":
             continue
         for start, end in ranges:
-            stop = horizon if end is None else min(end, horizon)
+            stop = _clip(end, horizon)
             if stop <= start:
                 continue
             rows.setdefault(frm, []).append((start, stop, to))
@@ -87,14 +105,7 @@ def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
             )
     width = _LABEL_W + doc.horizon * _PX_PER_TICK + _RIGHT
     axis_y = _TOP + len(names) * (_ROW_H + _ROW_GAP) + 8
-    height = axis_y + 30
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<text x="{_LABEL_W}" y="20" font-size="13" font-family="sans-serif">'
-        f"{_esc(doc.scenario)}: quality timeline</text>",
-    ]
+    out = []
     esc = _Escaped()  # each distinct name and quality escaped once
     for i, name in enumerate(names):
         y = _TOP + i * (_ROW_H + _ROW_GAP)
@@ -111,8 +122,7 @@ def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
                 f"<title>{esc[name]}: {esc[quality]} [{start},{stop})</title></rect>"
             )
     _axis(out, width, axis_y, doc.horizon)
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(width, axis_y + 30, f"{doc.scenario}: quality timeline", out)
 
 
 _start = itemgetter(0)
@@ -153,14 +163,13 @@ def _qualities_at(spans, horizon: int, at: int) -> dict[str, str | None]:
         i = bisect_right(ranges, at, key=_start)
         if i:
             start, end = ranges[i - 1]
-            stop = horizon if end is None else min(end, horizon)
+            stop = _clip(end, horizon)
             if at < stop:
                 row, held = (start, stop, to), best.get(frm)
                 if held is None or row < held:
                     best[frm] = row
                 continue
-        if frm not in best and any(start < (horizon if end is None else min(end, horizon))
-                                   for start, end in ranges):
+        if frm not in best and any(start < _clip(end, horizon) for start, end in ranges):
             best[frm] = None
     return {entity: None if row is None else row[2] for entity, row in best.items()}
 
@@ -180,14 +189,7 @@ def render_snapshot(doc: TraceDoc, at: int) -> str:
     r, gap, row_h = 16, 70, 78
     max_members = max((len(m) for _, m in panels), default=0)
     width = _LABEL_W + max(max_members * gap, gap) + _RIGHT
-    height = _TOP + max(len(panels), 1) * row_h + 10
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<text x="{_LABEL_W}" y="20" font-size="13" font-family="sans-serif">'
-        f"{_esc(doc.scenario)}: state at tick {at}</text>",
-    ]
+    out = []
     for i, (container, members) in enumerate(panels):
         y = _TOP + i * row_h + row_h // 2
         out.append(
@@ -206,5 +208,5 @@ def render_snapshot(doc: TraceDoc, at: int) -> str:
                 f'<text x="{cx}" y="{y + r + 14}" font-size="10" text-anchor="middle" '
                 f'font-family="sans-serif">{_esc(member)}</text>'
             )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    height = _TOP + max(len(panels), 1) * row_h + 10
+    return _svg(width, height, f"{doc.scenario}: state at tick {at}", out)

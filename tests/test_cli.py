@@ -18,6 +18,7 @@ from xfo import cli, dsl, loader
 from helpers import GOLDEN_DIR, copy_models
 
 REGEN = os.environ.get("XFO_REGEN_GOLDENS") == "1"
+DATA_DIR = Path(__file__).parent / "data"
 
 # (golden name, argv, optional produced file also goldened)
 GOLDEN_CASES = [
@@ -308,7 +309,7 @@ def test_a_scenario_binding_that_names_a_slot_twice_is_refused(line, word, tmp_p
     trace = tmp_path / "twice.trace.json"
     assert cli.main(["run", "school.xfo", str(scenario), "--trace", str(trace)]) == 1
     assert capsys.readouterr() == (
-        f"twice.xws:{line}:1: error: [E_RESOLVE] scenario 'school_hire': {SLOT_TWICE}\n", "")
+        f"twice.xws:{line}:1: error: [E_DUP_NAME] scenario 'school_hire': {SLOT_TWICE}\n", "")
     assert not trace.exists()
 
 
@@ -331,26 +332,88 @@ def test_a_rule_binding_that_names_a_slot_twice_is_refused(tmp_path, capsys):
         f"{model}: 1 error(s), 0 warning(s)\n", "")
 
 
+@pytest.mark.parametrize("workflow", ["if_only", "until_only"])
+def test_a_number_for_a_parameter_written_only_in_a_guard_is_refused_at_the_run_line(
+        workflow, tmp_path, capsys):
+    """A parameter written only in an if or a loop until guard is an
+    entity: a run that passes a number is one diagnostic at its line, not
+    an error mid-run, and nothing runs."""
+    scenario = tmp_path / "guard.xws"
+    scenario.write_text(f"scenario s\nhorizon 4\nrun {workflow}(3) at 0\n", encoding="utf-8")
+    trace = tmp_path / "guard.trace.json"
+    assert cli.main(["run", str(DATA_DIR / "param_kinds.xfo"), str(scenario), "--trace", str(trace)]) == 1
+    assert capsys.readouterr() == (
+        "guard.xws:3:1: error: [E_RESOLVE] scenario 's': parameter 'x' needs an entity, got 3\n", "")
+    assert not trace.exists()
+
+
+def test_a_rule_that_starts_a_workflow_with_a_number_for_a_guard_parameter_is_refused(tmp_path, capsys):
+    """The same argument in a rule's start_workflow is one diagnostic at
+    the rule."""
+    model = tmp_path / "rule.xfo"
+    text = (DATA_DIR / "param_kinds.xfo").read_text(encoding="utf-8")
+    model.write_text(text + (
+        "rule restart {\n"
+        "  when not_exists a Has_Quality q\n"
+        "  then start_workflow if_only(3)\n"
+        "}\n"), encoding="utf-8")
+    line = text.count("\n") + 1
+    assert cli.main(["check", str(model)]) == 1
+    assert capsys.readouterr() == (
+        f"rule.xfo:{line}:1: error: [E_RESOLVE] rule 'restart': parameter 'x' needs an entity, got 3\n"
+        f"{model}: 1 error(s), 0 warning(s)\n", "")
+
+
+def test_a_duration_that_is_not_a_parameter_is_refused_at_the_workflow(tmp_path, capsys):
+    model = tmp_path / "timed.xfo"
+    model.write_text("model m\nmechanism timed(x) {\n  step s {\n    duration d\n  }\n}\n", encoding="utf-8")
+    assert cli.main(["check", str(model)]) == 1
+    assert capsys.readouterr() == (
+        "timed.xfo:2:1: error: [E_INVALID_TEMPLATE] workflow 'timed': step 's' duration 'd' is not a parameter\n"
+        f"{model}: 1 error(s), 0 warning(s)\n", "")
+
+
+def _cli_in_data_dir(argv: list[str]) -> subprocess.CompletedProcess:
+    """``xfo`` run in a fresh process from ``tests/data``, with ``src`` on
+    its path."""
+    src = Path(xfo.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "xfo.cli", *argv],
+        cwd=DATA_DIR, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
 def test_lexical_errors_golden_in_a_fresh_process():
     """Every E_PARSE of a file of lexical corner cases (comments, tabs,
     wildcards, non-ASCII letters, stray characters, text after '}'). The
     golden was written by the per-token tokenizer this one replaced, and
     regenerated once only to print the diagnostics in line order; CI diffs
     the installed console script against it."""
-    src = Path(xfo.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "xfo.cli", "check", "--warn-tier2", "lexical_errors.xfo"],
-        cwd=Path(__file__).parent / "data", capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = _cli_in_data_dir(["check", "--warn-tier2", "lexical_errors.xfo"])
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / "check_lexical_errors.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("check_param_kinds_faults.txt", ["check", "param_kinds_faults.xfo"]),
+    ("run_param_kinds_faults.txt", ["run", "param_kinds.xfo", "param_kinds_faults.xws"]),
+], ids=["check", "run"])
+def test_load_diagnostics_golden_in_a_fresh_process(golden, argv):
+    """Workflow and scenario faults found at load, each at its line: a
+    duration that is not a parameter, a parameter written both in a guard
+    and as a duration, numbers for parameters written only in guards, and
+    scenario actions whose faults carry the codes they have in a rule. CI
+    diffs the installed console script against the same goldens."""
+    proc = _cli_in_data_dir(argv)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
 
 def test_diagnostics_are_printed_in_line_order(capsys):
     """The tokenizer records a bad character's E_PARSE before any parser
     error; the printed (line, column) never decreases all the same."""
-    data = Path(__file__).parent / "data" / "lexical_errors.xfo"
+    data = DATA_DIR / "lexical_errors.xfo"
     assert cli.main(["check", "--warn-tier2", str(data)]) == 1
     lines = capsys.readouterr().out.splitlines()[:-1]  # the last is the summary
     spans = [tuple(map(int, line.split(": ")[0].split(":")[-2:])) for line in lines]

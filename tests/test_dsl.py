@@ -307,15 +307,15 @@ def test_loader_flags_run_arity_and_argument_kinds():
     assert model.ok
     world, diags = loader.build_world(model.document)
     assert not diags
-    for bad_run in ("run m(a) at 0",          # arity
-                    "run m(a, a) at 0",       # duration needs a number
-                    "run m(2, 1) at 0",       # ref needs an entity
-                    "run m(ghost, 1) at 0"):  # unknown entity
+    for bad_run, code in (("run m(a) at 0", "E_UNKNOWN_ACTION"),          # arity
+                          ("run m(a, a) at 0", "E_RESOLVE"),              # duration needs a number
+                          ("run m(2, 1) at 0", "E_RESOLVE"),              # ref needs an entity
+                          ("run m(ghost, 1) at 0", "E_UNKNOWN_ENTITY")):  # unknown entity
         res = parse_scenario(f"scenario s\nhorizon 3\n{bad_run}\n")
         assert res.ok
         scenario, sdiags = loader.build_scenario(res.document, world)
         assert scenario is None
-        assert [d.code for d in sdiags] == ["E_RESOLVE"], bad_run
+        assert [d.code for d in sdiags] == [code], bad_run
 
 
 def test_loader_reports_what_loading_would_refuse_at_its_line():
@@ -339,13 +339,13 @@ def test_loader_reports_what_loading_would_refuse_at_its_line():
     assert model.ok
     world, diags = loader.build_world(model.document)
     assert not diags
-    for line, code in (("activate Marked(x=ghost, m=q) at 1", "E_RESOLVE"),
-                       ("deactivate Marked(x=a, m=ghost) at 1", "E_RESOLVE"),
-                       ("activate Marked(y=a, m=q) at 1", "E_RESOLVE"),   # undeclared slot
-                       ("deactivate Marked(x=a) at 1", "E_RESOLVE"),      # used slot m unbound
-                       ("init a Has_Quality q", "E_INVALID_INIT_LINK"),  # given twice
-                       ("run m() at 9", "E_RESOLVE"),                   # past the horizon
-                       ("interrupt 1 at 1", "E_RESOLVE")):              # no run 1
+    for line, code in (("activate Marked(x=ghost, m=q) at 1", "E_UNKNOWN_ENTITY"),
+                       ("deactivate Marked(x=a, m=ghost) at 1", "E_UNKNOWN_ENTITY"),
+                       ("activate Marked(y=a, m=q) at 1", "E_UNKNOWN_SLOT"),     # undeclared slot
+                       ("deactivate Marked(x=a) at 1", "E_INCOMPLETE_BINDING"),  # used slot m unbound
+                       ("init a Has_Quality q", "E_INVALID_INIT_LINK"),          # given twice
+                       ("run m() at 9", "E_RESOLVE"),                            # past the horizon
+                       ("interrupt 1 at 1", "E_RESOLVE")):                       # no run 1
         res = parse_scenario(f"scenario s\nhorizon 3\ninit a Has_Quality q\nrun m() at 0\n{line}\n", "x.xws")
         assert res.ok
         scenario, sdiags = loader.build_scenario(res.document, world)

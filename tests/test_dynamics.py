@@ -21,6 +21,7 @@ from xfo.dynamics import (
     WorkflowStep,
     activate_frame,
     apply_transitional,
+    bind_args,
     check_completeness,
     deactivate_frame,
     define_frame,
@@ -300,6 +301,62 @@ def test_define_workflow_param_conflict(lamp_world):
         define_workflow(w, Workflow("w", ("x",), Seq((step,)), False))
 
 
+# Each place a workflow body can write parameter x, and the kind it makes x.
+PARAM_PLACES = [
+    ("agent", Seq((_step("s", agent="x"),)), "entity"),
+    ("duration", Seq((_step("s", duration="x"),)), "count"),
+    ("effect unlink", Seq((_step("s", unlinks=(T("x", "Has_Quality", "green"),)),)), "entity"),
+    ("effect link", Seq((_step("s", links=(T("lampA_green", "Has_Quality", "x"),)),)), "entity"),
+    ("require", Seq((_step("s", pre=(P(True, "x", "Has_Quality", "green"),)),)), "entity"),
+    ("loop until", Seq((Loop(Seq((_step("s"),)), guard=P(False, "x", "Has_Quality", "green")),)), "entity"),
+    ("if", Seq((Cond(P(True, "lampA_green", "Has_Quality", "x"), Seq((_step("s"),))),)), "entity"),
+]
+
+
+@pytest.mark.parametrize("place,body,kind", PARAM_PLACES, ids=[p[0] for p in PARAM_PLACES])
+def test_every_place_a_parameter_is_written_types_it(lamp_world, place, body, kind):
+    """A parameter's kind comes from wherever it is written, guards
+    included; bind_args refuses exactly the arguments of the other kind."""
+    w = lamp_world
+    wf = define_workflow(w, Workflow("w", ("x",), body, False))
+    assert w.param_kinds["w"] == {"x": kind}
+    for arg, fits in ((2, kind == "count"), ("lampA_yellow", kind == "entity")):
+        if fits:
+            assert bind_args(w, wf, (arg,)) == {"x": arg}
+        else:
+            with pytest.raises(ResolveError, match=f"parameter 'x' needs {'a number' if kind == 'count' else 'an entity'}"):
+                bind_args(w, wf, (arg,))
+
+
+def test_a_workflow_body_is_walked_once_to_define_and_never_to_bind(lamp_world, monkeypatch):
+    """define_workflow checks and types a body in one walk; bind_args,
+    at load and at each run, reads the kinds it kept."""
+    from xfo import dynamics
+    w = lamp_world
+    bodies = [
+        Seq((Loop(Seq((_step("s", duration="d", pre=(P(True, "x", "Has_Quality", "green"),)),)), count=2),
+             Cond(P(True, "x", "Has_Quality", "dark"), Seq((_step("t"),))))),
+        Seq((_step("u", links=(T("x", "Has_Quality", "yellow"),)),)),
+    ]
+    walked = []
+    walk = dynamics.walk_nodes
+    monkeypatch.setattr(dynamics, "walk_nodes", lambda node: walked.append(node) or walk(node))
+
+    def walks(body):
+        return sum(node is body for node in walked)
+
+    for i, body in enumerate(bodies):
+        define_workflow(w, Workflow(f"w{i}", ("x", "d"), body, False))
+        assert walks(body) == 1
+    walked.clear()
+    for i in range(2):
+        bind_args(w, w.workflows[f"w{i}"], ("lampA_green", 2))
+    sim = load_scenario(w, Scenario("s", 3, (), (RunSpec("w0", ("lampA_green", 2), 0),
+                                                 RunSpec("w1", ("lampA_yellow", 1), 0))))
+    assert len(sim.runs) == 2
+    assert [walks(body) for body in bodies] == [0, 0]
+
+
 def test_define_workflow_rejects_duplicate_step_edits(lamp_world):
     w = lamp_world
     dup = _step("s", links=(T("lampA_green", "Has_Quality", "yellow"),
@@ -433,6 +490,13 @@ def test_define_rule_validation(school_world):
     r = Rule("r5", guard, RunSpec("hireReplacement", ("superintendent1",)))
     assert define_rule(w, r) is r and w.rules["r5"] is r
     assert r.action.render() == "start_workflow hireReplacement(superintendent1)"
+
+
+def test_a_fault_prefixed_with_where_it_was_written_keeps_its_class_and_attributes():
+    exc = InvalidLinkError("bad link", result="verdict", triple=("a", "Has_Quality", "b"))
+    assert exc.within("rule 'r'") is exc
+    assert (type(exc), str(exc), exc.result, exc.triple) == (
+        InvalidLinkError, "rule 'r': bad link", "verdict", ("a", "Has_Quality", "b"))
 
 
 def test_predicate_wildcard_evaluation(school_world):

@@ -16,6 +16,7 @@ from xfo.errors import (
     PreconditionFailedError,
     ResolveError,
     SimulationError,
+    UnknownActionError,
     XfoError,
 )
 from xfo.microworld import RunStatus, Scenario, load_scenario
@@ -595,10 +596,10 @@ def test_load_rejects_bad_scenarios():
     with pytest.raises(InvalidInitialLinkError):
         load_scenario(world, Scenario("s", 5, (LinkTemplate("lampA_green", "Has_Quality", "lampA_red"),), ()))
     from xfo.microworld import RunSpec
-    with pytest.raises(ResolveError):
+    with pytest.raises(UnknownActionError):
         load_scenario(world, Scenario("s", 5, (), (RunSpec("ghost", (), 0),)))
-    with pytest.raises(ResolveError):
-        load_scenario(world, Scenario("s", 5, (), (RunSpec("trafficCycle", (), 9),)))  # arity
+    with pytest.raises(ResolveError):  # tick 9 is past the horizon, a fault found before the arity
+        load_scenario(world, Scenario("s", 5, (), (RunSpec("trafficCycle", (), 9),)))
 
 
 def test_counted_loop_and_cond_execution():
@@ -684,7 +685,7 @@ def test_refused_scenario_leaves_the_world_untouched():
     init = LinkTemplate("lampA_green", "Has_Quality", "dark")
     lamps = ("lampA_green", "lampA_yellow", "lampA_red")
     for scen, error in (
-        (Scenario("s", 5, (init,), (RunSpec("ghost", (), 0),)), ResolveError),
+        (Scenario("s", 5, (init,), (RunSpec("ghost", (), 0),)), UnknownActionError),
         (Scenario("s", 5, (init, init), ()), InvalidInitialLinkError),
         # a negative duration would queue a step's end before its start
         (Scenario("s", 5, (init,), (RunSpec("trafficCycle", lamps + (2, -1, 3), 0),)), ResolveError),
