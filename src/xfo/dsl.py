@@ -252,6 +252,17 @@ class _Toks:
         if tok != word:
             raise _ParseError(f"expected '{word}', got {tok!r}", self.taken_span())
 
+    def keyword_in(self, table: dict):
+        """What ``table`` maps the next token to, taken as one of its keys;
+        any other token is reported at itself, naming the keys in order."""
+        tok = self.take()
+        try:
+            return table[tok]
+        except KeyError:
+            *rest, last = map(repr, table)
+            message = f"expected {', '.join(rest)} or {last}, got {tok!r}"
+            raise _ParseError(message, self.taken_span()) from None
+
     def punct(self, text: str) -> None:
         tok = self.take()
         if tok != text:
@@ -309,10 +320,12 @@ class _Parser:
         line.punct("{")
         line.done()
 
-    def _block(self, what: str, span, clause) -> _Toks:
-        """Parse the lines of a block up to its closing '}', each with
-        ``clause(line)``; a failing line is reported and skipped. Returns
-        the closing line, positioned after the '}'; pass it to ``_end``."""
+    def _block(self, what: str, span, clauses: dict) -> _Toks:
+        """Parse the lines of a block up to its closing '}'. Each line's
+        keyword is read through ``clauses``, and the parser it maps to reads
+        the rest of the line; a failing line is reported and skipped.
+        Returns the closing line, positioned after the '}'; pass it to
+        ``_end``."""
         while True:
             line = self._next_line()
             if line is None:
@@ -321,7 +334,7 @@ class _Parser:
                 line.take()
                 return line
             try:
-                clause(line)
+                line.keyword_in(clauses)(line)
                 line.done()
             except _ParseError as exc:
                 self._recover_line(exc, line)
@@ -343,23 +356,23 @@ class _Parser:
         to = line.name("an entity")
         return LinkTemplate(frm, kind, to)
 
-    def _edit(self, line: _Toks, unlinks: list, links: list) -> None:
-        which = line.name("'link' or 'unlink'")
-        if which == "unlink":
-            unlinks.append(self._template(line))
-        elif which == "link":
-            links.append(self._template(line))
-        else:
-            raise _ParseError(f"expected 'link' or 'unlink', got '{which}'", line.span_at())
+    def _edits(self, unlinks: list, links: list) -> dict:
+        """The clause table of an edit: 'link' or 'unlink' and a template,
+        kept in ``links`` or ``unlinks``."""
+        return {
+            "link": lambda line: links.append(self._template(line)),
+            "unlink": lambda line: unlinks.append(self._template(line)),
+        }
 
     def _predicate(self, line: _Toks) -> StatePredicate:
-        tok = line.take()
-        if tok not in ("exists", "not_exists"):
-            raise _ParseError(f"expected 'exists' or 'not_exists', got {tok!r}", line.taken_span())
+        exists = line.keyword_in(_PREDICATES)
         frm = line.ref()
         kind = line.name("a relation kind")
         to = line.ref()
-        return StatePredicate(tok == "exists", frm, kind, to)
+        return StatePredicate(exists, frm, kind, to)
+
+
+_PREDICATES = {"exists": True, "not_exists": False}
 
 
 def _paren_list(line: _Toks, item) -> tuple:
@@ -379,13 +392,13 @@ def _paren_list(line: _Toks, item) -> tuple:
             raise _ParseError(f"expected ',' or ')', got {tok!r}", line.taken_span())
 
 
-def _arg(line: _Toks) -> str | int:
+def _arg(line: _Toks, what: str = "an argument") -> str | int:
     tok = line.take()
     if tok.isidentifier():
         return tok
     if tok.isdigit():
         return int(tok)
-    raise _ParseError(f"expected an argument, got {tok!r}", line.taken_span())
+    raise _ParseError(f"expected {what}, got {tok!r}", line.taken_span())
 
 
 def _slot_value(line: _Toks) -> tuple[str, str]:
@@ -475,7 +488,7 @@ def _p_transitional(p: _Parser, line: _Toks, span) -> Transitional:
     name = line.name("a transitional name")
     p._open_brace(line)
     unlinks, links = [], []
-    p._end(p._block(f"transitional '{name}'", span, lambda body: p._edit(body, unlinks, links)))
+    p._end(p._block(f"transitional '{name}'", span, p._edits(unlinks, links)))
     return Transitional(name, tuple(unlinks), tuple(links), span=span)
 
 
@@ -483,17 +496,11 @@ def _p_frame(p: _Parser, line: _Toks, span) -> Frame:
     name = line.name("a frame name")
     p._open_brace(line)
     slots, templates = [], []
-
-    def clause(body: _Toks) -> None:
-        word = body.name("'slot' or 'link'")
-        if word == "slot":
-            slots.append(body.name("a slot name"))
-        elif word == "link":
-            templates.append(p._template(body))
-        else:
-            raise _ParseError(f"expected 'slot' or 'link', got '{word}'", body.span_at())
-
-    p._end(p._block(f"frame '{name}'", span, clause))
+    clauses = {
+        "slot": lambda body: slots.append(body.name("a slot name")),
+        "link": lambda body: templates.append(p._template(body)),
+    }
+    p._end(p._block(f"frame '{name}'", span, clauses))
     return Frame(name, tuple(slots), tuple(templates), span=span)
 
 
@@ -516,19 +523,12 @@ def _parse_body(p: _Parser, owner: str, span) -> tuple[Seq, _Toks]:
     """Parse workflow body nodes until the matching '}'. Returns the Seq
     and the close line (positioned after '}') for else-continuations."""
     nodes = []
-
-    def node(line: _Toks) -> None:
-        word = line.name("'step', 'loop' or 'if'")
-        if word == "step":
-            nodes.append(Step(_parse_step(p, line, owner)))
-        elif word == "loop":
-            nodes.append(_parse_loop(p, line, owner, span))
-        elif word == "if":
-            nodes.append(_parse_cond(p, line, owner, span))
-        else:
-            raise _ParseError(f"expected 'step', 'loop' or 'if', got '{word}'", line.span_at())
-
-    close = p._block(f"block in '{owner}'", span, node)
+    clauses = {
+        "step": lambda line: nodes.append(Step(_parse_step(p, line, owner))),
+        "loop": lambda line: nodes.append(_parse_loop(p, line, owner, span)),
+        "if": lambda line: nodes.append(_parse_cond(p, line, owner, span)),
+    }
+    close = p._block(f"block in '{owner}'", span, clauses)
     return Seq(tuple(nodes)), close
 
 
@@ -545,29 +545,24 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
     pre: list[StatePredicate] = []
     unlinks: list[LinkTemplate] = []
     links: list[LinkTemplate] = []
+    edits = p._edits(unlinks, links)
 
-    def clause(body: _Toks) -> None:
-        nonlocal agent, duration
-        word = body.name("a step clause")
-        if word == "agent":
-            agent = body.name("an entity")
-        elif word == "duration":
-            tok = body.take()
-            if tok.isdigit():
-                duration = int(tok)
-            elif tok.isidentifier():
-                duration = tok
-            else:
-                raise _ParseError(f"expected a duration, got {tok!r}", body.taken_span())
-        elif word == "require":
-            pre.append(p._predicate(body))
-        elif word == "effect":
-            p._edit(body, unlinks, links)
-        else:
-            raise _ParseError(f"unknown step clause '{word}'", body.span_at())
+    def set_agent(body: _Toks) -> None:
+        nonlocal agent
+        agent = body.name("an entity")
 
+    def set_duration(body: _Toks) -> None:
+        nonlocal duration
+        duration = _arg(body, "a duration")
+
+    clauses = {
+        "agent": set_agent,
+        "duration": set_duration,
+        "require": lambda body: pre.append(p._predicate(body)),
+        "effect": lambda body: body.keyword_in(edits)(body),
+    }
     try:
-        close = p._block(f"step '{name}'", None, clause)
+        close = p._block(f"step '{name}'", None, clauses)
     except _ParseError as exc:  # unterminated: its span is the step's '{'
         exc.span = line.span_at(brace)
         raise
@@ -616,23 +611,15 @@ def _p_rule(p: _Parser, line: _Toks, span) -> Rule:
     when: list[StatePredicate] = []
     then = None
 
-    def clause(body: _Toks) -> None:
+    def set_then(body: _Toks) -> None:
         nonlocal then
-        word = body.name("'when' or 'then'")
-        if word == "when":
-            when.append(p._predicate(body))
-        elif word == "then":
-            if then is not None:
-                raise _ParseError(f"rule '{name}' has more than one 'then'", body.span_at())
-            keyword = body.name("an action")
-            cls = _RULE_ACTIONS.get(keyword)
-            if cls is None:
-                raise _ParseError(f"unknown action '{keyword}'", body.span_at())
-            then = cls(*_action_operand(body, cls))
-        else:
-            raise _ParseError(f"expected 'when' or 'then', got '{word}'", body.span_at())
+        if then is not None:
+            raise _ParseError(f"rule '{name}' has more than one 'then'", body.taken_span())
+        cls = body.keyword_in(_RULE_ACTIONS)
+        then = cls(*_action_operand(body, cls))
 
-    p._end(p._block(f"rule '{name}'", span, clause))
+    clauses = {"when": lambda body: when.append(p._predicate(body)), "then": set_then}
+    p._end(p._block(f"rule '{name}'", span, clauses))
     if not when:
         raise _ParseError(f"rule '{name}' has no 'when' clause", span)
     if then is None:

@@ -50,11 +50,25 @@ def _drain_warnings(world: World, diags: list, span: SourceSpan | None) -> None:
     world.warnings.clear()
 
 
+def _once(first, stmt, what: str, diags: list):
+    """``stmt`` if it is the first of its kind (``first`` is None), else
+    ``first``; a second one is an E_PARSE at ``stmt``."""
+    if first is None:
+        return stmt
+    _diag(diags, "E_PARSE", f"{what} given more than once", stmt.span)
+    return first
+
+
 def build_world(doc: ModelDocument, *, tier2_strict: bool = True) -> tuple[World, list[Diagnostic]]:
     """Load a model document into a fresh World."""
     world = World(tier2_strict=tier2_strict)
+    world.model_name = doc.name
     diags: list[Diagnostic] = []
+    header: ModelHeader | None = None
     for stmt in doc.statements:
+        if isinstance(stmt, ModelHeader):  # doc.name is the first one's
+            header = _once(header, stmt, "model", diags)
+            continue
         try:
             _load_stmt(world, stmt)
         except XfoError as exc:
@@ -66,9 +80,7 @@ def build_world(doc: ModelDocument, *, tier2_strict: bool = True) -> tuple[World
 def _load_stmt(world: World, stmt) -> None:
     """Define one parsed definition; the kernel does every check and
     stores the definition itself."""
-    if isinstance(stmt, ModelHeader):
-        world.model_name = stmt.name
-    elif isinstance(stmt, EntityDef):
+    if isinstance(stmt, EntityDef):
         world.registry.add(stmt)
     elif isinstance(stmt, RelationKind):
         world.declare_kind(stmt)
@@ -89,19 +101,20 @@ def build_scenario(doc: ScenarioDocument, world: World) -> tuple[Scenario | None
     ``check_scenario`` finds becomes a diagnostic at its statement."""
     diags: list[Diagnostic] = []
     horizon: HorizonStmt | None = None
+    header: ScenarioHeader | None = None
     # the statements behind each Scenario field, in field order
     source: dict[str, list] = {"rules": [], "init": [], "schedule": []}
     for stmt in doc.statements:
         if isinstance(stmt, HorizonStmt):
-            if horizon is not None:
-                _diag(diags, "E_PARSE", "horizon given more than once", stmt.span)
-            else:  # check_scenario refuses a horizon below 1, at this line
-                horizon = stmt
+            # check_scenario refuses a horizon below 1, at this line
+            horizon = _once(horizon, stmt, "horizon", diags)
+        elif isinstance(stmt, ScenarioHeader):  # doc.name is the first one's
+            header = _once(header, stmt, "scenario", diags)
         elif isinstance(stmt, RuleRefStmt):
             source["rules"].append(stmt)
         elif isinstance(stmt, InitStmt):
             source["init"].append(stmt)
-        elif not isinstance(stmt, ScenarioHeader):
+        else:
             source["schedule"].append(stmt)
     scenario = Scenario(
         doc.name,

@@ -401,7 +401,6 @@ class Simulation:
 
     def _break(self, run: WorkflowRun, step_name: str, tick: int, predicate: str) -> None:
         run.status = RunStatus.BROKEN
-        run.cancelled_after = tick
         self.world.record(
             "WorkflowBroken", tick,
             {"run": run.id, "workflow": run.workflow.name, "step": step_name, "predicate": predicate},

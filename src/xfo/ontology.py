@@ -81,8 +81,6 @@ B_TAXONOMY: tuple[tuple[str, str | None], ...] = (
     ("X_Transitional", "B_Occurrent"),
 )
 
-B_ROOT = "B_Entity"
-
 
 class Registry:
     """Name-keyed entity store.

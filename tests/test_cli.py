@@ -395,6 +395,15 @@ def test_lexical_errors_golden_in_a_fresh_process():
     assert proc.stdout == (GOLDEN_DIR / "check_lexical_errors.txt").read_text(encoding="utf-8")
 
 
+def test_clause_errors_golden_in_a_fresh_process():
+    """A wrong keyword in each form the parser reads from a fixed keyword
+    set, and a rule's second 'then': each is reported at that word. CI
+    diffs the installed console script against the same golden."""
+    proc = _cli_in_data_dir(["check", "--warn-tier2", "clause_errors.xfo"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (GOLDEN_DIR / "check_clause_errors.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("golden,argv", [
     ("check_param_kinds_faults.txt", ["check", "param_kinds_faults.xfo"]),
     ("run_param_kinds_faults.txt", ["run", "param_kinds.xfo", "param_kinds_faults.xws"]),

@@ -285,6 +285,28 @@ def test_zero_horizon_is_reported_once_at_its_line():
     ]
 
 
+def test_a_second_model_header_is_refused_at_its_line():
+    """The first header names the model, in the document and in the world
+    alike; a second one is an error, as a second horizon is."""
+    res = parse_model("model A\nuniversal U is_a B_Object\nmodel B\n", "m.xfo")
+    assert res.ok and res.document.name == "A"
+    world, diags = loader.build_world(res.document)
+    assert world.model_name == "A"
+    assert [(d.code, d.span.line, d.message) for d in diags] == [
+        ("E_PARSE", 3, "model given more than once")]
+
+
+def test_a_second_scenario_header_is_refused_at_its_line():
+    from xfo.relations import World
+
+    res = parse_scenario("scenario S\nhorizon 3\nscenario T\n", "s.xws")
+    assert res.ok and res.document.name == "S"
+    scenario, diags = loader.build_scenario(res.document, World())
+    assert scenario is None
+    assert [(d.code, d.span.line, d.message) for d in diags] == [
+        ("E_PARSE", 3, "scenario given more than once")]
+
+
 def test_unknown_parent_diagnostic():
     res = parse_model("universal X is_a Y\n")
     assert res.ok

@@ -443,12 +443,37 @@ def test_statement_pattern_matches_the_cursor(text):
         assert parsed(parse, text) == parsed(parse, commented(text))
 
 
-@pytest.mark.parametrize("text,message", [
-    ("transitional T {\n  universal A is_a B\n}\n", "expected 'link' or 'unlink', got 'universal'"),
-    ("mechanism M {\n  step s {\n    relate A K B\n  }\n}\n", "unknown step clause 'relate'"),
+STEP_CLAUSES = "'agent', 'duration', 'require' or 'effect'"
+RULE_ACTIONS = "'start_workflow', 'apply_transitional', 'activate_frame' or 'deactivate_frame'"
+
+
+# a token follows each wrong keyword, so a span on the token after it shows
+@pytest.mark.parametrize("text,expected", [
+    ("transitional T {\n  universal A is_a B\n}\n",
+     [("expected 'link' or 'unlink', got 'universal'", 2, 3, 9)]),
+    ("mechanism M {\n  step s {\n    relate A K B\n  }\n}\n",
+     [(f"expected {STEP_CLAUSES}, got 'relate'", 3, 5, 6)]),
+    ("frame F {\n  slot a\n  sloth a\n}\n", [("expected 'slot' or 'link', got 'sloth'", 3, 3, 5)]),
+    ("transitional T {\n  lnk a K b\n}\n", [("expected 'link' or 'unlink', got 'lnk'", 2, 3, 3)]),
+    ("workflow W {\n  stp s {\n  }\n}\n", [("expected 'step', 'loop' or 'if', got 'stp'", 2, 3, 3)]),
+    ("workflow W {\n  step s {\n    agnt a\n  }\n}\n", [(f"expected {STEP_CLAUSES}, got 'agnt'", 3, 5, 4)]),
+    ("workflow W {\n  step s {\n    effect lnk a K b\n  }\n}\n",
+     [("expected 'link' or 'unlink', got 'lnk'", 3, 12, 3)]),
+    ("workflow W {\n  step s {\n    require exist a K b\n  }\n}\n",
+     [("expected 'exists' or 'not_exists', got 'exist'", 3, 13, 5)]),
+    ("rule R {\n  when exists a K b\n  whn exists a K b\n  then apply_transitional T\n}\n",
+     [("expected 'when' or 'then', got 'whn'", 3, 3, 3)]),
+    # the one 'then' was wrong, so the rule has none
+    ("rule R {\n  when exists a K b\n  then apply T\n}\n",
+     [(f"expected {RULE_ACTIONS}, got 'apply'", 3, 8, 5), ("rule 'R' has no 'then' clause", 1, 1, 4)]),
+    ("rule R {\n  when exists a K b\n  then apply_transitional T\n  then apply_transitional U\n}\n",
+     [("rule 'R' has more than one 'then'", 4, 3, 4)]),
 ])
-def test_simple_statement_inside_a_block_is_a_clause_error(text, message):
-    assert [d.message for d in parse_model(text).diagnostics] == [message]
+def test_simple_statement_inside_a_block_is_a_clause_error(text, expected):
+    """A wrong clause keyword is reported at itself, naming its block's
+    keywords in order; each case gives every diagnostic it produces."""
+    diags = parse_model(text, "m.xfo").diagnostics
+    assert [(d.message, *d.span[1:]) for d in diags] == expected
 
 
 def count_cursors(monkeypatch) -> list:
