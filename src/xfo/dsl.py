@@ -377,7 +377,7 @@ _PREDICATES = {"exists": True, "not_exists": False}
 
 def _paren_list(line: _Toks, item) -> tuple:
     """Parenthesized comma-separated items, each read by ``item(line)``
-    (``_arg`` or ``_slot_value``); the parens may be empty."""
+    (``_arg``, ``_slot_value`` or a name); the parens may be empty."""
     items = []
     line.punct("(")
     if line.peek() == ")":
@@ -506,13 +506,7 @@ def _p_frame(p: _Parser, line: _Toks, span) -> Frame:
 
 def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> Workflow:
     name = line.name("a workflow name")
-    params: tuple = ()
-    if line.peek() == "(":
-        raw = _paren_list(line, _arg)
-        for a in raw:
-            if not isinstance(a, str):
-                raise _ParseError(f"parameter names must be identifiers, got {a!r}", span)
-        params = raw
+    params = _paren_list(line, lambda toks: toks.name("a parameter name")) if line.peek() == "(" else ()
     p._open_brace(line)
     body, close = _parse_body(p, name, span)
     p._end(close)
@@ -540,8 +534,7 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
         placeholder = True
     brace = line.pos
     p._open_brace(line)
-    agent = None
-    duration: int | str = 0
+    agent = duration = None
     pre: list[StatePredicate] = []
     unlinks: list[LinkTemplate] = []
     links: list[LinkTemplate] = []
@@ -549,10 +542,14 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
 
     def set_agent(body: _Toks) -> None:
         nonlocal agent
+        if agent is not None:
+            raise _ParseError(f"step '{name}' has more than one 'agent'", body.taken_span())
         agent = body.name("an entity")
 
     def set_duration(body: _Toks) -> None:
         nonlocal duration
+        if duration is not None:
+            raise _ParseError(f"step '{name}' has more than one 'duration'", body.taken_span())
         duration = _arg(body, "a duration")
 
     clauses = {
@@ -567,9 +564,8 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
         exc.span = line.span_at(brace)
         raise
     p._end(close)
-    return WorkflowStep(
-        name, agent, duration, tuple(pre), tuple(unlinks), tuple(links), placeholder
-    )
+    duration = 0 if duration is None else duration
+    return WorkflowStep(name, agent, duration, tuple(pre), tuple(unlinks), tuple(links), placeholder)
 
 
 def _parse_loop(p: _Parser, line: _Toks, owner: str, span) -> Loop:

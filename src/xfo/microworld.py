@@ -67,6 +67,7 @@ from .errors import (
 )
 from .ontology import SourceSpan, _span_field
 from .relations import World
+from .trace import FrozenPayload
 
 # Ceiling on a run's cursor moves within one tick; a run that exceeds it is
 # livelocked model content, not a schedulable program.
@@ -116,7 +117,8 @@ class WorkflowRun:
     each step's unlink and link templates are resolved against it once per
     run, at the step's first end, and the resolved batch is kept under the
     step's name (unique within a workflow). A batch that fails to resolve
-    is never kept."""
+    is never kept. So is the one payload of a step's StepStart and StepEnd
+    events, built at its first start."""
 
     def __init__(self, run_id: int, workflow: Workflow, binding: dict):
         self.id = run_id
@@ -129,6 +131,7 @@ class WorkflowRun:
         self._spin_tick = 0
         self._moves = 0  # cursor moves at _spin_tick, over every next_step call
         self._batches: dict[str, Batch] = {}
+        self._payloads: dict[str, FrozenPayload] = {}
 
     def batch(self, step: WorkflowStep) -> Batch:
         """``step``'s edits resolved against the binding; see the class."""
@@ -136,6 +139,12 @@ class WorkflowRun:
         if batch is None:
             batch = self._batches[step.name] = resolve_edits(step.unlinks, step.links, self.binding)
         return batch
+
+    def payload(self, step: WorkflowStep) -> FrozenPayload:
+        """``step``'s StepStart and StepEnd payload; see the class."""
+        if step.name not in self._payloads:
+            self._payloads[step.name] = FrozenPayload(run=self.id, workflow=self.workflow.name, step=step.name)
+        return self._payloads[step.name]
 
     def next_step(self, world: World, tick: int, horizon: int) -> WorkflowStep | None:
         # count every move, not only steps begun: a loop whose iterations
@@ -256,6 +265,7 @@ class Simulation:
                 self._readers.setdefault(p.kind, []).append(i)
         self._stale_rules = set(range(len(self._rules)))
         self._rule_prev: dict[str, bool] = dict.fromkeys(scenario.rules, False)
+        self._fired = {r.name: FrozenPayload(rule=r.name, action=r.action.render()) for r in self._rules}
         world.edit((), [(t.from_ref, t.kind, t.to_ref) for t in scenario.init], 0)
         self._read = len(world.trace)  # position of the first event _stale has not read
         for item in scenario.schedule:
@@ -376,9 +386,7 @@ class Simulation:
             return
         if self.detect_broken(run, step, tick):
             return
-        self.world.record(
-            "StepStart", tick, {"run": run.id, "workflow": run.workflow.name, "step": step.name}
-        )
+        self.world.record("StepStart", tick, run.payload(step))
         # a duration is a number or a parameter bind_args bound to one
         duration = step.duration if isinstance(step.duration, int) else run.binding[step.duration]
         self._push(tick + duration, ("step_end", run.id, step))
@@ -392,9 +400,7 @@ class Simulation:
         except PreconditionFailedError as exc:
             self._break(run, step.name, tick, exc.predicate or str(exc))
             return
-        self.world.record(
-            "StepEnd", tick, {"run": run.id, "workflow": run.workflow.name, "step": step.name}
-        )
+        self.world.record("StepEnd", tick, run.payload(step))
         run.last_completed_step = step.name
         if not boundary:
             self._begin_next_step(run, tick)
@@ -433,7 +439,7 @@ class Simulation:
     def _fire(self, rule: Rule, tick: int) -> None:
         """Record RuleFired and take the action; a failed action leaves no record."""
         world, action = self.world, rule.action
-        fired = world.record("RuleFired", tick, {"rule": rule.name, "action": action.render()})
+        fired = world.record("RuleFired", tick, self._fired[rule.name])
         try:
             if isinstance(action, RunSpec):
                 self._queue_run(action, tick)

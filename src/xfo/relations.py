@@ -31,7 +31,7 @@ from .errors import (
     XfoError,
 )
 from .ontology import NAME_RE, EntityId, Layer, SourceSpan, _span_field, bootstrap_b_taxonomy
-from .trace import TraceEvent
+from .trace import FrozenPayload, TraceEvent
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,8 @@ class World:
     * ``_by_entity`` maps an entity to the triples it appears in on either
       side, and ``_by_kind`` a kind to its triples. Both use insertion-
       ordered dicts as sets, so iteration never depends on string hashing.
+    * ``_payloads`` maps each triple ever linked to the one FrozenPayload
+      that every Link and Unlink event of it carries.
     * Each event's ``seq`` is its position in ``trace``. ``edit`` appends
       its own Link and Unlink events, after one tick check for the whole
       batch; ``record`` appends every other event, and ``unrecord``
@@ -201,6 +203,7 @@ class World:
         self.spans: dict[Triple, list[LinkInstance]] = {}
         self._by_entity: dict[EntityId, dict[Triple, None]] = {}
         self._by_kind: dict[str, dict[Triple, None]] = {}
+        self._payloads: dict[Triple, FrozenPayload] = {}  # each triple's Link and Unlink payload
         self.trace: list[TraceEvent] = []
         self.warnings: list[str] = []
         self.model_name = "model"
@@ -423,11 +426,10 @@ class World:
                 raise NoActiveLinkError(f"no active link '{t[0]}' {t[1]} '{t[2]}' at tick {at}", t)
         self._require_tick(at)
         verdicts = [self.check_link(*t) for t in links]
-        trace = self.trace
-        for inst in edited:
+        trace, payloads = self.trace, self._payloads
+        for t, inst in zip(unlinks, edited):
             inst.end = at
-            payload = {"from": inst.from_p, "relation": inst.kind, "to": inst.to_p}
-            trace.append(_event(TraceEvent, (len(trace), at, "Unlink", payload)))
+            trace.append(_event(TraceEvent, (len(trace), at, "Unlink", payloads[t])))
         for triple, res in zip(links, verdicts):
             if not res:
                 self.warnings.append(f"tier-2: {res.reason}")
@@ -439,9 +441,9 @@ class World:
                 for e in (from_p, to_p):
                     self._by_entity.setdefault(e, {})[triple] = None
                 self._by_kind.setdefault(kind, {})[triple] = None
+                payloads[triple] = FrozenPayload({"from": from_p, "relation": kind, "to": to_p})
             row.append(inst)
-            payload = {"from": from_p, "relation": kind, "to": to_p}
-            trace.append(_event(TraceEvent, (len(trace), at, "Link", payload)))
+            trace.append(_event(TraceEvent, (len(trace), at, "Link", payloads[triple])))
             edited.append(inst)
         return edited
 

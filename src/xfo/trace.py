@@ -6,14 +6,14 @@ bytes. Those bytes are exactly ``json.dumps(doc, indent=2) + "\n"``:
 2-space indent, ASCII-only (``\\uXXXX`` escapes), keys in the order
 model, scenario, horizon, version, events and, per event, seq, at, kind,
 payload. ``trace_parts`` writes them with the C string encoder, each
-distinct string encoded once per document. So is each distinct payload
-whose values are all str, exact int or None, as is every payload the
-engine writes but a frame's (its binding is a dict): it is keyed by its
-items and their value types, since ``1 == True == 1.0`` and ``0.0 ==
--0.0`` in Python but not in JSON. Any other payload is laid out per
-event, and one that raises is never kept. The bytes are still those of
-``json.dumps(indent=2)``, whose indenting pure-Python encoder is kept
-only as the tests' reference.
+distinct string encoded once per document. A ``FrozenPayload``, which
+the engine builds once for all the events that carry it (a link
+triple's Link and Unlink events, a run step's StepStart and StepEnd, a
+rule's RuleFired), is encoded once per document, found by identity: it
+cannot change, and holds only str keys and str, exact int or None
+values. A plain dict payload is laid out per event. The bytes are still
+those of ``json.dumps(indent=2)``, whose indenting pure-Python encoder
+is kept only as the tests' reference.
 """
 from __future__ import annotations
 
@@ -48,6 +48,34 @@ class TraceEvent(NamedTuple):
     at: int
     kind: str
     payload: dict
+
+
+class FrozenPayload(dict):
+    """A payload that cannot change, so the writer may encode it once for
+    every event that carries it. Its keys are exact str and its values
+    exact str, exact int or None; anything else raises TypeError when it
+    is built. Copies and pickles are built afresh from ``dict(self)``."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a FrozenPayload cannot be changed")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _refuse
+
+    def __new__(cls, *args, **kwargs):
+        self = dict.__new__(cls)
+        dict.update(self, *args, **kwargs)
+        for k, v in self.items():  # exact types: no bool, no subclass
+            if type(k) is not str or not (v is None or type(v) in (str, int)):
+                raise TypeError(f"FrozenPayload item {k!r}: {v!r} is not str: str, int or None")
+        return self
+
+    def __init__(self, *args, **kwargs):  # filled by __new__, once
+        pass
+
+    def __reduce__(self):
+        return FrozenPayload, (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -116,12 +144,6 @@ class _Encoded(dict):
         return j
 
 
-# The value types whose JSON is fixed by value and type together: payloads
-# with equal items whose values are of these types have one JSON. Floats
-# and bools are left out: -0.0 == 0.0 and 1.0 == 1, yet their JSON differs.
-_MEMO_TYPES = frozenset((str, int, type(None)))
-
-
 def _payload(payload: dict, enc: _Encoded) -> str:
     """A non-empty payload dict as an event's ``"payload"`` value."""
     items = ",".join([f'\n        {enc[k]}: {enc[x] if type(x) is str else _value(x, "        ")}'
@@ -136,27 +158,23 @@ def trace_parts(model: str, scenario: str, horizon: int, events: Iterable[TraceE
 
     An int ``seq`` or ``at``, a str kind and a non-empty payload dict
     are laid out here; any other value goes through ``_value``. A payload
-    key that is not a string, at any depth, raises TypeError. Each
-    distinct string, and each distinct payload the module docstring says
-    may be memoised, is encoded once per call, since a trace repeats the
+    key that is not a string, at any depth, raises TypeError. Each distinct
+    string, and each ``FrozenPayload`` object (kept with its ``id``, so the
+    id is not reused), is encoded once per call, since a trace repeats the
     same few entities and edits thousands of times."""
     yield (f'{{\n  "model": {_value(model, "  ")},\n  "scenario": {_value(scenario, "  ")},\n'
            f'  "horizon": {_value(horizon, "  ")},\n  "version": {TRACE_FORMAT_VERSION},\n  "events": [')
     enc = _Encoded()
-    done: dict[tuple, str] = {}
+    done: dict[int, tuple[FrozenPayload, str]] = {}
     sep = "\n"
     for seq, at, kind, payload in events:
-        if type(payload) is dict and payload:
-            key = (*payload.items(), *map(type, payload.values()))
-            try:
-                text = done.get(key)
-            except TypeError:  # a list or dict value cannot be hashed
-                text = key = None
-            if text is None:
-                text = _payload(payload, enc)
-                if key is not None and _MEMO_TYPES.issuperset(key[len(payload):]):
-                    done[key] = text
-            payload = text
+        if type(payload) is FrozenPayload and payload:
+            memo = done.get(id(payload))
+            if memo is None:
+                memo = done[id(payload)] = (payload, _payload(payload, enc))
+            payload = memo[1]
+        elif type(payload) is dict and payload:
+            payload = _payload(payload, enc)
         else:
             payload = _value(payload, "      ")
         yield (f'{sep}    {{\n      "seq": {seq if type(seq) is int else _value(seq, "      ")},\n'

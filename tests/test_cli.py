@@ -404,6 +404,15 @@ def test_clause_errors_golden_in_a_fresh_process():
     assert proc.stdout == (GOLDEN_DIR / "check_clause_errors.txt").read_text(encoding="utf-8")
 
 
+def test_repeated_clauses_golden_in_a_fresh_process():
+    """A step's second 'agent' or 'duration' line, and a workflow parameter
+    that is not a name: each is reported at that word. CI diffs the
+    installed console script against the same golden."""
+    proc = _cli_in_data_dir(["check", "--warn-tier2", "repeated_clauses.xfo"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (GOLDEN_DIR / "check_repeated_clauses.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("golden,argv", [
     ("check_param_kinds_faults.txt", ["check", "param_kinds_faults.xfo"]),
     ("run_param_kinds_faults.txt", ["run", "param_kinds.xfo", "param_kinds_faults.xws"]),

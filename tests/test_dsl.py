@@ -397,6 +397,26 @@ def test_workflow_naming_a_parameter_twice_is_refused_at_its_line():
     assert "w" not in world.workflows
 
 
+def test_a_steps_second_agent_or_duration_is_refused_at_that_keyword():
+    """As a second header is: the step keeps its first agent and duration."""
+    res = parse_model(
+        "model m\nmechanism w(a) {\n  step s {\n    agent a\n    duration 1\n"
+        "    duration 5\n    agent b\n  }\n}\n", "m.xfo")
+    assert [(d.code, d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [
+        ("E_PARSE", "step 's' has more than one 'duration'", 6, 5, 8),
+        ("E_PARSE", "step 's' has more than one 'agent'", 7, 5, 5),
+    ]
+    (wf,) = [s for s in res.document.statements if isinstance(s, Workflow)]
+    step = wf.body.items[0].step
+    assert (step.agent_ref, step.duration) == ("a", 1)
+
+
+def test_a_workflow_parameter_that_is_not_a_name_is_reported_at_it():
+    res = parse_model("workflow W(a, 3) {\n  step s {\n    duration 1\n  }\n}\n", "m.xfo")
+    assert [(d.code, d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [
+        ("E_PARSE", "expected a parameter name, got '3'", 1, 15, 1)]
+
+
 def test_roundtrip_shipped_files():
     for name in ("traffic.xfo", "school.xfo", "celadon.xfo"):
         first = parse_model(model_text(name), name)

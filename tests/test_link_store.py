@@ -176,9 +176,14 @@ def _spans_as_tuples(world):
 
 def _store_snapshot(world):
     """What a refused edit must leave as it was: the link log, the trace
-    (each event's seq its position), the warnings and the spans."""
+    (each event's seq its position, and every Link and Unlink event of a
+    triple carrying the triple's one payload), the warnings, the spans and
+    the payloads."""
     assert [e.seq for e in world.trace] == list(range(len(world.trace)))
-    return len(world.links), list(world.trace), list(world.warnings), _spans_as_tuples(world)
+    for e in world.trace:
+        assert e.payload is world._payloads[e.payload["from"], e.payload["relation"], e.payload["to"]]
+    payloads = dict(world._payloads)
+    return len(world.links), list(world.trace), list(world.warnings), _spans_as_tuples(world), payloads
 
 
 def _check_current(world):

@@ -8,19 +8,29 @@ path must give the same bytes, the same objects and the same error
 messages."""
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xfo import cli, dsl
+from xfo import cli, dsl, trace
 from xfo.dsl import Diagnostic, _tokenize_line, parse_model, parse_scenario
 from xfo.errors import MalformedTraceError
 from xfo.ontology import SourceSpan
-from xfo.trace import EVENT_KINDS, TRACE_FORMAT_VERSION, TraceDoc, TraceEvent, parse_trace, trace_to_json
+from xfo.trace import (
+    EVENT_KINDS,
+    TRACE_FORMAT_VERSION,
+    FrozenPayload,
+    TraceDoc,
+    TraceEvent,
+    parse_trace,
+    trace_to_json,
+)
 
 from helpers import MODELS_DIR, generated_inputs, model_text, run_scenario
 
@@ -179,25 +189,75 @@ def valid_events(draw):
 # writer
 
 
-EVENTS = st.lists(
-    st.builds(TraceEvent, BIG_INT | st.booleans(), BIG_INT, KIND | TEXT | SHARED, PAYLOAD | SHARED_PAYLOAD),
-    max_size=6,
-)
+# what a FrozenPayload may hold: str keys; str, exact int and None values
+FROZEN = st.dictionaries(SHARED | TEXT, SHARED | TEXT | BIG_INT | st.none(), max_size=4).map(FrozenPayload)
+
+
+@st.composite
+def events_sharing_payloads(draw):
+    """Events whose payloads are plain dicts, or FrozenPayloads drawn from
+    a small pool: one frozen object carried by several events, and equal
+    frozen payloads that are distinct objects, in one document."""
+    pool = draw(st.lists(FROZEN, min_size=1, max_size=3))
+    pool += [FrozenPayload(p) for p in pool]  # equal, not the same object
+    payload = PAYLOAD | SHARED_PAYLOAD | st.sampled_from(pool)
+    event = st.builds(TraceEvent, BIG_INT | st.booleans(), BIG_INT, KIND | TEXT | SHARED, payload)
+    return draw(st.lists(event, max_size=6))
+
+
+EVENTS = events_sharing_payloads()
 
 
 # one document that repeats payloads which are == but are written apart
 _COLLISIONS = [TraceEvent(i, 0, "Link", {"from": v}) for i, v in enumerate(
     [1, True, 1.0, 0.0, -0.0, 0, False, None, 1, True, -0.0, 0.0, {"a": 1}, {"a": True}, {"a": 1}])]
+# one frozen payload carried thrice, an equal copy of it, and frozen and
+# plain payloads whose values are == but whose JSON differs
+_LAMP = FrozenPayload({"from": "lamp1", "relation": "Has_Quality", "to": "red"})
+_SHARED = [TraceEvent(i, 0, "Link", p) for i, p in enumerate([
+    _LAMP, {"from": 1}, _LAMP, FrozenPayload(_LAMP), FrozenPayload({"from": 1}), {"from": True},
+    {"from": 1.0}, _LAMP, FrozenPayload({"from": 0}), {"from": False}, {"from": -0.0}])]
 
 
 @settings(max_examples=200, deadline=None)
 @given(model=TEXT, scenario=TEXT, horizon=BIG_INT, events=EVENTS, more=EVENTS)
 @example(model="m", scenario="s", horizon=1, events=_COLLISIONS, more=_COLLISIONS[::-1])
+@example(model="m", scenario="s", horizon=1, events=_SHARED, more=_SHARED[::-1])
 def test_writer_matches_reference(model, scenario, horizon, events, more):
     """Two documents written in a row: the writer's string and payload
     memos are per call, so the second is laid out as if it were the first."""
     for evs in (events, more):
         assert trace_to_json(model, scenario, horizon, evs) == reference_to_json(model, scenario, horizon, evs)
+
+
+def test_writer_lays_out_a_plain_dict_as_it_is_at_each_event():
+    """Only a FrozenPayload is encoded once: a plain dict may change
+    between two events that carry it, here while the writer streams."""
+    values = ["a", 1, "a", True, 1]
+    payload = {}
+
+    def stream():
+        for i, v in enumerate(values):
+            payload["from"] = v
+            yield TraceEvent(i, 0, "Link", payload)
+
+    expected = [TraceEvent(i, 0, "Link", {"from": v}) for i, v in enumerate(values)]
+    assert trace_to_json("m", "s", 1, stream()) == reference_to_json("m", "s", 1, expected)
+
+
+def test_writer_encodes_each_frozen_payload_once(monkeypatch):
+    """On the shipped traffic run: one layout per distinct FrozenPayload,
+    and one per event that carries a plain dict."""
+    world, _, scen = run_scenario("traffic.xfo", "traffic_desk.xws")
+    laid_out = []
+    real = trace._payload
+    monkeypatch.setattr(trace, "_payload", lambda payload, enc: laid_out.append(payload) or real(payload, enc))
+    text = trace_to_json(world.model_name, scen.name, scen.horizon, world.trace)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SHIPPED_TRACE_SHA256["traffic_desk.xws"]
+    frozen = {id(e.payload) for e in world.trace if type(e.payload) is FrozenPayload}
+    plain = [e for e in world.trace if type(e.payload) is dict]
+    assert len(laid_out) == len(frozen) + len(plain) < len(world.trace)
+    assert len({id(p) for p in laid_out if type(p) is FrozenPayload}) == len(frozen)
 
 
 @pytest.mark.parametrize("model,scenario", SHIPPED_RUNS, ids=[s for _, s in SHIPPED_RUNS])
@@ -298,6 +358,84 @@ def test_reader_refuses_bools_and_a_horizon_below_1(field, value):
     with pytest.raises(MalformedTraceError):
         parse_trace(text)
     assert outcome(parse_trace, text) == outcome(reference_parse, text)
+
+
+# ----------------------------------------------------------------------
+# frozen payloads
+
+MUTATORS = [
+    ("__setitem__", ("from", "b")), ("__delitem__", ("from",)), ("clear", ()), ("pop", ("from",)),
+    ("popitem", ()), ("setdefault", ("x", "y")), ("update", ({"x": "y"},)), ("__ior__", ({"x": "y"},)),
+]
+
+
+@pytest.mark.parametrize("name,args", MUTATORS, ids=[name for name, _ in MUTATORS])
+def test_frozen_payload_refuses_every_mutator(name, args):
+    p = FrozenPayload({"from": "a", "run": 1})
+    with pytest.raises(TypeError, match="cannot be changed"):
+        getattr(p, name)(*args)
+    assert p == {"from": "a", "run": 1}
+
+
+def test_frozen_payload_refuses_mutation_by_operator_and_keyword():
+    p = FrozenPayload(run=1)
+    with pytest.raises(TypeError, match="cannot be changed"):
+        p.update(run=2)
+    p.__init__({"run": 2})  # a second __init__ changes nothing
+    with pytest.raises(AttributeError):
+        p.note = "x"  # no __dict__
+    with pytest.raises(TypeError, match="cannot be changed"):
+        p["run"] = 2
+    with pytest.raises(TypeError, match="cannot be changed"):
+        del p["run"]
+    with pytest.raises(TypeError, match="cannot be changed"):
+        p |= {"run": 2}
+    assert p == {"run": 1} and type(p) is FrozenPayload
+
+
+@pytest.mark.parametrize("items", [
+    {1: "a"}, {True: "a"}, {None: "a"},
+    {"a": True}, {"a": False}, {"a": 1.0}, {"a": -0.0}, {"a": [1]}, {"a": ("b",)}, {"a": {"b": "c"}},
+], ids=repr)
+def test_frozen_payload_refuses_keys_and_values_that_are_not_atoms(items):
+    """A key that is not a str, and a value whose JSON could differ from an
+    equal value's (bool, float) or that could change (list, dict)."""
+    with pytest.raises(TypeError, match="is not str"):
+        FrozenPayload(items)
+
+
+def test_frozen_payload_survives_deepcopy_and_pickle():
+    p = FrozenPayload({"from": "a", "run": 2**70, "last": None, "é": "日本"})
+    copies = [copy.copy(p), copy.deepcopy(p)]
+    copies += [pickle.loads(pickle.dumps(p, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for q in copies:
+        assert type(q) is FrozenPayload and list(q.items()) == list(p.items())
+    shared = copy.deepcopy([p, p])  # one object stays one object
+    assert shared[0] is shared[1] and shared[0] is not p
+
+
+def _shared_by(event: TraceEvent):
+    """What an event's payload is shared across: its link triple, its run
+    step or its rule; None for any other event."""
+    p = event.payload
+    if event.kind in ("Link", "Unlink"):
+        return p["from"], p["relation"], p["to"]
+    if event.kind in ("StepStart", "StepEnd"):
+        return p["run"], p["step"]
+    return (p["rule"],) if event.kind == "RuleFired" else None
+
+
+@pytest.mark.parametrize("model,scenario", SHIPPED_RUNS, ids=[s for _, s in SHIPPED_RUNS])
+def test_engine_shares_one_frozen_payload_per_triple_step_and_rule(model, scenario):
+    world, _, _ = run_scenario(model, scenario)
+    first: dict = {}
+    for e in world.trace:
+        key = _shared_by(e)
+        assert (type(e.payload) is FrozenPayload) is (key is not None), e
+        if key is not None:
+            assert first.setdefault(key, e.payload) is e.payload, e
+    triples = {k: p for k, p in first.items() if len(k) == 3}
+    assert triples == world._payloads and all(world._payloads[k] is p for k, p in triples.items())
 
 
 def test_events_are_immutable():
