@@ -320,21 +320,33 @@ class _Parser:
         line.punct("{")
         line.done()
 
-    def _block(self, what: str, span, clauses: dict) -> _Toks:
+    def _block(self, what: str, span, clauses: dict, once=(), required=()) -> _Toks:
         """Parse the lines of a block up to its closing '}'. Each line's
         keyword is read through ``clauses``, and the parser it maps to reads
         the rest of the line; a failing line is reported and skipped.
-        Returns the closing line, positioned after the '}'; pass it to
-        ``_end``."""
+        A keyword counts as read once its parser returns, even if a trailing
+        token is then reported: a second read of one in ``once`` is an error
+        at that keyword, and at the '}' each one in ``required`` never read
+        is an error at ``span``. Returns the closing line, positioned after
+        the '}'; pass it to ``_end``."""
+        counted = set()
         while True:
             line = self._next_line()
             if line is None:
                 raise _ParseError(f"unterminated {what}", span)
             if line.peek() == "}":
                 line.take()
+                for kw in required:
+                    if kw not in counted:
+                        self._error(_ParseError(f"{what} has no '{kw}' clause", span))
                 return line
             try:
-                line.keyword_in(clauses)(line)
+                read = line.keyword_in(clauses)
+                kw = line.tokens[line.pos - 1]
+                if kw in once and kw in counted:
+                    raise _ParseError(f"{what} has more than one '{kw}'", line.taken_span())
+                read(line)
+                counted.add(kw)
                 line.done()
             except _ParseError as exc:
                 self._recover_line(exc, line)
@@ -534,38 +546,25 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
         placeholder = True
     brace = line.pos
     p._open_brace(line)
-    agent = duration = None
+    agent, duration = [], []
     pre: list[StatePredicate] = []
     unlinks: list[LinkTemplate] = []
     links: list[LinkTemplate] = []
     edits = p._edits(unlinks, links)
-
-    def set_agent(body: _Toks) -> None:
-        nonlocal agent
-        if agent is not None:
-            raise _ParseError(f"step '{name}' has more than one 'agent'", body.taken_span())
-        agent = body.name("an entity")
-
-    def set_duration(body: _Toks) -> None:
-        nonlocal duration
-        if duration is not None:
-            raise _ParseError(f"step '{name}' has more than one 'duration'", body.taken_span())
-        duration = _arg(body, "a duration")
-
     clauses = {
-        "agent": set_agent,
-        "duration": set_duration,
+        "agent": lambda body: agent.append(body.name("an entity")),
+        "duration": lambda body: duration.append(_arg(body, "a duration")),
         "require": lambda body: pre.append(p._predicate(body)),
         "effect": lambda body: body.keyword_in(edits)(body),
     }
     try:
-        close = p._block(f"step '{name}'", None, clauses)
+        close = p._block(f"step '{name}'", None, clauses, once=("agent", "duration"))
     except _ParseError as exc:  # unterminated: its span is the step's '{'
         exc.span = line.span_at(brace)
         raise
     p._end(close)
-    duration = 0 if duration is None else duration
-    return WorkflowStep(name, agent, duration, tuple(pre), tuple(unlinks), tuple(links), placeholder)
+    return WorkflowStep(name, agent[0] if agent else None, duration[0] if duration else 0,
+                        tuple(pre), tuple(unlinks), tuple(links), placeholder)
 
 
 def _parse_loop(p: _Parser, line: _Toks, owner: str, span) -> Loop:
@@ -601,26 +600,23 @@ def _parse_cond(p: _Parser, line: _Toks, owner: str, span) -> Cond:
     return Cond(guard, then_body, else_body)
 
 
-def _p_rule(p: _Parser, line: _Toks, span) -> Rule:
+def _p_rule(p: _Parser, line: _Toks, span) -> Rule | None:
     name = line.name("a rule name")
     p._open_brace(line)
     when: list[StatePredicate] = []
-    then = None
+    then: list = []
+    clauses = {
+        "when": lambda body: when.append(p._predicate(body)),
+        "then": lambda body: then.append(_action(body)),
+    }
+    p._end(p._block(f"rule '{name}'", span, clauses, once=("then",), required=("when", "then")))
+    return Rule(name, tuple(when), then[0], span=span) if when and then else None
 
-    def set_then(body: _Toks) -> None:
-        nonlocal then
-        if then is not None:
-            raise _ParseError(f"rule '{name}' has more than one 'then'", body.taken_span())
-        cls = body.keyword_in(_RULE_ACTIONS)
-        then = cls(*_action_operand(body, cls))
 
-    clauses = {"when": lambda body: when.append(p._predicate(body)), "then": set_then}
-    p._end(p._block(f"rule '{name}'", span, clauses))
-    if not when:
-        raise _ParseError(f"rule '{name}' has no 'when' clause", span)
-    if then is None:
-        raise _ParseError(f"rule '{name}' has no 'then' clause", span)
-    return Rule(name, tuple(when), then, span=span)
+def _action(line: _Toks):
+    """A rule's action: its keyword and what follows it."""
+    cls = line.keyword_in(_RULE_ACTIONS)
+    return cls(*_action_operand(line, cls))
 
 
 def _action_operand(line: _Toks, cls) -> tuple:

@@ -101,12 +101,7 @@ class StatePredicate:
 
 
 def _resolve(ref: Ref, binding: dict | None) -> str:
-    if binding and ref in binding:
-        value = binding[ref]
-        if not isinstance(value, str):
-            raise ResolveError(f"parameter '{ref}' is bound to {value!r}, not an entity")
-        return value
-    return ref
+    return binding.get(ref, ref) if binding else ref
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +162,7 @@ def resolve_edits(unlinks: tuple[LinkTemplate, ...], links: tuple[LinkTemplate, 
                   binding: dict | None = None) -> Batch:
     """Resolve an unlink/link batch against ``binding``. Raises
     PreconditionFailedError when the binding collapses two edits onto one
-    triple, and ResolveError for a parameter bound to a non-entity."""
+    triple."""
     un = tuple([t.resolve(binding) for t in unlinks])
     ln = tuple([t.resolve(binding) for t in links])
     t = _repeated(un + ln)

@@ -413,6 +413,16 @@ def test_repeated_clauses_golden_in_a_fresh_process():
     assert proc.stdout == (GOLDEN_DIR / "check_repeated_clauses.txt").read_text(encoding="utf-8")
 
 
+def test_missing_clauses_golden_in_a_fresh_process():
+    """A rule with no 'when', one with no 'then' and one with neither:
+    each missing clause is reported at its rule's line, and the wrong
+    keywords in the blocks after each rule are reported too. CI diffs the
+    installed console script against the same golden."""
+    proc = _cli_in_data_dir(["check", "--warn-tier2", "missing_clauses.xfo"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (GOLDEN_DIR / "check_missing_clauses.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("golden,argv", [
     ("check_param_kinds_faults.txt", ["check", "param_kinds_faults.xfo"]),
     ("run_param_kinds_faults.txt", ["run", "param_kinds.xfo", "param_kinds_faults.xws"]),

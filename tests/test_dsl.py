@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from xfo import loader
@@ -409,6 +410,43 @@ def test_a_steps_second_agent_or_duration_is_refused_at_that_keyword():
     (wf,) = [s for s in res.document.statements if isinstance(s, Workflow)]
     step = wf.body.items[0].step
     assert (step.agent_ref, step.duration) == ("a", 1)
+
+
+@pytest.mark.parametrize("clauses,missing", [
+    ("  then apply_transitional T\n", ["when"]),
+    ("  when exists a K b\n", ["then"]),
+    ("", ["when", "then"]),
+], ids=["no-when", "no-then", "neither"])
+def test_a_rule_missing_a_clause_keeps_the_statements_after_it(clauses, missing):
+    """The rule is reported at its line and left out; parsing goes on after
+    its '}', so every later statement is read and a later error reported."""
+    res = parse_model(
+        "rule R {\n" + clauses + "}\n"
+        "universal Foo is_a B_Object\n"
+        "transitional T {\n  link a K b\n}\n"
+        "universal Bad is_a\n"
+        "universal Bar is_a B_Object\n", "m.xfo")
+    n = clauses.count("\n")
+    assert [(d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [
+        *((f"rule 'R' has no '{kw}' clause", 1, 1, 4) for kw in missing),
+        ("unexpected end of line", n + 7, 15, 4),
+    ]
+    assert [(type(s), s.name) for s in res.document.statements] == [
+        (EntityDef, "Foo"), (Transitional, "T"), (EntityDef, "Bar")]
+
+
+def test_a_then_with_a_trailing_token_still_counts():
+    """The action was read before the stray token was reported, so the
+    rule keeps it and a later 'then' is its second."""
+    res = parse_model(
+        "rule R {\n  when exists a K b\n  then apply_transitional T extra\n"
+        "  then apply_transitional U\n}\n", "m.xfo")
+    assert [(d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [
+        ("unexpected trailing 'extra'", 3, 29, 5),
+        ("rule 'R' has more than one 'then'", 4, 3, 4),
+    ]
+    (rule,) = res.document.statements
+    assert isinstance(rule, Rule) and rule.action.target == "T"
 
 
 def test_a_workflow_parameter_that_is_not_a_name_is_reported_at_it():
