@@ -309,10 +309,11 @@ class _Parser:
                 return
             depth += _brace_depth(line.tokens)
 
-    def _recover_line(self, exc: _ParseError, line: _Toks) -> None:
-        """Record a clause-level error and skip any block it opened."""
+    def _recover_line(self, exc: _ParseError, tokens: list[str]) -> None:
+        """Record a clause-level error and skip the block, if any, that
+        the braces in ``tokens``, the failing line's, open."""
         self._error(exc)
-        depth = _brace_depth(line.tokens)
+        depth = _brace_depth(tokens)
         if depth > 0:
             self._skip_block(depth)
 
@@ -349,7 +350,7 @@ class _Parser:
                 counted.add(kw)
                 line.done()
             except _ParseError as exc:
-                self._recover_line(exc, line)
+                self._recover_line(exc, line.tokens)
 
     def _end(self, close: _Toks) -> None:
         """Report anything after a block's closing '}'. The block is
@@ -489,7 +490,7 @@ def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
             if stmt is not None:
                 stmts.append(stmt)
         except _ParseError as exc:
-            parser._recover_line(exc, line)
+            parser._recover_line(exc, line.tokens)
     return stmts
 
 
@@ -594,7 +595,13 @@ def _parse_cond(p: _Parser, line: _Toks, owner: str, span) -> Cond:
     else_body = None
     if close.peek() == "else":
         close.take()
-        p._open_brace(close)
+        try:
+            p._open_brace(close)
+        except _ParseError as exc:
+            # the then body is read: the else line fails as a clause of the
+            # enclosing block, past the '}' that closed that body
+            p._recover_line(exc, close.tokens[1:])
+            return Cond(guard, then_body, None)
         else_body, close = _parse_body(p, owner, span)
     p._end(close)
     return Cond(guard, then_body, else_body)

@@ -8,14 +8,23 @@ queued for the same tick drain. Two executions of one scenario therefore
 produce byte-identical traces.
 
 A rule is stale until its first evaluation, and again once a Link or
-Unlink event of a kind its guard reads is recorded after its last
+Unlink event under one of its guard's keys is recorded after its last
 evaluation began; the simulation reads those events from ``World.trace``,
-each once. Time advances to the next tick that has a queued action or a
+each once. A guard predicate's key is (kind, "to", entity) when its ``to``
+side is concrete, else (kind, "from", entity) when its ``from`` side is,
+else (kind,); an event on triple (f, kind, t) is under the keys (kind,),
+(kind, "from", f) and (kind, "to", t). The rules phase evaluates the stale
+rules only, in definition order; a later rule that an action makes stale
+is evaluated in the same phase, the acting rule and earlier ones at the
+next tick. Time advances to the next tick that has a queued action or a
 stale rule; the ticks in between are skipped. This cannot change the
-trace: a guard reads only active links, which change only through
-``World.edit``, and it records a Link or Unlink event for each change, so
-a rule that is not stale would re-evaluate to its previous value and fire
-no edge.
+trace: a predicate with a concrete side reads only the triples of its kind
+with that entity on that side (``World.triples_at``), one with two
+wildcards only triples of its kind, and a wildcard's type test reads
+entity types, which do not change during a run. Active links change only
+through ``World.edit``, which records a Link or Unlink event for each
+change, so a rule that is not stale would re-evaluate to its previous
+value and fire no edge.
 
 Step effects apply at the step's end tick; a step occupies the half-open
 interval [start, start + duration). A step's preconditions are checked at
@@ -48,7 +57,9 @@ from .dynamics import (
     Cond,
     Loop,
     Seq,
+    StatePredicate,
     Step,
+    Wildcard,
     apply_action,
     apply_batch,
     bind_args,
@@ -257,12 +268,13 @@ class Simulation:
         self.ticks_visited = 0
         self.guards_evaluated = 0
         # Enabled rules in definition order, and the positions in it of the
-        # rules whose guards read each kind; every rule starts stale.
+        # rules with a guard predicate under each staleness key (see the
+        # module docstring); every rule starts stale.
         self._rules = [rule for name, rule in world.rules.items() if name in scenario.rules]
-        self._readers: dict[str, list[int]] = {}
+        self._readers: dict[tuple, list[int]] = {}
         for i, rule in enumerate(self._rules):
             for p in rule.guard:
-                self._readers.setdefault(p.kind, []).append(i)
+                self._readers.setdefault(_stale_key(p), []).append(i)
         self._stale_rules = set(range(len(self._rules)))
         self._rule_prev: dict[str, bool] = dict.fromkeys(scenario.rules, False)
         self._fired = {r.name: FrozenPayload(rule=r.name, action=r.action.render()) for r in self._rules}
@@ -414,27 +426,38 @@ class Simulation:
 
     def _stale(self) -> set[int]:
         """The stale rules' positions, after marking stale the readers of
-        the kind of each Link or Unlink event recorded since the last call."""
-        trace = self.world.trace
-        if self._readers and self._read < len(trace):  # no reader: no event can make a rule stale
+        the keys of each Link or Unlink event recorded since the last call."""
+        trace, readers = self.world.trace, self._readers
+        if readers and self._read < len(trace):  # no reader: no event can make a rule stale
+            stale = self._stale_rules
             for ev in trace[self._read:]:
                 if ev.kind == "Link" or ev.kind == "Unlink":
-                    self._stale_rules.update(self._readers.get(ev.payload["relation"], ()))
+                    p = ev.payload
+                    kind = p["relation"]
+                    for key in ((kind,), (kind, "from", p["from"]), (kind, "to", p["to"])):
+                        stale.update(readers.get(key, ()))
             self._read = len(trace)
         return self._stale_rules
 
     def _rules_phase(self, tick: int) -> None:
-        for i, rule in enumerate(self._rules):
-            if i not in self._stale():
-                continue  # no link its guard reads changed: same value, no edge
+        """Evaluate the stale rules in definition order; see the module docstring."""
+        stale = self._stale()
+        todo = sorted(stale)  # a heap of the stale positions not yet evaluated
+        while todo:
+            i = heapq.heappop(todo)
+            rule = self._rules[i]
             self.guards_evaluated += 1
             holds = all(p.holds(self.world, tick) for p in rule.guard)
-            if holds and not self._rule_prev[rule.name]:
+            fires = holds and not self._rule_prev[rule.name]
+            if fires:
                 self._fire(rule, tick)
             # both after the action, so a run resumed after it failed
-            # re-evaluates; the action's own edits are read at the next call
+            # re-evaluates
             self._rule_prev[rule.name] = holds
-            self._stale_rules.discard(i)
+            stale.discard(i)
+            if fires:  # the later rules its edits made stale join this phase
+                todo = [j for j in self._stale() if j > i]
+                heapq.heapify(todo)
 
     def _fire(self, rule: Rule, tick: int) -> None:
         """Record RuleFired and take the action; a failed action leaves no record."""
@@ -448,6 +471,15 @@ class Simulation:
         except XfoError as exc:
             world.unrecord(fired)
             raise SimulationError(f"rule '{rule.name}' action failed at {tick}: {exc}") from exc
+
+
+def _stale_key(p: StatePredicate) -> tuple:
+    """The staleness key of guard predicate ``p``; see the module docstring."""
+    if not isinstance(p.to_ref, Wildcard):
+        return (p.kind, "to", p.to_ref)
+    if not isinstance(p.from_ref, Wildcard):
+        return (p.kind, "from", p.from_ref)
+    return (p.kind,)
 
 
 def load_scenario(world: World, scenario: Scenario) -> Simulation:

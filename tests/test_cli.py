@@ -423,6 +423,16 @@ def test_missing_clauses_golden_in_a_fresh_process():
     assert proc.stdout == (GOLDEN_DIR / "check_missing_clauses.txt").read_text(encoding="utf-8")
 
 
+def test_else_recovery_golden_in_a_fresh_process():
+    """An 'else' line with no '{' is one error at its line; parsing resumes
+    in the workflow body, so the statements after the workflow are read
+    and a wrong keyword in one of them is reported too. CI diffs the
+    installed console script against the same golden."""
+    proc = _cli_in_data_dir(["check", "--warn-tier2", "else_recovery.xfo"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (GOLDEN_DIR / "check_else_recovery.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("golden,argv", [
     ("check_param_kinds_faults.txt", ["check", "param_kinds_faults.xfo"]),
     ("run_param_kinds_faults.txt", ["run", "param_kinds.xfo", "param_kinds_faults.xws"]),

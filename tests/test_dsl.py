@@ -449,6 +449,32 @@ def test_a_then_with_a_trailing_token_still_counts():
     assert isinstance(rule, Rule) and rule.action.target == "T"
 
 
+@pytest.mark.parametrize("else_line,message,column,steps", [
+    ("} else", "unexpected end of line", 5, ("t",)),
+    ("} else junk", "expected '{', got 'junk'", 10, ("t",)),
+    ("} else { junk", "unexpected trailing 'junk'", 12, ()),
+    ("} else junk {", "expected '{', got 'junk'", 10, ()),
+])
+def test_a_bad_else_line_fails_as_one_clause(else_line, message, column, steps):
+    """The then body is read when the else line fails: it is reported once
+    and skipped with any block it opens, and parsing resumes in the
+    enclosing block, so the statements after the workflow are kept."""
+    close = "  }\n" if "{" in else_line else ""
+    res = parse_model(
+        "workflow w {\n  if exists a K b {\n    step s {\n      duration 1\n    }\n"
+        f"  {else_line}\n    step t {{\n      duration 1\n    }}\n{close}}}\n"
+        "universal Foo is_a B_Object\n"
+        "transitional T {\n  link a K b\n}\n"
+        "universal Bar is_a B_Object\n", "m.xfo")
+    assert [(d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [(message, 6, column, 4)]
+    assert [(type(s), s.name) for s in res.document.statements] == [
+        (Workflow, "w"), (EntityDef, "Foo"), (Transitional, "T"), (EntityDef, "Bar")]
+    cond, *rest = res.document.statements[0].body.items
+    assert isinstance(cond, Cond) and cond.else_body is None
+    assert [n.step.name for n in cond.then_body.items] == ["s"]
+    assert tuple(n.step.name for n in rest) == steps
+
+
 def test_a_workflow_parameter_that_is_not_a_name_is_reported_at_it():
     res = parse_model("workflow W(a, 3) {\n  step s {\n    duration 1\n  }\n}\n", "m.xfo")
     assert [(d.code, d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [

@@ -1,10 +1,16 @@
-"""Next-event time advance and per-kind rule re-evaluation against the
+"""Next-event time advance and keyed rule re-evaluation against the
 tick-by-tick engine.
 
 ``NaiveSimulation`` below is the reference: its ``run_until`` visits every
 tick up to the stop and its rules phase evaluates every enabled rule at
 each one, exactly as ``Simulation`` did before it skipped idle ticks and
-clean rules.
+clean rules. ``Simulation`` re-evaluates a rule only after a Link or
+Unlink event under one of its guard's keys: (kind, "to", entity) for a
+predicate whose ``to`` side is concrete, else (kind, "from", entity) when
+its ``from`` side is, else (kind,). That is sound because a predicate with
+a concrete side reads only the triples of its kind with that entity on
+that side, entity types do not change during a run, and every link change
+is a Link or Unlink event.
 """
 from __future__ import annotations
 
@@ -48,6 +54,18 @@ class NaiveSimulation(Simulation):
             self._rule_prev[name] = holds
 
 
+class _TickLog(Simulation):
+    """A ``Simulation`` that lists the ticks of its rules phases."""
+
+    def __init__(self, world, scenario):
+        super().__init__(world, scenario)
+        self.ticks: list[int] = []
+
+    def _rules_phase(self, tick: int) -> None:
+        self.ticks.append(tick)
+        super()._rules_phase(tick)
+
+
 def _outcome(call, *args):
     try:
         call(*args)
@@ -56,11 +74,8 @@ def _outcome(call, *args):
     return None
 
 
-def _drive(engine, model_text: str, scenario_text: str, ops) -> dict:
-    """Build a fresh world, run ``ops`` on an ``engine`` simulation and
-    return everything observable: each call's outcome, ``now`` after it,
-    the trace JSON and the summary. An "apply" op writes to the world
-    directly, at ``now``, outside the simulation."""
+def _simulation(engine, model_text: str, scenario_text: str) -> Simulation:
+    """An ``engine`` simulation of the scenario over a fresh world."""
     mres = parse_model(model_text, "m.xfo")
     assert mres.ok, [d.render() for d in mres.diagnostics]
     world, diags = loader.build_world(mres.document)
@@ -69,7 +84,19 @@ def _drive(engine, model_text: str, scenario_text: str, ops) -> dict:
     assert sres.ok, [d.render() for d in sres.diagnostics]
     scenario, sdiags = loader.build_scenario(sres.document, world)
     assert scenario is not None and not sdiags, [d.render() for d in sdiags]
-    sim = engine(world, scenario)
+    return engine(world, scenario)
+
+
+def _drive(engine, model_text: str, scenario_text: str, ops) -> dict:
+    """``_observe`` on a fresh ``engine`` simulation."""
+    return _observe(_simulation(engine, model_text, scenario_text), ops)
+
+
+def _observe(sim: Simulation, ops) -> dict:
+    """Run ``ops`` on ``sim`` and return everything observable: each call's
+    outcome, ``now`` after it, the trace JSON and the summary. An "apply"
+    op writes to the world directly, at ``now``, outside the simulation."""
+    world, scenario = sim.world, sim.scenario
     calls = []
     for op in ops:
         if op[0] == "run_until":
@@ -255,6 +282,12 @@ transitional unlink_k0 {
 transitional link_k1 {
   link a K1 b
 }
+transitional link_k0_ba {
+  link b K0 a
+}
+transitional link_k0_aa {
+  link a K0 a
+}
 mechanism idle {
   step s {
     duration 0
@@ -268,40 +301,110 @@ mechanism write_k1 {
 }
 """
 
-# (rules, scenario lines, expected RuleFired (tick, rule)); nothing is
-# queued at the tick after the one where a rule's guard changes, so the
-# engine must visit it for the rule's dirtiness alone
+# (rules, scenario lines, expected RuleFired (tick, rule), expected rules
+# phase ticks and guards_evaluated); nothing is queued at the tick after
+# the one where a rule's guard changes, so the engine must visit it for
+# the rule's dirtiness alone
 RULE_CASES = {
     "later rule's action": (
         "rule first {\n  when exists a K1 b\n  then start_workflow idle()\n}\n"
         "rule second {\n  when exists a K0 b\n  then apply_transitional link_k1\n}\n",
         ["apply link_k0 at 2"],
         [(2, "second"), (3, "first")],
+        ([0, 2, 3], 4),
     ),
     "second drain": (
         "rule first {\n  when exists a K1 b\n  then start_workflow idle()\n}\n"
         "rule second {\n  when exists a K0 b\n  then start_workflow write_k1()\n}\n",
         ["apply link_k0 at 2"],
         [(2, "second"), (3, "first")],
+        ([0, 2, 3], 4),
     ),
     "own action": (
         "rule undo {\n  when exists a K0 b\n  then apply_transitional unlink_k0\n}\n",
         ["apply link_k0 at 2", "apply link_k0 at 6"],
         [(2, "undo"), (6, "undo")],
+        ([0, 2, 3, 6, 7], 5),
+    ),
+    # the link at 2 is of the guard's kind, but to another entity
+    "other entity": (
+        "rule watch {\n  when exists any:Thing K0 b\n  then start_workflow idle()\n}\n",
+        ["apply link_k0_ba at 2", "apply link_k0 at 5"],
+        [(5, "watch")],
+        ([0, 2, 5], 2),
+    ),
+    # re-read at 2 and 6 (K0), not at 4 (K1)
+    "both sides wildcards": (
+        "rule any {\n  when exists any:Thing K0 any:Thing\n  then start_workflow idle()\n}\n",
+        ["apply link_k0_ba at 2", "apply link_k1 at 4", "apply link_k0 at 6"],
+        [(2, "any")],
+        ([0, 2, 4, 6], 3),
+    ),
+    # re-read at 4 and 6 (a K0 b), not at 2 (b K0 a)
+    "both sides concrete": (
+        "rule vacant {\n  when not_exists a K0 b\n  then start_workflow idle()\n}\n",
+        ["apply link_k0_ba at 2", "apply link_k0 at 4", "apply unlink_k0 at 6"],
+        [(0, "vacant"), (6, "vacant")],
+        ([0, 2, 4, 6], 3),
+    ),
+    # re-read at 4 (a K0 a), not at 2 (a K0 b)
+    "same entity on both sides": (
+        "rule loop {\n  when exists a K0 a\n  then start_workflow idle()\n}\n",
+        ["apply link_k0 at 2", "apply link_k0_aa at 4"],
+        [(4, "loop")],
+        ([0, 2, 4], 2),
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RULE_CASES))
 def test_rule_dirtied_within_a_tick_is_evaluated_at_the_next(case):
-    rules, directives, fired = RULE_CASES[case]
+    rules, directives, fired, visits = RULE_CASES[case]
     names = [line.split()[1] for line in rules.splitlines() if line.startswith("rule ")]
     scenario = "\n".join(["scenario s", "horizon 9"] + [f"rule {n}" for n in names] + directives) + "\n"
     naive = _drive(NaiveSimulation, SMALL + rules, scenario, [("run_until", 9)])
-    fast = _drive(Simulation, SMALL + rules, scenario, [("run_until", 9)])
+    sim = _simulation(_TickLog, SMALL + rules, scenario)
+    fast = _observe(sim, [("run_until", 9)])
     assert fast == naive
     events = json.loads(fast["trace"])["events"]
     assert [(e["at"], e["payload"]["rule"]) for e in events if e["kind"] == "RuleFired"] == fired
+    assert (sim.ticks, sim.guards_evaluated) == visits
+
+
+def _school(k: int, vacancies) -> tuple[str, str]:
+    """A school-shaped model and scenario: ``k`` staffed roles, each with a
+    vacancy rule whose action hires its teacher back, and a vacancy (the
+    teacher leaving) at each (tick, role) of ``vacancies``."""
+    model = ["model Schools", "universal Person is_a B_Object", "universal Role is_a B_Role",
+             "relate Person Has_Role Role"]
+    scenario = ["scenario vacancies", "horizon 40"]
+    for r in range(k):
+        model += [
+            f"particular role{r} instance_of Role",
+            f"particular teacher{r} instance_of Person",
+            f"transitional leave{r} {{", f"  unlink teacher{r} Has_Role role{r}", "}",
+            f"transitional hire{r} {{", f"  link teacher{r} Has_Role role{r}", "}",
+            f"rule vacancy{r} {{", f"  when not_exists any:Person Has_Role role{r}",
+            f"  then apply_transitional hire{r}", "}",
+        ]
+        scenario += [f"init teacher{r} Has_Role role{r}", f"rule vacancy{r}"]
+    scenario += [f"apply leave{r} at {t}" for t, r in vacancies]
+    return "\n".join(model) + "\n", "\n".join(scenario) + "\n"
+
+
+def test_a_link_edit_re_reads_only_the_rules_naming_its_role():
+    # each vacancy's rule is read at its tick, fires and hires, and is read
+    # once more at the next tick for its own edit; the other rules, of the
+    # same kind, stay clean, so only the first evaluations grow with k
+    vacancies = [(10, 0), (20, 1), (30, 0)]
+    extra = []
+    for k in (5, 40):
+        model, scenario = _school(k, vacancies)
+        naive = _drive(NaiveSimulation, model, scenario, [("run_until", 40)])
+        sim = _simulation(Simulation, model, scenario)
+        assert _observe(sim, [("run_until", 40)]) == naive
+        extra.append(sim.guards_evaluated - k)
+    assert extra == [2 * len(vacancies)] * 2
 
 
 def test_failed_rule_action_leaves_no_rule_fired():
@@ -358,12 +461,6 @@ def test_shipped_scenarios_match_tick_by_tick_engine(model, scenario):
 # deterministic counters
 
 
-class _TickLog(Simulation):
-    def _rules_phase(self, tick: int) -> None:
-        self.ticks.append(tick)
-        super()._rules_phase(tick)
-
-
 @pytest.mark.parametrize("horizon", [10, 100_000])
 def test_school_hire_counters_do_not_grow_with_the_horizon(horizon):
     world = load_world("school.xfo")
@@ -373,14 +470,14 @@ def test_school_hire_counters_do_not_grow_with_the_horizon(horizon):
     sc, diags = loader.build_scenario(sres.document, world)
     assert sc is not None and not diags
     sim = _TickLog(world, sc)
-    sim.ticks = []
     sim.run_until(horizon)
     # ticks 0, 4 and 8 hold directives; 4 also fires the vacancy rule,
     # whose workflow's steps end at 5, 7 and 8
     assert sim.ticks == [0, 4, 5, 7, 8]
     assert sim.ticks_visited == 5
-    # the vacancy rule reads only Has_Role, which the frame directives at
-    # 0, 4 and 8 change, each before the rules phase of its tick
+    # the vacancy rule reads only Has_Role links to teacher_role, which the
+    # frame directives at 0, 4 and 8 change, each before the rules phase
+    # of its tick
     assert sim.guards_evaluated == 3
     assert len(world.trace) == 32
     assert sim.summary() == [(0, "hireReplacement", "Completed", "return_with_hire")]
