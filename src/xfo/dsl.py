@@ -38,6 +38,7 @@ import re
 import string
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .dynamics import (
     ACTION_KEYWORDS,
@@ -70,8 +71,7 @@ _TOKEN_CHARS = frozenset(string.ascii_letters + string.digits + "_(){},=")
 _other_char = re.compile(r"[^A-Za-z0-9_(){},= \t]").search
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     code: str
     message: str
@@ -115,8 +115,7 @@ class RuleRefStmt:
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
-class ModelDocument:
+class ModelDocument(NamedTuple):
     statements: tuple
 
     @property
@@ -127,8 +126,7 @@ class ModelDocument:
         return "model"
 
 
-@dataclass(frozen=True)
-class ScenarioDocument:
+class ScenarioDocument(NamedTuple):
     statements: tuple
 
     @property
@@ -139,8 +137,7 @@ class ScenarioDocument:
         return "scenario"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     document: ModelDocument | ScenarioDocument
     diagnostics: tuple[Diagnostic, ...]
 
@@ -353,13 +350,14 @@ class _Parser:
                 self._recover_line(exc, line.tokens)
 
     def _end(self, close: _Toks) -> None:
-        """Report anything after a block's closing '}'. The block is
-        complete, so the error is recorded here rather than raised into a
-        recovery that would skip the lines after it."""
+        """Report anything after a block's closing '}', and skip the block
+        that text opens, if any. The closed block is complete, so the error
+        is recorded here rather than raised into the enclosing recovery,
+        which would drop that block."""
         try:
             close.done()
         except _ParseError as exc:
-            self._error(exc)
+            self._recover_line(exc, close.tokens[close.pos:])
 
     # shared pieces -----------------------------------------------------
 

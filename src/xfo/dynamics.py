@@ -9,7 +9,7 @@ unlink or an active link instead of failing, but still need valid links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     AlreadyActiveError,
@@ -39,8 +39,7 @@ from .trace import TraceEvent
 Ref = str
 
 
-@dataclass(frozen=True)
-class Wildcard:
+class Wildcard(NamedTuple):
     """Predicate-side wildcard: any particular of the given universal."""
 
     utype: str
@@ -52,8 +51,7 @@ class Wildcard:
 PredRef = Union[str, Wildcard]
 
 
-@dataclass(frozen=True)
-class LinkTemplate:
+class LinkTemplate(NamedTuple):
     from_ref: Ref
     kind: str
     to_ref: Ref
@@ -65,8 +63,7 @@ class LinkTemplate:
         return f"{self.from_ref} {self.kind} {self.to_ref}"
 
 
-@dataclass(frozen=True)
-class StatePredicate:
+class StatePredicate(NamedTuple):
     """Exists / NotExists over a link triple; sides may be wildcards."""
 
     exists: bool
@@ -315,8 +312,7 @@ def deactivate_frame(world: World, frame: str, binding: Iterable[tuple[str, str]
 # workflows
 
 
-@dataclass(frozen=True)
-class WorkflowStep:
+class WorkflowStep(NamedTuple):
     name: str
     agent_ref: Ref | None
     duration: int | str  # literal ticks or a parameter name
@@ -326,18 +322,15 @@ class WorkflowStep:
     placeholder: bool = False
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     step: WorkflowStep
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(NamedTuple):
     items: tuple = ()
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """Bounded loop: a finite count, a stop predicate, or the scenario
     horizon (until_end)."""
 
@@ -347,8 +340,7 @@ class Loop:
     until_end: bool = False
 
 
-@dataclass(frozen=True)
-class Cond:
+class Cond(NamedTuple):
     guard: StatePredicate
     then_body: Seq
     else_body: Seq | None = None
@@ -485,15 +477,13 @@ def define_workflow(world: World, wf: Workflow) -> Workflow:
 # completeness checking
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(NamedTuple):
     step: str
     predicate: str
     path: str
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     complete: bool
     gaps: tuple[Gap, ...]
     placeholders: tuple[str, ...]

@@ -45,6 +45,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
+from typing import NamedTuple
 
 from .dynamics import (
     ACTION_KEYWORDS,
@@ -103,8 +104,7 @@ class InterruptDirective:
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A closed microworld: initial links, scheduled runs and directives,
     enabled rules, and a mandatory horizon."""
 

@@ -34,9 +34,8 @@ class Layer(str, Enum):
 
 
 class SourceSpan(NamedTuple):
-    """Where a statement or diagnostic was written. A span equals a plain
-    tuple of the same four values and orders like one; nothing in the
-    package compares a span with a plain tuple or orders spans."""
+    """Where a statement or diagnostic was written: a record, as README
+    "Library" defines it. Nothing in the package orders spans."""
 
     file: str
     line: int

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import (
     BadBoundError,
@@ -79,8 +80,7 @@ class LinkInstance:
         return self.start <= at and (self.end is None or self.end > at)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     valid: bool
     tier: int = 0  # failing tier when invalid (1 or 2)
     reason: str = ""
@@ -107,15 +107,13 @@ def _repeated(edits: Sequence):
     return None
 
 
-@dataclass(frozen=True)
-class StateLink:
+class StateLink(NamedTuple):
     direction: str  # "out" | "in"
     kind: str
     counterpart: EntityId
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Links active on one entity at one tick, deterministically ordered."""
 
     entity: EntityId
@@ -123,16 +121,14 @@ class State:
     links: tuple[StateLink, ...]
 
 
-@dataclass(frozen=True)
-class TicEntry:
+class TicEntry(NamedTuple):
     direction: str
     kind: str
     counterpart: EntityId
     via: EntityId | None = None  # the U entity the declaration was made on
 
 
-@dataclass(frozen=True)
-class TIC:
+class TIC(NamedTuple):
     """An Independent Continuant bundled with its relationships."""
 
     core: EntityId

@@ -201,7 +201,7 @@ def _without_edits(workflow, step_name):
     for node in workflow.body.items:
         assert isinstance(node, Step)
         if node.step.name == step_name:
-            node = Step(dataclasses.replace(node.step, unlinks=(), links=()))
+            node = Step(node.step._replace(unlinks=(), links=()))
         items.append(node)
     return dataclasses.replace(workflow, body=Seq(tuple(items)))
 

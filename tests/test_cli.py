@@ -433,6 +433,17 @@ def test_else_recovery_golden_in_a_fresh_process():
     assert proc.stdout == (GOLDEN_DIR / "check_else_recovery.txt").read_text(encoding="utf-8")
 
 
+def test_block_trailer_golden_in_a_fresh_process():
+    """Text after a block's '}' is one error at that text, and the block it
+    opens is skipped whole: the steps after it stay in the workflow, and
+    the statements after the workflow are read, so a wrong keyword in one
+    of them is reported too. CI diffs the installed console script
+    against the same golden."""
+    proc = _cli_in_data_dir(["check", "--warn-tier2", "block_trailer.xfo"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (GOLDEN_DIR / "check_block_trailer.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("golden,argv", [
     ("check_param_kinds_faults.txt", ["check", "param_kinds_faults.xfo"]),
     ("run_param_kinds_faults.txt", ["run", "param_kinds.xfo", "param_kinds_faults.xws"]),

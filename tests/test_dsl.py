@@ -475,6 +475,33 @@ def test_a_bad_else_line_fails_as_one_clause(else_line, message, column, steps):
     assert tuple(n.step.name for n in rest) == steps
 
 
+_STEP = "    step {} {{\n      duration 1\n    }}\n"
+
+
+@pytest.mark.parametrize("text,message,span,steps", [
+    # an 'else' after a loop body: the else body is skipped with it
+    ("workflow w {\n  loop 2 {\n" + _STEP.format("s") + "  } else {\n" + _STEP.format("t") + "  }\n}\n",
+     "unexpected trailing 'else'", (6, 5, 4), ["loop"]),
+    # text after a step's '}': the block it opens is skipped, the next step read
+    ("workflow w {\n    step s {\n      duration 1\n    } x {\n      duration 2\n    }\n" + _STEP.format("t") + "}\n",
+     "unexpected trailing 'x'", (4, 7, 1), ["s", "t"]),
+    # text after a workflow's '}': the lines of the block it opens are not statements
+    ("workflow w {\n" + _STEP.format("s") + "} junk {\n  universal Bar is_a B_Object\n}\n",
+     "unexpected trailing 'junk'", (5, 3, 4), ["s"]),
+], ids=["loop", "step", "workflow"])
+def test_text_after_a_closing_brace_skips_the_block_it_opens(text, message, span, steps):
+    """Text after a block's '}' is one error at that text. The block it
+    opens is skipped whole: its lines are not read as clauses or
+    statements, and its '}' does not end the enclosing body."""
+    res = parse_model(text + "universal Foo is_a B_Object\n", "m.xfo")
+    assert [(d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [(message, *span)]
+    assert [(type(s), s.name) for s in res.document.statements] == [(Workflow, "w"), (EntityDef, "Foo")]
+    items = res.document.statements[0].body.items
+    assert [n.step.name if isinstance(n, Step) else "loop" for n in items] == steps
+    if isinstance(items[0], Loop):
+        assert [n.step.name for n in items[0].body.items] == ["s"]
+
+
 def test_a_workflow_parameter_that_is_not_a_name_is_reported_at_it():
     res = parse_model("workflow W(a, 3) {\n  step s {\n    duration 1\n  }\n}\n", "m.xfo")
     assert [(d.code, d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [

@@ -1,7 +1,6 @@
 """Scheduler semantics: determinism, interrupts, broken runs, rules."""
 from __future__ import annotations
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -652,7 +651,7 @@ def test_second_scenario_on_a_run_world_is_refused_untouched():
     assert (len(world.links), len(world.trace)) == before
     # the same schedule without initial links is refused too, not broken mid-run
     with pytest.raises(InvalidInitialLinkError, match="before the last recorded tick"):
-        load_scenario(world, dataclasses.replace(scen, init=()))
+        load_scenario(world, scen._replace(init=()))
     assert (len(world.links), len(world.trace)) == before
     # and reported as a diagnostic, also when the horizon is missing
     text = "".join(l for l in model_text("celadon_run.xws").splitlines(keepends=True)
