@@ -281,6 +281,7 @@ class _Parser:
         self.diags: list[Diagnostic] = []
         # (line number, text); statement level and _next_line share it
         self.lines = enumerate(text.splitlines(), start=1)
+        self.reread: _Toks | None = None  # a closing line _end puts back
 
     def result(self, document) -> ParseResult:
         return ParseResult(document, (*self.lexical, *self.diags))
@@ -288,6 +289,9 @@ class _Parser:
     # line stream -------------------------------------------------------
 
     def _next_line(self) -> _Toks | None:
+        if self.reread is not None:
+            line, self.reread = self.reread, None
+            return line
         for line_no, raw in self.lines:
             line = _tokenize_line(raw, self.file, line_no, self.lexical)
             if line is not None:
@@ -353,11 +357,14 @@ class _Parser:
         """Report anything after a block's closing '}', and skip the block
         that text opens, if any. The closed block is complete, so the error
         is recorded here rather than raised into the enclosing recovery,
-        which would drop that block."""
+        which would drop that block. A second '}' is reported too, and
+        then closes the enclosing block: the line is that block's next."""
         try:
             close.done()
         except _ParseError as exc:
             self._recover_line(exc, close.tokens[close.pos:])
+            if close.peek() == "}":
+                self.reread = close
 
     # shared pieces -----------------------------------------------------
 
@@ -489,6 +496,7 @@ def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
                 stmts.append(stmt)
         except _ParseError as exc:
             parser._recover_line(exc, line.tokens)
+        parser.reread = None  # a second '}' after a statement's own closes no later block
     return stmts
 
 

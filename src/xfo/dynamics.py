@@ -492,97 +492,80 @@ class CompletenessReport(NamedTuple):
 Fact = tuple[str, str, str]
 
 
-def _pred_matches_fact(pred: StatePredicate, fact: Fact) -> bool:
-    if pred.kind != fact[1]:
-        return False
-    for ref, name in ((pred.from_ref, fact[0]), (pred.to_ref, fact[2])):
-        if isinstance(ref, Wildcard):
-            continue  # syntactic pass: wildcards match any token
-        if ref != name:
-            return False
-    return True
-
-
-def _pred_holds(pred: StatePredicate, facts: frozenset[Fact]) -> bool:
-    found = any(_pred_matches_fact(pred, f) for f in facts)
-    return found if pred.exists else not found
+def _surely_holds(pred: StatePredicate, must: frozenset[Fact], may: frozenset[Fact]) -> bool:
+    """Whether ``pred`` holds in every fact set between ``must`` and
+    ``may``. A wildcard side is untyped: it never proves ``exists`` (no
+    triple of names equals it) and could be any token for ``not_exists``."""
+    if pred.exists:
+        return (pred.from_ref, pred.kind, pred.to_ref) in must
+    sides = (pred.from_ref, pred.to_ref)
+    return not any(
+        kind == pred.kind and all(isinstance(r, Wildcard) or r == n for r, n in zip(sides, (f, t)))
+        for f, kind, t in may
+    )
 
 
 def check_completeness(workflow: Workflow, initial) -> CompletenessReport:
-    """Symbolic forward pass over every feasible control path.
+    """Whether ``workflow`` can break when run alone from the concrete
+    ``exists`` facts in ``initial``, taken as the whole state. "Complete"
+    promises it never breaks: no precondition or strict edit fails.
 
-    Facts are link triples over ref tokens. Each step needs its explicit
-    preconditions, plus the implicit ones of its strict edits, to hold in
-    the running fact set; postconditions then edit the set. Conds fork the
-    path; loops run one symbolic iteration plus a fixpoint re-check, and
-    the facts flowing onward are the intersection over possible exits.
-    Placeholder steps apply their assumed effects leniently and are listed
-    in the report.
+    A forward pass keeps one (``must``, ``may``) pair of fact sets per
+    program point, both the initial facts at the start. ``exists p``
+    needs a ``must`` fact, ``not_exists p`` no ``may`` fact that could
+    match; a strict unlink needs its fact in ``must``, a strict link its
+    fact out of ``may``. Edits apply to both sets, placeholder or not.
+    An ``if`` joins its branches, ``must`` by intersection and ``may`` by
+    union. A loop starts each iteration from the join of the previous
+    one's start and end, up to its count or until the join stops
+    changing (at most twice the distinct facts). So the work is linear.
+
+    A gap is reported once per step and predicate (a step's name fixes
+    its place in the body), in the order met, under its ``/then``,
+    ``/else`` and ``/iterK`` path, K the first iteration showing it.
+
+    Two assumptions are stated, not checked. Wildcards are untyped: an
+    ``any:T`` side never proves ``exists`` and could match every token
+    for ``not_exists``. Parameters are distinct entities that no
+    concrete name in the body names.
     """
-    gaps: list[Gap] = []
-    placeholders = tuple(s.name for s in walk_steps(workflow.body) if s.placeholder)
+    found: dict[tuple[str, str], Gap] = {}
 
-    init_facts = set()
-    for p in initial:
-        if p.exists and not isinstance(p.from_ref, Wildcard) and not isinstance(p.to_ref, Wildcard):
-            init_facts.add((p.from_ref, p.kind, p.to_ref))
-
-    def run_step(step: WorkflowStep, facts: frozenset[Fact], path: str) -> frozenset[Fact]:
-        for pred in step.preconditions:
-            if not _pred_holds(pred, facts):
-                gaps.append(Gap(step.name, pred.render(), path))
-        out = set(facts)
-        if step.placeholder:
-            for t in step.unlinks:
-                out.discard((t.from_ref, t.kind, t.to_ref))
-            for t in step.links:
-                out.add((t.from_ref, t.kind, t.to_ref))
-            return frozenset(out)
-        for t in step.unlinks:
-            fact = (t.from_ref, t.kind, t.to_ref)
-            if fact not in out:
-                gaps.append(Gap(step.name, f"exists {t}", path))
-            out.discard(fact)
-        for t in step.links:
-            fact = (t.from_ref, t.kind, t.to_ref)
-            if fact in out:
-                gaps.append(Gap(step.name, f"not_exists {t}", path))
-            out.add(fact)
-        return frozenset(out)
-
-    def run_node(node: Node, states: list[tuple[frozenset[Fact], str]]) -> list[tuple[frozenset[Fact], str]]:
+    def run(node: Node, must: frozenset[Fact], may: frozenset[Fact], path: str):
         if isinstance(node, Step):
-            return [(run_step(node.step, facts, path), path) for facts, path in states]
+            step, gone, new = node.step, node.step.unlinks, node.step.links
+            failed = [p.render() for p in step.preconditions if not _surely_holds(p, must, may)]
+            if not step.placeholder:
+                failed += [f"exists {t}" for t in gone if t not in must]
+                failed += [f"not_exists {t}" for t in new if t in may]
+            for text in failed:
+                found.setdefault((step.name, text), Gap(step.name, text, path))
+            return must.difference(gone).union(new), may.difference(gone).union(new)
         if isinstance(node, Seq):
             for item in node.items:
-                states = run_node(item, states)
-            return states
+                must, may = run(item, must, may, path)
+            return must, may
         if isinstance(node, Cond):
-            taken = run_node(node.then_body, [(f, p + "/then") for f, p in states])
+            must1, may1 = run(node.then_body, must, may, path + "/then")
             if node.else_body is not None:
-                skipped = run_node(node.else_body, [(f, p + "/else") for f, p in states])
-            else:
-                skipped = states
-            return taken + skipped
-        if isinstance(node, Loop):
-            out = []
-            for facts, path in states:
-                once = run_node(node.body, [(facts, path + "/iter1")])
-                exits = [f for f, _ in once]
-                may_repeat = node.until_end or node.guard is not None or (node.count or 0) > 1
-                if may_repeat:
-                    for f1, p1 in once:
-                        again = run_node(node.body, [(f1, p1 + "/iter2")])
-                        exits.extend(f for f, _ in again)
-                if node.guard is not None or node.count == 0:
-                    exits.append(facts)  # zero iterations possible
-                merged = frozenset.intersection(*exits) if exits else facts
-                out.append((merged, path))
-            return out
-        raise TypeError(f"unexpected node {node!r}")
+                must, may = run(node.else_body, must, may, path + "/else")
+            return must1 & must, may1 | may
+        k, end = 0, (must, may)
+        while node.count is None or k < node.count:
+            k += 1
+            end = run(node.body, must, may, f"{path}/iter{k}")
+            joined = (must & end[0], may | end[1])
+            if joined == (must, may):
+                break
+            must, may = joined
+        # a counted loop leaves after its last iteration, an unbounded one after any
+        return end if node.count is not None else (must, may)
 
-    run_node(workflow.body, [(frozenset(init_facts), "")])
-    return CompletenessReport(not gaps, tuple(gaps), placeholders)
+    facts = frozenset((p.from_ref, p.kind, p.to_ref) for p in initial if p.exists
+                      and not isinstance(p.from_ref, Wildcard) and not isinstance(p.to_ref, Wildcard))
+    run(workflow.body, facts, facts, "")
+    placeholders = tuple(s.name for s in walk_steps(workflow.body) if s.placeholder)
+    return CompletenessReport(not found, tuple(found.values()), placeholders)
 
 
 # ----------------------------------------------------------------------

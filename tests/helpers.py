@@ -1,12 +1,18 @@
-"""Shared test utilities: shipped-model loading and CLI invocation."""
+"""Shared test utilities: shipped-model loading, CLI invocation, and
+hypothesis strategies for lamp mechanisms."""
 from __future__ import annotations
 
+import itertools
 import shutil
 import sys
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import xfo
 from xfo import loader
+from xfo.dsl import parse_model
+from xfo.dynamics import Cond, LinkTemplate, Loop, Seq, StatePredicate, Step, Wildcard, WorkflowStep
 from xfo.microworld import load_scenario
 
 MODELS_DIR = Path(xfo.__file__).parent / "models"
@@ -76,3 +82,90 @@ def generated_inputs() -> dict[str, str]:
         "traffic.xfo": traffic.model, "traffic.xws": traffic.scenario,
         "school.xfo": school.model, "school.xws": school.scenario,
     }
+
+
+# ----------------------------------------------------------------------
+# lamp mechanisms: one lamp, a few colours, bodies of steps, ifs and loops
+
+LAMP_MODEL = """model lamps
+universal Lamp is_a B_Object
+universal Color is_a B_Quality
+particular lamp instance_of Lamp
+particular green instance_of Color
+particular dark instance_of Color
+relate Lamp Has_Quality Color
+"""
+COLORS = ("green", "dark")
+
+
+def lamp_world():
+    world, diags = loader.build_world(parse_model(LAMP_MODEL, "lamps.xfo").document)
+    assert not diags, [d.render() for d in diags]
+    return world
+
+
+def lamp_facts():
+    """An initial fact set: ``lamp Has_Quality c`` for some colours c."""
+    return st.lists(st.sampled_from(COLORS), unique=True).map(
+        lambda cs: tuple(LinkTemplate("lamp", "Has_Quality", c) for c in cs))
+
+
+def lamp_predicates(wildcards: bool):
+    lamps = st.sampled_from(("lamp", Wildcard("Lamp")) if wildcards else ("lamp",))
+    colors = st.sampled_from(COLORS + ((Wildcard("Color"),) if wildcards else ()))
+    return st.builds(StatePredicate, st.booleans(), lamps, st.just("Has_Quality"), colors)
+
+
+def lamp_steps(wildcards: bool):
+    """A step of duration 1 that requires one predicate, or unlinks or
+    links one colour, strictly or as a placeholder; unnamed."""
+    def step(pre=(), unlinks=(), links=(), placeholder=False):
+        return Step(WorkflowStep("", None, 1, pre, unlinks, links, placeholder))
+
+    fact = st.sampled_from(COLORS).map(lambda c: (LinkTemplate("lamp", "Has_Quality", c),))
+    return st.one_of(
+        st.builds(step, pre=lamp_predicates(wildcards).map(lambda p: (p,))),
+        st.builds(step, unlinks=fact, placeholder=st.booleans()),
+        st.builds(step, links=fact, placeholder=st.booleans()),
+    )
+
+
+def lamp_bodies(wildcards: bool = True, straight: bool = False):
+    """A mechanism body: a Seq of steps and, unless ``straight``, ifs and
+    loops (``loop N`` for N in 0..3, ``loop until`` a predicate, ``loop
+    until end``) nested up to two deep. An unbounded loop's body starts
+    with a step, so each iteration takes a tick. Steps are named s0, s1,
+    ... in body order."""
+    return _bodies(wildcards, straight, 2).map(_number_steps)
+
+
+def _bodies(wildcards: bool, straight: bool, depth: int):
+    node = lamp_steps(wildcards)
+    if not straight and depth > 0:
+        inner = _bodies(wildcards, False, depth - 1)
+        ticking = st.builds(lambda s, b: Seq((s, *b.items)), lamp_steps(wildcards), inner)
+        guard = lamp_predicates(wildcards)
+        node = st.one_of(
+            node,
+            st.builds(Cond, guard, inner, st.none() | inner),
+            st.builds(lambda b, n: Loop(b, count=n), inner, st.integers(0, 3)),
+            st.builds(lambda b, g: Loop(b, guard=g), ticking, guard),
+            st.builds(lambda b: Loop(b, until_end=True), ticking),
+        )
+    return st.lists(node, max_size=4).map(lambda items: Seq(tuple(items)))
+
+
+def _number_steps(body: Seq) -> Seq:
+    names = (f"s{i}" for i in itertools.count())
+
+    def name(node):
+        if isinstance(node, Step):
+            return Step(node.step._replace(name=next(names)))
+        if isinstance(node, Seq):
+            return Seq(tuple(name(n) for n in node.items))
+        if isinstance(node, Cond):
+            return node._replace(then_body=name(node.then_body),
+                                 else_body=None if node.else_body is None else name(node.else_body))
+        return node._replace(body=name(node.body))
+
+    return name(body)

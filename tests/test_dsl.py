@@ -488,7 +488,10 @@ _STEP = "    step {} {{\n      duration 1\n    }}\n"
     # text after a workflow's '}': the lines of the block it opens are not statements
     ("workflow w {\n" + _STEP.format("s") + "} junk {\n  universal Bar is_a B_Object\n}\n",
      "unexpected trailing 'junk'", (5, 3, 4), ["s"]),
-], ids=["loop", "step", "workflow"])
+    # a second '}' after a step's: it closes the workflow, the next lines are statements
+    ("workflow w {\n  step s {\n    duration 1\n  } }\n",
+     "unexpected trailing '}'", (4, 5, 1), ["s"]),
+], ids=["loop", "step", "workflow", "second brace"])
 def test_text_after_a_closing_brace_skips_the_block_it_opens(text, message, span, steps):
     """Text after a block's '}' is one error at that text. The block it
     opens is skipped whole: its lines are not read as clauses or
