@@ -245,6 +245,8 @@ class _Toks:
         raise _ParseError(f"expected an entity ref, got {tok!r}", self.taken_span())
 
     def keyword(self, word: str) -> None:
+        """Take the next token, which must be ``word``: a keyword or a
+        punctuation mark."""
         tok = self.take()
         if tok != word:
             raise _ParseError(f"expected '{word}', got {tok!r}", self.taken_span())
@@ -259,11 +261,6 @@ class _Toks:
             *rest, last = map(repr, table)
             message = f"expected {', '.join(rest)} or {last}, got {tok!r}"
             raise _ParseError(message, self.taken_span()) from None
-
-    def punct(self, text: str) -> None:
-        tok = self.take()
-        if tok != text:
-            raise _ParseError(f"expected '{text}', got {tok!r}", self.taken_span())
 
     def done(self) -> None:
         if self.pos < len(self.tokens):
@@ -319,7 +316,7 @@ class _Parser:
             self._skip_block(depth)
 
     def _open_brace(self, line: _Toks) -> None:
-        line.punct("{")
+        line.keyword("{")
         line.done()
 
     def _block(self, what: str, span, clauses: dict, once=(), required=()) -> _Toks:
@@ -397,7 +394,7 @@ def _paren_list(line: _Toks, item) -> tuple:
     """Parenthesized comma-separated items, each read by ``item(line)``
     (``_arg``, ``_slot_value`` or a name); the parens may be empty."""
     items = []
-    line.punct("(")
+    line.keyword("(")
     if line.peek() == ")":
         line.take()
         return ()
@@ -421,7 +418,7 @@ def _arg(line: _Toks, what: str = "an argument") -> str | int:
 
 def _slot_value(line: _Toks) -> tuple[str, str]:
     slot = line.name("a slot name")
-    line.punct("=")
+    line.keyword("=")
     return slot, line.name("an entity")
 
 

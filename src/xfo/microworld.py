@@ -317,16 +317,6 @@ class Simulation:
             raise NotInterruptibleError(f"tick {at} has already been processed")
         self._push(at, InterruptDirective(run_id, at))
 
-    def detect_broken(self, run: WorkflowRun, step: WorkflowStep, tick: int) -> bool:
-        """Check a step's preconditions at its start tick; on failure mark
-        the run Broken, cancel its remaining actions, and record the
-        failing predicate. The scheduler calls this at every step start."""
-        for pred in step.preconditions:
-            if not pred.holds(self.world, tick, run.binding):
-                self._break(run, step.name, tick, pred.render(run.binding))
-                return True
-        return False
-
     def summary(self) -> list[tuple[int, str, str, str | None]]:
         """(id, workflow, status, lastCompletedStep) per run, in id order."""
         return [
@@ -396,8 +386,11 @@ class Simulation:
                 {"run": run.id, "workflow": run.workflow.name, "last": run.last_completed_step},
             )
             return
-        if self.detect_broken(run, step, tick):
-            return
+        # a precondition that fails at the step's start breaks the run
+        for pred in step.preconditions:
+            if not pred.holds(self.world, tick, run.binding):
+                self._break(run, step.name, tick, pred.render(run.binding))
+                return
         self.world.record("StepStart", tick, run.payload(step))
         # a duration is a number or a parameter bind_args bound to one
         duration = step.duration if isinstance(step.duration, int) else run.binding[step.duration]

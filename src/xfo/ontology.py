@@ -57,7 +57,6 @@ class EntityDef:
     name: str
     layer: Layer
     parent: EntityId | None
-    doc: str | None = None
     span: SourceSpan | None = _span_field()
 
 
@@ -142,13 +141,13 @@ class Registry:
         self._defs[name] = e
         return name
 
-    def define_universal(self, name: str, parent: EntityId, doc: str | None = None) -> EntityId:
+    def define_universal(self, name: str, parent: EntityId) -> EntityId:
         """Define a U entity under a B or U parent."""
-        return self.add(EntityDef(name, Layer.U, parent, doc))
+        return self.add(EntityDef(name, Layer.U, parent))
 
-    def instantiate_particular(self, name: str, universal: EntityId, doc: str | None = None) -> EntityId:
+    def instantiate_particular(self, name: str, universal: EntityId) -> EntityId:
         """Define a P entity as an instance of a U entity."""
-        return self.add(EntityDef(name, Layer.P, universal, doc))
+        return self.add(EntityDef(name, Layer.P, universal))
 
     def ancestors(self, e: EntityId) -> frozenset[EntityId]:
         """e plus every entity reachable from it by parent hops.

@@ -1,9 +1,8 @@
-"""Shared test utilities: shipped-model loading, CLI invocation, and
+"""Shared test utilities: shipped-model loading, generated inputs, and
 hypothesis strategies for lamp mechanisms."""
 from __future__ import annotations
 
 import itertools
-import shutil
 import sys
 from pathlib import Path
 
@@ -43,11 +42,6 @@ def run_scenario(model: str, scenario: str, until: int | None = None):
     sim = load_scenario(world, scen)
     sim.run_until(scen.horizon if until is None else until)
     return world, sim, scen
-
-
-def copy_models(dest: Path) -> None:
-    for f in MODELS_DIR.iterdir():
-        shutil.copy(f, dest)
 
 
 def hq_quality(world, entity: str, at: int) -> str | None:

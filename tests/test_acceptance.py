@@ -20,7 +20,6 @@ from xfo.dsl import parse_model, parse_scenario
 
 from helpers import (
     GOLDEN_DIR,
-    copy_models,
     hq_quality,
     link_events,
     load_shipped_scenario,
@@ -315,21 +314,12 @@ def test_criterion_7_roundtrips():
 
 
 def test_criterion_8_cli_goldens(tmp_path, monkeypatch, capsys):
-    from test_cli import GOLDEN_CASES
-    from xfo import cli
-    from pathlib import Path
+    from test_cli import GOLDEN_ROWS, copy_row_dirs, run_row
 
-    copy_models(tmp_path)
-    monkeypatch.chdir(tmp_path)
+    copy_row_dirs(tmp_path)
     compared = 0
-    for golden, argv, extra in GOLDEN_CASES:
-        assert cli.main(argv) == 0
-        out = capsys.readouterr().out
-        assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8"), golden
-        compared += 1
-        if extra is not None:
-            produced, golden_file = extra
-            assert Path(produced).read_text(encoding="utf-8") == \
-                (GOLDEN_DIR / golden_file).read_text(encoding="utf-8"), golden_file
+    for row in GOLDEN_ROWS:
+        for golden, content in run_row(row, tmp_path, monkeypatch, capsys):
+            assert content == (GOLDEN_DIR / golden).read_text(encoding="utf-8"), golden
             compared += 1
     print(f"\nPASS criterion 8: CLI goldens ({compared} outputs match)")

@@ -1,65 +1,77 @@
-"""CLI behavior: exit codes and golden outputs for the shipped apps.
+"""CLI behavior: exit codes, and the golden outputs of the shipped apps
+and of the diagnostics files in tests/data.
 
-Regenerate goldens with:  XFO_REGEN_GOLDENS=1 pytest tests/test_cli.py
+Every golden is one row of tests/cli_goldens.txt, which CI also reads.
+Regenerate all of them with:  XFO_REGEN_GOLDENS=1 pytest tests/test_cli.py
 """
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
+import shutil
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-import xfo
 from xfo import cli, dsl, loader
 
-from helpers import GOLDEN_DIR, copy_models
+from helpers import GOLDEN_DIR, MODELS_DIR
 
 REGEN = os.environ.get("XFO_REGEN_GOLDENS") == "1"
 DATA_DIR = Path(__file__).parent / "data"
+ROW_DIRS = {"models": MODELS_DIR, "data": DATA_DIR}
 
-# (golden name, argv, optional produced file also goldened)
-GOLDEN_CASES = [
-    ("check_traffic.txt", ["check", "traffic.xfo"], None),
-    ("check_school.txt", ["check", "school.xfo"], None),
-    ("check_celadon.txt", ["check", "celadon.xfo"], None),
-    ("run_traffic.txt",
-     ["run", "traffic.xfo", "traffic_desk.xws", "--until", "12", "--trace", "traffic.trace.json"],
-     None),
-    ("run_school.txt",
-     ["run", "school.xfo", "school_hire.xws", "--trace", "school.trace.json"], None),
-    ("run_celadon.txt",
-     ["run", "celadon.xfo", "celadon_run.xws", "--trace", "celadon.trace.json"], None),
-    ("run_celadon_interrupt.txt",
-     ["run", "celadon.xfo", "celadon_interrupt.xws", "--trace", "celadon_interrupt.trace.json"],
-     None),
-    ("run_celadon_broken.txt",
-     ["run", "celadon.xfo", "celadon_broken.xws", "--trace", "celadon_broken.trace.json"], None),
-    ("timeline_traffic.txt", ["timeline", "traffic.trace.json", "-o", "traffic.svg"],
-     ("traffic.svg", "timeline_traffic.svg")),
-    ("timeline_school.txt", ["timeline", "school.trace.json", "-o", "school.svg"],
-     ("school.svg", "timeline_school.svg")),
-    ("timeline_celadon.txt", ["timeline", "celadon.trace.json", "-o", "celadon.svg"],
-     ("celadon.svg", "timeline_celadon.svg")),
-    ("snapshot_traffic.txt", ["timeline", "traffic.trace.json", "-o", "traffic_at1.svg", "--at", "1"],
-     ("traffic_at1.svg", "snapshot_traffic.svg")),
-    # at the horizon tick every lamp shows none: spans end at the horizon
-    ("snapshot_traffic_horizon.txt",
-     ["timeline", "traffic.trace.json", "-o", "traffic_at12.svg", "--at", "12"],
-     ("traffic_at12.svg", "snapshot_traffic_horizon.svg")),
-    ("explain_traffic.txt", ["explain", "traffic.xfo", "TrafficLight"], None),
-    ("explain_school.txt", ["explain", "school.xfo", "Person"], None),
-    ("explain_celadon.txt", ["explain", "celadon.xfo", "Pottery"], None),
-]
+
+class GoldenRow(NamedTuple):
+    """One row of tests/cli_goldens.txt; "-" marks no produced file."""
+    golden: str
+    where: str
+    status: int
+    produced: str
+    produced_golden: str
+    argv: list[str]
+
+
+def _golden_rows() -> list[GoldenRow]:
+    rows = []
+    for line in (Path(__file__).parent / "cli_goldens.txt").read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            golden, where, status, produced, produced_golden, *argv = line.split()
+            rows.append(GoldenRow(golden, where, int(status), produced, produced_golden, argv))
+    return rows
+
+
+GOLDEN_ROWS = _golden_rows()
+
+
+def copy_row_dirs(root: Path) -> None:
+    """Scratch copies of the directories the rows run in, under root."""
+    for where, src in ROW_DIRS.items():
+        shutil.copytree(src, root / where)
+
+
+def run_row(row: GoldenRow, root: Path, monkeypatch, capsys) -> list[tuple[str, str]]:
+    """Run one row in its directory under root, check its exit status, its
+    empty stderr and that a failing row writes no file, and return each
+    golden the row names with the text it is compared to."""
+    monkeypatch.chdir(root / row.where)
+    before = sorted(os.listdir())
+    code = cli.main(row.argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (row.status, ""), out
+    if code:
+        assert sorted(os.listdir()) == before, "a failing row wrote a file"
+    if row.produced == "-":
+        return [(row.golden, out)]
+    return [(row.golden, out), (row.produced_golden, Path(row.produced).read_text(encoding="utf-8"))]
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli")
-    copy_models(path)
-    return path
+    root = tmp_path_factory.mktemp("cli")
+    copy_row_dirs(root)
+    return root / "models"
 
 
 @pytest.fixture(autouse=True)
@@ -67,25 +79,20 @@ def _chdir(workdir, monkeypatch):
     monkeypatch.chdir(workdir)
 
 
-def _check_golden(name: str, content: str):
-    path = GOLDEN_DIR / name
-    if REGEN:
-        path.write_text(content, encoding="utf-8")
-        return
-    assert path.exists(), f"golden {name} missing; regenerate with XFO_REGEN_GOLDENS=1"
-    assert content == path.read_text(encoding="utf-8"), f"golden mismatch: {name}"
+@pytest.mark.parametrize("row", GOLDEN_ROWS, ids=[r.golden for r in GOLDEN_ROWS])
+def test_golden(row, workdir, monkeypatch, capsys):
+    for name, content in run_row(row, workdir.parent, monkeypatch, capsys):
+        path = GOLDEN_DIR / name
+        if REGEN:
+            path.write_text(content, encoding="utf-8")
+        else:
+            assert content == path.read_text(encoding="utf-8"), f"golden mismatch: {name}"
 
 
-@pytest.mark.parametrize("golden,argv,extra", GOLDEN_CASES,
-                         ids=[c[0] for c in GOLDEN_CASES])
-def test_golden(golden, argv, extra, capsys):
-    code = cli.main(argv)
-    out = capsys.readouterr().out
-    assert code == 0, out
-    _check_golden(golden, out)
-    if extra is not None:
-        produced, golden_file = extra
-        _check_golden(golden_file, Path(produced).read_text(encoding="utf-8"))
+def test_every_golden_is_named_by_exactly_one_row():
+    named = [name for r in GOLDEN_ROWS for name in (r.golden, r.produced_golden) if name != "-"]
+    assert sorted(named) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    assert all((r.produced == "-") == (r.produced_golden == "-") for r in GOLDEN_ROWS)
 
 
 def test_run_pipeline_then_timeline(capsys):
@@ -371,92 +378,6 @@ def test_a_duration_that_is_not_a_parameter_is_refused_at_the_workflow(tmp_path,
     assert capsys.readouterr() == (
         "timed.xfo:2:1: error: [E_INVALID_TEMPLATE] workflow 'timed': step 's' duration 'd' is not a parameter\n"
         f"{model}: 1 error(s), 0 warning(s)\n", "")
-
-
-def _cli_in_data_dir(argv: list[str]) -> subprocess.CompletedProcess:
-    """``xfo`` run in a fresh process from ``tests/data``, with ``src`` on
-    its path."""
-    src = Path(xfo.__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, "-m", "xfo.cli", *argv],
-        cwd=DATA_DIR, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-
-
-def test_lexical_errors_golden_in_a_fresh_process():
-    """Every E_PARSE of a file of lexical corner cases (comments, tabs,
-    wildcards, non-ASCII letters, stray characters, text after '}'). The
-    golden was written by the per-token tokenizer this one replaced, and
-    regenerated once only to print the diagnostics in line order; CI diffs
-    the installed console script against it."""
-    proc = _cli_in_data_dir(["check", "--warn-tier2", "lexical_errors.xfo"])
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == (GOLDEN_DIR / "check_lexical_errors.txt").read_text(encoding="utf-8")
-
-
-def test_clause_errors_golden_in_a_fresh_process():
-    """A wrong keyword in each form the parser reads from a fixed keyword
-    set, and a rule's second 'then': each is reported at that word. CI
-    diffs the installed console script against the same golden."""
-    proc = _cli_in_data_dir(["check", "--warn-tier2", "clause_errors.xfo"])
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == (GOLDEN_DIR / "check_clause_errors.txt").read_text(encoding="utf-8")
-
-
-def test_repeated_clauses_golden_in_a_fresh_process():
-    """A step's second 'agent' or 'duration' line, and a workflow parameter
-    that is not a name: each is reported at that word. CI diffs the
-    installed console script against the same golden."""
-    proc = _cli_in_data_dir(["check", "--warn-tier2", "repeated_clauses.xfo"])
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == (GOLDEN_DIR / "check_repeated_clauses.txt").read_text(encoding="utf-8")
-
-
-def test_missing_clauses_golden_in_a_fresh_process():
-    """A rule with no 'when', one with no 'then' and one with neither:
-    each missing clause is reported at its rule's line, and the wrong
-    keywords in the blocks after each rule are reported too. CI diffs the
-    installed console script against the same golden."""
-    proc = _cli_in_data_dir(["check", "--warn-tier2", "missing_clauses.xfo"])
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == (GOLDEN_DIR / "check_missing_clauses.txt").read_text(encoding="utf-8")
-
-
-def test_else_recovery_golden_in_a_fresh_process():
-    """An 'else' line with no '{' is one error at its line; parsing resumes
-    in the workflow body, so the statements after the workflow are read
-    and a wrong keyword in one of them is reported too. CI diffs the
-    installed console script against the same golden."""
-    proc = _cli_in_data_dir(["check", "--warn-tier2", "else_recovery.xfo"])
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == (GOLDEN_DIR / "check_else_recovery.txt").read_text(encoding="utf-8")
-
-
-def test_block_trailer_golden_in_a_fresh_process():
-    """Text after a block's '}' is one error at that text, and the block it
-    opens is skipped whole: the steps after it stay in the workflow, and
-    the statements after the workflow are read, so a wrong keyword in one
-    of them is reported too. CI diffs the installed console script
-    against the same golden."""
-    proc = _cli_in_data_dir(["check", "--warn-tier2", "block_trailer.xfo"])
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == (GOLDEN_DIR / "check_block_trailer.txt").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("golden,argv", [
-    ("check_param_kinds_faults.txt", ["check", "param_kinds_faults.xfo"]),
-    ("run_param_kinds_faults.txt", ["run", "param_kinds.xfo", "param_kinds_faults.xws"]),
-], ids=["check", "run"])
-def test_load_diagnostics_golden_in_a_fresh_process(golden, argv):
-    """Workflow and scenario faults found at load, each at its line: a
-    duration that is not a parameter, a parameter written both in a guard
-    and as a duration, numbers for parameters written only in guards, and
-    scenario actions whose faults carry the codes they have in a rule. CI
-    diffs the installed console script against the same goldens."""
-    proc = _cli_in_data_dir(argv)
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
 
 def test_diagnostics_are_printed_in_line_order(capsys):

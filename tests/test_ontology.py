@@ -125,7 +125,7 @@ def test_add_stores_the_definition_itself():
     reg = pottery_registry()
     span = SourceSpan("m.xfo", 7, 3, 9)
     u = EntityDef("Vase", Layer.U, "Pottery", span=span)
-    p = EntityDef("vase1", Layer.P, "Vase", doc="a vase", span=span)
+    p = EntityDef("vase1", Layer.P, "Vase", span=span)
     assert reg.add(u) == "Vase" and reg.add(p) == "vase1"
     assert reg.lookup("Vase") is u and reg.lookup("vase1") is p
     assert reg.lookup("vase1").span is span
@@ -163,7 +163,7 @@ def test_a_span_stays_out_of_definition_equality_hash_and_repr():
     plain = EntityDef("Vase", Layer.U, "Pottery")
     assert spanned == plain and hash(spanned) == hash(plain)
     assert repr(spanned) == repr(plain) == (
-        "EntityDef(name='Vase', layer=<Layer.U: 'U'>, parent='Pottery', doc=None)")
+        "EntityDef(name='Vase', layer=<Layer.U: 'U'>, parent='Pottery')")
 
 
 def test_is_descendant():
