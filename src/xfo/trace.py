@@ -242,9 +242,14 @@ def replay_spans(events) -> dict[tuple[str, str, str], list[tuple[int, int | Non
         p = e.payload
         try:
             triple = (p["from"], p["relation"], p["to"])
-        except KeyError as exc:
-            raise MalformedTraceError(f"event seq {e.seq}: payload missing {exc}") from exc
-        row = spans.setdefault(triple, [])
+            row = spans.get(triple)
+        except (KeyError, TypeError):  # a field is missing, or a list or an object
+            row = None
+        if row is None:  # a triple seen for the first time
+            for field in ("from", "relation", "to"):
+                if type(p.get(field)) is not str:
+                    raise MalformedTraceError(f"event seq {e.seq}: payload '{field}' is missing or not a string")
+            row = spans[triple] = []
         if e.kind == "Link":
             if row and row[-1][1] is None:
                 raise MalformedTraceError(f"event seq {e.seq}: duplicate Link for {triple}")

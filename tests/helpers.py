@@ -1,5 +1,5 @@
-"""Shared test utilities: shipped-model loading, generated inputs, and
-hypothesis strategies for lamp mechanisms."""
+"""Shared test utilities: the shipped runs, shipped-model loading,
+generated inputs, and hypothesis strategies for lamp mechanisms."""
 from __future__ import annotations
 
 import itertools
@@ -16,6 +16,26 @@ from xfo.microworld import load_scenario
 
 MODELS_DIR = Path(xfo.__file__).parent / "models"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DATA_DIR = Path(__file__).parent / "data"
+
+# Every shipped scenario with the model it runs on, and the sha256 of each
+# run's trace JSON. The SVG goldens see only Has_Quality spans, so the
+# hashes pin everything else: every event, its order and payload.
+SHIPPED_RUNS = [
+    ("traffic.xfo", "traffic_desk.xws"),
+    ("school.xfo", "school_hire.xws"),
+    ("celadon.xfo", "celadon_run.xws"),
+    ("celadon.xfo", "celadon_broken.xws"),
+    ("celadon.xfo", "celadon_interrupt.xws"),
+]
+SHIPPED_MODELS = list(dict.fromkeys(model for model, _ in SHIPPED_RUNS))
+SHIPPED_TRACE_SHA256 = {
+    "traffic_desk.xws": "ba59f33ee5da76a147e228cceae53a8539c4e8260864c15a433abdb4ac9a14ab",
+    "school_hire.xws": "744803931bdd73c3df9f97534665ca64a5cb3f0b02dcd72800d7240438ebe181",
+    "celadon_run.xws": "29bb74b445102f72d4d1c0765465d18f70557f0204a6041a5a3f72a6b12fb25c",
+    "celadon_broken.xws": "5fa67ce172b8ed0e7982a35d9504a23140bc44bf32fce6a8d6d38d88d0c485fa",
+    "celadon_interrupt.xws": "7b291d51e658bae6c7971ffd01f05713da081bf91b875e222717b7af751b9f12",
+}
 
 
 def model_text(name: str) -> str:

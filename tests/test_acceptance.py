@@ -20,6 +20,8 @@ from xfo.dsl import parse_model, parse_scenario
 
 from helpers import (
     GOLDEN_DIR,
+    SHIPPED_MODELS,
+    SHIPPED_RUNS,
     hq_quality,
     link_events,
     load_shipped_scenario,
@@ -260,24 +262,14 @@ def test_criterion_6_interrupt_and_broken():
           "failing predicate named in trace)")
 
 
-SHIPPED_SCENARIOS = [
-    ("traffic.xfo", "traffic_desk.xws"),
-    ("school.xfo", "school_hire.xws"),
-    ("celadon.xfo", "celadon_run.xws"),
-    ("celadon.xfo", "celadon_interrupt.xws"),
-    ("celadon.xfo", "celadon_broken.xws"),
-]
-
-
 def test_criterion_7_roundtrips():
     # parse -> print -> parse equality for every shipped file
-    for name in ("traffic.xfo", "school.xfo", "celadon.xfo"):
+    for name in SHIPPED_MODELS:
         first = parse_model(model_text(name), name)
         assert first.ok
         again = parse_model(print_model(first.document), name)
         assert again.ok and again.document == first.document
-    for name in ("traffic_desk.xws", "school_hire.xws", "celadon_run.xws",
-                 "celadon_interrupt.xws", "celadon_broken.xws"):
+    for _, name in SHIPPED_RUNS:
         first = parse_scenario(model_text(name), name)
         assert first.ok
         again = parse_scenario(print_scenario(first.document), name)
@@ -285,7 +277,7 @@ def test_criterion_7_roundtrips():
 
     # trace replay reconstructs state_of at every tick of every scenario
     states_checked = 0
-    for model, scen_name in SHIPPED_SCENARIOS:
+    for model, scen_name in SHIPPED_RUNS:
         world, _, scen = run_scenario(model, scen_name)
         spans = replay_spans(world.trace)
         particulars = [e.name for e in world.registry.entities() if e.layer is Layer.P]

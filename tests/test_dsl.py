@@ -17,7 +17,7 @@ from xfo.dynamics import Cond, Frame, Loop, Rule, RunSpec, Step, Transitional, W
 from xfo.ontology import EntityDef
 from xfo.relations import RelationDeclaration, RelationKind
 
-from helpers import model_text
+from helpers import SHIPPED_MODELS, SHIPPED_RUNS, model_text
 from printer import print_model, print_scenario
 
 
@@ -512,7 +512,7 @@ def test_a_workflow_parameter_that_is_not_a_name_is_reported_at_it():
 
 
 def test_roundtrip_shipped_files():
-    for name in ("traffic.xfo", "school.xfo", "celadon.xfo"):
+    for name in SHIPPED_MODELS:
         first = parse_model(model_text(name), name)
         assert first.ok
         # the loader defines what was parsed, unchanged
@@ -529,8 +529,7 @@ def test_roundtrip_shipped_files():
         assert second.document == first.document
         # printing is a fixpoint
         assert print_model(second.document) == printed
-    for name in ("traffic_desk.xws", "school_hire.xws", "celadon_run.xws",
-                 "celadon_interrupt.xws", "celadon_broken.xws"):
+    for _, name in SHIPPED_RUNS:
         first = parse_scenario(model_text(name), name)
         assert first.ok
         printed = print_scenario(first.document)

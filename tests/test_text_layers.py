@@ -32,24 +32,15 @@ from xfo.trace import (
     trace_to_json,
 )
 
-from helpers import MODELS_DIR, generated_inputs, model_text, run_scenario
-
-SHIPPED_RUNS = [
-    ("traffic.xfo", "traffic_desk.xws"),
-    ("school.xfo", "school_hire.xws"),
-    ("celadon.xfo", "celadon_run.xws"),
-    ("celadon.xfo", "celadon_broken.xws"),
-    ("celadon.xfo", "celadon_interrupt.xws"),
-]
-# sha256 of each run's trace JSON. The SVG goldens see only Has_Quality
-# spans, so these pin everything else: every event, its order and payload.
-SHIPPED_TRACE_SHA256 = {
-    "traffic_desk.xws": "ba59f33ee5da76a147e228cceae53a8539c4e8260864c15a433abdb4ac9a14ab",
-    "school_hire.xws": "744803931bdd73c3df9f97534665ca64a5cb3f0b02dcd72800d7240438ebe181",
-    "celadon_run.xws": "29bb74b445102f72d4d1c0765465d18f70557f0204a6041a5a3f72a6b12fb25c",
-    "celadon_broken.xws": "5fa67ce172b8ed0e7982a35d9504a23140bc44bf32fce6a8d6d38d88d0c485fa",
-    "celadon_interrupt.xws": "7b291d51e658bae6c7971ffd01f05713da081bf91b875e222717b7af751b9f12",
-}
+from helpers import (
+    DATA_DIR,
+    MODELS_DIR,
+    SHIPPED_RUNS,
+    SHIPPED_TRACE_SHA256,
+    generated_inputs,
+    model_text,
+    run_scenario,
+)
 
 
 # ----------------------------------------------------------------------
@@ -579,6 +570,22 @@ def parsed(parse, text: str) -> tuple:
 def test_statement_pattern_matches_the_cursor(text):
     for parse in (parse_model, parse_scenario):
         assert parsed(parse, text) == parsed(parse, commented(text))
+
+
+CHECKED_FILES = sorted(MODELS_DIR.glob("*.xfo")) + sorted(DATA_DIR.glob("*.xfo"))
+
+
+@pytest.mark.parametrize("path", CHECKED_FILES, ids=[p.name for p in CHECKED_FILES])
+def test_check_prints_the_same_from_the_pattern_and_from_the_cursor(path, tmp_path, monkeypatch, capsys):
+    """``xfo check --warn-tier2`` on each shipped model and each tests/data
+    model, and on its commented copy of the same name: the same exit
+    status and the same output."""
+    (tmp_path / path.name).write_bytes(commented(path.read_bytes().decode("utf-8")).encode("utf-8"))
+    printed = []
+    for where in (path.parent, tmp_path):
+        monkeypatch.chdir(where)
+        printed.append((cli.main(["check", "--warn-tier2", path.name]), capsys.readouterr()))
+    assert printed[0] == printed[1]
 
 
 STEP_CLAUSES = "'agent', 'duration', 'require' or 'effect'"

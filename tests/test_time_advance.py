@@ -26,7 +26,7 @@ from xfo.errors import XfoError
 from xfo.microworld import Simulation
 from xfo.trace import trace_to_json
 
-from helpers import MODELS_DIR, load_shipped_scenario, load_world
+from helpers import MODELS_DIR, SHIPPED_RUNS, load_shipped_scenario, load_world
 
 # ----------------------------------------------------------------------
 # naive reference
@@ -434,16 +434,7 @@ def test_rule_with_no_guard_fires_at_tick_zero():
     assert fired[0][0] == (0, "RuleFired")
 
 
-SHIPPED = [
-    ("celadon.xfo", "celadon_run.xws"),
-    ("celadon.xfo", "celadon_broken.xws"),
-    ("celadon.xfo", "celadon_interrupt.xws"),
-    ("school.xfo", "school_hire.xws"),
-    ("traffic.xfo", "traffic_desk.xws"),
-]
-
-
-@pytest.mark.parametrize("model,scenario", SHIPPED)
+@pytest.mark.parametrize("model,scenario", SHIPPED_RUNS)
 def test_shipped_scenarios_match_tick_by_tick_engine(model, scenario):
     traces = []
     for engine in (NaiveSimulation, Simulation):
