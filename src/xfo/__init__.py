@@ -50,7 +50,6 @@ from .relations import (
     RelationDeclaration,
     RelationKind,
     State,
-    StateLink,
     TIC,
     ValidationResult,
     World,

@@ -170,9 +170,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a model file")
     p.add_argument("model")
-    tier = p.add_mutually_exclusive_group()
-    tier.add_argument("--strict-tier2", action="store_true", default=True)
-    tier.add_argument("--warn-tier2", action="store_true")
+    p.add_argument("--warn-tier2", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("run", help="run a scenario and emit its trace")
@@ -180,9 +178,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--until", type=int, default=None, metavar="T")
     p.add_argument("--trace", default=None, metavar="OUT")
-    tier = p.add_mutually_exclusive_group()
-    tier.add_argument("--strict-tier2", action="store_true", default=True)
-    tier.add_argument("--warn-tier2", action="store_true")
+    p.add_argument("--warn-tier2", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("timeline", help="render a trace as SVG")

@@ -62,6 +62,8 @@ from .ontology import EntityDef, Layer, SourceSpan, _span_field
 from .relations import RelationDeclaration, RelationKind
 
 GRAMMAR_VERSION = "1.0"
+# How deep loop and if blocks may nest: deeper would near Python's recursion limit
+MAX_BLOCK_DEPTH = 100
 
 # A wildcard, name, int or punctuation token, a comment, or any other
 # non-blank character (one E_PARSE each)
@@ -529,14 +531,22 @@ def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> Workflow:
     return Workflow(name, params, body, requires_agent, span=span)
 
 
-def _parse_body(p: _Parser, owner: str, span) -> tuple[Seq, _Toks]:
+def _parse_body(p: _Parser, owner: str, span, depth: int = 0) -> tuple[Seq, _Toks]:
     """Parse workflow body nodes until the matching '}'. Returns the Seq
-    and the close line (positioned after '}') for else-continuations."""
+    and the close line (positioned after '}') for else-continuations.
+    ``depth`` counts the loop and if blocks around it; one opened past
+    ``MAX_BLOCK_DEPTH`` is an error, and its block is skipped."""
     nodes = []
+
+    def nested(line: _Toks, parse) -> None:
+        if depth == MAX_BLOCK_DEPTH:
+            raise _ParseError(f"loop and if blocks nest more than {MAX_BLOCK_DEPTH} deep", line.taken_span())
+        nodes.append(parse(p, line, owner, span, depth + 1))
+
     clauses = {
         "step": lambda line: nodes.append(Step(_parse_step(p, line, owner))),
-        "loop": lambda line: nodes.append(_parse_loop(p, line, owner, span)),
-        "if": lambda line: nodes.append(_parse_cond(p, line, owner, span)),
+        "loop": lambda line: nested(line, _parse_loop),
+        "if": lambda line: nested(line, _parse_cond),
     }
     close = p._block(f"block in '{owner}'", span, clauses)
     return Seq(tuple(nodes)), close
@@ -571,7 +581,7 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
                         tuple(pre), tuple(unlinks), tuple(links), placeholder)
 
 
-def _parse_loop(p: _Parser, line: _Toks, owner: str, span) -> Loop:
+def _parse_loop(p: _Parser, line: _Toks, owner: str, span, depth: int) -> Loop:
     count = None
     guard = None
     until_end = False
@@ -586,15 +596,15 @@ def _parse_loop(p: _Parser, line: _Toks, owner: str, span) -> Loop:
         else:
             guard = p._predicate(line)
     p._open_brace(line)
-    body, close = _parse_body(p, owner, span)
+    body, close = _parse_body(p, owner, span, depth)
     p._end(close)
     return Loop(body, count, guard, until_end)
 
 
-def _parse_cond(p: _Parser, line: _Toks, owner: str, span) -> Cond:
+def _parse_cond(p: _Parser, line: _Toks, owner: str, span, depth: int) -> Cond:
     guard = p._predicate(line)
     p._open_brace(line)
-    then_body, close = _parse_body(p, owner, span)
+    then_body, close = _parse_body(p, owner, span, depth)
     else_body = None
     if close.peek() == "else":
         close.take()
@@ -605,7 +615,7 @@ def _parse_cond(p: _Parser, line: _Toks, owner: str, span) -> Cond:
             # enclosing block, past the '}' that closed that body
             p._recover_line(exc, close.tokens[1:])
             return Cond(guard, then_body, None)
-        else_body, close = _parse_body(p, owner, span)
+        else_body, close = _parse_body(p, owner, span, depth)
     p._end(close)
     return Cond(guard, then_body, else_body)
 

@@ -81,10 +81,6 @@ class StatePredicate(NamedTuple):
         return f"{word} {from_ref} {self.kind} {to_ref}"
 
     def holds(self, world: World, at: int, binding: dict | None = None) -> bool:
-        found = self._match_world(world, at, binding)
-        return found if self.exists else not found
-
-    def _match_world(self, world: World, at: int, binding: dict | None) -> bool:
         from_ref, to_ref = self.from_ref, self.to_ref
         from_p = None if isinstance(from_ref, Wildcard) else _resolve(from_ref, binding)
         to_p = None if isinstance(to_ref, Wildcard) else _resolve(to_ref, binding)
@@ -93,8 +89,8 @@ class StatePredicate(NamedTuple):
             if (from_p is not None or is_descendant(f, from_ref.utype)) and (
                 to_p is not None or is_descendant(t, to_ref.utype)
             ):
-                return True
-        return False
+                return self.exists
+        return not self.exists
 
 
 def _resolve(ref: Ref, binding: dict | None) -> str:
@@ -113,30 +109,30 @@ class Transitional:
     span: SourceSpan | None = _span_field()
 
 
-def _static_check_template(world: World, t: LinkTemplate, params: frozenset[str], label: str) -> None:
-    """Validate a template whose refs are all concrete; param refs defer to
-    bind time, unknown concrete refs are template errors."""
-    world.kind(t.kind)
-    refs = [r for r in (t.from_ref, t.to_ref) if r not in params]
-    for r in refs:
-        if r not in world.registry:
-            raise InvalidTemplateError(f"{label}: unknown entity '{r}' in template '{t}'")
-    if len(refs) < 2:
-        return
-    res = world.validate_link(t.from_ref, t.kind, t.to_ref)
-    if not world.admit(res):
-        raise InvalidTemplateError(f"{label}: invalid template '{t}': {res.reason}")
-    if not res:
-        world.warnings.append(f"tier-2: {label}: {res.reason}")
-
-
-def _check_edits(world: World, templates: tuple, params: frozenset[str], label: str) -> None:
-    """Check one unlink/link batch: none edited twice, each template valid."""
+def _check_edits(world: World, templates: tuple, params: frozenset[str], label: str) -> list[str]:
+    """Check one unlink/link batch: none edited twice, and each template
+    whose refs are all concrete valid (a param ref defers to bind time, an
+    unknown concrete ref is an error). Returns the tier-2 warnings of the
+    uncovered but admitted templates: the definition adds them to
+    ``world.warnings`` once it is stored, so a refused one leaves none."""
     t = _repeated(templates)
     if t is not None:
         raise InvalidTemplateError(f"{label}: template '{t}' appears more than once")
+    warnings = []
     for t in templates:
-        _static_check_template(world, t, params, label)
+        world.kind(t.kind)
+        refs = [r for r in (t.from_ref, t.to_ref) if r not in params]
+        for r in refs:
+            if r not in world.registry:
+                raise InvalidTemplateError(f"{label}: unknown entity '{r}' in template '{t}'")
+        if len(refs) < 2:
+            continue
+        res = world.validate_link(t.from_ref, t.kind, t.to_ref)
+        if not world.admit(res):
+            raise InvalidTemplateError(f"{label}: invalid template '{t}': {res.reason}")
+        if not res:
+            warnings.append(f"tier-2: {label}: {res.reason}")
+    return warnings
 
 
 def define_transitional(world: World, tr: Transitional) -> Transitional:
@@ -145,9 +141,10 @@ def define_transitional(world: World, tr: Transitional) -> Transitional:
     name = tr.name
     if name in world.transitionals:
         raise DuplicateNameError(f"transitional '{name}' already defined")
-    _check_edits(world, tr.unlinks + tr.links, frozenset(), f"transitional '{name}'")
+    warnings = _check_edits(world, tr.unlinks + tr.links, frozenset(), f"transitional '{name}'")
     world.registry.instantiate_particular(name, "Transitional")
     world.transitionals[name] = tr
+    world.warnings += warnings
     return tr
 
 
@@ -435,6 +432,7 @@ def define_workflow(world: World, wf: Workflow) -> Workflow:
         note((pred.from_ref, pred.to_ref), "entity")
 
     seen_steps: set[str] = set()
+    warnings: list[str] = []
     for n in walk_nodes(wf.body):
         if isinstance(n, Loop) and n.count is None and n.guard is None and not n.until_end:
             raise UnboundedLoopError(f"workflow '{name}' contains a loop with no count and no guard")
@@ -464,12 +462,13 @@ def define_workflow(world: World, wf: Workflow) -> Workflow:
             )
         note((step.duration,), "count")
         edits = step.unlinks + step.links
-        _check_edits(world, edits, pset, f"{label} step '{step.name}'")
+        warnings += _check_edits(world, edits, pset, f"{label} step '{step.name}'")
         note((r for t in edits for r in (t.from_ref, t.to_ref)), "entity")
         for pred in step.preconditions:
             check_guard(pred)
     world.param_kinds[name] = kinds
     world.workflows[name] = wf
+    world.warnings += warnings
     return wf
 
 

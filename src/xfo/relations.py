@@ -107,25 +107,23 @@ def _repeated(edits: Sequence):
     return None
 
 
-class StateLink(NamedTuple):
+class TicEntry(NamedTuple):
     direction: str  # "out" | "in"
     kind: str
     counterpart: EntityId
+    via: EntityId | None = None  # U view: the U entity the declaration was made on
+
+
+# The one order of State.links and TIC.entries.
+_ROW_ORDER = attrgetter("kind", "counterpart", "direction")
 
 
 class State(NamedTuple):
-    """Links active on one entity at one tick, deterministically ordered."""
+    """Links active on one entity at one tick, in ``_ROW_ORDER``."""
 
     entity: EntityId
     at: int
-    links: tuple[StateLink, ...]
-
-
-class TicEntry(NamedTuple):
-    direction: str
-    kind: str
-    counterpart: EntityId
-    via: EntityId | None = None  # the U entity the declaration was made on
+    links: tuple[TicEntry, ...]
 
 
 class TIC(NamedTuple):
@@ -156,8 +154,8 @@ class World:
       active link is that span when its end is None, and a read at a past
       tick bisects one list.
     * ``_by_entity`` maps an entity to the triples it appears in on either
-      side, and ``_by_kind`` a kind to its triples. Both use insertion-
-      ordered dicts as sets, so iteration never depends on string hashing.
+      side. It uses insertion-ordered dicts as sets, so iteration never
+      depends on string hashing.
     * ``_payloads`` maps each triple ever linked to the one FrozenPayload
       that every Link and Unlink event of it carries.
     * Each event's ``seq`` is its position in ``trace``. ``edit`` appends
@@ -198,7 +196,6 @@ class World:
         self.links: list[LinkInstance] = []
         self.spans: dict[Triple, list[LinkInstance]] = {}
         self._by_entity: dict[EntityId, dict[Triple, None]] = {}
-        self._by_kind: dict[str, dict[Triple, None]] = {}
         self._payloads: dict[Triple, FrozenPayload] = {}  # each triple's Link and Unlink payload
         self.trace: list[TraceEvent] = []
         self.warnings: list[str] = []
@@ -375,15 +372,13 @@ class World:
         self, at: int, kind: str, from_p: EntityId | None = None, to_p: EntityId | None = None
     ) -> Iterator[Triple]:
         """Triples of ``kind`` active at tick ``at``; a side given as None
-        matches any entity."""
+        matches any entity. With one side given it scans that entity's
+        triples, with none every triple in ``spans``."""
         if from_p is not None and to_p is not None:
             candidates = ((from_p, kind, to_p),)
-        elif from_p is not None:
-            candidates = self._by_entity.get(from_p, ())
-        elif to_p is not None:
-            candidates = self._by_entity.get(to_p, ())
         else:
-            candidates = self._by_kind.get(kind, ())
+            e = from_p if to_p is None else to_p
+            candidates = self.spans if e is None else self._by_entity.get(e, ())
         for t in candidates:
             if (
                 t[1] == kind
@@ -436,7 +431,6 @@ class World:
             if not row:  # first link of this triple
                 for e in (from_p, to_p):
                     self._by_entity.setdefault(e, {})[triple] = None
-                self._by_kind.setdefault(kind, {})[triple] = None
                 payloads[triple] = FrozenPayload({"from": from_p, "relation": kind, "to": to_p})
             row.append(inst)
             trace.append(_event(TraceEvent, (len(trace), at, "Link", payloads[triple])))
@@ -454,10 +448,10 @@ class World:
                 continue
             from_p, kind, to_p = triple
             if from_p == e:
-                found.append(StateLink("out", kind, to_p))
+                found.append(TicEntry("out", kind, to_p))
             if to_p == e:
-                found.append(StateLink("in", kind, from_p))
-        found.sort(key=lambda s: (s.kind, s.counterpart, s.direction))
+                found.append(TicEntry("in", kind, from_p))
+        found.sort(key=_ROW_ORDER)
         return State(e, at, tuple(found))
 
     def tic_of(self, e: EntityId, at: int | None = None) -> TIC:
@@ -472,9 +466,7 @@ class World:
         if ent.layer is Layer.P:
             if at is None:
                 raise XfoError(f"tic_of('{e}'): a tick is required for particulars")
-            st = self.state_of(e, at)
-            entries = tuple(TicEntry(s.direction, s.kind, s.counterpart) for s in st.links)
-            return TIC(e, at, entries)
+            return TIC(e, at, self.state_of(e, at).links)
         lineage = self.registry.ancestors(e)
         # each position once (a declaration between two lineage members is
         # indexed under both), in declaration order, so the stable sort
@@ -486,5 +478,5 @@ class World:
                 entries.append(TicEntry("out", d.kind, d.to_u, via=d.from_u))
             if d.to_u in lineage:
                 entries.append(TicEntry("in", d.kind, d.from_u, via=d.to_u))
-        entries.sort(key=lambda t: (t.kind, t.counterpart, t.direction))
+        entries.sort(key=_ROW_ORDER)
         return TIC(e, None, tuple(entries))

@@ -195,6 +195,8 @@ def parse_trace(text: str) -> TraceDoc:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedTraceError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the message differs between Python versions
+        raise MalformedTraceError("not valid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise MalformedTraceError("trace document must be a JSON object")
     for key, typ in (("model", str), ("scenario", str), ("horizon", int), ("version", int)):

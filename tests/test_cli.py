@@ -172,6 +172,10 @@ def test_usage_errors(capsys):
     assert capsys.readouterr() == ("", "error: cannot read model file 'no_such_file.xfo'\n"
                                    "error: --until 99 is outside the scenario's ticks 0..12\n"
                                    "error: --until -3 is outside the scenario's ticks 0..12\n")
+    for command in (["check", "traffic.xfo"], ["run", "traffic.xfo", "traffic_desk.xws"]):
+        assert cli.main([*command, "--strict-tier2"]) == 2  # strict is the default, not an option
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --strict-tier2" in err
     assert cli.main(["nope"]) == 2
     assert cli.main([]) == 2
     capsys.readouterr()
@@ -202,6 +206,15 @@ def test_timeline_malformed_trace(tmp_path, capsys):
     assert cli.main(["timeline", str(trace), "-o", str(tmp_path / "x.svg")]) == 1
     out = capsys.readouterr().out
     assert "E_MALFORMED_TRACE" in out
+
+
+def test_timeline_refuses_a_trace_nested_too_deeply(tmp_path, capsys):
+    """JSON nested past the recursion limit is one malformed-trace line with
+    fixed text, not a traceback."""
+    trace = tmp_path / "deep.trace.json"
+    trace.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert cli.main(["timeline", str(trace), "-o", str(tmp_path / "x.svg")]) == 1
+    assert capsys.readouterr() == (f"{trace}: error: [E_MALFORMED_TRACE] not valid JSON: nested too deeply\n", "")
 
 
 LINK = {"from": "lampA", "relation": "Has_Quality", "to": "red"}

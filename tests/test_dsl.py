@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from xfo import loader
 from xfo.dsl import (
+    MAX_BLOCK_DEPTH,
     InitStmt,
     ModelHeader,
     parse_model,
     parse_scenario,
 )
-from xfo.dynamics import Cond, Frame, Loop, Rule, RunSpec, Step, Transitional, Wildcard, Workflow
-from xfo.ontology import EntityDef
+from xfo.dynamics import Cond, Frame, Loop, Rule, RunSpec, Step, Transitional, Wildcard, Workflow, check_completeness
+from xfo.ontology import EntityDef, Layer
 from xfo.relations import RelationDeclaration, RelationKind
 
 from helpers import SHIPPED_MODELS, SHIPPED_RUNS, model_text
@@ -509,6 +510,43 @@ def test_a_workflow_parameter_that_is_not_a_name_is_reported_at_it():
     res = parse_model("workflow W(a, 3) {\n  step s {\n    duration 1\n  }\n}\n", "m.xfo")
     assert [(d.code, d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [
         ("E_PARSE", "expected a parameter name, got '3'", 1, 15, 1)]
+
+
+def _nested_model(depth: int, opener: str) -> str:
+    """A workflow body of ``depth`` nested ``opener`` blocks around one step,
+    and a universal after the workflow."""
+    lines = ["model Deep", "universal Lamp is_a B_Object", "universal Color is_a B_Quality",
+             "particular lamp instance_of Lamp", "particular red instance_of Color",
+             "relate Lamp Has_Quality Color", "workflow w {"]
+    lines += [f"{opener} {{"] * depth + ["step s {", "agent lamp", "}"] + ["}"] * depth
+    return "\n".join([*lines, "}", "universal After is_a B_Object"]) + "\n"
+
+
+@pytest.mark.parametrize("opener", ["loop 2", "if exists lamp Has_Quality red"], ids=["loop", "if"])
+@pytest.mark.parametrize("depth", [MAX_BLOCK_DEPTH, MAX_BLOCK_DEPTH + 1, 5000])
+def test_blocks_nest_at_most_max_block_depth(depth, opener):
+    """Loop and if blocks nest 100 deep. One opened deeper is one E_PARSE at
+    its line, the block it opens is skipped, and parsing goes on: the
+    parser never throws."""
+    assert MAX_BLOCK_DEPTH == 100
+    res = parse_model(_nested_model(depth, opener))
+    *_, wf, after = res.document.statements
+    assert after == EntityDef("After", Layer.U, "B_Object")
+    levels, body = 0, wf.body
+    while body.items and not isinstance(body.items[0], Step):
+        block = body.items[0]
+        body = block.body if isinstance(block, Loop) else block.then_body
+        levels += 1
+    assert levels == min(depth, MAX_BLOCK_DEPTH)
+    if depth > MAX_BLOCK_DEPTH:
+        assert body.items == ()
+        assert [(d.code, d.message, d.span.line, d.span.column) for d in res.diagnostics] == [
+            ("E_PARSE", "loop and if blocks nest more than 100 deep", 8 + MAX_BLOCK_DEPTH, 1)]
+        return
+    assert res.diagnostics == () and [n.step.name for n in body.items] == ["s"]
+    world, diags = loader.build_world(res.document)
+    assert diags == [] and world.workflows["w"] == wf
+    assert check_completeness(wf, ()).complete
 
 
 def test_roundtrip_shipped_files():

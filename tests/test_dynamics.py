@@ -244,6 +244,40 @@ def test_activate_frame_warns_once_per_uncovered_link():
     assert len(w.warnings) == 3 and all(m.startswith("tier-2: no declaration covers") for m in w.warnings)
 
 
+def _uncovered_world():
+    """A world that admits uncovered links: no declaration covers a lamp's
+    colour, and a colour is no lamp's quality bearer (tier 1 refuses it)."""
+    w = World(tier2_strict=False)
+    w.registry.define_universal("Lamp", "B_Object")
+    w.registry.define_universal("Color", "B_Quality")
+    w.registry.instantiate_particular("lamp", "Lamp")
+    w.registry.instantiate_particular("red", "Color")
+    return w
+
+
+UNCOVERED = T("lamp", "Has_Quality", "red")
+TIER1_INVALID = T("red", "Has_Quality", "lamp")
+
+
+@pytest.mark.parametrize("define,error", [
+    # a transitional whose second template is invalid
+    (lambda w: define_transitional(w, Transitional("t", (), (UNCOVERED, TIER1_INVALID))), InvalidTemplateError),
+    # a transitional whose name is already an entity
+    (lambda w: define_transitional(w, Transitional("lamp", (), (UNCOVERED,))), DuplicateNameError),
+    # a workflow whose second step fails
+    (lambda w: define_workflow(w, Workflow("w", (), Seq((
+        _step("s1", links=[UNCOVERED]), _step("s2", agent="ghost"))), False)), UnknownEntityError),
+], ids=["transitional-invalid-template", "transitional-name-taken", "workflow-second-step"])
+def test_a_refused_definition_leaves_no_tier2_warning(define, error):
+    w = _uncovered_world()
+    with pytest.raises(error):
+        define(w)
+    assert w.warnings == []
+    # the uncovered template alone is admitted, and warned of once stored
+    define_transitional(w, Transitional("ok", (), (UNCOVERED,)))
+    assert len(w.warnings) == 1 and w.warnings[0].startswith("tier-2: transitional 'ok': no declaration covers")
+
+
 def test_frame_roundtrip_exact_spans(school_world):
     w = school_world
     activate_frame(w, "Employment", EMPLOYMENT_BINDING, 1)

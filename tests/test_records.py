@@ -29,7 +29,7 @@ from xfo.dynamics import (
 )
 from xfo.microworld import Scenario
 from xfo.ontology import SourceSpan
-from xfo.relations import TIC, State, StateLink, TicEntry, ValidationResult
+from xfo.relations import TIC, State, TicEntry, ValidationResult
 
 
 def _xfo_classes():
@@ -106,11 +106,10 @@ RECORDS = [
     (ValidationResult, ("valid", "tier", "reason"), {"tier": 0, "reason": ""},
      ValidationResult(False, 2, "no declaration covers it"),
      "ValidationResult(valid=False, tier=2, reason='no declaration covers it')"),
-    (StateLink, ("direction", "kind", "counterpart"), {},
-     StateLink("out", "Has_Quality", "red"), "StateLink(direction='out', kind='Has_Quality', counterpart='red')"),
     (State, ("entity", "at", "links"), {},
-     State("lamp", 3, (StateLink("in", "Continuant_Part_Of", "L1"),)),
-     "State(entity='lamp', at=3, links=(StateLink(direction='in', kind='Continuant_Part_Of', counterpart='L1'),))"),
+     State("lamp", 3, (TicEntry("in", "Continuant_Part_Of", "L1"),)),
+     "State(entity='lamp', at=3, links=(TicEntry(direction='in', kind='Continuant_Part_Of', counterpart='L1', "
+     "via=None),))"),
     (TicEntry, ("direction", "kind", "counterpart", "via"), {"via": None},
      TicEntry("out", "Has_Role", "teacher", via="Person"),
      "TicEntry(direction='out', kind='Has_Role', counterpart='teacher', via='Person')"),

@@ -17,9 +17,9 @@ from xfo.errors import (
     XfoError,
 )
 from xfo.ontology import Layer, SourceSpan
-from xfo.relations import BUILTIN_KINDS, RelationDeclaration, RelationKind, World
+from xfo.relations import BUILTIN_KINDS, RelationDeclaration, RelationKind, TicEntry, World
 
-from helpers import load_world
+from helpers import SHIPPED_RUNS, load_world, run_scenario
 
 
 @pytest.fixture
@@ -241,9 +241,28 @@ def test_tic_of_particular(pottery_world):
         w.tic_of("pot1")  # a tick is required for particulars
 
 
-def test_tic_in_direction_from_scenario():
-    from helpers import run_scenario
+@pytest.mark.parametrize("model,scenario", SHIPPED_RUNS)
+def test_state_of_and_tic_of_share_one_row_record_and_one_order(model, scenario):
+    """A particular's TIC at a tick holds exactly its state's rows, link
+    rows with no ``via``; those rows and the U view's are in one order."""
+    world, _sim, scen = run_scenario(model, scenario)
+    reg = world.registry
+    key = lambda e: (e.kind, e.counterpart, e.direction)
+    for ent in reg.entities():
+        if not reg.is_descendant(ent.name, "B_IndependentContinuant"):
+            continue
+        if ent.layer is not Layer.P:
+            entries = world.tic_of(ent.name).entries
+            assert list(entries) == sorted(entries, key=key)
+            continue
+        for at in range(scen.horizon + 1):
+            links = world.state_of(ent.name, at).links
+            assert world.tic_of(ent.name, at).entries == links
+            assert all(type(r) is TicEntry and r.via is None for r in links)
+            assert list(links) == sorted(links, key=key)
 
+
+def test_tic_in_direction_from_scenario():
     world, _sim, _scen = run_scenario("traffic.xfo", "traffic_desk.xws", until=3)
     tic = world.tic_of("lightA", 3)
     part_of = [(e.direction, e.counterpart) for e in tic.entries if e.kind == "Continuant_Part_Of"]
@@ -302,8 +321,6 @@ def test_tier1_admits_undeclared_but_well_typed_pairs():
 
 def test_stored_declarations_and_links_stay_sound():
     """Re-checking everything a loaded-and-run world stored never fails."""
-    from helpers import run_scenario
-
     for model, scen in (("traffic.xfo", "traffic_desk.xws"),
                         ("school.xfo", "school_hire.xws"),
                         ("celadon.xfo", "celadon_run.xws")):
