@@ -47,6 +47,7 @@ from .dynamics import (
     Frame,
     LinkTemplate,
     Loop,
+    MAX_BLOCK_DEPTH,
     Rule,
     RunSpec,
     Seq,
@@ -62,8 +63,6 @@ from .ontology import EntityDef, Layer, SourceSpan, _span_field
 from .relations import RelationDeclaration, RelationKind
 
 GRAMMAR_VERSION = "1.0"
-# How deep loop and if blocks may nest: deeper would near Python's recursion limit
-MAX_BLOCK_DEPTH = 100
 
 # A wildcard, name, int or punctuation token, a comment, or any other
 # non-blank character (one E_PARSE each)

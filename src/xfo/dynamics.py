@@ -37,6 +37,9 @@ from .trace import TraceEvent
 # A ref inside a template or predicate is a concrete entity name or, inside
 # a workflow body, a formal parameter bound at instantiation.
 Ref = str
+# How deep loop and if blocks may nest, parsed or defined: the parser, the
+# completeness check and a run's cursor recurse at least once a level
+MAX_BLOCK_DEPTH = 100
 
 
 class Wildcard(NamedTuple):
@@ -357,17 +360,20 @@ class Workflow:
 
 def walk_nodes(node: Node):
     """Every node of a workflow tree, each before its children, in source
-    order."""
-    yield node
-    if isinstance(node, Seq):
-        for item in node.items:
-            yield from walk_nodes(item)
-    elif isinstance(node, Loop):
-        yield from walk_nodes(node.body)
-    elif isinstance(node, Cond):
-        yield from walk_nodes(node.then_body)
-        if node.else_body is not None:
-            yield from walk_nodes(node.else_body)
+    order. Raises InvalidTemplateError at the first node inside more than
+    ``MAX_BLOCK_DEPTH`` blocks: loops, ifs and Seqs directly in a Seq."""
+    todo = [(node, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if depth > MAX_BLOCK_DEPTH:
+            raise InvalidTemplateError(f"loop and if blocks nest more than {MAX_BLOCK_DEPTH} deep")
+        yield node
+        if isinstance(node, Seq):
+            todo += [(item, depth + isinstance(item, Seq)) for item in reversed(node.items)]
+        elif isinstance(node, Loop):
+            todo.append((node.body, depth + 1))
+        elif isinstance(node, Cond):
+            todo += [(body, depth + 1) for body in (node.else_body, node.then_body) if body is not None]
 
 
 def walk_steps(node: Node):

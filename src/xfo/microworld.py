@@ -26,11 +26,18 @@ through ``World.edit``, which records a Link or Unlink event for each
 change, so a rule that is not stale would re-evaluate to its previous
 value and fire no edge.
 
-Step effects apply at the step's end tick; a step occupies the half-open
-interval [start, start + duration). A step's preconditions are checked at
-its start tick; a failure marks the run Broken. Interrupting a run
+Each queue entry is (tick, order queued, callable). The drain calls it
+with the tick and queues it again at the tick it returns: a run's
+resumption returns its next, a directive's apply or an interrupt None.
+A run's life is one generator (``WorkflowRun.life``): sent the tick it
+resumes at, it yields the next, first its start, then each step's end.
+A step occupies [start, start + duration): its preconditions are checked
+at its start, a failure marks the run Broken, and its effects apply at
+its end. A recursive generator walks the workflow's control tree, reading
+each loop and if guard at the tick control reaches it. Interrupting a run
 cancels its actions at strictly later ticks, so a step ending exactly at
-the interrupt tick still applies.
+the interrupt tick still applies. No entry refers to the simulation, so
+a finished one leaves no reference cycle.
 
 A scenario directive and a rule's action are the same dynamics action
 types: the directive carries its tick, the rule's action runs at the tick
@@ -41,9 +48,10 @@ queues a run here. A rule whose action fails leaves no RuleFired event.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
+from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import count
 from typing import NamedTuple
 
@@ -119,10 +127,7 @@ class Scenario(NamedTuple):
 
 
 class WorkflowRun:
-    """One execution of a workflow within a scenario, with a cursor that
-    walks the workflow's control tree and yields the next step on demand.
-    Loop and conditional guards are evaluated at the tick control reaches
-    them.
+    """One execution of a workflow within a scenario; see ``life``.
 
     ``binding`` is fixed when ``bind_args`` builds it and never mutated, so
     each step's unlink and link templates are resolved against it once per
@@ -138,9 +143,8 @@ class WorkflowRun:
         self.status = RunStatus.PENDING
         self.last_completed_step: str | None = None
         self.cancelled_after: int | None = None
-        self._stack: list[list] = [["seq", workflow.body, 0]]
-        self._spin_tick = 0
-        self._moves = 0  # cursor moves at _spin_tick, over every next_step call
+        self._tick = 0  # the tick the run last resumed at
+        self._moves = 0  # cursor moves at _tick
         self._batches: dict[str, Batch] = {}
         self._payloads: dict[str, FrozenPayload] = {}
 
@@ -157,51 +161,84 @@ class WorkflowRun:
             self._payloads[step.name] = FrozenPayload(run=self.id, workflow=self.workflow.name, step=step.name)
         return self._payloads[step.name]
 
-    def next_step(self, world: World, tick: int, horizon: int) -> WorkflowStep | None:
+    def life(self, world: World, at: int, horizon: int) -> Generator[int, int, None]:
+        """The run from its start at ``at`` until a precondition or edit
+        breaks, an interrupt cancels or its last step ends."""
+        tick = self._tick = yield at
+        if self.status is not RunStatus.PENDING:  # interrupted before it started
+            return
+        self.status = RunStatus.RUNNING
+        world.record("WorkflowStart", tick, {"run": self.id, "workflow": self.workflow.name})
+        for step in self._walk(self.workflow.body, world, horizon):
+            for pred in step.preconditions:
+                if not pred.holds(world, tick, self.binding):
+                    self._break(world, step.name, tick, pred.render(self.binding))
+                    return
+            world.record("StepStart", tick, self.payload(step))
+            # a duration is a number or a parameter bind_args bound to one
+            tick = yield tick + (step.duration if isinstance(step.duration, int) else self.binding[step.duration])
+            if tick != self._tick:
+                self._tick, self._moves = tick, 0
+            if self.status is RunStatus.INTERRUPTED and self.cancelled_after != tick:
+                return  # cancelled before the step's end
+            try:
+                apply_batch(world, self.batch(step), tick, lenient=step.placeholder)
+            except PreconditionFailedError as exc:
+                self._break(world, step.name, tick, exc.predicate or str(exc))
+                return
+            world.record("StepEnd", tick, self.payload(step))
+            self.last_completed_step = step.name
+            if self.status is RunStatus.INTERRUPTED:
+                return  # the step ended at the interrupt tick
+        self.status = RunStatus.COMPLETED
+        world.record(
+            "WorkflowComplete", tick,
+            {"run": self.id, "workflow": self.workflow.name, "last": self.last_completed_step},
+        )
+
+    def _walk(self, seq: Seq, world: World, horizon: int) -> Iterator[WorkflowStep]:
+        """The steps of ``seq`` in control order: one cursor move per item
+        visited, one per loop test and one on leaving ``seq``."""
+        for item in seq.items:
+            self._move()
+            if isinstance(item, Step):
+                yield item.step
+            elif isinstance(item, Seq):
+                yield from self._walk(item, world, horizon)
+            elif isinstance(item, Cond):
+                body = item.then_body if item.guard.holds(world, self._tick, self.binding) else item.else_body
+                if body is not None:
+                    yield from self._walk(body, world, horizon)
+            elif isinstance(item, Loop):
+                for done in count():
+                    self._move()
+                    if item.count is not None:
+                        again = done < item.count
+                    elif item.guard is not None:
+                        again = not item.guard.holds(world, self._tick, self.binding)
+                    else:  # until_end: rescheduled while the horizon allows
+                        again = self._tick <= horizon
+                    if not again:
+                        break
+                    yield from self._walk(item.body, world, horizon)
+        self._move()
+
+    def _move(self) -> None:
         # count every move, not only steps begun: a loop whose iterations
         # begin no step livelocks as surely as a zero-duration one
-        if self._spin_tick != tick:
-            self._spin_tick, self._moves = tick, 0
-        while self._stack:
-            self._moves += 1
-            if self._moves > SPIN_LIMIT:
-                raise SimulationError(
-                    f"run {self.id} ('{self.workflow.name}') made {SPIN_LIMIT} cursor moves "
-                    f"at tick {tick}; loop livelock"
-                )
-            frame = self._stack[-1]
-            if frame[0] == "seq":
-                node, idx = frame[1], frame[2]
-                if idx >= len(node.items):
-                    self._stack.pop()
-                    continue
-                frame[2] += 1
-                item = node.items[idx]
-                if isinstance(item, Step):
-                    return item.step
-                if isinstance(item, Seq):
-                    self._stack.append(["seq", item, 0])
-                elif isinstance(item, Loop):
-                    self._stack.append(["loop", item, 0])
-                elif isinstance(item, Cond):
-                    if item.guard.holds(world, tick, self.binding):
-                        self._stack.append(["seq", item.then_body, 0])
-                    elif item.else_body is not None:
-                        self._stack.append(["seq", item.else_body, 0])
-            else:  # loop
-                node, done = frame[1], frame[2]
-                if node.count is not None:
-                    again = done < node.count
-                elif node.guard is not None:
-                    again = not node.guard.holds(world, tick, self.binding)
-                else:  # until_end: rescheduled while the horizon allows
-                    again = tick <= horizon
-                if not again:
-                    self._stack.pop()
-                    continue
-                frame[2] += 1
-                self._stack.append(["seq", node.body, 0])
-        return None
+        self._moves += 1
+        if self._moves > SPIN_LIMIT:
+            raise SimulationError(
+                f"run {self.id} ('{self.workflow.name}') made {SPIN_LIMIT} cursor moves "
+                f"at tick {self._tick}; loop livelock"
+            )
+
+    def _break(self, world: World, step_name: str, tick: int, predicate: str) -> None:
+        self.status = RunStatus.BROKEN
+        world.record(
+            "WorkflowBroken", tick,
+            {"run": self.id, "workflow": self.workflow.name, "step": step_name, "predicate": predicate},
+        )
 
 
 def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoError]]:
@@ -262,7 +299,7 @@ class Simulation:
         self.world = world
         self.scenario = scenario
         self.runs: list[WorkflowRun] = []
-        self.queue: list[tuple[int, int, object]] = []  # a heap of (tick, order queued, action)
+        self.queue: list[tuple[int, int, Callable[[int], int | None]]] = []  # a heap; see the module docstring
         self._order = count()
         self.now = 0  # next unprocessed tick
         self.ticks_visited = 0
@@ -283,8 +320,10 @@ class Simulation:
         for item in scenario.schedule:
             if isinstance(item, RunSpec):
                 self._queue_run(item, item.at)
+            elif isinstance(item, InterruptDirective):
+                self._push(item.at, partial(_interrupt, world, self.runs, item.run))
             else:
-                self._push(item.at, item)
+                self._push(item.at, partial(_apply, world, item))
 
     # ------------------------------------------------------------------
     # public operations
@@ -310,12 +349,16 @@ class Simulation:
 
     def interrupt(self, run_id: int, at: int):
         """Schedule an external interrupt of a run at tick `at`."""
-        run = self._run(run_id)
+        if not 0 <= run_id < len(self.runs):
+            raise XfoError(f"no run with ordinal {run_id}")
+        run = self.runs[run_id]
         if run.status in TERMINAL:
             raise NotInterruptibleError(f"run {run_id} is already {run.status.value}")
         if at < self.now:
             raise NotInterruptibleError(f"tick {at} has already been processed")
-        self._push(at, InterruptDirective(run_id, at))
+        if at > self.scenario.horizon:
+            raise NotInterruptibleError(f"tick {at} is past the horizon {self.scenario.horizon}")
+        self._push(at, partial(_interrupt, self.world, self.runs, run_id))
 
     def summary(self) -> list[tuple[int, str, str, str | None]]:
         """(id, workflow, status, lastCompletedStep) per run, in id order."""
@@ -327,95 +370,22 @@ class Simulation:
     # ------------------------------------------------------------------
     # internals
 
-    def _run(self, run_id: int) -> WorkflowRun:
-        if not 0 <= run_id < len(self.runs):
-            raise XfoError(f"no run with ordinal {run_id}")
-        return self.runs[run_id]
-
-    def _push(self, tick: int, action) -> None:
-        heapq.heappush(self.queue, (tick, next(self._order), action))
+    def _push(self, tick: int, act: Callable[[int], int | None]) -> None:
+        heapq.heappush(self.queue, (tick, next(self._order), act))
 
     def _drain(self, tick: int) -> None:
         queue = self.queue
         while queue and queue[0][0] == tick:
-            self._execute(heapq.heappop(queue)[2], tick)
+            act = heapq.heappop(queue)[2]
+            if (again := act(tick)) is not None:
+                self._push(again, act)
 
     def _queue_run(self, spec: RunSpec, at: int) -> None:
         wf = self.world.workflows[spec.target]
         run = WorkflowRun(len(self.runs), wf, bind_args(self.world, wf, spec.args))
         self.runs.append(run)
-        self._push(at, ("start", run.id))
-
-    def _execute(self, action, tick: int) -> None:
-        """Run one queued action: a scenario directive, or a run's
-        ("start", run_id) or ("step_end", run_id, step)."""
-        world = self.world
-        if isinstance(action, tuple):
-            run = self.runs[action[1]]
-            if action[0] == "step_end":
-                self._finish_step(run, action[2], tick)
-            elif run.status is RunStatus.PENDING:
-                run.status = RunStatus.RUNNING
-                world.record("WorkflowStart", tick, {"run": run.id, "workflow": run.workflow.name})
-                self._begin_next_step(run, tick)
-        elif isinstance(action, InterruptDirective):
-            self._interrupt_now(self.runs[action.run], tick)
-        else:
-            try:
-                apply_action(world, action, tick)
-            except XfoError as exc:
-                word = ACTION_KEYWORDS[type(action)][0]
-                raise SimulationError(f"{word} '{action.target}' at {tick}: {exc}") from exc
-
-    def _interrupt_now(self, run: WorkflowRun, tick: int) -> None:
-        if run.status in TERMINAL:
-            raise SimulationError(f"interrupt: run {run.id} is already {run.status.value}")
-        run.status = RunStatus.INTERRUPTED
-        run.cancelled_after = tick
-        self.world.record(
-            "Interrupt", tick,
-            {"run": run.id, "workflow": run.workflow.name, "last": run.last_completed_step},
-        )
-
-    def _begin_next_step(self, run: WorkflowRun, tick: int) -> None:
-        step = run.next_step(self.world, tick, self.scenario.horizon)
-        if step is None:
-            run.status = RunStatus.COMPLETED
-            self.world.record(
-                "WorkflowComplete", tick,
-                {"run": run.id, "workflow": run.workflow.name, "last": run.last_completed_step},
-            )
-            return
-        # a precondition that fails at the step's start breaks the run
-        for pred in step.preconditions:
-            if not pred.holds(self.world, tick, run.binding):
-                self._break(run, step.name, tick, pred.render(run.binding))
-                return
-        self.world.record("StepStart", tick, run.payload(step))
-        # a duration is a number or a parameter bind_args bound to one
-        duration = step.duration if isinstance(step.duration, int) else run.binding[step.duration]
-        self._push(tick + duration, ("step_end", run.id, step))
-
-    def _finish_step(self, run: WorkflowRun, step: WorkflowStep, tick: int) -> None:
-        boundary = run.status is RunStatus.INTERRUPTED and run.cancelled_after == tick
-        if run.status is not RunStatus.RUNNING and not boundary:
-            return
-        try:
-            apply_batch(self.world, run.batch(step), tick, lenient=step.placeholder)
-        except PreconditionFailedError as exc:
-            self._break(run, step.name, tick, exc.predicate or str(exc))
-            return
-        self.world.record("StepEnd", tick, run.payload(step))
-        run.last_completed_step = step.name
-        if not boundary:
-            self._begin_next_step(run, tick)
-
-    def _break(self, run: WorkflowRun, step_name: str, tick: int, predicate: str) -> None:
-        run.status = RunStatus.BROKEN
-        self.world.record(
-            "WorkflowBroken", tick,
-            {"run": run.id, "workflow": run.workflow.name, "step": step_name, "predicate": predicate},
-        )
+        life = run.life(self.world, at, self.scenario.horizon)
+        self._push(next(life), partial(_resume, life))
 
     def _stale(self) -> set[int]:
         """The stale rules' positions, after marking stale the readers of
@@ -464,6 +434,31 @@ class Simulation:
         except XfoError as exc:
             world.unrecord(fired)
             raise SimulationError(f"rule '{rule.name}' action failed at {tick}: {exc}") from exc
+
+
+def _resume(life: Generator[int, int, None], tick: int) -> int | None:
+    """Send ``tick`` to a run's life: the tick it next resumes at, or None."""
+    try:
+        return life.send(tick)
+    except StopIteration:
+        return None
+
+
+def _apply(world: World, action, tick: int) -> None:
+    try:
+        apply_action(world, action, tick)
+    except XfoError as exc:
+        word = ACTION_KEYWORDS[type(action)][0]
+        raise SimulationError(f"{word} '{action.target}' at {tick}: {exc}") from exc
+
+
+def _interrupt(world: World, runs: list[WorkflowRun], run_id: int, tick: int) -> None:
+    run = runs[run_id]
+    if run.status in TERMINAL:
+        raise SimulationError(f"interrupt: run {run.id} is already {run.status.value}")
+    run.status = RunStatus.INTERRUPTED
+    run.cancelled_after = tick
+    world.record("Interrupt", tick, {"run": run.id, "workflow": run.workflow.name, "last": run.last_completed_step})
 
 
 def _stale_key(p: StatePredicate) -> tuple:

@@ -10,6 +10,7 @@ from xfo.dynamics import (
     Frame,
     LinkTemplate,
     Loop,
+    MAX_BLOCK_DEPTH,
     Rule,
     RunSpec,
     Seq,
@@ -326,6 +327,35 @@ def test_define_workflow_errors(lamp_world):
         define_workflow(w, Workflow("w4", (), Seq((_step("s", agent="ghost"),)), True))
     with pytest.raises(DuplicateNameError, match="workflow 'w5' declares parameter 'x' twice"):
         define_workflow(w, Workflow("w5", ("x", "y", "x"), Seq((_step("s"),)), False))
+
+
+NESTERS = {
+    "loop": lambda body: Loop(body, count=1),
+    "if": lambda body: Cond(P(True, "lampA_green", "Has_Quality", "green"), body),
+    "seq": lambda body: body,  # a Seq directly in a Seq, which no DSL text gives
+}
+
+
+@pytest.mark.parametrize("block", sorted(NESTERS))
+def test_define_workflow_refuses_blocks_nested_past_max_block_depth(lamp_world, block):
+    """A body built in Python nests blocks at most as deep as a parsed one;
+    a deeper one is refused before any walk recurses."""
+    def nested(depth):
+        body = Seq((_step("s"),))
+        for _ in range(depth):
+            body = Seq((NESTERS[block](body),))
+        return body
+
+    w = lamp_world
+    for depth in (MAX_BLOCK_DEPTH + 1, 1000):
+        with pytest.raises(InvalidTemplateError) as info:
+            define_workflow(w, Workflow("deep", (), nested(depth), False))
+        assert str(info.value) == "loop and if blocks nest more than 100 deep"
+    assert "deep" not in w.workflows
+    define_workflow(w, Workflow("w", (), nested(MAX_BLOCK_DEPTH), False))
+    sim = load_scenario(w, Scenario("s", 3, (), (RunSpec("w", (), 0),)))
+    sim.run_until(3)
+    assert sim.summary() == [(0, "w", "Completed", "s")]
 
 
 def test_define_workflow_param_conflict(lamp_world):

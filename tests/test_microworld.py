@@ -267,6 +267,8 @@ run flip(a) at 3
     sim2.run_until(1)
     with pytest.raises(NotInterruptibleError):
         sim2.interrupt(0, 0)  # past tick
+    with pytest.raises(NotInterruptibleError, match=r"^tick 5 is past the horizon 4$"):
+        sim2.interrupt(0, 5)  # never reached, as a scenario line refuses it
     sim2.interrupt(0, 3)
     sim2.run_until(4)
     assert sim2.runs[0].status is RunStatus.INTERRUPTED
@@ -469,25 +471,34 @@ activate Membership(person=pat, org=acme, badge=member) at 1
 
 
 def test_zero_duration_loop_livelock_detected():
-    world, scenario = _world_and_scenario("""
+    # a loop of n iterations of one zero-duration step makes 3n + 3 cursor
+    # moves at tick 0, so 3332 iterations are the most that complete
+    livelock = "run 0 ('spin') made 10000 cursor moves at tick 0; loop livelock"
+    for head, error in (("until end", livelock), ("3332", None), ("3333", livelock)):
+        world, scenario = _world_and_scenario(f"""
 model Spin
 universal Thing is_a B_Object
 particular a instance_of Thing
-mechanism spin {
-  loop until end {
-    step s {
+mechanism spin {{
+  loop {head} {{
+    step s {{
       duration 0
-    }
-  }
-}
+    }}
+  }}
+}}
 """, """
 scenario spin
 horizon 2
 run spin() at 0
 """)
-    sim = load_scenario(world, scenario)
-    with pytest.raises(SimulationError):
-        sim.run_until(2)
+        sim = load_scenario(world, scenario)
+        if error is None:
+            sim.run_until(2)
+            assert sim.summary() == [(0, "spin", "Completed", "s")]
+            continue
+        with pytest.raises(SimulationError) as info:
+            sim.run_until(2)
+        assert str(info.value) == error, head
 
 
 SPIN_MODEL = """
