@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -59,7 +58,7 @@ from .dynamics import (
     WorkflowStep,
 )
 from .microworld import InterruptDirective
-from .ontology import EntityDef, Layer, SourceSpan, _span_field
+from .ontology import EntityDef, Layer, SourceSpan, _spanned
 from .relations import RelationDeclaration, RelationKind
 
 GRAMMAR_VERSION = "1.0"
@@ -86,34 +85,34 @@ class Diagnostic(NamedTuple):
 # statements
 
 
-@dataclass(frozen=True)
-class ModelHeader:
+@_spanned
+class ModelHeader(NamedTuple):
     name: str
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioHeader:
+@_spanned
+class ScenarioHeader(NamedTuple):
     name: str
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class HorizonStmt:
+@_spanned
+class HorizonStmt(NamedTuple):
     value: int
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class InitStmt:
+@_spanned
+class InitStmt(NamedTuple):
     template: LinkTemplate
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class RuleRefStmt:
+@_spanned
+class RuleRefStmt(NamedTuple):
     name: str
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 class ModelDocument(NamedTuple):

@@ -8,7 +8,6 @@ unlink or an active link instead of failing, but still need valid links.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     UnknownSlotError,
     XfoError,
 )
-from .ontology import Layer, SourceSpan, _span_field
+from .ontology import Layer, SourceSpan, _spanned
 from .relations import Triple, World, _repeated
 from .trace import TraceEvent
 
@@ -104,12 +103,12 @@ def _resolve(ref: Ref, binding: dict | None) -> str:
 # transitionals
 
 
-@dataclass(frozen=True)
-class Transitional:
+@_spanned
+class Transitional(NamedTuple):
     name: str
     unlinks: tuple[LinkTemplate, ...]
     links: tuple[LinkTemplate, ...]
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 def _check_edits(world: World, templates: tuple, params: frozenset[str], label: str) -> list[str]:
@@ -202,12 +201,12 @@ def apply_transitional(world: World, t: Transitional, at: int) -> list[TraceEven
 # frames
 
 
-@dataclass(frozen=True)
-class Frame:
+@_spanned
+class Frame(NamedTuple):
     name: str
     slots: tuple[str, ...]
     templates: tuple[LinkTemplate, ...]  # refs are slot names
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     def used_slots(self) -> tuple[str, ...]:
         used = []
@@ -349,13 +348,13 @@ class Cond(NamedTuple):
 Node = Union[Step, Seq, Loop, Cond]
 
 
-@dataclass(frozen=True)
-class Workflow:
+@_spanned
+class Workflow(NamedTuple):
     name: str
     params: tuple[str, ...]
     body: Seq
     requires_agent: bool  # True: Workflow (external factor); False: Mechanism
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 def walk_nodes(node: Node):
@@ -568,8 +567,9 @@ def check_completeness(workflow: Workflow, initial) -> CompletenessReport:
 
     facts = frozenset((p.from_ref, p.kind, p.to_ref) for p in initial if p.exists
                       and not isinstance(p.from_ref, Wildcard) and not isinstance(p.to_ref, Wildcard))
-    run(workflow.body, facts, facts, "")
+    # walk_steps refuses a body nested past MAX_BLOCK_DEPTH before run recurses
     placeholders = tuple(s.name for s in walk_steps(workflow.body) if s.placeholder)
+    run(workflow.body, facts, facts, "")
     return CompletenessReport(not found, tuple(found.values()), placeholders)
 
 
@@ -577,43 +577,44 @@ def check_completeness(workflow: Workflow, initial) -> CompletenessReport:
 # actions: what a rule's ``then`` names, and a scenario line at a tick
 
 
-class Action:
-    """An action that starts a workflow, applies a transitional, or
-    activates or deactivates a frame. A scenario directive gives its tick
-    in ``at``; a rule's action has ``at`` None and runs when it fires."""
-
-    def render(self) -> str:
-        """The action in rule syntax, e.g. ``start_workflow w(a, 2)``."""
-        return f"{ACTION_KEYWORDS[type(self)][1]} {self.operand()}"
+def _render(action) -> str:
+    """The action in rule syntax, e.g. ``start_workflow w(a, 2)``."""
+    return f"{ACTION_KEYWORDS[type(action)][1]} {action.operand()}"
 
 
-@dataclass(frozen=True)
-class RunSpec(Action):
+@_spanned
+class RunSpec(NamedTuple):
     target: str  # workflow name
     args: tuple = ()  # entity names and ints, positionally matching the params
     at: int | None = None
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
+
+    render = _render
 
     def operand(self) -> str:
         return f"{self.target}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class ApplyDirective(Action):
+@_spanned
+class ApplyDirective(NamedTuple):
     target: str  # transitional name
     at: int | None = None
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
+
+    render = _render
 
     def operand(self) -> str:
         return self.target
 
 
-@dataclass(frozen=True)
-class _FrameAction(Action):
+@_spanned
+class _FrameAction(NamedTuple):
     target: str  # frame name
     binding: tuple = ()  # sorted (slot, value) pairs
     at: int | None = None
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
+
+    render = _render
 
     def operand(self) -> str:
         return f"{self.target}({', '.join(f'{k}={v}' for k, v in self.binding)})"
@@ -622,10 +623,19 @@ class _FrameAction(Action):
 class ActivateDirective(_FrameAction):
     """Create the frame's links under ``binding``."""
 
+    __slots__ = ()
+
 
 class DeactivateDirective(_FrameAction):
     """Remove the links of the frame's activation under ``binding``."""
 
+    __slots__ = ()
+
+
+# An action starts a workflow, applies a transitional, or activates or
+# deactivates a frame. A scenario directive gives its tick in ``at``; a
+# rule's action has ``at`` None and runs when it fires.
+Action = Union[RunSpec, ApplyDirective, ActivateDirective, DeactivateDirective]
 
 # Each action's keyword in a scenario and in a rule's ``then``.
 ACTION_KEYWORDS = {
@@ -669,15 +679,15 @@ def apply_action(world: World, action: Action, at: int) -> None:
 # rules
 
 
-@dataclass(frozen=True)
-class Rule:
+@_spanned
+class Rule(NamedTuple):
     """Edge-triggered condition-action pair: fires when the guard
     conjunction turns from false to true, at most once per tick."""
 
     name: str
     guard: tuple[StatePredicate, ...]
     action: Action
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 def _check_predicate(world: World, p: StatePredicate, label: str, params: frozenset = frozenset()) -> None:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Generator, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import count
@@ -85,7 +84,7 @@ from .errors import (
     TickOrderError,
     XfoError,
 )
-from .ontology import SourceSpan, _span_field
+from .ontology import SourceSpan, _spanned
 from .relations import World
 from .trace import FrozenPayload
 
@@ -105,11 +104,11 @@ class RunStatus(str, Enum):
 TERMINAL = (RunStatus.COMPLETED, RunStatus.INTERRUPTED, RunStatus.BROKEN)
 
 
-@dataclass(frozen=True)
-class InterruptDirective:
+@_spanned
+class InterruptDirective(NamedTuple):
     run: int
     at: int
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 class Scenario(NamedTuple):

@@ -8,7 +8,6 @@ chain terminates at B_Entity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -46,18 +45,39 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.line}:{self.column}"
 
 
-def _span_field():
-    """Where a definition was written in a source file, if it was; excluded
-    from equality so that parsed and hand-built definitions compare equal."""
-    return field(default=None, compare=False, repr=False)
+def _eq(self, other) -> bool:
+    return self.__class__ is other.__class__ and self[:-1] == other[:-1]
 
 
-@dataclass(frozen=True)
-class EntityDef:
+def _ne(self, other) -> bool:
+    return not _eq(self, other)
+
+
+def _hash(self) -> int:
+    return hash(self[:-1])
+
+
+def _repr(self) -> str:
+    values = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields[:-1], self)])
+    return f"{self.__class__.__qualname__}({values})"
+
+
+def _spanned(cls):
+    """Class decorator for a definition record: a NamedTuple whose last
+    field is ``span``, where the definition was written in a source file,
+    if it was. ``==``, ``!=``, ``hash`` and ``repr`` leave the span out, so
+    that parsed and hand-built definitions compare equal; a definition
+    equals only a definition of its own class."""
+    cls.__eq__, cls.__ne__, cls.__hash__, cls.__repr__ = _eq, _ne, _hash, _repr
+    return cls
+
+
+@_spanned
+class EntityDef(NamedTuple):
     name: str
     layer: Layer
     parent: EntityId | None
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 # The shipped upper taxonomy, in definition order. The X_ prefix marks

@@ -31,17 +31,17 @@ from .errors import (
     UnknownKindError,
     XfoError,
 )
-from .ontology import NAME_RE, EntityId, Layer, SourceSpan, _span_field, bootstrap_b_taxonomy
+from .ontology import NAME_RE, EntityId, Layer, SourceSpan, _spanned, bootstrap_b_taxonomy
 from .trace import FrozenPayload, TraceEvent
 
 
-@dataclass(frozen=True)
-class RelationKind:
+@_spanned
+class RelationKind(NamedTuple):
     name: str
     domain_b: EntityId
     range_b: EntityId
     builtin: bool = False
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 BUILTIN_KINDS: tuple[RelationKind, ...] = (
@@ -52,12 +52,12 @@ BUILTIN_KINDS: tuple[RelationKind, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RelationDeclaration:
+@_spanned
+class RelationDeclaration(NamedTuple):
     from_u: EntityId
     kind: str
     to_u: EntityId
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 Triple = tuple[EntityId, str, EntityId]

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -204,7 +203,7 @@ def _without_edits(workflow, step_name):
         if node.step.name == step_name:
             node = Step(node.step._replace(unlinks=(), links=()))
         items.append(node)
-    return dataclasses.replace(workflow, body=Seq(tuple(items)))
+    return workflow._replace(body=Seq(tuple(items)))
 
 
 def test_criterion_5_workflow_suite():

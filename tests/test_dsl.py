@@ -1,8 +1,6 @@
 """Parser, diagnostics, pretty-printer round-trips."""
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -592,7 +590,7 @@ def test_rule_action_and_scenario_line_parse_to_one_action():
         scenario = f"{word} {operand} at 3\n"
         rule_doc, scenario_doc = parse_model(model).document, parse_scenario(scenario).document
         (rule,), (line,) = rule_doc.statements, scenario_doc.statements
-        assert rule.action == dataclasses.replace(line, at=None) and line.at == 3
+        assert rule.action == line._replace(at=None) and line.at == 3
         assert print_model(rule_doc) == model and print_scenario(scenario_doc) == scenario
 
 

@@ -358,6 +358,16 @@ def test_define_workflow_refuses_blocks_nested_past_max_block_depth(lamp_world, 
     assert sim.summary() == [(0, "w", "Completed", "s")]
 
 
+def test_check_completeness_refuses_an_undefined_body_nested_past_max_block_depth():
+    """A workflow never passed to ``define_workflow`` is refused before the
+    checker recurses into it."""
+    body = Seq((_step("s"),))
+    for _ in range(1000):
+        body = Seq((Loop(body, 1),))
+    with pytest.raises(InvalidTemplateError, match="loop and if blocks nest more than 100 deep"):
+        check_completeness(Workflow("w", (), body, False), ())
+
+
 def test_define_workflow_param_conflict(lamp_world):
     w = lamp_world
     step = _step("s", duration="x", links=(T("x", "Has_Quality", "green"),))

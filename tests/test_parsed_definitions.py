@@ -68,12 +68,12 @@ def test_the_world_holds_the_parsed_block_definitions(name):
 @pytest.mark.parametrize("name", [*SHIPPED, "catalog.xfo"])
 def test_parse_and_build_construct_each_definition_once(name, monkeypatch):
     built = dict.fromkeys([EntityDef, RelationDeclaration, *BLOCKS], 0)
-    for cls in built:
-        def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+    for cls in built:  # NamedTuple records: every construction calls __new__
+        def counting(_cls, *args, _new=cls.__new__, **kwargs):
             built[_cls] += 1
-            _init(self, *args, **kwargs)
+            return _new(_cls, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(cls, "__new__", counting)
     stmts, world, _ = parse_and_build(name)
     entity_lines = sum(isinstance(s, EntityDef) for s in stmts)
     kind_lines = sum(isinstance(s, RelationKind) for s in stmts)

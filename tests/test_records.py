@@ -1,8 +1,9 @@
 """The record rule: a value record is a NamedTuple unless it needs a
-dataclass feature, which is a field left out of ``==``, ``hash`` and
-``repr`` (a definition's ``span``), a mutable field, or a
-``cached_property``. README "Library" states the rule. Each record keeps
-the fields, defaults and repr it had as a frozen dataclass."""
+dataclass feature, which is a mutable field or a ``cached_property``. A
+definition record's last field is its ``span``, which ``_spanned`` leaves
+out of ``==``, ``hash`` and ``repr``. README "Library" states the rule.
+Each record keeps the fields, defaults and repr it had as a frozen
+dataclass."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,23 +14,41 @@ import pkgutil
 import pytest
 
 import xfo
-from xfo.dsl import Diagnostic, ModelDocument, ModelHeader, ParseResult, ScenarioDocument, ScenarioHeader
+from xfo.dsl import (
+    Diagnostic,
+    HorizonStmt,
+    InitStmt,
+    ModelDocument,
+    ModelHeader,
+    ParseResult,
+    RuleRefStmt,
+    ScenarioDocument,
+    ScenarioHeader,
+)
 from xfo.dynamics import (
+    ActivateDirective,
+    ApplyDirective,
     CompletenessReport,
     Cond,
+    DeactivateDirective,
+    Frame,
     Gap,
     LinkTemplate,
     Loop,
+    Rule,
     RunSpec,
     Seq,
     StatePredicate,
     Step,
+    Transitional,
     Wildcard,
+    Workflow,
     WorkflowStep,
+    _FrameAction,
 )
-from xfo.microworld import Scenario
-from xfo.ontology import SourceSpan
-from xfo.relations import TIC, State, TicEntry, ValidationResult
+from xfo.microworld import InterruptDirective, Scenario
+from xfo.ontology import EntityDef, Layer, SourceSpan
+from xfo.relations import TIC, RelationDeclaration, RelationKind, State, TicEntry, ValidationResult
 
 
 def _xfo_classes():
@@ -41,19 +60,25 @@ def _xfo_classes():
 
 
 def _needs_dataclass(cls) -> bool:
-    return (
-        not cls.__dataclass_params__.frozen
-        or any(not f.compare for f in dataclasses.fields(cls))
-        or any(isinstance(v, functools.cached_property) for v in vars(cls).values())
+    return not cls.__dataclass_params__.frozen or any(
+        isinstance(v, functools.cached_property) for v in vars(cls).values()
     )
 
 
 def test_a_dataclass_needs_a_dataclass_feature():
-    """A frozen dataclass whose every field takes part in ``==`` and that
-    caches nothing is a plain value record, so it should be a NamedTuple."""
+    """A frozen dataclass that caches nothing is a plain value record, so
+    it should be a NamedTuple."""
     kept = [cls for cls in _xfo_classes() if dataclasses.is_dataclass(cls)]
     assert kept, "the walk found no dataclass in xfo"
     assert [cls.__qualname__ for cls in kept if not _needs_dataclass(cls)] == []
+
+
+def test_the_dataclasses_are_exactly_linkinstance_and_tracedoc():
+    """``LinkInstance.end`` is mutable and ``TraceDoc.spans`` is a
+    ``cached_property``; every other record is a NamedTuple, whose class
+    costs no ``exec`` of generated methods at import."""
+    kept = sorted(cls.__qualname__ for cls in _xfo_classes() if dataclasses.is_dataclass(cls))
+    assert kept == ["LinkInstance", "TraceDoc"]
 
 
 SPAN = SourceSpan("m.xfo", 3, 5)
@@ -118,6 +143,49 @@ RECORDS = [
      "TIC(core='lamp', at=None, entries=(TicEntry(direction='in', kind='Has_Quality', counterpart='lamp', "
      "via=None),))"),
 ]
+SPAN_DEFAULT = {"span": None}
+# the definition records: each sample has a span, which its repr leaves out
+SPANNED = [
+    (EntityDef, ("name", "layer", "parent", "span"), SPAN_DEFAULT,
+     EntityDef("Lamp", Layer.U, "B_Object", span=SPAN),
+     "EntityDef(name='Lamp', layer=<Layer.U: 'U'>, parent='B_Object')"),
+    (RelationKind, ("name", "domain_b", "range_b", "builtin", "span"), {"builtin": False, **SPAN_DEFAULT},
+     RelationKind("Lights", "B_Object", "B_Quality", span=SPAN),
+     "RelationKind(name='Lights', domain_b='B_Object', range_b='B_Quality', builtin=False)"),
+    (RelationDeclaration, ("from_u", "kind", "to_u", "span"), SPAN_DEFAULT,
+     RelationDeclaration("Lamp", "Has_Quality", "Colour", span=SPAN),
+     "RelationDeclaration(from_u='Lamp', kind='Has_Quality', to_u='Colour')"),
+    (Transitional, ("name", "unlinks", "links", "span"), SPAN_DEFAULT,
+     Transitional("t", (TPL,), (), span=SPAN),
+     f"Transitional(name='t', unlinks=({TPL_TEXT},), links=())"),
+    (Frame, ("name", "slots", "templates", "span"), SPAN_DEFAULT,
+     Frame("F", ("x", "y"), (LinkTemplate("x", "Has_Quality", "y"),), span=SPAN),
+     "Frame(name='F', slots=('x', 'y'), templates=(LinkTemplate(from_ref='x', kind='Has_Quality', to_ref='y'),))"),
+    (Workflow, ("name", "params", "body", "requires_agent", "span"), SPAN_DEFAULT,
+     Workflow("w", ("a",), Seq((Step(WS),)), True, span=SPAN),
+     f"Workflow(name='w', params=('a',), body=Seq(items=(Step(step={WS_TEXT}),)), requires_agent=True)"),
+    (RunSpec, ("target", "args", "at", "span"), {"args": (), "at": None, **SPAN_DEFAULT},
+     RunSpec("w", ("a", 2), 0, span=SPAN),
+     "RunSpec(target='w', args=('a', 2), at=0)"),
+    (ApplyDirective, ("target", "at", "span"), {"at": None, **SPAN_DEFAULT},
+     ApplyDirective("t", 3, span=SPAN),
+     "ApplyDirective(target='t', at=3)"),
+    (_FrameAction, ("target", "binding", "at", "span"), {"binding": (), "at": None, **SPAN_DEFAULT},
+     _FrameAction("F", (("x", "a"),), 3, span=SPAN),
+     "_FrameAction(target='F', binding=(('x', 'a'),), at=3)"),
+    (Rule, ("name", "guard", "action", "span"), SPAN_DEFAULT,
+     Rule("r", (PRED,), RunSpec("w", ("a",)), span=SPAN),
+     f"Rule(name='r', guard=({PRED_TEXT},), action=RunSpec(target='w', args=('a',), at=None))"),
+    (InterruptDirective, ("run", "at", "span"), SPAN_DEFAULT,
+     InterruptDirective(0, 5, span=SPAN),
+     "InterruptDirective(run=0, at=5)"),
+    (ModelHeader, ("name", "span"), SPAN_DEFAULT, ModelHeader("M", span=SPAN), "ModelHeader(name='M')"),
+    (ScenarioHeader, ("name", "span"), SPAN_DEFAULT, ScenarioHeader("S", span=SPAN), "ScenarioHeader(name='S')"),
+    (HorizonStmt, ("value", "span"), SPAN_DEFAULT, HorizonStmt(14, span=SPAN), "HorizonStmt(value=14)"),
+    (InitStmt, ("template", "span"), SPAN_DEFAULT, InitStmt(TPL, span=SPAN), f"InitStmt(template={TPL_TEXT})"),
+    (RuleRefStmt, ("name", "span"), SPAN_DEFAULT, RuleRefStmt("r", span=SPAN), "RuleRefStmt(name='r')"),
+]
+RECORDS += SPANNED
 
 
 @pytest.mark.parametrize("cls,fields,defaults,sample,text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
@@ -135,3 +203,19 @@ def test_a_record_equals_a_plain_tuple_of_its_values():
     assert TPL == ("lamp", "Has_Quality", "red") and hash(TPL) == hash(("lamp", "Has_Quality", "red"))
     # a verdict keeps its truth value, which a non-empty tuple would not have
     assert not ValidationResult(False) and ValidationResult(True)
+
+
+@pytest.mark.parametrize("sample", [r[3] for r in SPANNED], ids=[r[0].__name__ for r in SPANNED])
+def test_a_definition_leaves_its_span_out_of_eq_and_hash(sample):
+    assert sample.span == SPAN
+    assert hash(sample) == hash(tuple(sample)[:-1])
+    moved = sample._replace(span=SourceSpan("other.xfo", 9, 9))
+    assert sample == moved and not sample != moved and type(moved) is type(sample)
+
+
+def test_a_definition_equals_only_a_record_of_its_own_class():
+    fields = ("F", (("x", "a"),), 3)
+    activate, deactivate = ActivateDirective(*fields), DeactivateDirective(*fields)
+    assert activate != deactivate and not activate == deactivate
+    assert repr(deactivate) == "DeactivateDirective(target='F', binding=(('x', 'a'),), at=3)"
+    assert activate != (*fields, None) and ModelHeader("M") != ScenarioHeader("M")
