@@ -17,12 +17,19 @@ A line at statement level is first tried against its dispatch's one
 compiled statement pattern, which reads a whole simple statement
 (``universal``, ``particular``, ``relation``, ``relate`` in a model,
 ``init`` in a scenario) written in names, blanks and tabs only; the
-statement is built from the match groups. Any other line, and every line
-inside a block, is tokenized only when the parser reaches it, into a
-cursor (``_Toks``) over its tokens as plain strings; a token's kind
-follows from its text. A simple statement the pattern does not match (a
-comment, an error) goes through the same form on the cursor, so both
-paths give the same statement, span and diagnostic.
+statement is built from the match groups. A line inside a block is
+first tried against its block's one compiled clause pattern, which
+reads a well-formed one-line clause (``link``/``unlink`` in a
+transitional, ``slot``/``link`` in a frame, ``agent``, ``duration``,
+``require`` and ``effect link|unlink`` in a step, ``when`` in a rule)
+and a line holding only the ``}`` that closes the block. Any other line
+(one that opens a block, a rule's ``then``, a comment, an error, a
+step's second ``agent``) is tokenized only when the parser reaches it,
+into a cursor (``_Toks``) over its tokens as plain strings; a token's
+kind follows from its text. Each statement and clause form is declared
+once, and both its pattern and its reading on the cursor come from that
+declaration, so both paths give the same statement, span and
+diagnostic.
 
 A line of name, digit and punctuation characters, blanks and tabs is
 split by one ``findall``, and its token columns are computed only when a
@@ -276,7 +283,7 @@ class _Parser:
         self.file = file
         self.lexical: list[Diagnostic] = []  # the tokenizer's, in line order
         self.diags: list[Diagnostic] = []
-        # (line number, text); statement level and _next_line share it
+        # (line number, text); statement level, _block and _next_line share it
         self.lines = enumerate(text.splitlines(), start=1)
         self.reread: _Toks | None = None  # a closing line _end puts back
 
@@ -319,75 +326,79 @@ class _Parser:
         line.keyword("{")
         line.done()
 
-    def _block(self, what: str, span, clauses: dict, once=(), required=()) -> _Toks:
-        """Parse the lines of a block up to its closing '}'. Each line's
-        keyword is read through ``clauses``, and the parser it maps to reads
-        the rest of the line; a failing line is reported and skipped.
-        A keyword counts as read once its parser returns, even if a trailing
-        token is then reported: a second read of one in ``once`` is an error
-        at that keyword, and at the '}' each one in ``required`` never read
-        is an error at ``span``. Returns the closing line, positioned after
-        the '}'; pass it to ``_end``."""
+    def _block(self, what: str, span, clauses: _Clauses, context=None) -> tuple[dict, _Toks | None]:
+        """Parse the lines of a block up to its closing '}' into the lists
+        ``clauses`` keeps its clauses in, by name. A line the block's
+        pattern matches, a well-formed one-line clause or a lone '}', is
+        read from the match. Every other line is tokenized: its keyword is
+        read through ``clauses.table`` and the rest of it on the cursor,
+        and a failing line is reported and skipped. A keyword counts as
+        read once its clause is read, even if a trailing token is then
+        reported: a second read of one in ``clauses.once`` goes to the
+        cursor, which reports it at that keyword, and at the '}' each one
+        in ``clauses.required`` never read is an error at ``span``.
+        Returns the lists and the closing line, positioned after the '}',
+        or None for a lone '}'; pass the line to ``_end``."""
+        got = {name: [] for name in clauses.lists}
         counted = set()
+        match, forms, once = clauses.match, clauses.forms, clauses.once
         while True:
-            line = self._next_line()
+            line, self.reread = self.reread, None
             if line is None:
-                raise _ParseError(f"unterminated {what}", span)
+                for line_no, raw in self.lines:
+                    m = match(raw)
+                    if m is not None:
+                        g = m.lastindex
+                        form = forms[g]
+                        if form is None:  # a lone '}': the block ends, line stays None
+                            break
+                        kw, name, n, clause = form
+                        if kw not in once or kw not in counted:
+                            got[name].append(clause(m.groups()[g:g + n]))
+                            counted.add(kw)
+                            continue
+                    line = _tokenize_line(raw, self.file, line_no, self.lexical)
+                    if line is not None:
+                        break
+                else:
+                    raise _ParseError(f"unterminated {what}", span)
+                if line is None:
+                    break
             if line.peek() == "}":
                 line.take()
-                for kw in required:
-                    if kw not in counted:
-                        self._error(_ParseError(f"{what} has no '{kw}' clause", span))
-                return line
+                break
             try:
-                read = line.keyword_in(clauses)
+                entry = line.keyword_in(clauses.table)
                 kw = line.tokens[line.pos - 1]
                 if kw in once and kw in counted:
                     raise _ParseError(f"{what} has more than one '{kw}'", line.taken_span())
-                read(line)
+                while type(entry) is dict:  # forms that share this keyword: the next one
+                    entry = line.keyword_in(entry)
+                name, words, build = entry
+                got[name].append(build(*_read(line, words)) if words else build(self, line, context))
                 counted.add(kw)
                 line.done()
             except _ParseError as exc:
                 self._recover_line(exc, line.tokens)
+        for kw in clauses.required:
+            if kw not in counted:
+                self._error(_ParseError(f"{what} has no '{kw}' clause", span))
+        return got, line
 
-    def _end(self, close: _Toks) -> None:
+    def _end(self, close: _Toks | None) -> None:
         """Report anything after a block's closing '}', and skip the block
         that text opens, if any. The closed block is complete, so the error
         is recorded here rather than raised into the enclosing recovery,
         which would drop that block. A second '}' is reported too, and
         then closes the enclosing block: the line is that block's next."""
+        if close is None:
+            return
         try:
             close.done()
         except _ParseError as exc:
             self._recover_line(exc, close.tokens[close.pos:])
             if close.peek() == "}":
                 self.reread = close
-
-    # shared pieces -----------------------------------------------------
-
-    def _template(self, line: _Toks) -> LinkTemplate:
-        frm = line.name("an entity")
-        kind = line.name("a relation kind")
-        to = line.name("an entity")
-        return LinkTemplate(frm, kind, to)
-
-    def _edits(self, unlinks: list, links: list) -> dict:
-        """The clause table of an edit: 'link' or 'unlink' and a template,
-        kept in ``links`` or ``unlinks``."""
-        return {
-            "link": lambda line: links.append(self._template(line)),
-            "unlink": lambda line: unlinks.append(self._template(line)),
-        }
-
-    def _predicate(self, line: _Toks) -> StatePredicate:
-        exists = line.keyword_in(_PREDICATES)
-        frm = line.ref()
-        kind = line.name("a relation kind")
-        to = line.ref()
-        return StatePredicate(exists, frm, kind, to)
-
-
-_PREDICATES = {"exists": True, "not_exists": False}
 
 
 def _paren_list(line: _Toks, item) -> tuple:
@@ -422,23 +433,78 @@ def _slot_value(line: _Toks) -> tuple[str, str]:
     return slot, line.name("an entity")
 
 
-# a name in a statement pattern: the tokenizer's name class, as one group
-_NAME = "([A-Za-z_][A-Za-z0-9_]*)"
+# ----------------------------------------------------------------------
+# forms: one declaration gives a line's pattern and its reading on the cursor
+
+# the tokenizer's name class
+_IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 # A SourceSpan built without the NamedTuple's Python-level __new__.
 _span = tuple.__new__
+_PREDICATES = {"exists": True, "not_exists": False}
+# An operand of a form: (its pattern, one group; its reading on the cursor,
+# given its description; its value from the group's text, or None for the
+# text itself). An operand is a name unless its description is a key here.
+_NAME = (f"({_IDENT})", _Toks.name, None)
+_OPERANDS = {
+    "an entity ref": (f"(any:{_IDENT}|{_IDENT})", lambda line, what: line.ref(),
+                      lambda tok: Wildcard(tok[4:]) if tok.startswith("any:") else tok),
+    "a duration": (f"([0-9]+|{_IDENT})", _arg, lambda tok: int(tok) if tok.isdigit() else tok),
+    "exists or not_exists": ("(exists|not_exists)", lambda line, what: line.keyword_in(_PREDICATES),
+                             _PREDICATES.__getitem__),
+}
+_TEMPLATE = "<an entity> <a relation kind> <an entity>"
+_PREDICATE = "<exists or not_exists> <an entity ref> <a relation kind> <an entity ref>"
+
+
+def _words(form: str) -> list:
+    """The words of ``form``: ``(operand, description)`` for each
+    ``<description>``, ``(None, word)`` for each fixed word."""
+    return [(_OPERANDS.get(what, _NAME), what) if what else (None, word)
+            for what, word in re.findall(r"<([^>]+)>|(\S+)", form)]
+
+
+def _pattern(words: list) -> str:
+    """``words`` as one group around one group per operand, with blanks
+    and tabs between them."""
+    return "(" + r"[ \t]+".join(op[0] if op else word for op, word in words) + ")"
+
+
+def _full(branches: list):
+    """The fullmatch of one of ``branches``, blanks and tabs around it."""
+    return re.compile(r"[ \t]*(?:" + "|".join(branches) + r")[ \t]*", re.ASCII).fullmatch
+
+
+def _read(line: _Toks, words: list) -> list:
+    """The values of the operands in ``words``, read on the cursor; each
+    fixed word must stand where it is."""
+    values = []
+    for op, word in words:
+        if op is None:
+            line.keyword(word)
+        else:
+            values.append(op[1](line, word))
+    return values
+
+
+def _one(value):
+    """A clause that is its one operand's value."""
+    return value
+
+
+_PREDICATE_WORDS = _words(_PREDICATE)
+
+
+def _predicate(line: _Toks) -> StatePredicate:
+    """A loop's or if's guard, read as a step's ``require`` is."""
+    return StatePredicate(*_read(line, _PREDICATE_WORDS))
 
 
 def _p_simple(p: _Parser, line: _Toks, span, words: list, build):
-    """A simple statement on the cursor: each of ``words`` is a name (its
-    description) or a fixed keyword, as ``_Grammar`` splits a form."""
-    names = []
-    for what, word in words:
-        if what:
-            names.append(line.name(what))
-        else:
-            line.keyword(word)
+    """A simple statement on the cursor: ``words`` are its form's words
+    after the keyword."""
+    values = _read(line, words)
     line.done()
-    return build(*names, span=span)
+    return build(*values, span=span)
 
 
 class _Grammar:
@@ -456,14 +522,63 @@ class _Grammar:
         self.forms, self.handlers = {}, dict(handlers)
         branches, group = [], 1
         for form, build in simple.items():
-            (_, keyword), *words = re.findall(r"<([^>]+)>|(\S+)", form)
-            n = sum(1 for what, _ in words if what)
-            parts = [keyword, *(_NAME if what else word for what, word in words)]
-            branches.append("(" + r"[ \t]+".join(parts) + ")")
+            words = _words(form)
+            n = sum(1 for op, _ in words if op)
+            branches.append(_pattern(words))
+            keyword = words[0][1]
             self.forms[group] = (build, tuple(range(group + 1, group + 1 + n)), len(keyword))
-            self.handlers[keyword] = partial(_p_simple, words=words, build=build)
+            self.handlers[keyword] = partial(_p_simple, words=words[1:], build=build)
             group += 1 + n
-        self.match = re.compile(r"[ \t]*(?:" + "|".join(branches) + r")[ \t]*", re.ASCII).fullmatch
+        self.match = _full(branches)
+
+
+class _Clauses:
+    """The clauses of one kind of block, as ``_Grammar`` holds a file's
+    statements. ``forms`` maps each form, ``keyword [keyword] <operand>
+    ...``, to the name of the list that keeps its clauses and to
+    ``build``, which makes a clause from its operands' values. A form of one keyword alone (one that opens a block,
+    a rule's ``then``) has no pattern: ``build(parser, line, context)``
+    reads the rest of its line on the cursor. The other forms and a lone
+    '}' make the block's one pattern, one group per form around its
+    operand groups, told apart by ``lastindex``. ``table`` gives the
+    cursor each clause keyword's ``(list name, other words, build)`` or,
+    where forms share the keyword, a table of their next keywords. A
+    keyword in ``once`` may be read once in a block, and each in
+    ``required`` must be."""
+
+    __slots__ = ("match", "forms", "table", "lists", "once", "required")
+
+    def __init__(self, forms: dict, once=(), required=()):
+        self.forms, self.table, self.once, self.required = {}, {}, once, required
+        self.lists = tuple(dict.fromkeys(name for name, _ in forms.values()))
+        branches, group = [], 1
+        for form, (name, build) in forms.items():
+            words = _words(form)
+            keywords = 1
+            while keywords < len(words) and words[keywords][0] is None:
+                keywords += 1
+            *path, last = [word for _, word in words[:keywords]]
+            table = self.table
+            for word in path:
+                table = table.setdefault(word, {})
+            table[last] = (name, words[keywords:], build)
+            from_text = [op[2] for op, _ in words if op]
+            if from_text:
+                branches.append(_pattern(words))
+                self.forms[group] = (words[0][1], name, len(from_text), _from_texts(from_text, build))
+                group += 1 + len(from_text)
+        branches.append(r"(\})")
+        self.forms[group] = None
+        self.match = _full(branches)
+
+
+def _from_texts(from_text: list, build):
+    """The function from a match's operand texts to its clause: ``build``
+    of each text through its function in ``from_text`` (None: the text
+    itself)."""
+    if any(from_text):
+        return lambda texts: build(*[t if f is None else f(t) for f, t in zip(from_text, texts)])
+    return lambda texts: build(*texts)
 
 
 def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
@@ -503,21 +618,17 @@ def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
 def _p_transitional(p: _Parser, line: _Toks, span) -> Transitional:
     name = line.name("a transitional name")
     p._open_brace(line)
-    unlinks, links = [], []
-    p._end(p._block(f"transitional '{name}'", span, p._edits(unlinks, links)))
-    return Transitional(name, tuple(unlinks), tuple(links), span=span)
+    got, close = p._block(f"transitional '{name}'", span, _TRANSITIONAL)
+    p._end(close)
+    return Transitional(name, tuple(got["unlinks"]), tuple(got["links"]), span=span)
 
 
 def _p_frame(p: _Parser, line: _Toks, span) -> Frame:
     name = line.name("a frame name")
     p._open_brace(line)
-    slots, templates = [], []
-    clauses = {
-        "slot": lambda body: slots.append(body.name("a slot name")),
-        "link": lambda body: templates.append(p._template(body)),
-    }
-    p._end(p._block(f"frame '{name}'", span, clauses))
-    return Frame(name, tuple(slots), tuple(templates), span=span)
+    got, close = p._block(f"frame '{name}'", span, _FRAME)
+    p._end(close)
+    return Frame(name, tuple(got["slots"]), tuple(got["templates"]), span=span)
 
 
 def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> Workflow:
@@ -529,25 +640,25 @@ def _p_workflow(p: _Parser, line: _Toks, span, requires_agent=True) -> Workflow:
     return Workflow(name, params, body, requires_agent, span=span)
 
 
-def _parse_body(p: _Parser, owner: str, span, depth: int = 0) -> tuple[Seq, _Toks]:
+def _parse_body(p: _Parser, owner: str, span, depth: int = 0) -> tuple[Seq, _Toks | None]:
     """Parse workflow body nodes until the matching '}'. Returns the Seq
-    and the close line (positioned after '}') for else-continuations.
-    ``depth`` counts the loop and if blocks around it; one opened past
-    ``MAX_BLOCK_DEPTH`` is an error, and its block is skipped."""
-    nodes = []
+    and the close line (positioned after '}', None for a lone '}') for
+    else-continuations. ``depth`` counts the loop and if blocks around
+    it; one opened past ``MAX_BLOCK_DEPTH`` is an error, and its block is
+    skipped."""
+    got, close = p._block(f"block in '{owner}'", span, _BODY, (owner, span, depth))
+    return Seq(tuple(got["nodes"])), close
 
-    def nested(line: _Toks, parse) -> None:
-        if depth == MAX_BLOCK_DEPTH:
-            raise _ParseError(f"loop and if blocks nest more than {MAX_BLOCK_DEPTH} deep", line.taken_span())
-        nodes.append(parse(p, line, owner, span, depth + 1))
 
-    clauses = {
-        "step": lambda line: nodes.append(Step(_parse_step(p, line, owner))),
-        "loop": lambda line: nested(line, _parse_loop),
-        "if": lambda line: nested(line, _parse_cond),
-    }
-    close = p._block(f"block in '{owner}'", span, clauses)
-    return Seq(tuple(nodes)), close
+def _step_node(p: _Parser, line: _Toks, context) -> Step:
+    return Step(_parse_step(p, line, context[0]))
+
+
+def _nested(parse, p: _Parser, line: _Toks, context):
+    owner, span, depth = context
+    if depth == MAX_BLOCK_DEPTH:
+        raise _ParseError(f"loop and if blocks nest more than {MAX_BLOCK_DEPTH} deep", line.taken_span())
+    return parse(p, line, owner, span, depth + 1)
 
 
 def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
@@ -558,25 +669,15 @@ def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
         placeholder = True
     brace = line.pos
     p._open_brace(line)
-    agent, duration = [], []
-    pre: list[StatePredicate] = []
-    unlinks: list[LinkTemplate] = []
-    links: list[LinkTemplate] = []
-    edits = p._edits(unlinks, links)
-    clauses = {
-        "agent": lambda body: agent.append(body.name("an entity")),
-        "duration": lambda body: duration.append(_arg(body, "a duration")),
-        "require": lambda body: pre.append(p._predicate(body)),
-        "effect": lambda body: body.keyword_in(edits)(body),
-    }
     try:
-        close = p._block(f"step '{name}'", None, clauses, once=("agent", "duration"))
+        got, close = p._block(f"step '{name}'", None, _STEP)
     except _ParseError as exc:  # unterminated: its span is the step's '{'
         exc.span = line.span_at(brace)
         raise
     p._end(close)
+    agent, duration = got["agent"], got["duration"]
     return WorkflowStep(name, agent[0] if agent else None, duration[0] if duration else 0,
-                        tuple(pre), tuple(unlinks), tuple(links), placeholder)
+                        tuple(got["pre"]), tuple(got["unlinks"]), tuple(got["links"]), placeholder)
 
 
 def _parse_loop(p: _Parser, line: _Toks, owner: str, span, depth: int) -> Loop:
@@ -592,7 +693,7 @@ def _parse_loop(p: _Parser, line: _Toks, owner: str, span, depth: int) -> Loop:
             line.take()
             until_end = True
         else:
-            guard = p._predicate(line)
+            guard = _predicate(line)
     p._open_brace(line)
     body, close = _parse_body(p, owner, span, depth)
     p._end(close)
@@ -600,11 +701,11 @@ def _parse_loop(p: _Parser, line: _Toks, owner: str, span, depth: int) -> Loop:
 
 
 def _parse_cond(p: _Parser, line: _Toks, owner: str, span, depth: int) -> Cond:
-    guard = p._predicate(line)
+    guard = _predicate(line)
     p._open_brace(line)
     then_body, close = _parse_body(p, owner, span, depth)
     else_body = None
-    if close.peek() == "else":
+    if close is not None and close.peek() == "else":
         close.take()
         try:
             p._open_brace(close)
@@ -621,13 +722,9 @@ def _parse_cond(p: _Parser, line: _Toks, owner: str, span, depth: int) -> Cond:
 def _p_rule(p: _Parser, line: _Toks, span) -> Rule | None:
     name = line.name("a rule name")
     p._open_brace(line)
-    when: list[StatePredicate] = []
-    then: list = []
-    clauses = {
-        "when": lambda body: when.append(p._predicate(body)),
-        "then": lambda body: then.append(_action(body)),
-    }
-    p._end(p._block(f"rule '{name}'", span, clauses, once=("then",), required=("when", "then")))
+    got, close = p._block(f"rule '{name}'", span, _RULE)
+    p._end(close)
+    when, then = got["when"], got["then"]
     return Rule(name, tuple(when), then[0], span=span) if when and then else None
 
 
@@ -652,6 +749,30 @@ def _action_operand(line: _Toks, cls) -> tuple:
 
 _RULE_ACTIONS = {rule_word: cls for cls, (_, rule_word) in ACTION_KEYWORDS.items()}
 
+_TRANSITIONAL = _Clauses({
+    f"link {_TEMPLATE}": ("links", LinkTemplate),
+    f"unlink {_TEMPLATE}": ("unlinks", LinkTemplate),
+})
+_FRAME = _Clauses({
+    "slot <a slot name>": ("slots", _one),
+    f"link {_TEMPLATE}": ("templates", LinkTemplate),
+})
+_STEP = _Clauses({
+    "agent <an entity>": ("agent", _one),
+    "duration <a duration>": ("duration", _one),
+    f"require {_PREDICATE}": ("pre", StatePredicate),
+    f"effect link {_TEMPLATE}": ("links", LinkTemplate),
+    f"effect unlink {_TEMPLATE}": ("unlinks", LinkTemplate),
+}, once=("agent", "duration"))
+_RULE = _Clauses({
+    f"when {_PREDICATE}": ("when", StatePredicate),
+    "then": ("then", lambda p, line, context: _action(line)),
+}, once=("then",), required=("when", "then"))
+_BODY = _Clauses({
+    "step": ("nodes", _step_node),
+    "loop": ("nodes", partial(_nested, _parse_loop)),
+    "if": ("nodes", partial(_nested, _parse_cond)),
+})
 
 _MODEL = _Grammar(
     {
@@ -663,7 +784,7 @@ _MODEL = _Grammar(
         "relate <a universal> <a relation kind> <a universal>": RelationDeclaration,
     },
     {
-        "model": partial(_p_simple, words=[("a model name", "")], build=ModelHeader),
+        "model": partial(_p_simple, words=_words("<a model name>"), build=ModelHeader),
         "transitional": _p_transitional,
         "frame": _p_frame,
         "workflow": _p_workflow,
@@ -704,9 +825,9 @@ _SCENARIO = _Grammar(
             lambda frm, kind, to, span: InitStmt(LinkTemplate(frm, kind, to), span=span),
     },
     {
-        "scenario": partial(_p_simple, words=[("a scenario name", "")], build=ScenarioHeader),
+        "scenario": partial(_p_simple, words=_words("<a scenario name>"), build=ScenarioHeader),
         "horizon": _p_horizon,
-        "rule": partial(_p_simple, words=[("a rule name", "")], build=RuleRefStmt),
+        "rule": partial(_p_simple, words=_words("<a rule name>"), build=RuleRefStmt),
         "interrupt": _p_interrupt,
         **{word: partial(_p_action, cls=cls) for cls, (word, _) in ACTION_KEYWORDS.items()},
     },

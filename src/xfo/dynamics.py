@@ -222,8 +222,9 @@ def define_frame(world: World, f: Frame) -> Frame:
     name, slots = f.name, f.slots
     if name in world.frames:
         raise DuplicateNameError(f"frame '{name}' already defined")
-    if len(set(slots)) != len(slots):
-        raise DuplicateNameError(f"frame '{name}' declares a slot twice")
+    dup = _repeated(slots)
+    if dup is not None:
+        raise DuplicateNameError(f"frame '{name}' declares slot '{dup}' twice")
     for t in f.templates:
         world.kind(t.kind)
         for r in (t.from_ref, t.to_ref):

@@ -1,5 +1,6 @@
-"""Shared test utilities: the shipped runs, shipped-model loading,
-generated inputs, and hypothesis strategies for lamp mechanisms."""
+"""Shared test utilities: the shipped runs, shipped-model loading, the
+commented copy of a source text, generated inputs, and hypothesis
+strategies for lamp mechanisms."""
 from __future__ import annotations
 
 import itertools
@@ -79,6 +80,16 @@ def link_events(trace) -> list[tuple[int, str, str, str, str]]:
         for e in trace
         if e.kind in ("Link", "Unlink")
     ]
+
+
+def commented(text: str) -> str:
+    """``text`` with `` # c`` at the end of every line: every line then goes
+    down the cursor path, and no token moves."""
+    out = []
+    for piece in text.splitlines(keepends=True):
+        body = piece.splitlines()[0] if piece.splitlines() else ""
+        out.append(body + " # c" + piece[len(body):])
+    return "".join(out)
 
 
 def generated_inputs() -> dict[str, str]:

@@ -240,6 +240,24 @@ def test_timeline_refuses_a_link_field_that_is_not_a_string(field, payload, view
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("kinds,message", [
+    (["Link", "Link"], "event seq 1: duplicate Link for ('lampA', 'Has_Quality', 'red')"),
+    (["Unlink"], "event seq 0: Unlink without active Link for ('lampA', 'Has_Quality', 'red')"),
+    (["Link", "Unlink", "Unlink"], "event seq 2: Unlink without active Link for ('lampA', 'Has_Quality', 'red')"),
+], ids=["second-link", "unlink-first", "second-unlink"])
+def test_timeline_refuses_a_link_edit_that_does_not_replay(kinds, message, tmp_path, capsys):
+    """A hand-edited trace whose Link and Unlink events of one triple do
+    not alternate, starting with a Link, is one malformed-trace line."""
+    trace = tmp_path / "edited.trace.json"
+    events = [{"seq": i, "at": i, "kind": kind, "payload": LINK} for i, kind in enumerate(kinds)]
+    trace.write_text(json.dumps({"model": "m", "scenario": "s", "horizon": 5, "version": 1,
+                                 "events": events}), encoding="utf-8")
+    svg = tmp_path / "x.svg"
+    assert cli.main(["timeline", str(trace), "-o", str(svg)]) == 1
+    assert capsys.readouterr() == (f"{trace}: error: [E_MALFORMED_TRACE] {message}\n", "")
+    assert not svg.exists()
+
+
 def test_timeline_at_out_of_range(capsys):
     assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--trace", "t2.trace.json"]) == 0
     assert cli.main(["timeline", "t2.trace.json", "-o", "t2.svg", "--at", "13"]) == 2

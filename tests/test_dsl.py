@@ -16,7 +16,7 @@ from xfo.dynamics import Cond, Frame, Loop, Rule, RunSpec, Step, Transitional, W
 from xfo.ontology import EntityDef, Layer
 from xfo.relations import RelationDeclaration, RelationKind
 
-from helpers import SHIPPED_MODELS, SHIPPED_RUNS, model_text
+from helpers import SHIPPED_MODELS, SHIPPED_RUNS, commented, model_text
 from printer import print_model, print_scenario
 
 
@@ -395,6 +395,19 @@ def test_workflow_naming_a_parameter_twice_is_refused_at_its_line():
     assert [(d.code, d.span.line, d.message) for d in diags] == [
         ("E_DUP_NAME", 2, "workflow 'w' declares parameter 'x' twice")]
     assert "w" not in world.workflows
+
+
+def test_frame_naming_a_slot_twice_is_refused_at_its_line():
+    """The slot lines read from the clause pattern and, commented, on the
+    cursor: the same diagnostic, which names the slot."""
+    text = "model m\nframe F {\n  slot a\n  slot b\n  slot a\n  link a Has_Role b\n}\n"
+    for source in (text, commented(text)):
+        res = parse_model(source)
+        assert res.ok
+        world, diags = loader.build_world(res.document)
+        assert [(d.code, d.span.line, d.message) for d in diags] == [
+            ("E_DUP_NAME", 2, "frame 'F' declares slot 'a' twice")]
+        assert "F" not in world.frames
 
 
 def test_a_steps_second_agent_or_duration_is_refused_at_that_keyword():

@@ -223,6 +223,23 @@ def test_activate_frame_refuses_a_slot_named_twice(school_world):
     assert (_snapshot(w), w.trace, w.frame_activations) == before
 
 
+def test_activate_frame_refuses_a_binding_that_collapses_two_templates():
+    """Templates ``a K c`` and ``b K c`` with ``a`` and ``b`` bound to one
+    entity would make one link twice: refused before anything is written."""
+    w = World(tier2_strict=False)
+    w.registry.define_universal("Lamp", "B_Object")
+    w.registry.define_universal("Color", "B_Quality")
+    for name, universal in (("lamp", "Lamp"), ("lamp2", "Lamp"), ("red", "Color")):
+        w.registry.instantiate_particular(name, universal)
+    define_frame(w, Frame("Pair", ("a", "b", "c"), (T("a", "Has_Quality", "c"), T("b", "Has_Quality", "c"))))
+    activate_frame(w, "Pair", (("a", "lamp2"), ("b", "lamp"), ("c", "red")), 0)  # no declaration covers it
+    before = (_snapshot(w), list(w.trace), list(w.warnings), dict(w.frame_activations))
+    assert len(before[1]) == 3 and len(before[2]) == 2
+    with pytest.raises(InvalidLinkError, match="frame 'Pair': binding collapses two templates onto lamp Has_Quality red"):
+        activate_frame(w, "Pair", (("a", "lamp"), ("b", "lamp"), ("c", "red")), 1)
+    assert (_snapshot(w), w.trace, w.warnings, w.frame_activations) == before
+
+
 def test_activate_frame_warns_once_per_uncovered_link():
     w = World(tier2_strict=False)
     w.registry.define_universal("Lamp", "B_Object")

@@ -1,11 +1,11 @@
 """Differential tests for the text layers: the trace writer, the trace
 reader and the DSL tokenizer, each against the plain implementation it
-replaced, and the parser's statement pattern against its cursor. The
-references below are that code, kept verbatim apart from names and three
-rules the reader has gained since: a JSON bool is not an integer, a
-horizon is at least 1, and no event is past the horizon. Every optimised
-path must give the same bytes, the same objects and the same error
-messages."""
+replaced, and the parser's statement and clause patterns against its
+cursor. The references below are that code, kept verbatim apart from
+names and three rules the reader has gained since: a JSON bool is not an
+integer, a horizon is at least 1, and no event is past the horizon.
+Every optimised path must give the same bytes, the same objects and the
+same error messages."""
 from __future__ import annotations
 
 import copy
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from xfo import cli, dsl, trace
 from xfo.dsl import Diagnostic, _tokenize_line, parse_model, parse_scenario
+from xfo.dynamics import Wildcard
 from xfo.errors import MalformedTraceError
 from xfo.ontology import SourceSpan
 from xfo.trace import (
@@ -37,6 +38,7 @@ from helpers import (
     MODELS_DIR,
     SHIPPED_RUNS,
     SHIPPED_TRACE_SHA256,
+    commented,
     generated_inputs,
     model_text,
     run_scenario,
@@ -517,15 +519,12 @@ OTHER_LINE = st.sampled_from([
 BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x85"])
 
 
-@st.composite
-def simple_line(draw) -> str:
-    """A simple statement as drawn, or with a token missing, a token too
-    many, a word that is not a name, or a bad character (a form feed
-    breaks the line) inside a word; blanks and tabs between, before and
-    after its words."""
-    words = [w or draw(WORD) for w in draw(st.sampled_from(SIMPLE_FORMS))]
+def spelled(draw, words: list, other) -> str:
+    """``words`` as drawn, or with a word missing, a word too many (drawn
+    from ``other``), a word that is not a name, or a bad character (a form
+    feed or a vertical tab breaks the line) inside a word; blanks and tabs
+    between, before and after them."""
     how = draw(st.sampled_from(["as drawn", "missing", "extra", "not a name", "bad"]))
-    other = WORD | st.sampled_from(["7", "9lives", "{", "any:U", "="])
     if how == "missing":
         del words[draw(st.integers(0, len(words) - 1))]
     elif how == "extra":
@@ -535,26 +534,24 @@ def simple_line(draw) -> str:
     elif how == "bad":
         i = draw(st.integers(0, len(words) - 1))
         at = draw(st.integers(0, len(words[i])))
-        words[i] = words[i][:at] + draw(st.sampled_from(["@", "-", ":", "\x0c", "\xe9", "\ufeff"])) + words[i][at:]
+        bad = st.sampled_from(["@", "-", ":", "\x0c", "\x0b", "\xa0", "\xe9", "\ufeff"])
+        words[i] = words[i][:at] + draw(bad) + words[i][at:]
     blanks = st.text(alphabet=" \t", min_size=1, max_size=3)
-    line = "".join(w + draw(blanks) for w in words[:-1]) + words[-1]
+    line = "".join(w + draw(blanks) for w in words[:-1]) + words[-1] if words else ""
     return draw(st.text(alphabet=" \t", max_size=2)) + line + draw(st.text(alphabet=" \t", max_size=2))
+
+
+@st.composite
+def simple_line(draw) -> str:
+    """A simple statement, spelled as ``spelled`` does."""
+    words = [w or draw(WORD) for w in draw(st.sampled_from(SIMPLE_FORMS))]
+    return spelled(draw, words, WORD | st.sampled_from(["7", "9lives", "{", "any:U", "="]))
 
 
 @st.composite
 def source(draw) -> str:
     lines = draw(st.lists(simple_line() | OTHER_LINE, max_size=12))
     return "".join(line + draw(BREAK) for line in lines)
-
-
-def commented(text: str) -> str:
-    """``text`` with `` # c`` at the end of every line: every line then goes
-    down the cursor path, and no token moves."""
-    out = []
-    for piece in text.splitlines(keepends=True):
-        body = piece.splitlines()[0] if piece.splitlines() else ""
-        out.append(body + " # c" + piece[len(body):])
-    return "".join(out)
 
 
 def parsed(parse, text: str) -> tuple:
@@ -568,6 +565,71 @@ def parsed(parse, text: str) -> tuple:
 @example(text="transitional T {\n  universal A is_a B\n}\nworkflow W {\n  step s {\n    relate A K B\n  }\n}\n")
 @example(text="universal A is_a B\x1cparticular a\tinstance_of A \t\x85relate A K\n")
 def test_statement_pattern_matches_the_cursor(text):
+    for parse in (parse_model, parse_scenario):
+        assert parsed(parse, text) == parsed(parse, commented(text))
+
+
+# the words a clause form's operand is drawn from; a fixed word stands as itself
+REF = WORD | st.sampled_from(["any:U", "any:b_1", "any:any"])
+CLAUSE_FORMS = [
+    ("link", WORD, WORD, WORD),
+    ("unlink", WORD, WORD, WORD),
+    ("slot", WORD),
+    ("agent", WORD),
+    ("duration", WORD | st.sampled_from(["0", "7", "007"])),
+    ("require", st.sampled_from(["exists", "not_exists"]), REF, WORD, REF),
+    ("effect", st.sampled_from(["link", "unlink"]), WORD, WORD, WORD),
+    ("when", st.sampled_from(["exists", "not_exists"]), REF, WORD, REF),
+    ("then", "apply_transitional", WORD),
+]
+# a block's opening lines and the lines that close them
+BLOCKS = [
+    (["transitional T {"], []),
+    (["frame F {"], []),
+    (["mechanism M(a, d) {", "  step s {"], ["  }", "}"]),
+    (["workflow W {", "  loop 2 {", "    step s placeholder {"], ["    }", "  }", "}"]),
+    (["rule R {"], []),
+]
+CLOSE = st.sampled_from(["}", "  }", "\t}\t ", "} junk", "} }", "}}", "} else {", "} # c", "  # c"])
+
+
+@st.composite
+def clause_line(draw) -> str:
+    """A clause of any block (so often one its block does not read),
+    spelled as ``spelled`` does, or with a wrong keyword."""
+    words = [w if isinstance(w, str) else draw(w) for w in draw(st.sampled_from(CLAUSE_FORMS))]
+    if draw(st.booleans()) and draw(st.booleans()):
+        words[0] = draw(st.sampled_from(["lnk", "agnt", "slots", "Link", "universal", "step", "}"]))
+    return spelled(draw, words, REF | st.sampled_from(["7", "9lives", "{", "}", "=", "exists"]))
+
+
+@st.composite
+def block(draw) -> str:
+    """A block of drawn clauses and other lines, closed by a drawn closing
+    line (or left open) and then by the lines that close its opener."""
+    opening, closing = draw(st.sampled_from(BLOCKS))
+    lines = draw(st.lists(clause_line() | clause_line() | OTHER_LINE, max_size=8))
+    close = draw(CLOSE | st.just("}") | st.just(""))
+    return "\n".join([*opening, *lines, close, *closing])
+
+
+@st.composite
+def block_source(draw) -> str:
+    lines = draw(st.lists(block() | simple_line() | OTHER_LINE, max_size=6))
+    return "".join(line + draw(BREAK) for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=block_source())
+@example(text="mechanism M {\n  step s {\n    agent a\n    agent b\n    duration 1\n    duration x\n  }\n}\n")
+@example(text="rule R {\n  when exists any:U K b\n  when not_exists a K any:9\n}\nrule S {\n}\n")
+@example(text="workflow W {\n  if exists a K b {\n    step s {\n    }\n  } else {\n  }\n} }\n}\n")
+@example(text="transitional T {\n\tlink a K b\t\n  unlink a K b c\n  link a K 7\n  }\n")
+def test_clause_pattern_matches_the_cursor(text):
+    """Blocks of well-formed and malformed clause lines, with a wrong
+    keyword, a word too many or too few, a repeated ``agent``,
+    wildcards, digits, tabs and odd whitespace: the same statements,
+    spans and diagnostics as their commented copy, read on the cursor."""
     for parse in (parse_model, parse_scenario):
         assert parsed(parse, text) == parsed(parse, commented(text))
 
@@ -654,10 +716,94 @@ def test_simple_statements_build_no_cursor(monkeypatch):
     assert built == []
 
 
+# each block's well-formed one-line clauses: a fixed word, or None for a
+# name, REF_WORD for a name or a wildcard, PREDICATE_WORD for exists or
+# not_exists, DURATION_WORD for a name or a number
+REF_WORD, PREDICATE_WORD, DURATION_WORD = "<ref>", "<predicate>", "<duration>"
+BLOCK_CLAUSES = {
+    "transitional": [("link", None, None, None), ("unlink", None, None, None)],
+    "frame": [("slot", None), ("link", None, None, None)],
+    "step": [("agent", None), ("duration", DURATION_WORD),
+             ("require", PREDICATE_WORD, REF_WORD, None, REF_WORD),
+             ("effect", "link", None, None, None), ("effect", "unlink", None, None, None)],
+    "rule": [("when", PREDICATE_WORD, REF_WORD, None, REF_WORD)],
+    "body": [],
+}
+OPENS = {"transitional": "transitional", "frame": "frame", "rule": "rule", "step": "step",
+         "workflow": "body", "mechanism": "body", "loop": "body", "if": "body"}
+
+
+def fits(word: str, slot) -> bool:
+    if slot == REF_WORD:
+        return word.isidentifier() or (word.startswith("any:") and word[4:].isidentifier())
+    if slot == PREDICATE_WORD:
+        return word in ("exists", "not_exists")
+    if slot == DURATION_WORD:
+        return word.isidentifier() or word.isdigit()
+    return word.isidentifier() if slot is None else word == slot
+
+
+def lines_needing_a_cursor(text: str) -> list:
+    """The numbers of the lines of ``text``, a model that parses without
+    a diagnostic, that hold a word and are neither a simple statement, nor
+    a clause its block reads in one line (a step's first ``agent`` or
+    ``duration`` only), nor a lone '}', each in names, wildcards, numbers,
+    blanks and tabs."""
+    needs, blocks, seen = [], [], []
+    for n, line in enumerate(text.splitlines(), start=1):
+        words = line.split("#")[0].split()
+        if not words:
+            continue
+        plain = re.fullmatch(r"[A-Za-z0-9_: \t}]*", line) is not None
+        if plain and words == ["}"]:
+            blocks.pop(), seen.pop()
+            continue
+        if plain and blocks:
+            forms = BLOCK_CLAUSES[blocks[-1]]
+            if any(len(words) == len(form) and all(map(fits, words, form)) for form in forms) and not (
+                    words[0] in ("agent", "duration") and words[0] in seen[-1]):
+                seen[-1].add(words[0])
+                continue
+        elif plain and is_simple(line):
+            continue
+        needs.append(n)
+        if words[0] == "}":  # '} else {'
+            blocks.pop(), seen.pop()
+            words = words[1:]
+        if words[-1] == "{":
+            blocks.append(OPENS[words[0] if words[0] != "else" else "if"])
+            seen.append(set())
+    return needs
+
+
 def test_shipped_model_builds_one_cursor_per_line_that_needs_one(monkeypatch):
-    text = model_text("traffic.xfo")
-    needs = [n for n, line in enumerate(text.splitlines(), start=1)
-             if line.split("#")[0].strip() and not is_simple(line)]
     built = count_cursors(monkeypatch)
-    assert parse_model(text, "traffic.xfo").ok
-    assert built == needs and len(needs) < len(text.splitlines())
+    for name in ("traffic.xfo", "school.xfo", "celadon.xfo"):
+        text = model_text(name)
+        needs = lines_needing_a_cursor(text)
+        built.clear()
+        assert parse_model(text, name).ok
+        assert built == needs and len(needs) < len(text.splitlines()) / 3, name
+
+
+def test_well_formed_clause_lines_build_no_cursor(monkeypatch):
+    built = count_cursors(monkeypatch)
+    text = ("transitional T {\n  unlink a K b\n\tlink a\tK b \n}\n"
+            "frame F {\n  slot x\n  slot y\n  link x K y\n}\n"
+            "mechanism M(d) {\n  step s {\n    agent a\n    duration d\n    require exists any:U K b\n"
+            "    require not_exists a K any:V\n    effect unlink a K b\n    effect link a K c\n  }\n"
+            "  step t {\n    duration 007\n  }\n}\n"
+            "rule R {\n  when exists a K b\n  when not_exists any:U K b\n  then apply_transitional T\n}\n")
+    res = parse_model(text)
+    assert res.ok and len(res.document.statements) == 4
+    # the lines that open a block, and a rule's 'then'
+    assert built == [1, 5, 10, 11, 19, 23, 26]
+    (t, f, m, r) = res.document.statements
+    step = m.body.items[0].step
+    assert (len(t.links), len(t.unlinks), f.slots, len(f.templates)) == (1, 1, ("x", "y"), 1)
+    assert (step.agent_ref, step.duration, len(step.preconditions), len(step.links), len(step.unlinks)) == (
+        "a", "d", 2, 1, 1)
+    assert m.body.items[1].step.duration == 7 and step.preconditions[0].from_ref == Wildcard("U")
+    assert [p.exists for p in r.guard] == [True, False]
+
+
