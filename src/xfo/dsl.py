@@ -12,24 +12,30 @@ stores each parsed definition of all seven types itself, span included.
 A rule's ``then`` and a scenario line name the same four actions under
 two keywords (``dynamics.ACTION_KEYWORDS``, e.g. ``start_workflow`` and
 ``run``) and parse to the same type; the scenario line adds its tick.
+Every check of a frame action's binding reads the slots the frame's
+templates use, which ``dynamics.define_frame`` derives once.
 
 A line at statement level is first tried against its dispatch's one
-compiled statement pattern, which reads a whole simple statement
-(``universal``, ``particular``, ``relation``, ``relate`` in a model,
-``init`` in a scenario) written in names, blanks and tabs only; the
-statement is built from the match groups. A line inside a block is
-first tried against its block's one compiled clause pattern, which
-reads a well-formed one-line clause (``link``/``unlink`` in a
+compiled statement pattern, which reads a whole one-line statement
+(``model``, ``universal``, ``particular``, ``relation``, ``relate`` in
+a model; every scenario statement: ``scenario``, ``horizon``, ``rule``,
+``init``, ``run``, ``apply``, ``activate``, ``deactivate`` and
+``interrupt``) written in names, ints, parens, commas, ``=``, blanks and
+tabs; the statement is built from the match groups. A line inside a
+block is first tried against its block's one compiled clause pattern,
+which reads a well-formed one-line clause (``link``/``unlink`` in a
 transitional, ``slot``/``link`` in a frame, ``agent``, ``duration``,
-``require`` and ``effect link|unlink`` in a step, ``when`` in a rule)
-and a line holding only the ``}`` that closes the block. Any other line
-(one that opens a block, a rule's ``then``, a comment, an error, a
-step's second ``agent``) is tokenized only when the parser reaches it,
-into a cursor (``_Toks``) over its tokens as plain strings; a token's
-kind follows from its text. Each statement and clause form is declared
-once, and both its pattern and its reading on the cursor come from that
+``require`` and ``effect link|unlink`` in a step, ``when`` and ``then``
+in a rule) and a line holding only the ``}`` that closes the block. Any
+other line (one that opens a block, a comment, an error, trailing text,
+a step's second ``agent`` or a rule's second ``then``, a ``)at`` with no
+blank) is tokenized only when the parser reaches it, into a cursor
+(``_Toks``) over its tokens as plain strings; a token's kind follows
+from its text. Each statement and clause form is declared once, and
+both its pattern and its reading on the cursor come from that
 declaration, so both paths give the same statement, span and
-diagnostic.
+diagnostic. An action's operands are declared once (``_ACTION_OPERANDS``)
+for its rule keyword and its scenario keyword.
 
 A line of name, digit and punctuation characters, blanks and tabs is
 split by one ``findall``, and its token columns are computed only when a
@@ -48,8 +54,10 @@ from typing import NamedTuple
 
 from .dynamics import (
     ACTION_KEYWORDS,
+    ActivateDirective,
     ApplyDirective,
     Cond,
+    DeactivateDirective,
     Frame,
     LinkTemplate,
     Loop,
@@ -354,7 +362,7 @@ class _Parser:
                             break
                         kw, name, n, clause = form
                         if kw not in once or kw not in counted:
-                            got[name].append(clause(m.groups()[g:g + n]))
+                            got[name].append(clause(*m.groups()[g:g + n]))
                             counted.add(kw)
                             continue
                     line = _tokenize_line(raw, self.file, line_no, self.lexical)
@@ -441,16 +449,43 @@ _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 # A SourceSpan built without the NamedTuple's Python-level __new__.
 _span = tuple.__new__
 _PREDICATES = {"exists": True, "not_exists": False}
+# the names and ints in the matched text of an operand in parens
+_names_and_ints = re.compile("[A-Za-z0-9_]+").findall
+
+
+def _in_parens(item: str) -> str:
+    """A pattern for comma-separated ``item``s in parens, maybe none, with
+    one group around the text inside the parens."""
+    return rf"\(([ \t]*(?:{item}[ \t]*(?:,[ \t]*{item}[ \t]*)*)?)\)"
+
+
+def _arguments(text: str | None) -> tuple:
+    return () if text is None else tuple(int(w) if w.isdigit() else w for w in _names_and_ints(text))
+
+
+def _binding(text: str) -> tuple:
+    words = _names_and_ints(text)
+    return tuple(sorted(zip(words[::2], words[1::2])))
+
+
 # An operand of a form: (its pattern, one group; its reading on the cursor,
 # given its description; its value from the group's text, or None for the
 # text itself). An operand is a name unless its description is a key here.
+# An operand in parens may follow the word before it with no blank: its
+# pattern starts with the blanks and tabs before it, maybe none.
 _NAME = (f"({_IDENT})", _Toks.name, None)
+_INT = ("([0-9]+)", _Toks.integer, int)
 _OPERANDS = {
     "an entity ref": (f"(any:{_IDENT}|{_IDENT})", lambda line, what: line.ref(),
                       lambda tok: Wildcard(tok[4:]) if tok.startswith("any:") else tok),
     "a duration": (f"([0-9]+|{_IDENT})", _arg, lambda tok: int(tok) if tok.isdigit() else tok),
     "exists or not_exists": ("(exists|not_exists)", lambda line, what: line.keyword_in(_PREDICATES),
                              _PREDICATES.__getitem__),
+    **dict.fromkeys(("a tick", "a horizon tick", "a run ordinal"), _INT),
+    "arguments": (r"[ \t]*(?:" + _in_parens(f"(?:[0-9]+|{_IDENT})") + ")?",
+                  lambda line, what: _paren_list(line, _arg) if line.peek() == "(" else (), _arguments),
+    "a binding": (r"[ \t]*" + _in_parens(_IDENT + r"[ \t]*=[ \t]*" + _IDENT),
+                  lambda line, what: tuple(sorted(_paren_list(line, _slot_value))), _binding),
 }
 _TEMPLATE = "<an entity> <a relation kind> <an entity>"
 _PREDICATE = "<exists or not_exists> <an entity ref> <a relation kind> <an entity ref>"
@@ -465,8 +500,9 @@ def _words(form: str) -> list:
 
 def _pattern(words: list) -> str:
     """``words`` as one group around one group per operand, with blanks
-    and tabs between them."""
-    return "(" + r"[ \t]+".join(op[0] if op else word for op, word in words) + ")"
+    and tabs between them (an operand in parens brings its own)."""
+    parts = [op[0] if op else word for op, word in words]
+    return "(" + parts[0] + "".join(p if p.startswith(r"[ \t]*") else r"[ \t]+" + p for p in parts[1:]) + ")"
 
 
 def _full(branches: list):
@@ -509,11 +545,11 @@ def _p_simple(p: _Parser, line: _Toks, span, words: list, build):
 
 class _Grammar:
     """The statements of one file type. ``simple`` maps each one-line
-    form, ``keyword <description of a name> word ...``, to the function
-    that builds its statement from the names and a span; ``handlers`` maps
+    form, ``keyword <operand> word ...``, to the function that builds its
+    statement from its operands' values and a span; ``handlers`` maps
     every other keyword to its parser. The forms make one pattern, with
     one group per form (told apart by ``lastindex``, the group that closes
-    last) around its name groups. A line the pattern does not match is
+    last) around its operand groups. A line the pattern does not match is
     read on the cursor by ``_p_simple``."""
 
     __slots__ = ("match", "forms", "handlers")
@@ -523,12 +559,12 @@ class _Grammar:
         branches, group = [], 1
         for form, build in simple.items():
             words = _words(form)
-            n = sum(1 for op, _ in words if op)
+            from_text = [op[2] for op, _ in words if op]
             branches.append(_pattern(words))
             keyword = words[0][1]
-            self.forms[group] = (build, tuple(range(group + 1, group + 1 + n)), len(keyword))
+            self.forms[group] = (_from_texts(from_text, build), len(from_text), len(keyword))
             self.handlers[keyword] = partial(_p_simple, words=words[1:], build=build)
-            group += 1 + n
+            group += 1 + len(from_text)
         self.match = _full(branches)
 
 
@@ -536,13 +572,14 @@ class _Clauses:
     """The clauses of one kind of block, as ``_Grammar`` holds a file's
     statements. ``forms`` maps each form, ``keyword [keyword] <operand>
     ...``, to the name of the list that keeps its clauses and to
-    ``build``, which makes a clause from its operands' values. A form of one keyword alone (one that opens a block,
-    a rule's ``then``) has no pattern: ``build(parser, line, context)``
-    reads the rest of its line on the cursor. The other forms and a lone
-    '}' make the block's one pattern, one group per form around its
-    operand groups, told apart by ``lastindex``. ``table`` gives the
-    cursor each clause keyword's ``(list name, other words, build)`` or,
-    where forms share the keyword, a table of their next keywords. A
+    ``build``, which makes a clause from its operands' values. A form of
+    one keyword alone (one that opens a block) has no pattern:
+    ``build(parser, line, context)`` reads the rest of its line on the
+    cursor. The other forms and a lone '}' make the block's one pattern,
+    one group per form around its operand groups, told apart by
+    ``lastindex``. ``table`` gives the cursor each clause keyword's
+    ``(list name, other words, build)`` or, where forms share the
+    keyword (``effect``, ``then``), a table of their next keywords. A
     keyword in ``once`` may be read once in a block, and each in
     ``required`` must be."""
 
@@ -573,12 +610,12 @@ class _Clauses:
 
 
 def _from_texts(from_text: list, build):
-    """The function from a match's operand texts to its clause: ``build``
-    of each text through its function in ``from_text`` (None: the text
-    itself)."""
+    """The function from a match's operand texts (and a statement's span)
+    to its clause or statement: ``build`` of each text through its
+    function in ``from_text`` (None: the text itself)."""
     if any(from_text):
-        return lambda texts: build(*[t if f is None else f(t) for f, t in zip(from_text, texts)])
-    return lambda texts: build(*texts)
+        return lambda *texts, **span: build(*[t if f is None else f(t) for f, t in zip(from_text, texts)], **span)
+    return build
 
 
 def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
@@ -588,9 +625,9 @@ def _parse_statements(parser: _Parser, grammar: _Grammar) -> list:
         m = match(raw)
         if m is not None:
             g = m.lastindex
-            build, names, width = forms[g]
+            build, n, width = forms[g]
             span = _span(SourceSpan, (file, line_no, m.start(g) + 1, width))
-            stmts.append(build(*m.group(*names), span=span))
+            stmts.append(build(*m.groups()[g:g + n], span=span))
             continue
         line = _tokenize_line(raw, file, line_no, parser.lexical)
         if line is None:
@@ -728,26 +765,14 @@ def _p_rule(p: _Parser, line: _Toks, span) -> Rule | None:
     return Rule(name, tuple(when), then[0], span=span) if when and then else None
 
 
-def _action(line: _Toks):
-    """A rule's action: its keyword and what follows it."""
-    cls = line.keyword_in(_RULE_ACTIONS)
-    return cls(*_action_operand(line, cls))
-
-
-def _action_operand(line: _Toks, cls) -> tuple:
-    """What follows an action's keyword, in a rule and in a scenario alike:
-    the target, then the run arguments or the frame binding (sorted by
-    slot)."""
-    if cls is ApplyDirective:
-        return (line.name("a transitional"),)
-    if cls is RunSpec:
-        target = line.name("a workflow")
-        return target, _paren_list(line, _arg) if line.peek() == "(" else ()
-    target = line.name("a frame")
-    return target, tuple(sorted(_paren_list(line, _slot_value)))
-
-
-_RULE_ACTIONS = {rule_word: cls for cls, (_, rule_word) in ACTION_KEYWORDS.items()}
+# What follows each action's keyword, in a rule's ``then`` and on a
+# scenario line alike; the scenario line adds ``at <a tick>``.
+_ACTION_OPERANDS = {
+    RunSpec: "<a workflow> <arguments>",
+    ApplyDirective: "<a transitional>",
+    ActivateDirective: "<a frame> <a binding>",
+    DeactivateDirective: "<a frame> <a binding>",
+}
 
 _TRANSITIONAL = _Clauses({
     f"link {_TEMPLATE}": ("links", LinkTemplate),
@@ -766,7 +791,7 @@ _STEP = _Clauses({
 }, once=("agent", "duration"))
 _RULE = _Clauses({
     f"when {_PREDICATE}": ("when", StatePredicate),
-    "then": ("then", lambda p, line, context: _action(line)),
+    **{f"then {word} {_ACTION_OPERANDS[cls]}": ("then", cls) for cls, (_, word) in ACTION_KEYWORDS.items()},
 }, once=("then",), required=("when", "then"))
 _BODY = _Clauses({
     "step": ("nodes", _step_node),
@@ -782,9 +807,9 @@ _MODEL = _Grammar(
             lambda name, universal, span: EntityDef(name, Layer.P, universal, span=span),
         "relation <a relation kind name> from <a B entity> to <a B entity>": RelationKind,
         "relate <a universal> <a relation kind> <a universal>": RelationDeclaration,
+        "model <a model name>": ModelHeader,
     },
     {
-        "model": partial(_p_simple, words=_words("<a model name>"), build=ModelHeader),
         "transitional": _p_transitional,
         "frame": _p_frame,
         "workflow": _p_workflow,
@@ -796,42 +821,15 @@ _MODEL = _Grammar(
 
 # scenario statements ---------------------------------------------------
 
-
-def _p_horizon(p: _Parser, line: _Toks, span) -> HorizonStmt:
-    value = line.integer("a horizon tick")
-    line.done()
-    return HorizonStmt(value, span=span)
-
-
-def _at_clause(line: _Toks) -> int:
-    line.keyword("at")
-    at = line.integer("a tick")
-    line.done()
-    return at
-
-
-def _p_action(p: _Parser, line: _Toks, span, cls):
-    return cls(*_action_operand(line, cls), _at_clause(line), span=span)
-
-
-def _p_interrupt(p: _Parser, line: _Toks, span) -> InterruptDirective:
-    run = line.integer("a run ordinal")
-    return InterruptDirective(run, _at_clause(line), span=span)
-
-
-_SCENARIO = _Grammar(
-    {
-        "init <an entity> <a relation kind> <an entity>":
-            lambda frm, kind, to, span: InitStmt(LinkTemplate(frm, kind, to), span=span),
-    },
-    {
-        "scenario": partial(_p_simple, words=_words("<a scenario name>"), build=ScenarioHeader),
-        "horizon": _p_horizon,
-        "rule": partial(_p_simple, words=_words("<a rule name>"), build=RuleRefStmt),
-        "interrupt": _p_interrupt,
-        **{word: partial(_p_action, cls=cls) for cls, (word, _) in ACTION_KEYWORDS.items()},
-    },
-)
+_SCENARIO = _Grammar({
+    "init <an entity> <a relation kind> <an entity>":
+        lambda frm, kind, to, span: InitStmt(LinkTemplate(frm, kind, to), span=span),
+    **{f"{word} {_ACTION_OPERANDS[cls]} at <a tick>": cls for cls, (word, _) in ACTION_KEYWORDS.items()},
+    "interrupt <a run ordinal> at <a tick>": InterruptDirective,
+    "rule <a rule name>": RuleRefStmt,
+    "scenario <a scenario name>": ScenarioHeader,
+    "horizon <a horizon tick>": HorizonStmt,
+}, {})
 
 
 def parse_model(text: str, file: str = "<model>") -> ParseResult:

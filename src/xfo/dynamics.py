@@ -208,23 +208,18 @@ class Frame(NamedTuple):
     templates: tuple[LinkTemplate, ...]  # refs are slot names
     span: SourceSpan | None = None
 
-    def used_slots(self) -> tuple[str, ...]:
-        used = []
-        for t in self.templates:
-            for r in (t.from_ref, t.to_ref):
-                if r not in used:
-                    used.append(r)
-        return tuple(used)
-
 
 def define_frame(world: World, f: Frame) -> Frame:
-    """Register frame ``f`` itself, span included."""
+    """Register frame ``f`` itself, span included. The slots its templates
+    use, in first use order, are kept in ``world.used_slots[f.name]`` for
+    ``check_frame_binding``."""
     name, slots = f.name, f.slots
     if name in world.frames:
         raise DuplicateNameError(f"frame '{name}' already defined")
     dup = _repeated(slots)
     if dup is not None:
         raise DuplicateNameError(f"frame '{name}' declares slot '{dup}' twice")
+    used = {}
     for t in f.templates:
         world.kind(t.kind)
         for r in (t.from_ref, t.to_ref):
@@ -232,7 +227,9 @@ def define_frame(world: World, f: Frame) -> Frame:
                 raise UnknownSlotError(
                     f"frame '{name}': template '{t}' references undeclared slot '{r}'"
                 )
+            used[r] = None
     world.frames[name] = f
+    world.used_slots[name] = tuple(used)
     return f
 
 
@@ -254,7 +251,7 @@ def check_frame_binding(world: World, name: str, binding: tuple[tuple[str, str],
             raise UnknownSlotError(f"frame '{name}': binding names undeclared slot '{slot}'")
         if value not in world.registry:
             raise UnknownEntityError(f"frame '{name}': unknown entity '{value}' for slot '{slot}'")
-    missing = [s for s in f.used_slots() if s not in slots]
+    missing = [s for s in world.used_slots[name] if s not in slots]
     if missing:
         raise IncompleteBindingError(
             f"frame '{name}': binding missing slot(s) {', '.join(missing)}"

@@ -207,6 +207,8 @@ class World:
         self.rules: dict[str, object] = {}
         # workflow -> {parameter: "entity" | "count"}, written by define_workflow
         self.param_kinds: dict[str, dict[str, str]] = {}
+        # frame -> the slots its templates use, written by define_frame
+        self.used_slots: dict[str, tuple[str, ...]] = {}
         # (frame, binding pairs sorted by slot) -> the links it created
         self.frame_activations: dict[tuple, list[LinkInstance]] = {}
         # Named transitionals register as P instances of this universal.

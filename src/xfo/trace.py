@@ -254,10 +254,10 @@ def replay_spans(events) -> dict[tuple[str, str, str], list[tuple[int, int | Non
             row = spans[triple] = []
         if e.kind == "Link":
             if row and row[-1][1] is None:
-                raise MalformedTraceError(f"event seq {e.seq}: duplicate Link for {triple}")
+                raise MalformedTraceError(f"event seq {e.seq}: duplicate Link for {' '.join(triple)}")
             row.append((e.at, None))
         else:
             if not row or row[-1][1] is not None:
-                raise MalformedTraceError(f"event seq {e.seq}: Unlink without active Link for {triple}")
+                raise MalformedTraceError(f"event seq {e.seq}: Unlink without active Link for {' '.join(triple)}")
             row[-1] = (row[-1][0], e.at)
     return spans

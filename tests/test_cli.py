@@ -241,9 +241,9 @@ def test_timeline_refuses_a_link_field_that_is_not_a_string(field, payload, view
 
 
 @pytest.mark.parametrize("kinds,message", [
-    (["Link", "Link"], "event seq 1: duplicate Link for ('lampA', 'Has_Quality', 'red')"),
-    (["Unlink"], "event seq 0: Unlink without active Link for ('lampA', 'Has_Quality', 'red')"),
-    (["Link", "Unlink", "Unlink"], "event seq 2: Unlink without active Link for ('lampA', 'Has_Quality', 'red')"),
+    (["Link", "Link"], "event seq 1: duplicate Link for lampA Has_Quality red"),
+    (["Unlink"], "event seq 0: Unlink without active Link for lampA Has_Quality red"),
+    (["Link", "Unlink", "Unlink"], "event seq 2: Unlink without active Link for lampA Has_Quality red"),
 ], ids=["second-link", "unlink-first", "second-unlink"])
 def test_timeline_refuses_a_link_edit_that_does_not_replay(kinds, message, tmp_path, capsys):
     """A hand-edited trace whose Link and Unlink events of one triple do

@@ -269,6 +269,9 @@ run flip(a) at 3
         sim2.interrupt(0, 0)  # past tick
     with pytest.raises(NotInterruptibleError, match=r"^tick 5 is past the horizon 4$"):
         sim2.interrupt(0, 5)  # never reached, as a scenario line refuses it
+    for run_id in (1, -1):
+        with pytest.raises(XfoError, match=rf"^no run with ordinal {run_id}$"):
+            sim2.interrupt(run_id, 3)
     sim2.interrupt(0, 3)
     sim2.run_until(4)
     assert sim2.runs[0].status is RunStatus.INTERRUPTED
@@ -610,6 +613,29 @@ def test_load_rejects_bad_scenarios():
         load_scenario(world, Scenario("s", 5, (), (RunSpec("ghost", (), 0),)))
     with pytest.raises(ResolveError):  # tick 9 is past the horizon, a fault found before the arity
         load_scenario(world, Scenario("s", 5, (), (RunSpec("trafficCycle", (), 9),)))
+
+
+def test_scenario_naming_an_undefined_rule_or_transitional_is_refused_at_its_line():
+    world = load_world("traffic.xfo")
+    doc = parse_scenario("scenario s\nhorizon 5\nrule nope\napply ghost at 1\n", "s.xws").document
+    scenario, diags = loader.build_scenario(doc, world)
+    assert scenario is None
+    assert [(d.code, d.message, d.span.line) for d in diags] == [
+        ("E_RESOLVE", "scenario 's': unknown rule 'nope'", 3),
+        ("E_UNKNOWN_ACTION", "scenario 's': unknown transitional 'ghost'", 4),
+    ]
+    assert not world.trace
+
+
+def test_rule_whose_action_is_not_an_action_is_refused():
+    """Only the Python API can give a rule a scenario's interrupt as its
+    action."""
+    from xfo.dynamics import Rule, define_rule
+    from xfo.microworld import InterruptDirective
+    world = load_world("traffic.xfo")
+    with pytest.raises(UnknownActionError, match=r"^rule 'r': unknown action InterruptDirective\(run=0, at=None\)$"):
+        define_rule(world, Rule("r", (), InterruptDirective(0, None)))
+    assert "r" not in world.rules
 
 
 def test_counted_loop_and_cond_execution():

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 
 from xfo import cli, dsl, trace
 from xfo.dsl import Diagnostic, _tokenize_line, parse_model, parse_scenario
-from xfo.dynamics import Wildcard
+from xfo.dynamics import (
+    ACTION_KEYWORDS,
+    ActivateDirective,
+    ApplyDirective,
+    DeactivateDirective,
+    RunSpec,
+    Wildcard,
+)
 from xfo.errors import MalformedTraceError
 from xfo.ontology import SourceSpan
 from xfo.trace import (
@@ -508,6 +515,7 @@ SIMPLE_FORMS = [
     ("relation", None, "from", None, "to", None),
     ("relate", None, None, None),
     ("init", None, None, None),
+    ("model", None),
 ]
 OTHER_LINE = st.sampled_from([
     "", "\t", "# a comment", "model m", "scenario s", "horizon 5", "rule r", "run W(a, 1) at 2",
@@ -634,6 +642,101 @@ def test_clause_pattern_matches_the_cursor(text):
         assert parsed(parse, text) == parsed(parse, commented(text))
 
 
+# an action's operands: names, ints with leading zeros and slots that
+# repeat, and now and then a word that is none of these
+PAD = st.text(alphabet=" \t", max_size=2)
+TICK = st.sampled_from(["0", "7", "007", "12"])
+ARG = WORD | TICK | st.sampled_from(["any:U", "9lives", "="])
+PAIR = st.builds(lambda slot, before, after, value: slot + before + "=" + after + value,
+                 st.sampled_from(["a", "b", "role"]), PAD, PAD, WORD) | st.sampled_from(["a b", "=b", "a=", "a=7"])
+OTHER_WORD = WORD | st.sampled_from(["7", "007", "(", ")", ",", "=", "at", "any:U", "a=b"])
+
+
+@st.composite
+def in_parens(draw, item) -> str:
+    """Comma-separated ``item``s in parens, maybe none, with blanks and
+    tabs, maybe none, around each paren and comma; now and then with a
+    comma too many or a paren missing."""
+    text = "(" + draw(PAD)
+    for i, part in enumerate(draw(st.lists(item, max_size=3))):
+        text += (draw(PAD) + "," + draw(PAD) if i else "") + part
+    text += draw(PAD) + ")"
+    how = draw(st.sampled_from(["as drawn"] * 3 + ["comma", "no close", "no open"]))
+    if how == "comma":
+        return text[:-1] + ",)"
+    return text[:-1] if how == "no close" else text[1:] if how == "no open" else text
+
+
+@st.composite
+def action_operand(draw, cls) -> list:
+    """The words after ``cls``'s keyword: its target, then a run's
+    arguments (or none) or a frame's binding, in parens next to the target
+    or apart from it."""
+    target = draw(WORD)
+    if cls is ApplyDirective or (cls is RunSpec and draw(st.booleans())):
+        return [target]
+    parens = draw(in_parens(ARG if cls is RunSpec else PAIR))
+    return [target + parens] if draw(st.booleans()) else [target, parens]
+
+
+@st.composite
+def scenario_line(draw) -> str:
+    """A scenario statement but ``init``, spelled as ``spelled`` does; an
+    action now and then with ``at`` missing or with no blank before it or
+    after it."""
+    cls = draw(st.sampled_from([*ACTION_KEYWORDS, None]))
+    if cls is None:
+        form = draw(st.sampled_from([["interrupt", TICK, "at", TICK], ["horizon", TICK],
+                                     ["scenario", WORD], ["rule", WORD]]))
+        words = [w if isinstance(w, str) else draw(w) for w in form]
+    else:
+        words = [ACTION_KEYWORDS[cls][0], *draw(action_operand(cls)), "at", draw(TICK)]
+        how = draw(st.sampled_from(["as drawn"] * 4 + ["no at", "glued before", "glued after"]))
+        if how == "no at":
+            del words[-2]
+        elif how == "glued before":
+            words[-3:-1] = [words[-3] + words[-2]]
+        elif how == "glued after":
+            words[-2:] = [words[-2] + words[-1]]
+    return spelled(draw, words, OTHER_WORD)
+
+
+@st.composite
+def then_line(draw) -> str:
+    """A rule's ``then``, spelled as ``spelled`` does, now and then with
+    another action's keyword or a scenario keyword."""
+    cls = draw(st.sampled_from(list(ACTION_KEYWORDS)))
+    words = ["then", ACTION_KEYWORDS[cls][1], *draw(action_operand(cls))]
+    if draw(st.booleans()) and draw(st.booleans()):
+        words[1] = draw(st.sampled_from([word for pair in ACTION_KEYWORDS.values() for word in pair]))
+    return spelled(draw, words, OTHER_WORD)
+
+
+@st.composite
+def action_source(draw) -> str:
+    """Scenario lines, and rules with no ``then``, one or two."""
+    rule = st.builds(lambda thens, close: "\n".join(["rule R {", "  when exists a K b", *thens, close]),
+                     st.lists(then_line(), max_size=2), CLOSE | st.just("}"))
+    lines = draw(st.lists(scenario_line() | scenario_line() | rule | OTHER_LINE, max_size=8))
+    return "".join(line + draw(BREAK) for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=action_source())
+@example(text="activate F( b = x ,a=y ,a = z )at 007\nrun W ( ) at 1\nrun W(a,) at 2\nrun W\t(7, x)\tat 3\n"
+              "deactivate F at 4\ninterrupt 007 at 0\nhorizon 007\napply T at007\n")
+@example(text="rule R {\n  when exists a K b\n  then activate_frame F(a=b)\n  then start_workflow W (1, x)\n}\n"
+              "rule S {\n  when exists a K b\n  then apply_transitional T at 3\n  then run W\n}\n")
+def test_action_pattern_matches_the_cursor(text):
+    """Scenario lines and a rule's ``then``, with odd blanks and tabs
+    around parens, commas and '=', empty parens, ticks with leading
+    zeros, repeated slots, ``at`` missing or glued, and words missing,
+    extra or wrong: the same statements, spans and diagnostics as their
+    commented copy, read on the cursor."""
+    for parse in (parse_model, parse_scenario):
+        assert parsed(parse, text) == parsed(parse, commented(text))
+
+
 CHECKED_FILES = sorted(MODELS_DIR.glob("*.xfo")) + sorted(DATA_DIR.glob("*.xfo"))
 
 
@@ -743,12 +846,19 @@ def fits(word: str, slot) -> bool:
     return word.isidentifier() if slot is None else word == slot
 
 
+# a rule's well-formed ``then``, in a model that parses without a
+# diagnostic: an action keyword, its target, and a run's arguments or a
+# frame's binding in parens
+THEN_LINE = re.compile(r"[ \t]*then[ \t]+(start_workflow[ \t]+\w+([ \t]*\([\w, \t]*\))?|apply_transitional[ \t]+\w+"
+                       r"|(de)?activate_frame[ \t]+\w+[ \t]*\([\w=, \t]*\))[ \t]*", re.ASCII)
+
+
 def lines_needing_a_cursor(text: str) -> list:
     """The numbers of the lines of ``text``, a model that parses without
     a diagnostic, that hold a word and are neither a simple statement, nor
     a clause its block reads in one line (a step's first ``agent`` or
     ``duration`` only), nor a lone '}', each in names, wildcards, numbers,
-    blanks and tabs."""
+    blanks and tabs, nor a rule's first ``then``."""
     needs, blocks, seen = [], [], []
     for n, line in enumerate(text.splitlines(), start=1):
         words = line.split("#")[0].split()
@@ -765,6 +875,9 @@ def lines_needing_a_cursor(text: str) -> list:
                 seen[-1].add(words[0])
                 continue
         elif plain and is_simple(line):
+            continue
+        if blocks and blocks[-1] == "rule" and THEN_LINE.fullmatch(line) and "then" not in seen[-1]:
+            seen[-1].add("then")
             continue
         needs.append(n)
         if words[0] == "}":  # '} else {'
@@ -793,12 +906,17 @@ def test_well_formed_clause_lines_build_no_cursor(monkeypatch):
             "mechanism M(d) {\n  step s {\n    agent a\n    duration d\n    require exists any:U K b\n"
             "    require not_exists a K any:V\n    effect unlink a K b\n    effect link a K c\n  }\n"
             "  step t {\n    duration 007\n  }\n}\n"
-            "rule R {\n  when exists a K b\n  when not_exists any:U K b\n  then apply_transitional T\n}\n")
+            "rule R {\n  when exists a K b\n  when not_exists any:U K b\n  then apply_transitional T\n}\n"
+            "rule S {\n  when exists a K b\n  then start_workflow M( 007 ,x)\n}\n"
+            "rule U {\n  when exists a K b\n\tthen activate_frame F (y = b,x=a)\t\n}\n"
+            "rule V {\n  when exists a K b\n  then deactivate_frame F()\n}\n")
     res = parse_model(text)
-    assert res.ok and len(res.document.statements) == 4
-    # the lines that open a block, and a rule's 'then'
-    assert built == [1, 5, 10, 11, 19, 23, 26]
-    (t, f, m, r) = res.document.statements
+    assert res.ok and len(res.document.statements) == 7
+    # the lines that open a block
+    assert built == [1, 5, 10, 11, 19, 23, 28, 32, 36]
+    (t, f, m, r, *actions) = res.document.statements
+    assert [a.action for a in actions] == [
+        RunSpec("M", (7, "x")), ActivateDirective("F", (("x", "a"), ("y", "b"))), DeactivateDirective("F", ())]
     step = m.body.items[0].step
     assert (len(t.links), len(t.unlinks), f.slots, len(f.templates)) == (1, 1, ("x", "y"), 1)
     assert (step.agent_ref, step.duration, len(step.preconditions), len(step.links), len(step.unlinks)) == (
@@ -807,3 +925,22 @@ def test_well_formed_clause_lines_build_no_cursor(monkeypatch):
     assert [p.exists for p in r.guard] == [True, False]
 
 
+def test_well_formed_scenario_lines_and_thens_build_no_cursor(monkeypatch):
+    """Each shipped scenario and each generated one is read with no cursor,
+    a statement a line; in the generated models, a rule's ``then`` builds
+    none either."""
+    built = count_cursors(monkeypatch)
+    generated = generated_inputs()
+    scenarios = {p.name: p.read_text(encoding="utf-8") for p in sorted(MODELS_DIR.glob("*.xws"))}
+    scenarios.update((name, text) for name, text in generated.items() if name.endswith(".xws"))
+    for name, text in scenarios.items():
+        res = parse_scenario(text, name)
+        assert res.ok and len(res.document.statements) == sum(
+            1 for line in text.splitlines() if line.split("#")[0].strip()), name
+    assert built == []
+    for name in ("school.xfo", "traffic.xfo"):
+        text = generated[name]
+        built.clear()
+        assert parse_model(text, name).ok
+        assert built == lines_needing_a_cursor(text), name
+    assert "  then start_workflow" in generated["school.xfo"]
