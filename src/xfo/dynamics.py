@@ -8,7 +8,7 @@ unlink or an active link instead of failing, but still need valid links.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from .errors import (
     AlreadyActiveError,
@@ -50,7 +50,7 @@ class Wildcard(NamedTuple):
         return f"any:{self.utype}"
 
 
-PredRef = Union[str, Wildcard]
+PredRef = str | Wildcard
 
 
 class LinkTemplate(NamedTuple):
@@ -343,7 +343,7 @@ class Cond(NamedTuple):
     else_body: Seq | None = None
 
 
-Node = Union[Step, Seq, Loop, Cond]
+Node = Step | Seq | Loop | Cond
 
 
 @_spanned
@@ -633,7 +633,7 @@ class DeactivateDirective(_FrameAction):
 # An action starts a workflow, applies a transitional, or activates or
 # deactivates a frame. A scenario directive gives its tick in ``at``; a
 # rule's action has ``at`` None and runs when it fires.
-Action = Union[RunSpec, ApplyDirective, ActivateDirective, DeactivateDirective]
+Action = RunSpec | ApplyDirective | ActivateDirective | DeactivateDirective
 
 # Each action's keyword in a scenario and in a rule's ``then``.
 ACTION_KEYWORDS = {

@@ -346,6 +346,17 @@ def test_define_workflow_errors(lamp_world):
         define_workflow(w, Workflow("w5", ("x", "y", "x"), Seq((_step("s"),)), False))
 
 
+def test_define_workflow_refuses_a_negative_duration(lamp_world):
+    """The DSL reads a duration as digits; only the Python API can give a
+    negative one, and define_workflow refuses it before registering."""
+    w = lamp_world
+    with pytest.raises(InvalidTemplateError) as info:
+        define_workflow(w, Workflow("w", (), Seq((_step("s"), Loop(Seq((_step("t", duration=-1),)), count=2))), False))
+    assert str(info.value) == "workflow 'w': step 't' has negative duration"
+    assert "w" not in w.workflows and "w" not in w.param_kinds
+    define_workflow(w, Workflow("w", (), Seq((_step("t", duration=0),)), False))
+
+
 NESTERS = {
     "loop": lambda body: Loop(body, count=1),
     "if": lambda body: Cond(P(True, "lampA_green", "Has_Quality", "green"), body),

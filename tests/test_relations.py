@@ -8,6 +8,7 @@ from xfo.errors import (
     DuplicateActiveLinkError,
     DuplicateNameError,
     InvalidLinkError,
+    InvalidNameError,
     NoActiveLinkError,
     NotIndependentContinuantError,
     SignatureMismatchError,
@@ -64,6 +65,17 @@ def test_declare_relation_kind(pottery_world):
         w.declare_relation_kind("Bad2", "B_Object", "Nope")
     with pytest.raises(DuplicateNameError):
         w.declare_relation_kind("Pottery", "B_Object", "B_Object")  # entity collision
+
+
+@pytest.mark.parametrize("name", ["9x", "has space", ""])
+def test_declare_relation_kind_refuses_an_invalid_name(pottery_world, name):
+    """The DSL's name token never gives such a name; only the Python API
+    can, and the kind's own check refuses it before anything is reified."""
+    w = pottery_world
+    with pytest.raises(InvalidNameError) as info:
+        w.declare_relation_kind(name, "B_Object", "B_Quality")
+    assert str(info.value) == f"invalid relation kind name '{name}'"
+    assert name not in w.kinds and name not in w.registry
 
 
 def test_declare_u_relation(pottery_world):
