@@ -176,8 +176,8 @@ def apply_batch(world: World, batch: Batch, at: int, *, lenient: bool = False) -
     """
     un, ln = batch
     if lenient:
-        un = [t for t in un if world.active_link(*t) is not None]
-        ln = [t for t in ln if world.active_link(*t) is None]
+        un = [t for t in un if world.spans.active(t) is not None]
+        ln = [t for t in ln if world.spans.active(t) is None]
     before = len(world.trace)
     try:
         world.edit(un, ln, at)
@@ -276,11 +276,11 @@ def activate_frame(world: World, frame: str, binding: Iterable[tuple[str, str]],
     before = len(world.trace)
     ev = world.record("FrameActivate", at, {"frame": frame, "binding": values})
     try:
-        created = world.edit((), triples, at)
+        world.edit((), triples, at)
     except LinkEditError as exc:  # a link is already active or invalid
         world.unrecord(ev)
         raise InvalidLinkError(f"frame '{frame}': {exc}") from exc
-    world.frame_activations[key] = created
+    world.frame_activations[key] = [(t, at) for t in triples]
     return world.trace[before:]
 
 
@@ -292,15 +292,13 @@ def deactivate_frame(world: World, frame: str, binding: Iterable[tuple[str, str]
     created = world.frame_activations.get(key)
     if created is None:
         raise NotActiveError(f"frame '{frame}' is not active for this binding")
-    gone = [l for l in created if l.end is not None]
+    gone = [t for t, start in created if world.spans.active(t) != (start, None)]
     if gone:
-        desc = ", ".join(" ".join(l.triple()) for l in gone)
-        raise NotActiveError(
-            f"frame '{frame}' activation is no longer atomic; missing link(s): {desc}"
-        )
+        raise NotActiveError(f"frame '{frame}' activation is no longer atomic; missing link(s): "
+                             + ", ".join(" ".join(t) for t in gone))
     before = len(world.trace)
     world.record("FrameDeactivate", at, {"frame": frame, "binding": dict(binding)})
-    world.edit([l.triple() for l in created], (), at)
+    world.edit([t for t, _ in created], (), at)
     del world.frame_activations[key]
     return world.trace[before:]
 

@@ -6,13 +6,12 @@ admissible when the B ancestors of both sides descend from the kind's
 domain and range bounds. Tier 2 checks declaration cover: a particular
 link is admissible only when some stored declaration spans both
 participants' universals. Tier 1 alone would accept links the model never
-sanctioned, which is exactly what tier 2 exists to reject.
+sanctioned, which is exactly what tier 2 exists to reject. A world keeps
+its links' history in one ``trace.SpanStore``, the type a trace replays to.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -32,7 +31,7 @@ from .errors import (
     XfoError,
 )
 from .ontology import NAME_RE, EntityId, Layer, SourceSpan, _spanned, bootstrap_b_taxonomy
-from .trace import FrozenPayload, TraceEvent
+from .trace import FrozenPayload, SpanStore, TraceEvent, Triple
 
 
 @_spanned
@@ -60,12 +59,8 @@ class RelationDeclaration(NamedTuple):
     span: SourceSpan | None = None
 
 
-Triple = tuple[EntityId, str, EntityId]
-
-
-@dataclass
-class LinkInstance:
-    """One time-spanned edge. Spans are half-open: [start, end)."""
+class LinkInstance(NamedTuple):
+    """A link store row with its triple, as ``World.links`` lists it."""
 
     from_p: EntityId
     kind: str
@@ -75,9 +70,6 @@ class LinkInstance:
 
     def triple(self) -> Triple:
         return (self.from_p, self.kind, self.to_p)
-
-    def active_at(self, at: int) -> bool:
-        return self.start <= at and (self.end is None or self.end > at)
 
 
 class ValidationResult(NamedTuple):
@@ -91,7 +83,6 @@ class ValidationResult(NamedTuple):
 
 VALID = ValidationResult(True)
 
-_START = attrgetter("start")
 # A TraceEvent built without the NamedTuple's Python-level __new__.
 _event = tuple.__new__
 
@@ -142,20 +133,11 @@ class World:
     safe for concurrent readers. ``tier2_strict=False`` downgrades tier-2
     link failures to entries in ``warnings``.
 
-    The link store is indexed. ``edit`` is its only writer: it writes a
+    ``edit`` is the only writer of the link store ``spans``. It writes a
     batch whole or not at all, and keeps these invariants:
 
-    * ``links`` is the append-only log of every LinkInstance, in creation
-      order.
-    * ``spans`` maps each (from, kind, to) triple ever linked to its
-      instances, start-sorted and non-overlapping: the shape
-      ``trace.replay_spans`` rebuilds from the trace, and equal to it
-      span for span. Only the last span of a list may be open, so the
-      active link is that span when its end is None, and a read at a past
-      tick bisects one list.
-    * ``_by_entity`` maps an entity to the triples it appears in on either
-      side. It uses insertion-ordered dicts as sets, so iteration never
-      depends on string hashing.
+    * ``spans`` equals ``trace.replay_spans(trace)`` row for row, ``of``
+      order included.
     * ``_payloads`` maps each triple ever linked to the one FrozenPayload
       that every Link and Unlink event of it carries.
     * Each event's ``seq`` is its position in ``trace``. ``edit`` appends
@@ -193,9 +175,7 @@ class World:
         self._decls_of: dict[EntityId, list[int]] = {}
         self._verdicts: dict[Triple, ValidationResult] = {}
         self.verdicts_computed = 0
-        self.links: list[LinkInstance] = []
-        self.spans: dict[Triple, list[LinkInstance]] = {}
-        self._by_entity: dict[EntityId, dict[Triple, None]] = {}
+        self.spans = SpanStore()
         self._payloads: dict[Triple, FrozenPayload] = {}  # each triple's Link and Unlink payload
         self.trace: list[TraceEvent] = []
         self.warnings: list[str] = []
@@ -209,10 +189,15 @@ class World:
         self.param_kinds: dict[str, dict[str, str]] = {}
         # frame -> the slots its templates use, written by define_frame
         self.used_slots: dict[str, tuple[str, ...]] = {}
-        # (frame, binding pairs sorted by slot) -> the links it created
-        self.frame_activations: dict[tuple, list[LinkInstance]] = {}
+        # (frame, binding pairs sorted by slot) -> (triple, start) of each link it created
+        self.frame_activations: dict[tuple, list[tuple[Triple, int]]] = {}
         # Named transitionals register as P instances of this universal.
         self.registry.define_universal("Transitional", "X_Transitional")
+
+    @property
+    def links(self) -> list[LinkInstance]:
+        """A copy of every row of ``spans`` with its triple, triple by triple."""
+        return [LinkInstance(*t, *r) for t, row in self.spans.items() for r in row]
 
     # ------------------------------------------------------------------
     # trace plumbing
@@ -355,20 +340,8 @@ class World:
         return res.valid or (res.tier == 2 and not self.tier2_strict)
 
     def active_link(self, from_p: EntityId, kind: str, to_p: EntityId) -> LinkInstance | None:
-        row = self.spans.get((from_p, kind, to_p))
-        if row and row[-1].end is None:
-            return row[-1]
-        return None
-
-    def span_at(self, triple: Triple, at: int) -> LinkInstance | None:
-        """The triple's link instance active at tick ``at``, if any."""
-        row = self.spans.get(triple)
-        if not row:
-            return None
-        i = bisect_right(row, at, key=_START)
-        if i and row[i - 1].active_at(at):
-            return row[i - 1]
-        return None
+        row = self.spans.active((from_p, kind, to_p))
+        return None if row is None else LinkInstance(from_p, kind, to_p, row[0])
 
     def triples_at(
         self, at: int, kind: str, from_p: EntityId | None = None, to_p: EntityId | None = None
@@ -376,17 +349,18 @@ class World:
         """Triples of ``kind`` active at tick ``at``; a side given as None
         matches any entity. With one side given it scans that entity's
         triples, with none every triple in ``spans``."""
+        spans = self.spans
         if from_p is not None and to_p is not None:
             candidates = ((from_p, kind, to_p),)
         else:
             e = from_p if to_p is None else to_p
-            candidates = self.spans if e is None else self._by_entity.get(e, ())
+            candidates = spans if e is None else spans.of(e)
         for t in candidates:
             if (
                 t[1] == kind
                 and (from_p is None or t[0] == from_p)
                 and (to_p is None or t[2] == to_p)
-                and self.span_at(t, at) is not None
+                and spans.at(t, at) is not None
             ):
                 yield t
 
@@ -394,7 +368,7 @@ class World:
         """Raise unless a new (from, kind, to) link may start now, checking
         for a duplicate first; return its verdict. Writes no tier-2 warning."""
         triple = (from_p, kind, to_p)
-        if self.active_link(*triple) is not None:
+        if self.spans.active(triple) is not None:
             raise DuplicateActiveLinkError(f"link '{from_p}' {kind} '{to_p}' is already active", triple)
         res = self.validate_link(*triple)
         if not self.admit(res):
@@ -402,51 +376,44 @@ class World:
             raise error(f"invalid link: {res.reason}", result=res, triple=triple)
         return res
 
-    def edit(self, unlinks: Sequence[Triple], links: Sequence[Triple], at: int) -> list[LinkInstance]:
+    def edit(self, unlinks: Sequence[Triple], links: Sequence[Triple], at: int) -> None:
         """The one writer of link history: end ``unlinks``, then start
         ``links``, at tick ``at``. Before any write it refuses, in order, a
         triple named twice, an unlink not active at ``at``, a past tick and
         a link ``check_link`` refuses. Each link is validated once; an
-        uncovered one adds a ``tier-2:`` warning. It appends an Unlink event
-        per ended link and a Link event per new one itself, with no further
-        tick check: the batch's tick was checked once. Returns ended, then new."""
+        uncovered one adds a ``tier-2:`` warning. Each edit appends its
+        Unlink or Link event, with no further tick check."""
         t = _repeated([*unlinks, *links])
         if t is not None:
             raise LinkEditError(f"link '{t[0]}' {t[1]} '{t[2]}' is edited twice in one batch", t)
-        edited = [self.active_link(*t) for t in unlinks]
-        for t, inst in zip(unlinks, edited):
-            if inst is None or inst.start > at:
+        spans = self.spans
+        for t in unlinks:
+            row = spans.active(t)
+            if row is None or row[0] > at:
                 raise NoActiveLinkError(f"no active link '{t[0]}' {t[1]} '{t[2]}' at tick {at}", t)
         self._require_tick(at)
         verdicts = [self.check_link(*t) for t in links]
         trace, payloads = self.trace, self._payloads
-        for t, inst in zip(unlinks, edited):
-            inst.end = at
+        for t in unlinks:
+            spans.close(t, at)
             trace.append(_event(TraceEvent, (len(trace), at, "Unlink", payloads[t])))
-        for triple, res in zip(links, verdicts):
+        for t, res in zip(links, verdicts):
             if not res:
                 self.warnings.append(f"tier-2: {res.reason}")
-            from_p, kind, to_p = triple
-            inst = LinkInstance(from_p, kind, to_p, at)
-            self.links.append(inst)
-            row = self.spans.setdefault(triple, [])
-            if not row:  # first link of this triple
-                for e in (from_p, to_p):
-                    self._by_entity.setdefault(e, {})[triple] = None
-                payloads[triple] = FrozenPayload({"from": from_p, "relation": kind, "to": to_p})
-            row.append(inst)
-            trace.append(_event(TraceEvent, (len(trace), at, "Link", payloads[triple])))
-            edited.append(inst)
-        return edited
+            payload = payloads.get(t)
+            if payload is None:  # first link of this triple
+                payload = payloads[t] = FrozenPayload({"from": t[0], "relation": t[1], "to": t[2]})
+            spans.open(t, at)
+            trace.append(_event(TraceEvent, (len(trace), at, "Link", payload)))
 
     # ------------------------------------------------------------------
     # state and TICs
 
     def state_of(self, e: EntityId, at: int) -> State:
         self.registry.lookup(e)
-        found = []
-        for triple in self._by_entity.get(e, ()):
-            if self.span_at(triple, at) is None:
+        found, spans = [], self.spans
+        for triple in spans.of(e):
+            if spans.at(triple, at) is None:
                 continue
             from_p, kind, to_p = triple
             if from_p == e:

@@ -1,14 +1,12 @@
 """Static SVG rendering of traces: quality timelines and lamp snapshots.
 
 Output is deterministic byte-for-byte: integer coordinates only, fixed
-color table, entities in sorted order. Both renderers read the doc's span
-index (``TraceDoc.spans``), so a doc replays its events once however many
-times it is drawn.
+color table, entities in sorted order. Both renderers read the doc's link
+store (``TraceDoc.spans``, a ``trace.SpanStore``), so a doc replays its
+events once however many times it is drawn. Colours are clipped to the
+horizon, which ends an open span or a later one; membership is not.
 """
 from __future__ import annotations
-
-from bisect import bisect_right
-from operator import itemgetter
 
 from .errors import MalformedTraceError, TickOutOfRangeError
 from .trace import TraceDoc
@@ -65,7 +63,7 @@ def _svg(width: int, height: int, title: str, body: list[str]) -> str:
 
 def _quality_spans(spans, horizon: int):
     """entity -> list of (start, end, quality) from the Has_Quality links
-    in a span index, clipped to the horizon."""
+    in a link store, clipped to the horizon."""
     rows: dict[str, list[tuple[int, int, str]]] = {}
     for (frm, kind, to), ranges in spans.items():
         if kind != "Has_Quality":
@@ -125,23 +123,14 @@ def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
     return _svg(width, axis_y + 30, f"{doc.scenario}: quality timeline", out)
 
 
-_start = itemgetter(0)
-
-
 def _containers(spans, at: int):
     """container -> sorted members at tick ``at``, and the set of all
-    those members, from the Continuant_Part_Of links in a span index. An
-    entity is a member while a span of its link holds ``at``: ``start <=
-    at`` and an end that is None or greater. Unlike colours, spans are not
-    clipped to the horizon."""
+    those members, from the Continuant_Part_Of links in a link store: an
+    entity is a member while a row of its link holds ``at``."""
     groups: dict[str, list[str]] = {}
-    for (frm, kind, to), ranges in spans.items():
-        if kind != "Continuant_Part_Of":
-            continue
-        i = bisect_right(ranges, at, key=_start)
-        end = ranges[i - 1][1] if i else at
-        if end is None or end > at:
-            groups.setdefault(to, []).append(frm)
+    for t in spans:
+        if t[1] == "Continuant_Part_Of" and spans.at(t, at) is not None:
+            groups.setdefault(t[2], []).append(t[0])
     for members in groups.values():
         members.sort()
     return groups, {m for members in groups.values() for m in members}
@@ -153,23 +142,18 @@ def _qualities_at(spans, horizon: int, at: int) -> dict[str, str | None]:
     clipped to ``[start, min(end, horizon))``, as the timeline draws them.
 
     At the horizon tick no span is active. Where several are, the least
-    ``(start, stop, quality)`` wins. A trace's ticks never decrease, so one
-    triple's spans are sorted and disjoint: only the last one starting at
-    or before ``at`` can be active."""
+    ``(start, stop, quality)`` wins."""
     best: dict[str, tuple[int, int, str] | None] = {}
-    for (frm, kind, to), ranges in spans.items():
+    for t, ranges in spans.items():
+        frm, kind, to = t
         if kind != "Has_Quality":
             continue
-        i = bisect_right(ranges, at, key=_start)
-        if i:
-            start, end = ranges[i - 1]
-            stop = _clip(end, horizon)
-            if at < stop:
-                row, held = (start, stop, to), best.get(frm)
-                if held is None or row < held:
-                    best[frm] = row
-                continue
-        if frm not in best and any(start < _clip(end, horizon) for start, end in ranges):
+        span = spans.at(t, at) if at < horizon else None
+        if span is not None:
+            row, shown = (span[0], _clip(span[1], horizon), to), best.get(frm)
+            if shown is None or row < shown:
+                best[frm] = row
+        elif frm not in best and any(start < _clip(end, horizon) for start, end in ranges):
             best[frm] = None
     return {entity: None if row is None else row[2] for entity, row in best.items()}
 

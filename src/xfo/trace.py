@@ -1,4 +1,5 @@
-"""Trace events and the versioned trace JSON interchange format.
+"""Trace events, the versioned trace JSON interchange format, and the
+link store (``SpanStore``) that a run writes and a trace replays to.
 
 The serialized form is fully deterministic: fixed field order, integer
 ticks, no floating point anywhere. Two identical runs produce identical
@@ -18,9 +19,11 @@ is kept only as the tests' reference.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import MalformedTraceError
@@ -78,16 +81,62 @@ class FrozenPayload(dict):
         return FrozenPayload, (dict(self),)
 
 
+Triple = tuple[str, str, str]
+_start = itemgetter(0)
+
+
+class SpanStore(dict):
+    """The link store: each (from, relation, to) triple ever linked -> its
+    ``(start, end)`` rows, start-sorted and disjoint, only the last open
+    (end None). Spans are half-open: a row holds tick t when ``start <=
+    t`` and its end is None or greater than t. ``of`` indexes the triples
+    by entity, either side, in first-link order (no order depends on
+    string hashing). ``==`` compares rows only. Writers check first:
+    ``World.edit`` then calls ``open`` and ``close``, and ``replay_spans``
+    writes rows in place, calling ``open`` for a triple's first only."""
+
+    def __init__(self) -> None:
+        self._of: dict[str, dict[Triple, None]] = {}
+
+    def open(self, triple: Triple, at: int) -> None:
+        row = self.get(triple)
+        if row is None:
+            row = self[triple] = []
+            for e in (triple[0], triple[2]):
+                self._of.setdefault(e, {})[triple] = None
+        row.append((at, None))
+
+    def close(self, triple: Triple, at: int) -> None:
+        row = self[triple]
+        row[-1] = (row[-1][0], at)
+
+    def active(self, triple: Triple) -> tuple[int, None] | None:
+        """``triple``'s open row, if any."""
+        row = self.get(triple)
+        return row[-1] if row and row[-1][1] is None else None
+
+    def at(self, triple: Triple, tick: int) -> tuple[int, int | None] | None:
+        """``triple``'s row that holds ``tick``, if any."""
+        row = self.get(triple)
+        if row:  # the last row starting at or before tick; row[-1] if none does
+            start, end = held = row[bisect_right(row, tick, key=_start) - 1]
+            if start <= tick and (end is None or end > tick):
+                return held
+        return None
+
+    def of(self, entity: str) -> Iterable[Triple]:
+        return self._of.get(entity, {}).keys()
+
+
 @dataclass(frozen=True)
 class TraceDoc:
-    """A parsed trace. ``spans`` is its span index, ``replay_spans(events)``:
-    built on first read and then kept, so a doc replays its events once
-    however often it is rendered. The index is not a field: ``==`` and
-    ``repr`` leave it out.
-
-    A doc and its event payloads must not be mutated after parsing; the
-    index would not follow. Two threads that read the index for the first
-    time may both build it, which does no harm: both build the same value."""
+    """A parsed trace. ``spans`` is its link store, ``replay_spans(events)``
+    (equal to the writing run's ``World.spans``): built on first read and
+    kept, so a doc replays its events once however often it is rendered.
+    The store is not a field: ``==`` and ``repr`` leave it out. A doc and
+    its payloads must not be mutated after parsing; the store would not
+    follow. Two threads that read the store first may both build it,
+    which does no harm: both build the same value."""
 
     model: str
     scenario: str
@@ -96,7 +145,7 @@ class TraceDoc:
     events: tuple[TraceEvent, ...]
 
     @cached_property
-    def spans(self) -> dict[tuple[str, str, str], list[tuple[int, int | None]]]:
+    def spans(self) -> SpanStore:
         return replay_spans(self.events)
 
 
@@ -231,33 +280,35 @@ def parse_trace(text: str) -> TraceDoc:
     return TraceDoc(raw["model"], raw["scenario"], raw["horizon"], raw["version"], tuple(events))
 
 
-def replay_spans(events) -> dict[tuple[str, str, str], list[tuple[int, int | None]]]:
-    """Rebuild link spans from Link/Unlink events only.
-
-    Returns (from, relation, to) -> list of [start, end) spans; end is None
-    while the link is still active at the end of the trace.
-    """
-    spans: dict[tuple[str, str, str], list[tuple[int, int | None]]] = {}
+def replay_spans(events) -> SpanStore:
+    """Rebuild the link store from Link/Unlink events only, refusing a
+    payload without string ``from``, ``relation`` and ``to``, a second Link
+    of an active triple and an Unlink of an inactive one."""
+    spans = SpanStore()
+    get = spans.get
     for e in events:
-        if e.kind not in ("Link", "Unlink"):
+        kind = e.kind
+        if kind != "Link" and kind != "Unlink":
             continue
         p = e.payload
         try:
             triple = (p["from"], p["relation"], p["to"])
-            row = spans.get(triple)
+            row = get(triple)
         except (KeyError, TypeError):  # a field is missing, or a list or an object
             row = None
         if row is None:  # a triple seen for the first time
             for field in ("from", "relation", "to"):
                 if type(p.get(field)) is not str:
                     raise MalformedTraceError(f"event seq {e.seq}: payload '{field}' is missing or not a string")
-            row = spans[triple] = []
-        if e.kind == "Link":
-            if row and row[-1][1] is None:
+            if kind == "Link":
+                spans.open(triple, e.at)
+                continue
+        if kind == "Link":
+            if row[-1][1] is None:
                 raise MalformedTraceError(f"event seq {e.seq}: duplicate Link for {' '.join(triple)}")
             row.append((e.at, None))
-        else:
-            if not row or row[-1][1] is not None:
-                raise MalformedTraceError(f"event seq {e.seq}: Unlink without active Link for {' '.join(triple)}")
+        elif row and row[-1][1] is None:
             row[-1] = (row[-1][0], e.at)
+        else:
+            raise MalformedTraceError(f"event seq {e.seq}: Unlink without active Link for {' '.join(triple)}")
     return spans

@@ -186,8 +186,8 @@ def test_activate_frame_atomic(school_world):
     assert [e.kind for e in events] == ["FrameActivate"] + ["Link"] * 6
     assert list(events[0].payload["binding"].items()) == sorted(EMPLOYMENT_BINDING)
     created = w.frame_activations["Employment", tuple(sorted(EMPLOYMENT_BINDING))]
-    assert len(created) == 6
-    assert all(l.start == 3 for l in created)  # one shared tick
+    assert [t for t, _ in created] == list(w.spans) and len(created) == 6
+    assert all(start == 3 for _, start in created)  # one shared tick
     with pytest.raises(AlreadyActiveError):
         activate_frame(w, "Employment", dict(EMPLOYMENT_BINDING).items(), 4)
 
@@ -315,6 +315,10 @@ def test_deactivate_frame_after_manual_unlink(school_world):
     with pytest.raises(NotActiveError) as exc:
         deactivate_frame(w, "Employment", EMPLOYMENT_BINDING, 3)
     assert "teacher_salary" in str(exc.value)  # missing links are listed
+    # relinked later, the link is another one: still missing
+    w.edit((), [("teacher1", "Has_Quality", "teacher_salary")], 2)
+    with pytest.raises(NotActiveError, match="missing link.*: teacher1 Has_Quality teacher_salary$"):
+        deactivate_frame(w, "Employment", EMPLOYMENT_BINDING, 3)
 
 
 def test_deactivate_by_binding(school_world):

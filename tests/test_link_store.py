@@ -1,8 +1,8 @@
-"""The indexed link store against naive scans of the link log.
+"""The indexed link store against naive scans of the trace.
 
-The naive functions below are the reference: they read only the
-append-only ``World.links`` log, the declaration list and parent chains,
-exactly as the store did before it was indexed.
+The naive functions below are the reference: they read only the trace's
+Link and Unlink events, the declaration list and parent chains, never the
+store they check.
 """
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ from xfo.errors import (
 )
 from xfo.ontology import Layer
 from xfo.relations import World
-from xfo.trace import parse_trace, replay_spans, trace_to_json
+from xfo.trace import parse_trace, replay_spans, trace_parts, trace_to_json
+
+from helpers import SHIPPED_RUNS, run_scenario
 
 # ----------------------------------------------------------------------
 # naive reference
@@ -34,22 +36,48 @@ def naive_is_descendant(reg, a, b):
     return b in reg.parent_chain(a)
 
 
+def naive_links(world):
+    """Every link as [from, kind, to, start, end], in the order the trace
+    links them, rebuilt from its Link and Unlink events alone."""
+    links = []
+    for e in world.trace:
+        if e.kind not in ("Link", "Unlink"):
+            continue
+        t = [e.payload["from"], e.payload["relation"], e.payload["to"]]
+        if e.kind == "Link":
+            links.append([*t, e.at, None])
+        else:
+            next(l for l in reversed(links) if l[:3] == t and l[4] is None)[4] = e.at
+    return links
+
+
+def naive_active_at(link, at):
+    return link[3] <= at and (link[4] is None or link[4] > at)
+
+
 def naive_active_link(world, from_p, kind, to_p):
-    for l in reversed(world.links):
-        if l.end is None and l.triple() == (from_p, kind, to_p):
-            return l
+    """(from, kind, to, start, None) of the triple's open link, or None."""
+    for l in naive_links(world):
+        if l[4] is None and l[:3] == [from_p, kind, to_p]:
+            return tuple(l)
     return None
+
+
+def naive_of(world, e):
+    """The triples ``e`` is linked on either side, in first-link order."""
+    return list(dict.fromkeys(tuple(l[:3]) for l in naive_links(world) if e in (l[0], l[2])))
 
 
 def naive_state_of(world, e, at):
     found = []
-    for l in world.links:
-        if not l.active_at(at):
+    for l in naive_links(world):
+        if not naive_active_at(l, at):
             continue
-        if l.from_p == e:
-            found.append(("out", l.kind, l.to_p))
-        if l.to_p == e:
-            found.append(("in", l.kind, l.from_p))
+        from_p, kind, to_p = l[:3]
+        if from_p == e:
+            found.append(("out", kind, to_p))
+        if to_p == e:
+            found.append(("in", kind, from_p))
     return sorted(found, key=lambda s: (s[1], s[2], s[0]))
 
 
@@ -60,9 +88,9 @@ def naive_holds(world, pred, at):
         return ref == name
 
     found = any(
-        l.kind == pred.kind and l.active_at(at)
-        and side(pred.from_ref, l.from_p) and side(pred.to_ref, l.to_p)
-        for l in world.links
+        l[1] == pred.kind and naive_active_at(l, at)
+        and side(pred.from_ref, l[0]) and side(pred.to_ref, l[2])
+        for l in naive_links(world)
     )
     return found if pred.exists else not found
 
@@ -96,7 +124,7 @@ def naive_batch_refusal(world, unlinks, links, at):
         seen.append(t)
     for t in unlinks:
         active = naive_active_link(world, *t)
-        if active is None or active.start > at:
+        if active is None or active[3] > at:
             return NoActiveLinkError, t
     if world.trace and at < world.trace[-1].at:
         return TickOrderError, None
@@ -170,34 +198,38 @@ PREDICATES = [
 ]
 
 
-def _spans_as_tuples(world):
-    return {t: [(l.start, l.end) for l in row] for t, row in world.spans.items()}
+ENTITIES = DEVICES + COLORS
 
 
 def _store_snapshot(world):
-    """What a refused edit must leave as it was: the link log, the trace
-    (each event's seq its position, and every Link and Unlink event of a
-    triple carrying the triple's one payload), the warnings, the spans and
-    the payloads."""
+    """What a refused edit must leave as it was: the trace (each event's
+    seq its position, and every Link and Unlink event of a triple carrying
+    the triple's one payload), the warnings, the rows and entity index of
+    the store and the payloads."""
     assert [e.seq for e in world.trace] == list(range(len(world.trace)))
     for e in world.trace:
         assert e.payload is world._payloads[e.payload["from"], e.payload["relation"], e.payload["to"]]
-    payloads = dict(world._payloads)
-    return len(world.links), list(world.trace), list(world.warnings), _spans_as_tuples(world), payloads
+    spans = {t: list(row) for t, row in world.spans.items()}
+    of = {e: list(world.spans.of(e)) for e in ENTITIES}
+    return list(world.trace), list(world.warnings), spans, of, dict(world._payloads)
 
 
 def _check_current(world):
     for t in TRIPLES:
-        assert world.active_link(*t) is naive_active_link(world, *t)
+        assert world.active_link(*t) == naive_active_link(world, *t)
         res, tier = world.validate_link(*t), naive_failing_tier(world, *t)
         assert (res.valid, res.tier) == (not tier, tier), t
-    assert _spans_as_tuples(world) == replay_spans(world.trace)
+    # the store World.edit wrote is the one replay_spans rebuilds
+    replayed = replay_spans(world.trace)
+    assert type(replayed) is type(world.spans) and world.spans == replayed
+    for e in ENTITIES:
+        assert list(world.spans.of(e)) == list(replayed.of(e)) == naive_of(world, e), e
 
 
 def _check_history(world, last_tick):
     reg = world.registry
     for at in range(last_tick + 2):
-        for e in DEVICES + COLORS:
+        for e in ENTITIES:
             got = [(s.direction, s.kind, s.counterpart) for s in world.state_of(e, at).links]
             assert got == naive_state_of(world, e, at), (e, at)
         for e in DEVICES:
@@ -278,7 +310,7 @@ def test_indexed_store_matches_naive_scans(ops, tier2_strict):
             if expected is None and tier2_strict and naive_failing_tier(w, *triple) == 2:
                 expected = Tier2UncoveredError
         else:
-            expected = (NoActiveLinkError if active is None or active.start > at else
+            expected = (NoActiveLinkError if active is None or active[3] > at else
                         TickOrderError if backwards else None)
         try:
             w.edit((), [triple], at) if op == "link" else w.edit([triple], (), at)
@@ -292,6 +324,20 @@ def test_indexed_store_matches_naive_scans(ops, tier2_strict):
     _check_history(w, tick)
     # the trace the store wrote always parses: ticks never decrease
     parse_trace(trace_to_json("m", "s", tick + 1, w.trace))
+
+
+@pytest.mark.parametrize("model,scenario", SHIPPED_RUNS, ids=[s for _, s in SHIPPED_RUNS])
+def test_a_shipped_run_stores_what_its_trace_file_replays(model, scenario, tmp_path):
+    """The store ``World.edit`` wrote and the one ``parse_trace`` builds
+    from the written trace file: the same rows, the same entity index."""
+    world, _, scen = run_scenario(model, scenario)
+    path = tmp_path / "run.trace.json"
+    with path.open("w", encoding="utf-8") as f:
+        f.writelines(trace_parts(world.model_name, scen.name, scen.horizon, world.trace))
+    spans = parse_trace(path.read_text(encoding="utf-8")).spans
+    assert type(spans) is type(world.spans) and spans == world.spans and spans
+    particulars = [e.name for e in world.registry.entities() if e.layer is Layer.P]
+    assert {p: list(spans.of(p)) for p in particulars} == {p: list(world.spans.of(p)) for p in particulars}
 
 
 # ----------------------------------------------------------------------
@@ -418,5 +464,6 @@ def test_a_new_cover_admits_a_link_refused_for_tier_2():
     with pytest.raises(Tier2UncoveredError):
         w.edit((), [t], 1)
     w.declare_u_relation("Device", "Has_Quality", "Cool")
-    assert w.edit((), [t], 2)[0].start == 2
+    w.edit((), [t], 2)
+    assert w.active_link(*t).start == 2
     assert w.verdicts_computed == 2

@@ -48,7 +48,7 @@ from xfo.dynamics import (
 )
 from xfo.microworld import InterruptDirective, Scenario
 from xfo.ontology import EntityDef, Layer, SourceSpan
-from xfo.relations import TIC, RelationDeclaration, RelationKind, State, TicEntry, ValidationResult
+from xfo.relations import TIC, LinkInstance, RelationDeclaration, RelationKind, State, TicEntry, ValidationResult
 
 
 def _xfo_classes():
@@ -73,12 +73,12 @@ def test_a_dataclass_needs_a_dataclass_feature():
     assert [cls.__qualname__ for cls in kept if not _needs_dataclass(cls)] == []
 
 
-def test_the_dataclasses_are_exactly_linkinstance_and_tracedoc():
-    """``LinkInstance.end`` is mutable and ``TraceDoc.spans`` is a
-    ``cached_property``; every other record is a NamedTuple, whose class
-    costs no ``exec`` of generated methods at import."""
+def test_the_dataclass_is_exactly_tracedoc():
+    """``TraceDoc.spans`` is a ``cached_property``; every other record is
+    a NamedTuple, whose class costs no ``exec`` of generated methods at
+    import."""
     kept = sorted(cls.__qualname__ for cls in _xfo_classes() if dataclasses.is_dataclass(cls))
-    assert kept == ["LinkInstance", "TraceDoc"]
+    assert kept == ["TraceDoc"]
 
 
 SPAN = SourceSpan("m.xfo", 3, 5)
@@ -128,6 +128,9 @@ RECORDS = [
      Scenario("s", 5, (TPL,), (RunSpec("w", ("a", 2), 0, span=SPAN),), ("r",)),
      f"Scenario(name='s', horizon=5, init=({TPL_TEXT},), schedule=(RunSpec(target='w', args=('a', 2), at=0),), "
      "rules=('r',))"),
+    (LinkInstance, ("from_p", "kind", "to_p", "start", "end"), {"end": None},
+     LinkInstance("lamp", "Has_Quality", "red", 0, 4),
+     "LinkInstance(from_p='lamp', kind='Has_Quality', to_p='red', start=0, end=4)"),
     (ValidationResult, ("valid", "tier", "reason"), {"tier": 0, "reason": ""},
      ValidationResult(False, 2, "no declaration covers it"),
      "ValidationResult(valid=False, tier=2, reason='no declaration covers it')"),

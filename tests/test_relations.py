@@ -152,15 +152,17 @@ def test_validate_link_two_tiers(pottery_world):
 def test_link_unlink_lifecycle(pottery_world):
     w = pottery_world
     w.declare_u_relation("Pottery", "Participates_In", "Firing")
-    inst = w.edit((), [("pot1", "Participates_In", "firing7")], 0)[0]
-    assert inst.start == 0 and inst.end is None
+    t = ("pot1", "Participates_In", "firing7")
+    assert w.edit((), [t], 0) is None
+    assert w.active_link(*t) == (*t, 0, None) and w.spans.active(t) == (0, None)
     with pytest.raises(DuplicateActiveLinkError):
-        w.edit((), [("pot1", "Participates_In", "firing7")], 1)
-    w.edit([("pot1", "Participates_In", "firing7")], (), 2)
-    assert inst.end == 2  # span [0, 2)
-    assert inst.active_at(0) and inst.active_at(1) and not inst.active_at(2)
+        w.edit((), [t], 1)
+    w.edit([t], (), 2)
+    assert w.active_link(*t) is None and w.spans[t] == [(0, 2)]  # span [0, 2)
+    assert [w.spans.at(t, at) for at in range(3)] == [(0, 2), (0, 2), None]
     # relinking later opens a second span
-    w.edit((), [("pot1", "Participates_In", "firing7")], 5)
+    w.edit((), [t], 5)
+    assert w.spans[t] == [(0, 2), (5, None)] and w.active_link(*t).start == 5
     with pytest.raises(NoActiveLinkError):
         w.edit([("pot1", "Participates_In", "firing7")], (), 4)  # before start
     with pytest.raises(NoActiveLinkError):
@@ -217,13 +219,12 @@ def test_temporal_coherence(pottery_world):
     w.edit((), [("pot1", "Participates_In", "firing7")], 0)
     w.edit([("pot1", "Participates_In", "firing7")], (), 3)
     w.edit((), [("pot1", "Participates_In", "firing7")], 5)
-    spans = [(l.start, l.end) for l in w.links]
-    assert spans == [(0, 3), (5, None)]
+    t = ("pot1", "Participates_In", "firing7")
+    assert w.spans == {t: [(0, 3), (5, None)]}
+    assert w.links == [(*t, 0, 3), (*t, 5, None)]
     for at in range(8):
-        active = [l for l in w.links if l.active_at(at)]
-        assert len(active) <= 1
-        expected = at < 3 or at >= 5
-        assert bool(active) == expected
+        expected = (0, 3) if at < 3 else (5, None) if at >= 5 else None
+        assert w.spans.at(t, at) == expected
 
 
 def test_tic_of_universal(pottery_world):
