@@ -15,7 +15,6 @@ from .dynamics import (
     RunSpec,
     Seq,
     StatePredicate,
-    Step,
     Transitional,
     Wildcard,
     Workflow,

@@ -66,7 +66,6 @@ from .dynamics import (
     RunSpec,
     Seq,
     StatePredicate,
-    Step,
     Transitional,
     Wildcard,
     Workflow,
@@ -687,10 +686,6 @@ def _parse_body(p: _Parser, owner: str, span, depth: int = 0) -> tuple[Seq, _Tok
     return Seq(tuple(got["nodes"])), close
 
 
-def _step_node(p: _Parser, line: _Toks, context) -> Step:
-    return Step(_parse_step(p, line, context[0]))
-
-
 def _nested(parse, p: _Parser, line: _Toks, context):
     owner, span, depth = context
     if depth == MAX_BLOCK_DEPTH:
@@ -698,7 +693,7 @@ def _nested(parse, p: _Parser, line: _Toks, context):
     return parse(p, line, owner, span, depth + 1)
 
 
-def _parse_step(p: _Parser, line: _Toks, owner: str) -> WorkflowStep:
+def _parse_step(p: _Parser, line: _Toks, _context) -> WorkflowStep:
     name = line.name("a step name")
     placeholder = False
     if line.peek() == "placeholder":
@@ -794,7 +789,7 @@ _RULE = _Clauses({
     **{f"then {word} {_ACTION_OPERANDS[cls]}": ("then", cls) for cls, (_, word) in ACTION_KEYWORDS.items()},
 }, once=("then",), required=("when", "then"))
 _BODY = _Clauses({
-    "step": ("nodes", _step_node),
+    "step": ("nodes", _parse_step),
     "loop": ("nodes", partial(_nested, _parse_loop)),
     "if": ("nodes", partial(_nested, _parse_cond)),
 })

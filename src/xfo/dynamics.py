@@ -317,10 +317,6 @@ class WorkflowStep(NamedTuple):
     placeholder: bool = False
 
 
-class Step(NamedTuple):
-    step: WorkflowStep
-
-
 class Seq(NamedTuple):
     items: tuple = ()
 
@@ -341,7 +337,7 @@ class Cond(NamedTuple):
     else_body: Seq | None = None
 
 
-Node = Step | Seq | Loop | Cond
+Node = WorkflowStep | Seq | Loop | Cond
 
 
 @_spanned
@@ -372,7 +368,7 @@ def walk_nodes(node: Node):
 
 
 def walk_steps(node: Node):
-    return (n.step for n in walk_nodes(node) if isinstance(n, Step))
+    return (n for n in walk_nodes(node) if isinstance(n, WorkflowStep))
 
 
 def bind_args(world: World, wf: Workflow, args: tuple) -> dict:
@@ -439,9 +435,9 @@ def define_workflow(world: World, wf: Workflow) -> Workflow:
             raise UnboundedLoopError(f"workflow '{name}' contains a loop with no count and no guard")
         if isinstance(n, (Loop, Cond)) and n.guard is not None:
             check_guard(n.guard)
-        if not isinstance(n, Step):
+        if not isinstance(n, WorkflowStep):
             continue
-        step = n.step
+        step = n
         if step.name in seen_steps:
             raise DuplicateNameError(f"{label}: step '{step.name}' defined twice")
         seen_steps.add(step.name)
@@ -532,14 +528,14 @@ def check_completeness(workflow: Workflow, initial) -> CompletenessReport:
     found: dict[tuple[str, str], Gap] = {}
 
     def run(node: Node, must: frozenset[Fact], may: frozenset[Fact], path: str):
-        if isinstance(node, Step):
-            step, gone, new = node.step, node.step.unlinks, node.step.links
-            failed = [p.render() for p in step.preconditions if not _surely_holds(p, must, may)]
-            if not step.placeholder:
+        if isinstance(node, WorkflowStep):
+            gone, new = node.unlinks, node.links
+            failed = [p.render() for p in node.preconditions if not _surely_holds(p, must, may)]
+            if not node.placeholder:
                 failed += [f"exists {t}" for t in gone if t not in must]
                 failed += [f"not_exists {t}" for t in new if t in may]
             for text in failed:
-                found.setdefault((step.name, text), Gap(step.name, text, path))
+                found.setdefault((node.name, text), Gap(node.name, text, path))
             return must.difference(gone).union(new), may.difference(gone).union(new)
         if isinstance(node, Seq):
             for item in node.items:

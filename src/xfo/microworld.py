@@ -66,7 +66,6 @@ from .dynamics import (
     Loop,
     Seq,
     StatePredicate,
-    Step,
     Wildcard,
     apply_action,
     apply_batch,
@@ -200,8 +199,8 @@ class WorkflowRun:
         visited, one per loop test and one on leaving ``seq``."""
         for item in seq.items:
             self._move()
-            if isinstance(item, Step):
-                yield item.step
+            if isinstance(item, WorkflowStep):
+                yield item
             elif isinstance(item, Seq):
                 yield from self._walk(item, world, horizon)
             elif isinstance(item, Cond):
@@ -245,8 +244,9 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
 
     Yields (field, index, error): the Scenario field at fault ("horizon",
     "rules", "init" or "schedule"), the offending entry's index in it, and
-    the error loading raises for it; a world already past tick 0 is the
-    "horizon" field's fault, since a scenario's time starts at 0. Writes
+    the error loading raises for it. A world already past tick 0, or one
+    a Simulation has loaded, is the "horizon" field's fault, since a
+    scenario's time starts at 0 and a world takes one scenario. Writes
     nothing to the world.
     """
     label = f"scenario '{sc.name}'"
@@ -256,6 +256,10 @@ def check_scenario(world: World, sc: Scenario) -> Iterator[tuple[str, int, XfoEr
         world._require_tick(0)
     except TickOrderError as exc:
         yield "horizon", 0, InvalidInitialLinkError(f"{label}: initial state: {exc}")
+    else:
+        if world.scenario_name is not None:
+            yield "horizon", 0, InvalidInitialLinkError(
+                f"{label}: initial state: the world has already loaded scenario '{world.scenario_name}'")
     for i, name in enumerate(sc.rules):
         if name not in world.rules:
             yield "rules", i, ResolveError(f"{label}: unknown rule '{name}'")
@@ -315,6 +319,7 @@ class Simulation:
         self._rule_prev: dict[str, bool] = dict.fromkeys(scenario.rules, False)
         self._fired = {r.name: FrozenPayload(rule=r.name, action=r.action.render()) for r in self._rules}
         world.edit((), [(t.from_ref, t.kind, t.to_ref) for t in scenario.init], 0)
+        world.scenario_name = scenario.name
         self._read = len(world.trace)  # position of the first event _stale has not read
         for item in scenario.schedule:
             if isinstance(item, RunSpec):

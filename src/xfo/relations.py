@@ -180,6 +180,7 @@ class World:
         self.trace: list[TraceEvent] = []
         self.warnings: list[str] = []
         self.model_name = "model"
+        self.scenario_name: str | None = None  # the scenario a Simulation loaded; a world takes one
         # definition tables filled by the dynamics layer
         self.transitionals: dict[str, object] = {}
         self.frames: dict[str, object] = {}

@@ -1,9 +1,9 @@
 """Static SVG rendering of traces: quality timelines and lamp snapshots.
 
 Output is deterministic byte-for-byte: integer coordinates only, fixed
-color table, entities in sorted order. Both renderers read the doc's link
-store (``TraceDoc.spans``, a ``trace.SpanStore``), so a doc replays its
-events once however many times it is drawn. Colours are clipped to the
+color table, entities in sorted order. Both renderers read the link
+store ``parse_trace`` replayed into the doc (``TraceDoc.spans``, a
+``trace.SpanStore``) and replay nothing themselves. Colours are clipped to the
 horizon, which ends an open span or a later one; membership is not.
 """
 from __future__ import annotations

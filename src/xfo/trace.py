@@ -1,5 +1,8 @@
 """Trace events, the versioned trace JSON interchange format, and the
 link store (``SpanStore``) that a run writes and a trace replays to.
+``parse_trace`` is the one check of a trace document: it refuses a bad
+header, a bad event and a bad Link/Unlink structure, and returns a
+``TraceDoc`` that carries the store it replayed once.
 
 The serialized form is fully deterministic: fixed field order, integer
 ticks, no floating point anywhere. Two identical runs produce identical
@@ -21,8 +24,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -128,25 +129,17 @@ class SpanStore(dict):
         return self._of.get(entity, {}).keys()
 
 
-@dataclass(frozen=True)
-class TraceDoc:
-    """A parsed trace. ``spans`` is its link store, ``replay_spans(events)``
-    (equal to the writing run's ``World.spans``): built on first read and
-    kept, so a doc replays its events once however often it is rendered.
-    The store is not a field: ``==`` and ``repr`` leave it out. A doc and
-    its payloads must not be mutated after parsing; the store would not
-    follow. Two threads that read the store first may both build it,
-    which does no harm: both build the same value."""
+class TraceDoc(NamedTuple):
+    """A parsed trace. ``spans`` is its link store, ``replay_spans(events)``,
+    equal to the writing run's ``World.spans``. A doc and its payloads must
+    not be mutated after parsing; the store would not follow."""
 
     model: str
     scenario: str
     horizon: int
     version: int
     events: tuple[TraceEvent, ...]
-
-    @cached_property
-    def spans(self) -> SpanStore:
-        return replay_spans(self.events)
+    spans: SpanStore
 
 
 # One JSON value with no indentation: the C encoder, ensure_ascii on.
@@ -239,7 +232,9 @@ def trace_to_json(model: str, scenario: str, horizon: int, events: Iterable[Trac
 
 
 def parse_trace(text: str) -> TraceDoc:
-    """Parse and validate a trace document; raises MalformedTraceError."""
+    """Parse and check a trace document: its header, each event, and the
+    Link/Unlink structure ``replay_spans`` checks as it builds the doc's
+    link store. Raises MalformedTraceError."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -277,7 +272,8 @@ def parse_trace(text: str) -> TraceDoc:
             raise MalformedTraceError(f"event {i} has no payload object")
         append(new(TraceEvent, (seq, at, kind, payload)))
         last_seq, last_at = seq, at
-    return TraceDoc(raw["model"], raw["scenario"], raw["horizon"], raw["version"], tuple(events))
+    return TraceDoc(raw["model"], raw["scenario"], raw["horizon"], raw["version"], tuple(events),
+                    replay_spans(events))
 
 
 def replay_spans(events) -> SpanStore:

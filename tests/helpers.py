@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import xfo
 from xfo import loader
 from xfo.dsl import parse_model
-from xfo.dynamics import Cond, LinkTemplate, Loop, Seq, StatePredicate, Step, Wildcard, WorkflowStep
+from xfo.dynamics import Cond, LinkTemplate, Loop, Seq, StatePredicate, Wildcard, WorkflowStep
 from xfo.microworld import load_scenario
 
 MODELS_DIR = Path(xfo.__file__).parent / "models"
@@ -145,7 +145,7 @@ def lamp_steps(wildcards: bool):
     """A step of duration 1 that requires one predicate, or unlinks or
     links one colour, strictly or as a placeholder; unnamed."""
     def step(pre=(), unlinks=(), links=(), placeholder=False):
-        return Step(WorkflowStep("", None, 1, pre, unlinks, links, placeholder))
+        return WorkflowStep("", None, 1, pre, unlinks, links, placeholder)
 
     fact = st.sampled_from(COLORS).map(lambda c: (LinkTemplate("lamp", "Has_Quality", c),))
     return st.one_of(
@@ -184,8 +184,8 @@ def _number_steps(body: Seq) -> Seq:
     names = (f"s{i}" for i in itertools.count())
 
     def name(node):
-        if isinstance(node, Step):
-            return Step(node.step._replace(name=next(names)))
+        if isinstance(node, WorkflowStep):
+            return node._replace(name=next(names))
         if isinstance(node, Seq):
             return Seq(tuple(name(n) for n in node.items))
         if isinstance(node, Cond):

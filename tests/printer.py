@@ -12,7 +12,7 @@ from xfo.dsl import (
     ScenarioDocument,
     ScenarioHeader,
 )
-from xfo.dynamics import ACTION_KEYWORDS, Cond, Frame, Loop, Rule, Seq, Step, Transitional, Workflow
+from xfo.dynamics import ACTION_KEYWORDS, Cond, Frame, Loop, Rule, Seq, Transitional, Workflow, WorkflowStep
 from xfo.microworld import InterruptDirective
 from xfo.ontology import EntityDef, Layer
 from xfo.relations import RelationDeclaration, RelationKind
@@ -20,8 +20,8 @@ from xfo.relations import RelationDeclaration, RelationKind
 
 def _fmt_node(node, indent: int, out: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(node, Step):
-        s = node.step
+    if isinstance(node, WorkflowStep):
+        s = node
         head = f"{pad}step {s.name}" + (" placeholder" if s.placeholder else "") + " {"
         out.append(head)
         inner = "  " * (indent + 1)

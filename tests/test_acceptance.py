@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from xfo.dynamics import Seq, StatePredicate, Step, Wildcard, check_completeness
+from xfo.dynamics import Seq, StatePredicate, Wildcard, WorkflowStep, check_completeness
 from xfo.errors import SignatureMismatchError
 from xfo.microworld import RunSpec, RunStatus, Scenario, load_scenario
 from xfo.ontology import B_TAXONOMY, Layer, bootstrap_b_taxonomy
@@ -199,9 +199,9 @@ FIRST_DEPENDENT = {
 def _without_edits(workflow, step_name):
     items = []
     for node in workflow.body.items:
-        assert isinstance(node, Step)
-        if node.step.name == step_name:
-            node = Step(node.step._replace(unlinks=(), links=()))
+        assert isinstance(node, WorkflowStep)
+        if node.name == step_name:
+            node = node._replace(unlinks=(), links=())
         items.append(node)
     return workflow._replace(body=Seq(tuple(items)))
 
@@ -212,7 +212,7 @@ def test_criterion_5_workflow_suite():
     report = check_completeness(celadon, [RAW_FACT])
     assert report.complete and report.placeholders == ("dry_vessel",)
 
-    steps = [n.step for n in celadon.body.items]
+    steps = list(celadon.body.items)
     edit_steps = [s.name for s in steps if s.unlinks or s.links]
     assert set(edit_steps) == set(FIRST_DEPENDENT)
     for name in edit_steps:

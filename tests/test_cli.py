@@ -253,8 +253,9 @@ def test_timeline_refuses_a_link_edit_that_does_not_replay(kinds, message, tmp_p
     trace.write_text(json.dumps({"model": "m", "scenario": "s", "horizon": 5, "version": 1,
                                  "events": events}), encoding="utf-8")
     svg = tmp_path / "x.svg"
-    assert cli.main(["timeline", str(trace), "-o", str(svg)]) == 1
-    assert capsys.readouterr() == (f"{trace}: error: [E_MALFORMED_TRACE] {message}\n", "")
+    for view in ([], ["--at", "6"]):  # a tick past the horizon: the malformed trace is reported first
+        assert cli.main(["timeline", str(trace), "-o", str(svg), *view]) == 1
+        assert capsys.readouterr() == (f"{trace}: error: [E_MALFORMED_TRACE] {message}\n", "")
     assert not svg.exists()
 
 

@@ -22,7 +22,6 @@ from xfo.dynamics import (
     RunSpec,
     Seq,
     StatePredicate,
-    Step,
     Workflow,
     WorkflowStep,
     check_completeness,
@@ -62,9 +61,9 @@ def _step_text(name: str, *clauses: str) -> str:
     return f"  step {name} {{\n    duration 1\n" + "".join(f"    {c}\n" for c in clauses) + "  }\n"
 
 
-def _node(name: str, pre=(), unlinks=(), links=()) -> Step:
+def _node(name: str, pre=(), unlinks=(), links=()) -> WorkflowStep:
     templates = (tuple(LinkTemplate(*t) for t in ts) for ts in (unlinks, links))
-    return Step(WorkflowStep(name, None, 1, tuple(pre), *templates, False))
+    return WorkflowStep(name, None, 1, tuple(pre), *templates, False)
 
 
 def test_a_loop_exit_joins_may_by_union():

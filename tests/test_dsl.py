@@ -12,7 +12,7 @@ from xfo.dsl import (
     parse_model,
     parse_scenario,
 )
-from xfo.dynamics import Cond, Frame, Loop, Rule, RunSpec, Step, Transitional, Wildcard, Workflow, check_completeness
+from xfo.dynamics import Cond, Frame, Loop, Rule, RunSpec, Transitional, Wildcard, Workflow, WorkflowStep, check_completeness
 from xfo.ontology import EntityDef, Layer
 from xfo.relations import RelationDeclaration, RelationKind
 
@@ -106,7 +106,7 @@ def test_parse_workflow_forms():
     wf = res.document.statements[0]
     assert isinstance(wf, Workflow) and wf.requires_agent and wf.params == ("p", "d")
     items = wf.body.items
-    assert isinstance(items[0], Step) and items[0].step.duration == "d"
+    assert isinstance(items[0], WorkflowStep) and items[0].duration == "d"
     assert isinstance(items[1], Loop) and items[1].count == 3
     assert isinstance(items[2], Loop) and items[2].until_end
     loop4 = items[3]
@@ -114,7 +114,7 @@ def test_parse_workflow_forms():
     assert loop4.guard.from_ref == Wildcard("T") and not loop4.guard.exists
     cond = items[4]
     assert isinstance(cond, Cond) and cond.else_body is not None
-    assert cond.else_body.items[0].step.placeholder
+    assert cond.else_body.items[0].placeholder
 
 
 def test_parse_mechanism_and_rule():
@@ -195,7 +195,7 @@ def test_parse_collects_all_errors():
     )
     assert [(d.code, d.span.line) for d in res.diagnostics] == [("E_PARSE", 6)]
     wf, good = res.document.statements
-    assert [type(n).__name__ for n in wf.body.items] == ["Cond", "Step"]
+    assert [type(n).__name__ for n in wf.body.items] == ["Cond", "WorkflowStep"]
     assert good.name == "Good2"
 
 
@@ -244,7 +244,7 @@ def test_parse_nested_step_header_error_recovers():
     errors = [d for d in res.diagnostics if d.severity == "error"]
     assert len(errors) == 1 and errors[0].span.line == 2
     wf, good = res.document.statements
-    assert [n.step.name for n in wf.body.items] == ["ok"]
+    assert [n.name for n in wf.body.items] == ["ok"]
     assert isinstance(good, EntityDef)
 
 
@@ -420,7 +420,7 @@ def test_a_steps_second_agent_or_duration_is_refused_at_that_keyword():
         ("E_PARSE", "step 's' has more than one 'agent'", 7, 5, 5),
     ]
     (wf,) = [s for s in res.document.statements if isinstance(s, Workflow)]
-    step = wf.body.items[0].step
+    step = wf.body.items[0]
     assert (step.agent_ref, step.duration) == ("a", 1)
 
 
@@ -483,8 +483,8 @@ def test_a_bad_else_line_fails_as_one_clause(else_line, message, column, steps):
         (Workflow, "w"), (EntityDef, "Foo"), (Transitional, "T"), (EntityDef, "Bar")]
     cond, *rest = res.document.statements[0].body.items
     assert isinstance(cond, Cond) and cond.else_body is None
-    assert [n.step.name for n in cond.then_body.items] == ["s"]
-    assert tuple(n.step.name for n in rest) == steps
+    assert [n.name for n in cond.then_body.items] == ["s"]
+    assert tuple(n.name for n in rest) == steps
 
 
 _STEP = "    step {} {{\n      duration 1\n    }}\n"
@@ -512,9 +512,9 @@ def test_text_after_a_closing_brace_skips_the_block_it_opens(text, message, span
     assert [(d.message, *tuple(d.span)[1:]) for d in res.diagnostics] == [(message, *span)]
     assert [(type(s), s.name) for s in res.document.statements] == [(Workflow, "w"), (EntityDef, "Foo")]
     items = res.document.statements[0].body.items
-    assert [n.step.name if isinstance(n, Step) else "loop" for n in items] == steps
+    assert [n.name if isinstance(n, WorkflowStep) else "loop" for n in items] == steps
     if isinstance(items[0], Loop):
-        assert [n.step.name for n in items[0].body.items] == ["s"]
+        assert [n.name for n in items[0].body.items] == ["s"]
 
 
 def test_a_workflow_parameter_that_is_not_a_name_is_reported_at_it():
@@ -544,7 +544,7 @@ def test_blocks_nest_at_most_max_block_depth(depth, opener):
     *_, wf, after = res.document.statements
     assert after == EntityDef("After", Layer.U, "B_Object")
     levels, body = 0, wf.body
-    while body.items and not isinstance(body.items[0], Step):
+    while body.items and not isinstance(body.items[0], WorkflowStep):
         block = body.items[0]
         body = block.body if isinstance(block, Loop) else block.then_body
         levels += 1
@@ -554,7 +554,7 @@ def test_blocks_nest_at_most_max_block_depth(depth, opener):
         assert [(d.code, d.message, d.span.line, d.span.column) for d in res.diagnostics] == [
             ("E_PARSE", "loop and if blocks nest more than 100 deep", 8 + MAX_BLOCK_DEPTH, 1)]
         return
-    assert res.diagnostics == () and [n.step.name for n in body.items] == ["s"]
+    assert res.diagnostics == () and [n.name for n in body.items] == ["s"]
     world, diags = loader.build_world(res.document)
     assert diags == [] and world.workflows["w"] == wf
     assert check_completeness(wf, ()).complete

@@ -15,7 +15,6 @@ from xfo.dynamics import (
     RunSpec,
     Seq,
     StatePredicate,
-    Step,
     Transitional,
     Wildcard,
     Workflow,
@@ -329,7 +328,7 @@ def test_deactivate_by_binding(school_world):
 
 
 def _step(name, duration=1, pre=(), unlinks=(), links=(), agent=None, placeholder=False):
-    return Step(WorkflowStep(name, agent, duration, tuple(pre), tuple(unlinks), tuple(links), placeholder))
+    return WorkflowStep(name, agent, duration, tuple(pre), tuple(unlinks), tuple(links), placeholder)
 
 
 def test_define_workflow_errors(lamp_world):

@@ -334,8 +334,9 @@ def test_a_shipped_run_stores_what_its_trace_file_replays(model, scenario, tmp_p
     path = tmp_path / "run.trace.json"
     with path.open("w", encoding="utf-8") as f:
         f.writelines(trace_parts(world.model_name, scen.name, scen.horizon, world.trace))
-    spans = parse_trace(path.read_text(encoding="utf-8")).spans
-    assert type(spans) is type(world.spans) and spans == world.spans and spans
+    doc = parse_trace(path.read_text(encoding="utf-8"))
+    spans = doc.spans
+    assert type(spans) is type(world.spans) and spans == world.spans == replay_spans(doc.events) and spans
     particulars = [e.name for e in world.registry.entities() if e.layer is Layer.P]
     assert {p: list(spans.of(p)) for p in particulars} == {p: list(world.spans.of(p)) for p in particulars}
 

@@ -697,6 +697,18 @@ def test_second_scenario_on_a_run_world_is_refused_untouched():
     assert scenario is None
     assert sorted(d.code for d in diags) == ["E_INVALID_INIT_LINK", "E_NO_HORIZON"]
     assert (len(world.links), len(world.trace)) == before
+    # a world run only to tick 0 is not past it, but has loaded its one
+    # scenario: a second one used to start its runs again at tick 0
+    world, _, scen = run_scenario("traffic.xfo", "traffic_desk.xws", until=0)
+    before = (list(world.trace), world.links, list(world.warnings))
+    assert world.trace and world.trace[-1].at == 0
+    for second in (scen, scen._replace(init=())):
+        with pytest.raises(InvalidInitialLinkError, match="already loaded scenario 'traffic_desk'"):
+            load_scenario(world, second)
+        assert (list(world.trace), world.links, list(world.warnings)) == before
+    scenario, diags = loader.build_scenario(parse_scenario(model_text("traffic_desk.xws")).document, world)
+    assert scenario is None and "already loaded scenario 'traffic_desk'" in diags[0].message
+    assert (list(world.trace), world.links, list(world.warnings)) == before
 
 
 def test_initial_link_given_twice_is_reported_as_repeated():
@@ -771,7 +783,7 @@ def test_a_binding_that_collapses_two_edits_breaks_every_run():
     assert [status for _, _, status, _ in sim.summary()] == ["Broken", "Broken"]
     assert [e.payload["predicate"] for e in world.trace if e.kind == "WorkflowBroken"] == [
         "binding collapses two edits onto a K c", "binding collapses two edits onto b K c"]
-    step = sim.runs[0].workflow.body.items[0].step
+    step = sim.runs[0].workflow.body.items[0]
     for _ in range(2):
         with pytest.raises(PreconditionFailedError, match="binding collapses two edits onto a K c"):
             sim.runs[0].batch(step)

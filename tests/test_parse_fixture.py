@@ -6,7 +6,9 @@ files it mutated, so it does not move when a shipped file is edited. It
 was written again once when a wrong clause keyword came to be reported at
 itself: only those diagnostics' spans, and the wording of a wrong step
 clause or rule action, changed. Its statement reprs lost ``doc=None`` when
-``EntityDef`` lost its unused ``doc`` field; nothing else changed.
+``EntityDef`` lost its unused ``doc`` field, and the ``Step(step=...)``
+around each ``WorkflowStep`` when a step became a workflow tree node
+itself; nothing else changed.
 
 Write the fixture again (only with a parser known to be right) with:
     PYTHONPATH=src python tests/test_parse_fixture.py

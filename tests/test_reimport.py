@@ -12,6 +12,10 @@ import within ``SLACK`` of the count after the second. A child, because
 dropping xfo from ``sys.modules`` in this process would give the other
 test modules two copies of each class.
 
+A fresh ``import xfo`` also stays lean: it loads neither ``dataclasses``
+nor ``inspect`` (and, through it, ``ast``, ``dis`` and ``tokenize``),
+which cost a cold import several milliseconds.
+
 Run as a script, this file prints that report:  python tests/test_reimport.py
 """
 from __future__ import annotations
@@ -49,14 +53,25 @@ def report() -> dict:
     return {"alive": sorted(name for name, ref in refs.items() if ref() is not None), "counts": counts}
 
 
-def test_a_reimport_frees_the_import_before_it():
-    # the child imports xfo from where this process would
+def _child(*args: str) -> str:
+    """The stdout of a child interpreter run with ``args``, which imports
+    xfo from where this process would."""
     src = Path(importlib.util.find_spec("xfo").origin).parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, __file__], env=dict(os.environ, PYTHONPATH=path),
+    child = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0 and child.stderr == "", child.stderr
-    got = json.loads(child.stdout)
+    return child.stdout
+
+
+def test_a_fresh_import_loads_no_dataclasses_and_no_inspect():
+    # -S: no site module, so no installed .pth file imports anything first
+    code = "import sys, xfo; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    assert _child("-S", "-c", code) == "[]\n"
+
+
+def test_a_reimport_frees_the_import_before_it():
+    got = json.loads(_child(__file__))
     assert got["alive"] == []
     second, _, fourth = got["counts"]
     assert abs(fourth - second) <= SLACK, got["counts"]

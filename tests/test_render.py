@@ -58,7 +58,7 @@ def test_timeline_entity_filter():
 
 
 def test_timeline_empty_trace():
-    doc = TraceDoc("m", "s", 8, 1, ())
+    doc = parse_trace(trace_to_json("m", "s", 8, ()))
     svg = render_timeline(doc)
     assert "<rect" not in svg  # axes only
     assert svg.count("<line") >= 2
@@ -297,7 +297,7 @@ def test_renderers_match_the_replaying_reference(horizon, steps, entities):
     if events and events[-1].at > horizon:  # no document holds such a trace
         with pytest.raises(MalformedTraceError, match="is past the horizon"):
             parse_trace(text)
-        doc = TraceDoc("m", "s", horizon, 1, tuple(events))
+        doc = TraceDoc("m", "s", horizon, 1, tuple(events), replay_spans(events))
     else:
         doc = parse_trace(text)
     assert render_timeline(doc) == reference_timeline(doc)
@@ -325,6 +325,7 @@ def test_every_tick_of_shipped_traces_matches_the_reference(model, scenario):
 
 
 def test_a_doc_replays_its_events_once(monkeypatch):
+    """Parsing replays the events once; rendering reads the doc's store."""
     text = _traffic_text()
     calls = []
 
@@ -334,16 +335,16 @@ def test_a_doc_replays_its_events_once(monkeypatch):
 
     monkeypatch.setattr(trace, "replay_spans", counting_replay)
     doc = parse_trace(text)
+    assert calls == [len(doc.events)]
+    index = doc.spans
     with pytest.raises(TickOutOfRangeError):
         render_snapshot(doc, doc.horizon + 1)
-    assert calls == []  # the range check comes before the index
     render_timeline(doc)
-    index = doc.spans
     for at in range(doc.horizon + 1):
         render_snapshot(doc, at)
     assert doc.horizon + 1 == 13 and len(calls) == 1
-    assert doc == parse_trace(text)
     assert doc.spans is index and index == replay_spans(doc.events)
+    assert doc == parse_trace(text) and len(calls) == 2
 
 
 def _part_of_doc(horizon: int) -> TraceDoc:
@@ -352,7 +353,7 @@ def _part_of_doc(horizon: int) -> TraceDoc:
         TraceEvent(0, 0, "Link", {"from": "a", "relation": "Has_Quality", "to": "red"}),
         TraceEvent(1, 3, "Link", {"from": "a", "relation": "Continuant_Part_Of", "to": "L9"}),
     ]
-    return TraceDoc("m", "s", horizon, 1, tuple(events))
+    return TraceDoc("m", "s", horizon, 1, tuple(events), replay_spans(events))
 
 
 def test_snapshot_reads_membership_at_its_tick():

@@ -37,6 +37,7 @@ from xfo.trace import (
     TraceDoc,
     TraceEvent,
     parse_trace,
+    replay_spans,
     trace_to_json,
 )
 
@@ -106,7 +107,8 @@ def reference_parse(text: str) -> TraceDoc:
             raise MalformedTraceError(f"event {i} has no payload object")
         events.append(TraceEvent(seq, at, kind, payload))
         last_seq, last_at = seq, at
-    return TraceDoc(raw["model"], raw["scenario"], raw["horizon"], raw["version"], tuple(events))
+    return TraceDoc(raw["model"], raw["scenario"], raw["horizon"], raw["version"], tuple(events),
+                    replay_spans(events))
 
 
 _REFERENCE_TOKEN_RE = re.compile(
@@ -358,6 +360,25 @@ def test_reader_refuses_bools_and_a_horizon_below_1(field, value):
     with pytest.raises(MalformedTraceError):
         parse_trace(text)
     assert outcome(parse_trace, text) == outcome(reference_parse, text)
+
+
+LINK = {"from": "lampA", "relation": "Has_Quality", "to": "red"}
+
+
+@pytest.mark.parametrize("edits,message", [
+    ([("Link", LINK), ("Link", LINK)], "event seq 1: duplicate Link for lampA Has_Quality red"),
+    ([("Link", LINK), ("Unlink", LINK), ("Unlink", LINK)],
+     "event seq 2: Unlink without active Link for lampA Has_Quality red"),
+    ([("Link", {**LINK, "relation": 1})], "event seq 0: payload 'relation' is missing or not a string"),
+], ids=["duplicate-link", "unlink-not-active", "field-not-a-string"])
+def test_reader_refuses_a_link_structure_that_does_not_replay(edits, message):
+    """``parse_trace`` itself checks the Link/Unlink structure, so a doc it
+    returns always renders."""
+    events = [{"seq": i, "at": i, "kind": kind, "payload": payload} for i, (kind, payload) in enumerate(edits)]
+    text = json.dumps({"model": "m", "scenario": "s", "horizon": 5, "version": TRACE_FORMAT_VERSION,
+                       "events": events})
+    with pytest.raises(MalformedTraceError, match=f"^{re.escape(message)}$"):
+        parse_trace(text)
 
 
 # ----------------------------------------------------------------------
@@ -917,11 +938,11 @@ def test_well_formed_clause_lines_build_no_cursor(monkeypatch):
     (t, f, m, r, *actions) = res.document.statements
     assert [a.action for a in actions] == [
         RunSpec("M", (7, "x")), ActivateDirective("F", (("x", "a"), ("y", "b"))), DeactivateDirective("F", ())]
-    step = m.body.items[0].step
+    step = m.body.items[0]
     assert (len(t.links), len(t.unlinks), f.slots, len(f.templates)) == (1, 1, ("x", "y"), 1)
     assert (step.agent_ref, step.duration, len(step.preconditions), len(step.links), len(step.unlinks)) == (
         "a", "d", 2, 1, 1)
-    assert m.body.items[1].step.duration == 7 and step.preconditions[0].from_ref == Wildcard("U")
+    assert m.body.items[1].duration == 7 and step.preconditions[0].from_ref == Wildcard("U")
     assert [p.exists for p in r.guard] == [True, False]
 
 
