@@ -16,6 +16,7 @@ from .errors import (
     NotIndependentContinuantError,
     SimulationError,
     TickOutOfRangeError,
+    UnknownEntityError,
     XfoError,
 )
 from .microworld import load_scenario
@@ -128,7 +129,7 @@ def cmd_timeline(args) -> int:
         else:
             svg = render.render_timeline(doc, entities=args.entities)
             what = "timeline"
-    except TickOutOfRangeError as exc:
+    except (TickOutOfRangeError, UnknownEntityError) as exc:  # a bad --at or --entities
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MalformedTraceError, UnicodeDecodeError) as exc:  # a trace is UTF-8 JSON

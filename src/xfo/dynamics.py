@@ -674,7 +674,10 @@ def apply_action(world: World, action: Action, at: int) -> None:
 @_spanned
 class Rule(NamedTuple):
     """Edge-triggered condition-action pair: fires when the guard
-    conjunction turns from false to true, at most once per tick."""
+    conjunction turns from false to true, at most once per rules phase.
+    A tick has one rules phase unless a ``run_until`` call raises during
+    it; the next call runs that tick's rules phase again (see
+    ``microworld``)."""
 
     name: str
     guard: tuple[StatePredicate, ...]

@@ -7,6 +7,13 @@ evaluate once each in definition order, then any actions the rules
 queued for the same tick drain. Two executions of one scenario therefore
 produce byte-identical traces.
 
+``now`` advances past a tick only once the tick completes. A
+``run_until`` call that raises (a directive or a rule's action failed)
+leaves ``now`` at the failing tick, without the entry that failed in the
+queue. The next call drains the rest of that tick's queue and runs its
+rules phase again. So a rule fires at most once per rules phase, and at
+most once per tick only across calls that do not raise.
+
 A rule is stale until its first evaluation, and again once a Link or
 Unlink event under one of its guard's keys is recorded after its last
 evaluation began; the simulation reads those events from ``World.trace``,

@@ -8,7 +8,7 @@ horizon, which ends an open span or a later one; membership is not.
 """
 from __future__ import annotations
 
-from .errors import MalformedTraceError, TickOutOfRangeError
+from .errors import TickOutOfRangeError, UnknownEntityError
 from .trace import TraceDoc
 
 COLOR_TABLE = {
@@ -89,7 +89,9 @@ def _axis(out: list[str], width: int, y: int, horizon: int) -> None:
 
 def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
     """One band per entity showing its Has_Quality spans over [0, horizon];
-    ``entities`` draws the named ones, each once, in the order first named."""
+    ``entities`` draws the named ones, each once, in the order first named.
+    A name with no Has_Quality history raises UnknownEntityError: the
+    fault is the caller's, not the trace's."""
     rows = _quality_spans(doc.spans, doc.horizon)
     if entities is None:
         names = sorted(rows)
@@ -97,7 +99,7 @@ def render_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
         names = list(dict.fromkeys(entities))
         unknown = sorted(set(names) - set(rows))
         if unknown:
-            raise MalformedTraceError(
+            raise UnknownEntityError(
                 f"no Has_Quality history for entit{'y' if len(unknown) == 1 else 'ies'}: "
                 + ", ".join(unknown)
             )

@@ -265,6 +265,16 @@ def test_timeline_at_out_of_range(capsys):
     capsys.readouterr()
 
 
+def test_timeline_an_unknown_entity_is_a_usage_error(capsys):
+    """A name with no Has_Quality history in a well-formed trace is the
+    command line's fault, as a bad --at is: stderr, exit 2, no file."""
+    assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--trace", "t5.trace.json"]) == 0
+    capsys.readouterr()
+    assert cli.main(["timeline", "t5.trace.json", "-o", "t5.svg", "--entities", "lampA_green", "nosuch"]) == 2
+    assert capsys.readouterr() == ("", "error: no Has_Quality history for entity: nosuch\n")
+    assert not Path("t5.svg").exists()
+
+
 def test_timeline_at_and_entities_are_a_usage_error(capsys):
     assert cli.main(["run", "traffic.xfo", "traffic_desk.xws", "--trace", "t3.trace.json"]) == 0
     code = cli.main(["timeline", "t3.trace.json", "-o", "t3.svg", "--at", "1",

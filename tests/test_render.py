@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xfo import trace
-from xfo.errors import MalformedTraceError, TickOutOfRangeError
+from xfo.errors import MalformedTraceError, TickOutOfRangeError, UnknownEntityError
 from xfo.render import _LABEL_W, _PX_PER_TICK, _RIGHT, _ROW_GAP, _ROW_H, _TOP, _axis, _color, _esc
 from xfo.render import render_snapshot, render_timeline
 from xfo.trace import TraceDoc, TraceEvent, parse_trace, replay_spans, trace_to_json
@@ -52,7 +52,7 @@ def test_timeline_entity_filter():
     doc = _traffic_doc()
     svg = render_timeline(doc, entities=["lampA_green"])
     assert ">lampA_green</text>" in svg and "lampB_green" not in svg
-    with pytest.raises(MalformedTraceError) as exc:
+    with pytest.raises(UnknownEntityError) as exc:
         render_timeline(doc, entities=["lampA_green", "nonesuch"])
     assert "nonesuch" in str(exc.value)
 
@@ -137,7 +137,7 @@ def reference_timeline(doc: TraceDoc, entities: list[str] | None = None) -> str:
     else:
         unknown = sorted(set(entities) - set(rows))
         if unknown:
-            raise MalformedTraceError(
+            raise UnknownEntityError(
                 f"no Has_Quality history for entit{'y' if len(unknown) == 1 else 'ies'}: "
                 + ", ".join(unknown)
             )
@@ -304,8 +304,8 @@ def test_renderers_match_the_replaying_reference(horizon, steps, entities):
     first_named = list(dict.fromkeys(entities))
     try:
         want = reference_timeline(doc, first_named)
-    except MalformedTraceError as exc:
-        with pytest.raises(MalformedTraceError, match=re.escape(str(exc))):
+    except UnknownEntityError as exc:
+        with pytest.raises(UnknownEntityError, match=re.escape(str(exc))):
             render_timeline(doc, entities)
     else:
         assert render_timeline(doc, entities) == want

@@ -1,19 +1,22 @@
-"""Next-event time advance and keyed rule re-evaluation against the
-tick-by-tick engine.
+"""The engine against the reference interpreter in ``reference.py``.
 
-``NaiveSimulation`` below is the reference: its ``run_until`` visits every
-tick up to the stop and its rules phase evaluates every enabled rule at
-each one, exactly as ``Simulation`` did before it skipped idle ticks and
-clean rules. ``Simulation`` re-evaluates a rule only after a Link or
-Unlink event under one of its guard's keys: (kind, "to", entity) for a
+``Simulation`` skips idle ticks and re-evaluates a rule only after a Link
+or Unlink event under one of its guard's keys: (kind, "to", entity) for a
 predicate whose ``to`` side is concrete, else (kind, "from", entity) when
-its ``from`` side is, else (kind,). That is sound because a predicate with
-a concrete side reads only the triples of its kind with that entity on
-that side, entity types do not change during a run, and every link change
-is a Link or Unlink event.
+its ``from`` side is, else (kind,). ``reference.Reference`` shares no code
+with it: it visits every tick up to the stop and evaluates every enabled
+rule at each one, as GRAMMAR.md and the ``microworld`` docstring describe
+the scheduler. Both run the same parsed documents and the same calls, and
+must give the same trace JSON, run summary, and refused-or-not and ``now``
+after each call; the reference's messages are its own. The inputs are
+models and scenarios drawn by ``worlds``, the hand-written cases here and
+in ``test_reference.py``, and the shipped runs, straight through and one
+tick at a time. The deterministic counters at the end read the engine
+alone.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -21,37 +24,16 @@ from hypothesis import given, settings, strategies as st
 
 from xfo import loader
 from xfo.dsl import parse_model, parse_scenario
-from xfo.dynamics import Rule, RunSpec, apply_transitional, define_rule
-from xfo.errors import XfoError
+from xfo.dynamics import Rule, RunSpec, apply_transitional
+from xfo.errors import SimulationError, XfoError
 from xfo.microworld import Simulation
 from xfo.trace import trace_to_json
 
-from helpers import MODELS_DIR, SHIPPED_RUNS, load_shipped_scenario, load_world
+from helpers import MODELS_DIR, SHIPPED_RUNS, SHIPPED_TRACE_SHA256, load_shipped_scenario, load_world
+from reference import Reference, Refused
 
 # ----------------------------------------------------------------------
-# naive reference
-
-
-class NaiveSimulation(Simulation):
-    def run_until(self, t: int) -> None:
-        if t > self.scenario.horizon:
-            raise XfoError(f"run_until({t}): beyond scenario horizon {self.scenario.horizon}")
-        while self.now <= t:
-            tick = self.now
-            self._drain(tick)
-            self._rules_phase(tick)
-            self._drain(tick)
-            self.now += 1
-
-    def _rules_phase(self, tick: int) -> None:
-        for name in self.world.rules:
-            if name not in self._rule_prev:
-                continue  # rule not enabled by this scenario
-            rule = self.world.rules[name]
-            holds = all(p.holds(self.world, tick) for p in rule.guard)
-            if holds and not self._rule_prev[name]:
-                self._fire(rule, tick)
-            self._rule_prev[name] = holds
+# the engine and the reference on one input
 
 
 class _TickLog(Simulation):
@@ -66,36 +48,45 @@ class _TickLog(Simulation):
         super()._rules_phase(tick)
 
 
-def _outcome(call, *args):
-    try:
-        call(*args)
-    except XfoError as exc:
-        return type(exc).__name__, str(exc)
-    return None
-
-
-def _simulation(engine, model_text: str, scenario_text: str) -> Simulation:
-    """An ``engine`` simulation of the scenario over a fresh world."""
+def _documents(model_text: str, scenario_text: str):
+    """The parsed model and scenario documents, each checked to parse."""
     mres = parse_model(model_text, "m.xfo")
     assert mres.ok, [d.render() for d in mres.diagnostics]
-    world, diags = loader.build_world(mres.document)
-    assert not diags, [d.render() for d in diags]
     sres = parse_scenario(scenario_text, "s.xws")
     assert sres.ok, [d.render() for d in sres.diagnostics]
-    scenario, sdiags = loader.build_scenario(sres.document, world)
+    return mres.document, sres.document
+
+
+def _simulation(engine, model_text: str, scenario_text: str, extra=()) -> Simulation:
+    """An ``engine`` simulation of the scenario over a fresh world, with
+    the definitions in ``extra`` loaded after the model's."""
+    mdoc, sdoc = _documents(model_text, scenario_text)
+    world, diags = loader.build_world(mdoc._replace(statements=mdoc.statements + tuple(extra)))
+    assert not diags, [d.render() for d in diags]
+    scenario, sdiags = loader.build_scenario(sdoc, world)
     assert scenario is not None and not sdiags, [d.render() for d in sdiags]
     return engine(world, scenario)
 
 
-def _drive(engine, model_text: str, scenario_text: str, ops) -> dict:
-    """``_observe`` on a fresh ``engine`` simulation."""
-    return _observe(_simulation(engine, model_text, scenario_text), ops)
+def _reference(model_text: str, scenario_text: str, extra=()) -> Reference:
+    mdoc, sdoc = _documents(model_text, scenario_text)
+    return Reference(mdoc.statements + tuple(extra), sdoc.statements)
+
+
+def _outcome(call, *args, refusal=XfoError) -> bool:
+    """Whether ``call(*args)`` is refused."""
+    try:
+        call(*args)
+    except refusal:
+        return True
+    return False
 
 
 def _observe(sim: Simulation, ops) -> dict:
-    """Run ``ops`` on ``sim`` and return everything observable: each call's
-    outcome, ``now`` after it, the trace JSON and the summary. An "apply"
-    op writes to the world directly, at ``now``, outside the simulation."""
+    """Run ``ops`` on engine simulation ``sim`` and return everything
+    observable: each call's refused-or-not and ``now`` after it, the trace
+    JSON and the summary. An "apply" op writes to the world directly, at
+    ``now``, outside the simulation."""
     world, scenario = sim.world, sim.scenario
     calls = []
     for op in ops:
@@ -113,6 +104,29 @@ def _observe(sim: Simulation, ops) -> dict:
         "trace": trace_to_json(world.model_name, scenario.name, scenario.horizon, world.trace),
         "summary": sim.summary(),
     }
+
+
+def _observe_reference(ref: Reference, ops) -> dict:
+    """``_observe`` of the same ``ops`` on the reference."""
+    calls = []
+    for op in ops:
+        if op[0] == "run_until":
+            calls.append((op, _outcome(ref.run_until, op[1], refusal=Refused), ref.now))
+        elif op[0] == "apply":
+            calls.append((op, _outcome(ref.apply_transitional, op[1], ref.now, refusal=Refused), ref.now))
+        else:
+            _, run, delta = op
+            calls.append((op, _outcome(ref.interrupt, run, ref.now + delta, refusal=Refused), ref.now))
+    return {"calls": calls, "trace": ref.trace_json(), "summary": ref.summary()}
+
+
+def run_both(model_text: str, scenario_text: str, ops, engine=Simulation, extra=()):
+    """The engine's observation of ``ops`` on a fresh ``engine`` simulation,
+    after checking that the reference observes the same; and the simulation."""
+    sim = _simulation(engine, model_text, scenario_text, extra)
+    got = _observe(sim, ops)
+    assert got == _observe_reference(_reference(model_text, scenario_text, extra), ops)
+    return got, sim
 
 
 # ----------------------------------------------------------------------
@@ -257,12 +271,7 @@ def worlds(draw):
 @settings(max_examples=300, deadline=None)
 @given(worlds())
 def test_time_advance_matches_tick_by_tick_engine(case):
-    model_text, scenario_text, ops = case
-    naive = _drive(NaiveSimulation, model_text, scenario_text, ops)
-    fast = _drive(Simulation, model_text, scenario_text, ops)
-    assert fast["calls"] == naive["calls"]
-    assert fast["trace"] == naive["trace"]
-    assert fast["summary"] == naive["summary"]
+    run_both(*case)
 
 
 SMALL = """model Small
@@ -362,11 +371,8 @@ def test_rule_dirtied_within_a_tick_is_evaluated_at_the_next(case):
     rules, directives, fired, visits = RULE_CASES[case]
     names = [line.split()[1] for line in rules.splitlines() if line.startswith("rule ")]
     scenario = "\n".join(["scenario s", "horizon 9"] + [f"rule {n}" for n in names] + directives) + "\n"
-    naive = _drive(NaiveSimulation, SMALL + rules, scenario, [("run_until", 9)])
-    sim = _simulation(_TickLog, SMALL + rules, scenario)
-    fast = _observe(sim, [("run_until", 9)])
-    assert fast == naive
-    events = json.loads(fast["trace"])["events"]
+    got, sim = run_both(SMALL + rules, scenario, [("run_until", 9)], engine=_TickLog)
+    events = json.loads(got["trace"])["events"]
     assert [(e["at"], e["payload"]["rule"]) for e in events if e["kind"] == "RuleFired"] == fired
     assert (sim.ticks, sim.guards_evaluated) == visits
 
@@ -400,9 +406,7 @@ def test_a_link_edit_re_reads_only_the_rules_naming_its_role():
     extra = []
     for k in (5, 40):
         model, scenario = _school(k, vacancies)
-        naive = _drive(NaiveSimulation, model, scenario, [("run_until", 40)])
-        sim = _simulation(Simulation, model, scenario)
-        assert _observe(sim, [("run_until", 40)]) == naive
+        _, sim = run_both(model, scenario, [("run_until", 40)])
         extra.append(sim.guards_evaluated - k)
     assert extra == [2 * len(vacancies)] * 2
 
@@ -411,41 +415,32 @@ def test_failed_rule_action_leaves_no_rule_fired():
     # the rule fires at tick 0 and unlinks a link that is not active; each
     # retry of the tick fails the same way and records nothing
     rules = "rule undo {\n  when not_exists a K0 b\n  then apply_transitional unlink_k0\n}\n"
-    error = ("SimulationError", "rule 'undo' action failed at 0: unlink target not active: a K0 b")
     ops = [("run_until", 3)] * 3
-    runs = [_drive(engine, SMALL + rules, "scenario s\nhorizon 9\nrule undo\n", ops)
-            for engine in (NaiveSimulation, Simulation)]
-    assert runs[1] == runs[0]
-    assert [outcome for _, outcome, _ in runs[1]["calls"]] == [error] * 3
-    assert json.loads(runs[1]["trace"])["events"] == []
+    got, sim = run_both(SMALL + rules, "scenario s\nhorizon 9\nrule undo\n", ops)
+    assert [(refused, now) for _, refused, now in got["calls"]] == [(True, 0)] * 3
+    assert json.loads(got["trace"])["events"] == []
+    error = "^rule 'undo' action failed at 0: unlink target not active: a K0 b$"
+    with pytest.raises(SimulationError, match=error):
+        sim.run_until(3)
 
 
 def test_rule_with_no_guard_fires_at_tick_zero():
     # the DSL needs a 'when'; the API takes an empty conjunction, which holds
-    fired = []
-    for engine in (NaiveSimulation, Simulation):
-        world, _ = loader.build_world(parse_model(SMALL, "m.xfo").document)
-        define_rule(world, Rule("always", (), RunSpec("idle")))
-        sres = parse_scenario("scenario s\nhorizon 3\nrule always\n", "s.xws")
-        sc, _ = loader.build_scenario(sres.document, world)
-        engine(world, sc).run_until(3)
-        fired.append([(e.at, e.kind) for e in world.trace])
-    assert fired[1] == fired[0]
-    assert fired[0][0] == (0, "RuleFired")
+    got, _ = run_both(SMALL, "scenario s\nhorizon 3\nrule always\n", [("run_until", 3)],
+                    extra=[Rule("always", (), RunSpec("idle"))])
+    first = json.loads(got["trace"])["events"][0]
+    assert (first["at"], first["kind"]) == (0, "RuleFired")
 
 
 @pytest.mark.parametrize("model,scenario", SHIPPED_RUNS)
 def test_shipped_scenarios_match_tick_by_tick_engine(model, scenario):
-    traces = []
-    for engine in (NaiveSimulation, Simulation):
-        for stepped in (False, True):
-            world = load_world(model)
-            sc = load_shipped_scenario(world, scenario)
-            sim = engine(world, sc)
-            for stop in range(sc.horizon + 1) if stepped else (sc.horizon,):
-                sim.run_until(stop)
-            traces.append((trace_to_json(world.model_name, sc.name, sc.horizon, world.trace), sim.summary()))
-    assert traces[1:] == traces[:1] * 3
+    # run straight through, and stepped one tick at a time
+    texts = [(MODELS_DIR / name).read_text(encoding="utf-8") for name in (model, scenario)]
+    horizon = load_shipped_scenario(load_world(model), scenario).horizon
+    for stops in ([horizon], range(horizon + 1)):
+        got, _ = run_both(*texts, [("run_until", stop) for stop in stops])
+        assert not any(refused for _, refused, _ in got["calls"])
+        assert hashlib.sha256(got["trace"].encode("utf-8")).hexdigest() == SHIPPED_TRACE_SHA256[scenario]
 
 
 # ----------------------------------------------------------------------
