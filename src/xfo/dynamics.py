@@ -167,7 +167,7 @@ def resolve_edits(unlinks: tuple[LinkTemplate, ...], links: tuple[LinkTemplate, 
     return un, ln
 
 
-def apply_batch(world: World, batch: Batch, at: int, *, lenient: bool = False) -> list[TraceEvent]:
+def apply_batch(world: World, batch: Batch, at: int, *, lenient: bool = False) -> None:
     """Apply a resolved batch atomically at one tick: one ``World.edit``.
 
     A refused edit raises PreconditionFailedError naming the failed
@@ -178,7 +178,6 @@ def apply_batch(world: World, batch: Batch, at: int, *, lenient: bool = False) -
     if lenient:
         un = [t for t in un if world.spans.active(t) is not None]
         ln = [t for t in ln if world.spans.active(t) is None]
-    before = len(world.trace)
     try:
         world.edit(un, ln, at)
     except NoActiveLinkError as exc:
@@ -190,11 +189,12 @@ def apply_batch(world: World, batch: Batch, at: int, *, lenient: bool = False) -
     except InvalidLinkError as exc:
         t, reason = " ".join(exc.triple), exc.result.reason
         raise PreconditionFailedError(f"link target invalid: {t}: {reason}", predicate=reason) from exc
-    return world.trace[before:]
 
 
 def apply_transitional(world: World, t: Transitional, at: int) -> list[TraceEvent]:
-    return apply_batch(world, resolve_edits(t.unlinks, t.links), at)
+    before = len(world.trace)
+    apply_batch(world, resolve_edits(t.unlinks, t.links), at)
+    return world.trace[before:]
 
 
 # ----------------------------------------------------------------------

@@ -34,10 +34,12 @@ change, so a rule that is not stale would re-evaluate to its previous
 value and fire no edge.
 
 Each queue entry is (tick, order queued, callable). The drain calls it
-with the tick and queues it again at the tick it returns: a run's
-resumption returns its next, a directive's apply or an interrupt None.
-A run's life is one generator (``WorkflowRun.life``): sent the tick it
-resumes at, it yields the next, first its start, then each step's end.
+with the tick and queues it again at the tick it returns. A run's life
+is one generator (``WorkflowRun.life``), and its entry is the
+generator's ``send``: sent the tick it resumes at, it yields the next,
+first its start, then each step's end, and its StopIteration ends the
+run. A directive's apply and an interrupt return None, and any
+exception they raise, StopIteration too, propagates.
 A step occupies [start, start + duration): its preconditions are checked
 at its start, a failure marks the run Broken, and its effects apply at
 its end. A recursive generator walks the workflow's control tree, reading
@@ -179,7 +181,8 @@ class WorkflowRun:
                 if not pred.holds(world, tick, self.binding):
                     self._break(world, step.name, tick, pred.render(self.binding))
                     return
-            world.record("StepStart", tick, self.payload(step))
+            payload = self.payload(step)
+            world.record("StepStart", tick, payload)
             # a duration is a number or a parameter bind_args bound to one
             tick = yield tick + (step.duration if isinstance(step.duration, int) else self.binding[step.duration])
             if tick != self._tick:
@@ -191,7 +194,7 @@ class WorkflowRun:
             except PreconditionFailedError as exc:
                 self._break(world, step.name, tick, exc.predicate or str(exc))
                 return
-            world.record("StepEnd", tick, self.payload(step))
+            world.record("StepEnd", tick, payload)
             self.last_completed_step = step.name
             if self.status is RunStatus.INTERRUPTED:
                 return  # the step ended at the interrupt tick
@@ -326,7 +329,7 @@ class Simulation:
         self._rule_prev: dict[str, bool] = dict.fromkeys(scenario.rules, False)
         self._fired = {r.name: FrozenPayload(rule=r.name, action=r.action.render()) for r in self._rules}
         world.edit((), [(t.from_ref, t.kind, t.to_ref) for t in scenario.init], 0)
-        world.scenario_name = scenario.name
+        world.scenario_name, world.horizon = scenario.name, scenario.horizon
         self._read = len(world.trace)  # position of the first event _stale has not read
         for item in scenario.schedule:
             if isinstance(item, RunSpec):
@@ -388,15 +391,19 @@ class Simulation:
         queue = self.queue
         while queue and queue[0][0] == tick:
             act = heapq.heappop(queue)[2]
-            if (again := act(tick)) is not None:
-                self._push(again, act)
+            try:
+                if (again := act(tick)) is not None:
+                    self._push(again, act)
+            except StopIteration:  # a run's life ended; raised by any other call, it propagates
+                if not isinstance(getattr(act, "__self__", None), Generator):
+                    raise
 
     def _queue_run(self, spec: RunSpec, at: int) -> None:
         wf = self.world.workflows[spec.target]
         run = WorkflowRun(len(self.runs), wf, bind_args(self.world, wf, spec.args))
         self.runs.append(run)
         life = run.life(self.world, at, self.scenario.horizon)
-        self._push(next(life), partial(_resume, life))
+        self._push(next(life), life.send)
 
     def _stale(self) -> set[int]:
         """The stale rules' positions, after marking stale the readers of
@@ -445,14 +452,6 @@ class Simulation:
         except XfoError as exc:
             world.unrecord(fired)
             raise SimulationError(f"rule '{rule.name}' action failed at {tick}: {exc}") from exc
-
-
-def _resume(life: Generator[int, int, None], tick: int) -> int | None:
-    """Send ``tick`` to a run's life: the tick it next resumes at, or None."""
-    try:
-        return life.send(tick)
-    except StopIteration:
-        return None
 
 
 def _apply(world: World, action, tick: int) -> None:

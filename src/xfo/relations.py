@@ -133,8 +133,9 @@ class World:
     safe for concurrent readers. ``tier2_strict=False`` downgrades tier-2
     link failures to entries in ``warnings``.
 
-    ``edit`` is the only writer of the link store ``spans``. It writes a
-    batch whole or not at all, and keeps these invariants:
+    ``edit`` is the only writer of the link store ``spans``. It reads each
+    edited triple's row once, to check it and to write it in place, writes
+    a batch whole or not at all, and keeps these invariants:
 
     * ``spans`` equals ``trace.replay_spans(trace)`` row for row, ``of``
       order included.
@@ -144,8 +145,9 @@ class World:
       its own Link and Unlink events, after one tick check for the whole
       batch; ``record`` appends every other event, and ``unrecord``
       removes only the newest event.
-    * Ticks never go backwards: an edit or event dated before the last
-      recorded tick raises TickOrderError and changes nothing.
+    * Ticks never go backwards or past ``horizon``, which a Simulation
+      sets to its scenario's: an edit or event dated out of those bounds
+      raises TickOrderError and changes nothing.
 
     Declarations are kept as a list, in declaration order, and
     ``declare`` is their only writer. It keeps two indexes beside the
@@ -181,6 +183,7 @@ class World:
         self.warnings: list[str] = []
         self.model_name = "model"
         self.scenario_name: str | None = None  # the scenario a Simulation loaded; a world takes one
+        self.horizon: int | None = None  # that scenario's horizon: no write is dated later
         # definition tables filled by the dynamics layer
         self.transitionals: dict[str, object] = {}
         self.frames: dict[str, object] = {}
@@ -204,10 +207,11 @@ class World:
     # trace plumbing
 
     def _require_tick(self, at: int) -> None:
-        if self.trace and at < self.trace[-1].at:
-            raise TickOrderError(
-                f"tick {at} is before the last recorded tick {self.trace[-1].at}"
-            )
+        trace = self.trace
+        if trace and at < trace[-1].at:
+            raise TickOrderError(f"tick {at} is before the last recorded tick {trace[-1].at}")
+        if self.horizon is not None and at > self.horizon:
+            raise TickOrderError(f"tick {at} is past the horizon {self.horizon}")
 
     def record(self, kind: str, at: int, payload: dict) -> TraceEvent:
         self._require_tick(at)
@@ -365,46 +369,52 @@ class World:
             ):
                 yield t
 
-    def check_link(self, from_p: EntityId, kind: str, to_p: EntityId) -> ValidationResult:
+    def check_link(self, from_p: EntityId, kind: str, to_p: EntityId) -> tuple[ValidationResult, list | None]:
         """Raise unless a new (from, kind, to) link may start now, checking
-        for a duplicate first; return its verdict. Writes no tier-2 warning."""
+        for a duplicate first; return its verdict and the triple's row, read
+        once (None if never linked). Writes no tier-2 warning."""
         triple = (from_p, kind, to_p)
-        if self.spans.active(triple) is not None:
+        row = self.spans.get(triple)
+        if row is not None and row[-1][1] is None:
             raise DuplicateActiveLinkError(f"link '{from_p}' {kind} '{to_p}' is already active", triple)
-        res = self.validate_link(*triple)
-        if not self.admit(res):
+        res = self.validate_link(from_p, kind, to_p)
+        if not (res.valid or self.admit(res)):
             error = Tier2UncoveredError if res.tier == 2 else InvalidLinkError
             raise error(f"invalid link: {res.reason}", result=res, triple=triple)
-        return res
+        return res, row
 
     def edit(self, unlinks: Sequence[Triple], links: Sequence[Triple], at: int) -> None:
         """The one writer of link history: end ``unlinks``, then start
         ``links``, at tick ``at``. Before any write it refuses, in order, a
-        triple named twice, an unlink not active at ``at``, a past tick and
-        a link ``check_link`` refuses. Each link is validated once; an
-        uncovered one adds a ``tier-2:`` warning. Each edit appends its
-        Unlink or Link event, with no further tick check."""
-        t = _repeated([*unlinks, *links])
-        if t is not None:
+        triple named twice, an unlink not active at ``at``, a tick
+        ``_require_tick`` refuses and a link ``check_link`` refuses. Each
+        triple's row is read once and written in place; each link is
+        validated once, and an uncovered one adds a ``tier-2:`` warning.
+        Each edit appends its Unlink or Link event, with no further tick check."""
+        if len({*unlinks, *links}) < len(unlinks) + len(links):
+            t = _repeated([*unlinks, *links])
             raise LinkEditError(f"link '{t[0]}' {t[1]} '{t[2]}' is edited twice in one batch", t)
-        spans = self.spans
+        get, ended = self.spans.get, []
         for t in unlinks:
-            row = spans.active(t)
-            if row is None or row[0] > at:
+            row = get(t)
+            if row is None or row[-1][1] is not None or row[-1][0] > at:
                 raise NoActiveLinkError(f"no active link '{t[0]}' {t[1]} '{t[2]}' at tick {at}", t)
+            ended.append(row)
         self._require_tick(at)
-        verdicts = [self.check_link(*t) for t in links]
+        started = [self.check_link(*t) for t in links]
         trace, payloads = self.trace, self._payloads
-        for t in unlinks:
-            spans.close(t, at)
+        for t, row in zip(unlinks, ended):
+            row[-1] = (row[-1][0], at)
             trace.append(_event(TraceEvent, (len(trace), at, "Unlink", payloads[t])))
-        for t, res in zip(links, verdicts):
-            if not res:
+        for t, (res, row) in zip(links, started):
+            if not res.valid:
                 self.warnings.append(f"tier-2: {res.reason}")
-            payload = payloads.get(t)
-            if payload is None:  # first link of this triple
+            if row is None:  # first link of this triple
                 payload = payloads[t] = FrozenPayload({"from": t[0], "relation": t[1], "to": t[2]})
-            spans.open(t, at)
+                self.spans.open(t, at)
+            else:
+                payload = payloads[t]
+                row.append((at, None))
             trace.append(_event(TraceEvent, (len(trace), at, "Link", payload)))
 
     # ------------------------------------------------------------------

@@ -92,24 +92,19 @@ class SpanStore(dict):
     (end None). Spans are half-open: a row holds tick t when ``start <=
     t`` and its end is None or greater than t. ``of`` indexes the triples
     by entity, either side, in first-link order (no order depends on
-    string hashing). ``==`` compares rows only. Writers check first:
-    ``World.edit`` then calls ``open`` and ``close``, and ``replay_spans``
-    writes rows in place, calling ``open`` for a triple's first only."""
+    string hashing). ``==`` compares rows only. Its two writers,
+    ``World.edit`` and ``replay_spans``, read a triple's row once, check
+    it, and write it in place: a Link appends ``(at, None)``, an Unlink
+    sets the last row's end. Only a triple's first Link calls ``open``."""
 
     def __init__(self) -> None:
         self._of: dict[str, dict[Triple, None]] = {}
 
     def open(self, triple: Triple, at: int) -> None:
-        row = self.get(triple)
-        if row is None:
-            row = self[triple] = []
-            for e in (triple[0], triple[2]):
-                self._of.setdefault(e, {})[triple] = None
-        row.append((at, None))
-
-    def close(self, triple: Triple, at: int) -> None:
-        row = self[triple]
-        row[-1] = (row[-1][0], at)
+        """Add ``triple``, which has no row yet, with one open row from ``at``."""
+        self[triple] = [(at, None)]
+        for e in (triple[0], triple[2]):
+            self._of.setdefault(e, {})[triple] = None
 
     def active(self, triple: Triple) -> tuple[int, None] | None:
         """``triple``'s open row, if any."""

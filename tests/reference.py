@@ -8,8 +8,9 @@ McKeeman, "Differential testing for software", 1998).
 It reads parsed documents: each statement's class name tells its type
 apart, and its fields are read by name. The model must have loaded
 without error and the scenario been accepted: no load-time check is
-repeated here, and every write is at ``now``, which no event is later
-than. It is as plain as the documents, and as slow:
+repeated here. Every write is at ``now``, which no event is later than,
+and a write past the horizon is refused. It is as plain as the
+documents, and as slow:
 
 * the world is a dict of active triples, each with the tick it started,
   and the trace a list of event dicts;
@@ -182,6 +183,8 @@ class Reference:
     def _edit(self, unlinks, links, at: int) -> None:
         """End ``unlinks``, then start ``links``, at ``at``: all or nothing.
         A refusal names the predicate that failed."""
+        if at > self.horizon:
+            raise Refused(f"tick {at} is past the horizon {self.horizon}")
         for t in unlinks:
             if t not in self.active:
                 raise Refused(f"exists {' '.join(t)}")

@@ -10,7 +10,7 @@ import copy
 from contextlib import suppress
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xfo.dynamics import StatePredicate, Wildcard
 from xfo.errors import (
@@ -24,9 +24,10 @@ from xfo.errors import (
 )
 from xfo.ontology import Layer
 from xfo.relations import World
-from xfo.trace import parse_trace, replay_spans, trace_parts, trace_to_json
+from xfo.microworld import load_scenario
+from xfo.trace import FrozenPayload, SpanStore, parse_trace, replay_spans, trace_parts, trace_to_json
 
-from helpers import SHIPPED_RUNS, run_scenario
+from helpers import SHIPPED_RUNS, link_events, load_shipped_scenario, load_world, run_scenario
 
 # ----------------------------------------------------------------------
 # naive reference
@@ -114,28 +115,40 @@ def naive_failing_tier(world, from_p, kind, to_p):
     return 0 if covered else 2
 
 
+def naive_reason(world, from_p, kind, to_p):
+    """The reason an invalid link's verdict gives: the first bound a B
+    ancestor misses, else the universals no declaration covers."""
+    reg, k = world.registry, world.kind(kind)
+    for e, side, bound in ((from_p, "domain", k.domain_b), (to_p, "range", k.range_b)):
+        b = naive_b_ancestor(reg, e)
+        if not naive_is_descendant(reg, b, bound):
+            return f"{side}: B ancestor of '{e}' is '{b}', which does not descend from '{bound}'"
+    f_u, t_u = reg.parent_chain(from_p)[1], reg.parent_chain(to_p)[1]
+    return f"no declaration covers '{from_p}' {kind} '{to_p}' (universals '{f_u}' / '{t_u}')"
+
+
 def naive_batch_refusal(world, unlinks, links, at):
-    """(error type, refused triple) for the first check a ``World.edit``
-    batch fails, in the documented order, or None when it passes."""
+    """(error type, refused triple, message) for the first check a
+    ``World.edit`` batch fails, in the documented order, or None when it
+    passes."""
     seen = []
     for t in unlinks + links:
         if t in seen:
-            return LinkEditError, t
+            return LinkEditError, t, f"link '{t[0]}' {t[1]} '{t[2]}' is edited twice in one batch"
         seen.append(t)
     for t in unlinks:
         active = naive_active_link(world, *t)
         if active is None or active[3] > at:
-            return NoActiveLinkError, t
+            return NoActiveLinkError, t, f"no active link '{t[0]}' {t[1]} '{t[2]}' at tick {at}"
     if world.trace and at < world.trace[-1].at:
-        return TickOrderError, None
+        return TickOrderError, None, f"tick {at} is before the last recorded tick {world.trace[-1].at}"
     for t in links:
         tier = naive_failing_tier(world, *t)
         if naive_active_link(world, *t) is not None:
-            return DuplicateActiveLinkError, t
-        if tier == 1:
-            return InvalidLinkError, t
-        if tier == 2 and world.tier2_strict:
-            return Tier2UncoveredError, t
+            return DuplicateActiveLinkError, t, f"link '{t[0]}' {t[1]} '{t[2]}' is already active"
+        if tier == 1 or (tier == 2 and world.tier2_strict):
+            error = InvalidLinkError if tier == 1 else Tier2UncoveredError
+            return error, t, f"invalid link: {naive_reason(world, *t)}"
     return None
 
 
@@ -204,14 +217,20 @@ ENTITIES = DEVICES + COLORS
 def _store_snapshot(world):
     """What a refused edit must leave as it was: the trace (each event's
     seq its position, and every Link and Unlink event of a triple carrying
-    the triple's one payload), the warnings, the rows and entity index of
-    the store and the payloads."""
+    the triple's one payload, a FrozenPayload of the triple built at its
+    first Link), the warnings, the rows and entity index of the store and
+    the payloads."""
     assert [e.seq for e in world.trace] == list(range(len(world.trace)))
+    payloads = world._payloads
+    assert payloads.keys() == world.spans.keys()
+    for t, p in payloads.items():
+        assert type(p) is FrozenPayload and p == {"from": t[0], "relation": t[1], "to": t[2]}, t
     for e in world.trace:
-        assert e.payload is world._payloads[e.payload["from"], e.payload["relation"], e.payload["to"]]
+        if e.kind in ("Link", "Unlink"):
+            assert e.payload is payloads[e.payload["from"], e.payload["relation"], e.payload["to"]]
     spans = {t: list(row) for t, row in world.spans.items()}
     of = {e: list(world.spans.of(e)) for e in ENTITIES}
-    return list(world.trace), list(world.warnings), spans, of, dict(world._payloads)
+    return list(world.trace), list(world.warnings), spans, of, dict(payloads)
 
 
 def _check_current(world):
@@ -264,8 +283,9 @@ HISTORIES = st.lists(
 
 def _edit_batch(w, edits, at) -> bool:
     """Apply ``edits`` as one ``World.edit`` and check it against the naive
-    refusal; True when it is accepted. A refused batch changes nothing; an
-    accepted one leaves what its edits leave one at a time, unlinks first."""
+    refusal, message text included; True when it is accepted. A refused
+    batch changes nothing; an accepted one leaves what its edits leave one
+    at a time, unlinks first."""
     unlinks = [t for op, t in edits if op == "unlink"]
     links = [t for op, t in edits if op == "link"]
     expected = naive_batch_refusal(w, unlinks, links, at)
@@ -274,7 +294,7 @@ def _edit_batch(w, edits, at) -> bool:
     try:
         w.edit(unlinks, links, at)
     except XfoError as exc:
-        assert (type(exc), getattr(exc, "triple", None)) == expected, (edits, at, exc)
+        assert (type(exc), getattr(exc, "triple", None), str(exc)) == expected, (edits, at, exc)
         assert _store_snapshot(w) == before
         return False
     assert expected is None, (edits, at)
@@ -289,6 +309,11 @@ def _edit_batch(w, edits, at) -> bool:
     return True
 
 
+# a batch whose unlink passes and whose link is refused after it: the
+# unlink's row must be left open
+@example([("link", TRIPLES[0], 0), ("link", TRIPLES[1], 0),
+          ("batch", [("unlink", TRIPLES[0]), ("link", TRIPLES[1])], 1),
+          ("batch", [("unlink", TRIPLES[0]), ("link", TRIPLES[-1])], 1)], False)
 @given(HISTORIES, st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_indexed_store_matches_naive_scans(ops, tier2_strict):
@@ -342,7 +367,76 @@ def test_a_shipped_run_stores_what_its_trace_file_replays(model, scenario, tmp_p
 
 
 # ----------------------------------------------------------------------
-# ticks that go backwards
+# reads of the store: one per edited triple
+
+
+class _CountingStore(SpanStore):
+    """A SpanStore that counts the reads of its rows."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = 0
+
+    def get(self, triple, default=None):
+        self.reads += 1
+        return super().get(triple, default)
+
+    def __getitem__(self, triple):
+        self.reads += 1
+        return super().__getitem__(triple)
+
+    def __contains__(self, triple):
+        self.reads += 1
+        return super().__contains__(triple)
+
+
+def _count_validations(monkeypatch) -> list:
+    calls = []
+    validate = World.validate_link
+    monkeypatch.setattr(World, "validate_link", lambda self, *t: calls.append(t) or validate(self, *t))
+    return calls
+
+
+@pytest.mark.parametrize("n_unlinks,n_relinks,n_new", [(1, 0, 0), (0, 0, 1), (0, 1, 0), (2, 1, 1), (3, 0, 2)])
+def test_an_edit_reads_each_triple_once(n_unlinks, n_relinks, n_new, monkeypatch):
+    """An edit of u unlinks and l links, a link of a triple linked before
+    or of a new one, reads the store u + l times and validates l links."""
+    w = tree_world()
+    w.spans = _CountingStore()
+    active, ended, new = TRIPLES[:3], TRIPLES[4:6], TRIPLES[8:10]
+    w.edit((), [*active, *ended], 1)
+    w.edit(ended, (), 2)
+    unlinks, links = active[:n_unlinks], [*ended[:n_relinks], *new[:n_new]]
+    reads, calls = w.spans.reads, _count_validations(monkeypatch)
+    w.edit(unlinks, links, 3)
+    assert w.spans.reads - reads == len(unlinks) + len(links)
+    assert calls == links
+    assert w.spans == replay_spans(w.trace)
+
+
+@pytest.mark.parametrize("model,scenario", SHIPPED_RUNS, ids=[s for _, s in SHIPPED_RUNS])
+def test_a_shipped_run_reads_the_store_once_per_link_event(model, scenario, monkeypatch):
+    """Over a shipped run, each accepted edit of u unlinks and l links
+    reads the store u + l times and validates l links, so the store is
+    read once per Link or Unlink event written."""
+    world = load_world(model)
+    world.spans = _CountingStore()
+    scen = load_shipped_scenario(world, scenario)
+    reads, calls, edit = [], _count_validations(monkeypatch), World.edit
+
+    def counted(self, unlinks, links, at):
+        before, validated = self.spans.reads, len(calls)
+        edit(self, unlinks, links, at)
+        reads.append(self.spans.reads - before)  # an accepted edit's reads
+        assert (reads[-1], len(calls) - validated) == (len(unlinks) + len(links), len(links))
+
+    monkeypatch.setattr(World, "edit", counted)
+    load_scenario(world, scen).run_until(scen.horizon)
+    assert reads and sum(reads) == len(link_events(world.trace))
+
+
+# ----------------------------------------------------------------------
+# ticks that go backwards, or past the horizon
 
 
 def test_relink_before_last_tick_is_rejected():
@@ -375,6 +469,21 @@ def test_backwards_unlink_and_warning_are_rejected_untouched():
     with pytest.raises(NoActiveLinkError):
         w.edit([("lamp2", "Has_Quality", "red")], (), 3)
     w.edit([("lamp1", "Has_Quality", "red")], (), 4)  # same tick as the last event
+
+
+def test_a_loaded_world_refuses_writes_past_its_horizon():
+    """An edit or event after ``run_until(horizon)`` dated past the horizon
+    used to be accepted, and the trace then failed parse_trace."""
+    world, _, scen = run_scenario("traffic.xfo", "traffic_desk.xws")
+    active = next(t for t, row in world.spans.items() if row[-1][1] is None)
+    before = _store_snapshot(world)
+    with pytest.raises(TickOrderError, match="tick 13 is past the horizon 12"):
+        world.edit([active], (), scen.horizon + 1)
+    with pytest.raises(TickOrderError, match="tick 13 is past the horizon 12"):
+        world.record("Interrupt", scen.horizon + 1, {"run": 0})
+    assert _store_snapshot(world) == before
+    world.edit([active], (), scen.horizon)  # the horizon's own tick is still open
+    parse_trace(trace_to_json(world.model_name, scen.name, scen.horizon, world.trace))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from xfo import loader
+from xfo import loader, microworld
 from xfo.dsl import parse_model, parse_scenario
 from xfo.errors import (
     InvalidInitialLinkError,
@@ -159,6 +159,26 @@ def test_celadon_interrupt_mid_step():
     # nothing after the interrupt tick for that run
     assert not [e for e in world.trace
                 if e.at > 6 and e.payload.get("run") == 0]
+
+
+@pytest.mark.parametrize("scenario,at", [("celadon_broken.xws", 10), ("celadon_interrupt.xws", 6)])
+def test_a_stop_iteration_inside_a_directive_or_an_interrupt_propagates(scenario, at, monkeypatch):
+    """A run's queue entry is its life's ``send``, whose StopIteration ends
+    the run. One raised inside a directive's or an interrupt's call (an
+    ``apply`` at 10, an ``interrupt`` at 6) is not taken for a run's end:
+    it propagates out of ``run_until`` at its tick."""
+    world = load_world("celadon.xfo")
+    sim = load_scenario(world, load_shipped_scenario(world, scenario))
+
+    def stop(*args):
+        raise StopIteration
+
+    record = world.record
+    monkeypatch.setattr(microworld, "apply_action", stop)
+    monkeypatch.setattr(world, "record", lambda kind, *a: stop() if kind == "Interrupt" else record(kind, *a))
+    with pytest.raises(StopIteration):
+        sim.run_until(sim.scenario.horizon)
+    assert sim.now == at
 
 
 def test_celadon_broken_names_predicate():

@@ -8,11 +8,11 @@ with it: it visits every tick up to the stop and evaluates every enabled
 rule at each one, as GRAMMAR.md and the ``microworld`` docstring describe
 the scheduler. Both run the same parsed documents and the same calls, and
 must give the same trace JSON, run summary, and refused-or-not and ``now``
-after each call; the reference's messages are its own. The inputs are
-models and scenarios drawn by ``worlds``, the hand-written cases here and
-in ``test_reference.py``, and the shipped runs, straight through and one
-tick at a time. The deterministic counters at the end read the engine
-alone.
+after each call; the reference's messages are its own. The engine's trace
+must also pass ``parse_trace``. The inputs are models and scenarios drawn
+by ``worlds``, the hand-written cases here and in ``test_reference.py``,
+and the shipped runs, straight through and one tick at a time. The
+deterministic counters at the end read the engine alone.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from xfo.dsl import parse_model, parse_scenario
 from xfo.dynamics import Rule, RunSpec, apply_transitional
 from xfo.errors import SimulationError, XfoError
 from xfo.microworld import Simulation
-from xfo.trace import trace_to_json
+from xfo.trace import parse_trace, trace_to_json
 
 from helpers import MODELS_DIR, SHIPPED_RUNS, SHIPPED_TRACE_SHA256, load_shipped_scenario, load_world
 from reference import Reference, Refused
@@ -122,9 +122,11 @@ def _observe_reference(ref: Reference, ops) -> dict:
 
 def run_both(model_text: str, scenario_text: str, ops, engine=Simulation, extra=()):
     """The engine's observation of ``ops`` on a fresh ``engine`` simulation,
-    after checking that the reference observes the same; and the simulation."""
+    after checking that its trace parses and that the reference observes
+    the same; and the simulation."""
     sim = _simulation(engine, model_text, scenario_text, extra)
     got = _observe(sim, ops)
+    parse_trace(got["trace"])  # every trace the engine writes passes the one check of a trace
     assert got == _observe_reference(_reference(model_text, scenario_text, extra), ops)
     return got, sim
 
@@ -263,6 +265,8 @@ def worlds(draw):
         if draw(st.integers(0, 3)) == 2:
             ops.append(("apply", draw(st.sampled_from(transitionals))))
         ops.append(("run_until", stop))
+    if draw(st.integers(0, 3)) == 2:  # past the horizon if the last stop is the horizon
+        ops.append(("apply", draw(st.sampled_from(transitionals))))
     if draw(st.integers(0, 9)) == 5:
         ops.append(("run_until", horizon + 1))  # refused: past the horizon
     return "\n".join(lines) + "\n", "\n".join(sc) + "\n", ops
@@ -430,6 +434,16 @@ def test_rule_with_no_guard_fires_at_tick_zero():
                     extra=[Rule("always", (), RunSpec("idle"))])
     first = json.loads(got["trace"])["events"][0]
     assert (first["at"], first["kind"]) == (0, "RuleFired")
+
+
+def test_a_write_past_the_horizon_is_refused():
+    # applied at ``now``, one tick past the horizon, it used to be written
+    # and to fail parse_trace; at the horizon tick it is written
+    ops = [("run_until", 3), ("apply", "link_k0")]
+    got, _ = run_both(SMALL, "scenario s\nhorizon 3\n", ops)
+    assert [(refused, now) for _, refused, now in got["calls"]] == [(False, 4), (True, 4)]
+    got, _ = run_both(SMALL, "scenario s\nhorizon 3\n", [("run_until", 2), ("apply", "link_k0"), ("run_until", 3)])
+    assert [(refused, now) for _, refused, now in got["calls"]] == [(False, 3), (False, 3), (False, 4)]
 
 
 @pytest.mark.parametrize("model,scenario", SHIPPED_RUNS)
